@@ -92,7 +92,6 @@ from .training import (
     init_optimizer,
     loss_and_gradients,
     lr_at,
-    make_example,
     make_examples,
     mask_for_mlm,
     misad_loss,

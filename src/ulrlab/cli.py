@@ -3,8 +3,9 @@
 Every command resolves its settings the same way: built-in defaults,
 then a flat ``key = value`` config file, then command-line flags (flags
 win).  Unknown config keys are rejected, the fully resolved config is
-echoed to stderr, and all randomness flows from the single seed — so a
-rerun with the same config and seed reproduces artifacts byte for byte.
+echoed to stderr.  Only ``train`` draws random numbers, all from its one
+seed; the other commands are deterministic — so a rerun with the same
+config reproduces artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "entities": Setting(str, None),
         "vocab_out": Setting(str, None),
         "out": Setting(str, required=True),
-        "seed": Setting(int, 0),
     },
     "train": {
         "corpus": Setting(str, required=True),
@@ -121,7 +121,6 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "vectors": Setting(str, None),
         "pooling": Setting(str, "mean"),
         "out": Setting(str, None),
-        "seed": Setting(int, 0),
     },
     "eval-retrieval": {
         "backend": Setting(str, required=True),
@@ -134,7 +133,6 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "ks": Setting(str, "1,5,10"),
         "group_by_length": Setting(_int_or_none, None),
         "out": Setting(str, None),
-        "seed": Setting(int, 0),
     },
     "embed": {
         "checkpoint": Setting(str, required=True),
@@ -142,7 +140,6 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "texts": Setting(str, required=True),
         "pooling": Setting(str, "mean"),
         "out": Setting(str, None),
-        "seed": Setting(int, 0),
     },
 }
 
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_shared(p: argparse.ArgumentParser):
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--threads", type=int, help="bound on BLAS threads")
         p.add_argument("--out", help="primary output path")
 
@@ -412,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the encoder with the joint objective")
     add_shared(p)
+    p.add_argument("--seed", type=int, help="master random seed")
     p.add_argument("--corpus")
     p.add_argument("--table", help="n-gram table file")
     p.add_argument("--vocab", help="vocabulary file")

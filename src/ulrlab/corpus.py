@@ -97,26 +97,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
-    @property
-    def mask_id(self) -> int:
-        return MASK_ID
-
-    @property
-    def cls_id(self) -> int:
-        return CLS_ID
-
-    @property
-    def sep_id(self) -> int:
-        return SEP_ID
-
     def id_of(self, token: str) -> int:
         """Id of ``token``, falling back to the UNK id."""
         return self._token_to_id.get(token, UNK_ID)

@@ -9,10 +9,11 @@ Two numeric modes are supported through the parameter dtype: float32 for
 training and checkpoints, float64 ("wide") for finite-difference
 gradient checks, where float32 rounding would swamp the comparison.
 
-Every forward entry point can return a cache; :func:`backward` consumes
-it and produces the exact analytic gradient of any loss expressed as
-cotangents of the hidden states and pooled output.  Dropout draws come
-from a counter-based generator keyed by (seed, step, site) so a training
+:func:`forward` can return a cache; :func:`backward` consumes it and
+produces the exact analytic gradient of any loss expressed as a
+cotangent of the hidden states.  Pooling, including the tanh pooler,
+lives only in :func:`pool` and :func:`pool_backward`.  Dropout draws
+come from :func:`step_rng`, keyed by (seed, step, site), so a training
 step replays bit-identically.
 """
 
@@ -179,14 +180,14 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def _dropout_key(seed: int, step: int, site: str) -> int:
-    digest = hashlib.blake2b(f"{seed}/{step}/{site}".encode(), digest_size=16).digest()
-    return int.from_bytes(digest, "little")
+def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
+    """Counter-based generator: a fresh stream per (seed, step, name)."""
+    digest = hashlib.blake2b(f"{seed}/{step}/{name}".encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
 def _dropout_mask(shape, rate: float, seed: int, step: int, site: str, dtype) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=_dropout_key(seed, step, site)))
-    keep = rng.random(size=shape) >= rate
+    keep = step_rng(seed, step, site).random(size=shape) >= rate
     return keep.astype(dtype) * (1.0 / (1.0 - rate))
 
 
@@ -223,10 +224,10 @@ def forward(
 ):
     """Run the encoder.
 
-    Returns ``(hidden, pooled)`` of shapes (B, L, d) and (B, d); with
-    ``want_cache`` a cache for :func:`backward` is appended.  Padded key
-    positions receive -inf attention logits, so outputs at real
-    positions do not depend on pad content.  Dropout is applied only
+    Returns ``hidden`` of shape (B, L, d), or ``(hidden, cache)`` with
+    ``want_cache`` for :func:`backward`; :func:`pool` reduces it to
+    sequence vectors.  Padded key positions receive -inf attention
+    logits, so outputs at real positions do not depend on pad content.  Dropout is applied only
     when ``train`` is set; it then requires ``rng_tag=(seed, step,
     name)`` for reproducible masks.
     """
@@ -292,15 +293,9 @@ def forward(
         lc["ff_ln"] = ff_ln
         cache["layers"].append(lc)
 
-    hidden = x
-    h0 = hidden[:, 0, :]
-    pooled = np.tanh(h0 @ params["pooler_w"] + params["pooler_b"])
-    cache["hidden"] = hidden
-    cache["h0"] = h0
-    cache["pooled"] = pooled
     if want_cache:
-        return hidden, pooled, cache
-    return hidden, pooled
+        return x, cache
+    return x
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -318,30 +313,21 @@ def backward(
     cache: dict,
     params: dict[str, np.ndarray],
     config: EncoderConfig,
-    d_hidden: np.ndarray | None = None,
-    d_pooled: np.ndarray | None = None,
+    d_hidden: np.ndarray,
     grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Backpropagate cotangents through a cached forward pass.
+    """Backpropagate the hidden-state cotangent (B, L, d) through a
+    cached forward pass.
 
-    ``d_hidden`` (B, L, d) and/or ``d_pooled`` (B, d) seed the pass.
     Gradients are accumulated into ``grads`` (created when omitted), so
-    several forward passes can contribute to one update.
+    several forward passes can contribute to one update.  A pooled
+    cotangent reaches ``d_hidden`` through :func:`pool_backward`.
     """
     if grads is None:
         grads = zero_grads(params)
     ids = cache["ids"]
     b, length = ids.shape
-    hidden = cache["hidden"]
-    dx = np.zeros_like(hidden) if d_hidden is None else d_hidden.copy()
-
-    if d_pooled is not None:
-        pooled = cache["pooled"]
-        dz = d_pooled * (1.0 - pooled * pooled)
-        dw, db = _linear_param_grads(cache["h0"], dz)
-        grads["pooler_w"] += dw
-        grads["pooler_b"] += db
-        dx[:, 0, :] += dz @ params["pooler_w"].T
+    dx = d_hidden
 
     n_heads, d_head = config.n_heads, config.d_head
     scale = 1.0 / float(np.sqrt(d_head))

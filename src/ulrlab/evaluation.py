@@ -205,7 +205,7 @@ class ModelEmbedder:
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
         ids, mask = pad_batch(framed, pad_id=PAD_ID)
-        hidden, _ = forward(self.model.params, self.model.config, ids, mask, train=False)
+        hidden = forward(self.model.params, self.model.config, ids, mask, train=False)
         pooled = pool(hidden, mask, self.pooling, self.model.params)
         return np.stack(
             [_unit(row, f"text {texts[i]!r}") for i, row in enumerate(pooled)]
@@ -570,31 +570,27 @@ def bm25_rank(
 # file formats
 
 
-def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
-    """TSV rows: category, a, b, c, pipe-joined candidates, answer index."""
-    questions = []
+def _read_tsv(path: str | Path, n_fields: int):
+    """Yield the fields of every non-blank TSV row, which must number ``n_fields``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 6:
+            if len(parts) != n_fields:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 6 tab-separated fields, got {len(parts)}"
+                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
                 )
-            category, a, b, c, cand_field, idx_field = parts
-            questions.append(
-                AnalogyQuestion(
-                    category=category,
-                    a=a,
-                    b=b,
-                    c=c,
-                    candidates=tuple(cand_field.split("|")),
-                    answer_index=int(idx_field),
-                )
-            )
-    return questions
+            yield parts
+
+
+def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
+    """TSV rows: category, a, b, c, pipe-joined candidates, answer index."""
+    return [
+        AnalogyQuestion(category, a, b, c, tuple(candidates.split("|")), int(answer))
+        for category, a, b, c, candidates, answer in _read_tsv(path, 6)
+    ]
 
 
 def write_analogy_file(questions: Sequence[AnalogyQuestion], path: str | Path) -> None:
@@ -613,37 +609,15 @@ def write_analogy_file(questions: Sequence[AnalogyQuestion], path: str | Path) -
 
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
     """TSV rows: id, text."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            rows.append((parts[0], parts[1]))
-    return rows
+    return [(doc_id, text) for doc_id, text in _read_tsv(path, 2)]
 
 
 def read_retrieval_queries(path: str | Path) -> list[tuple[str, frozenset[str]]]:
     """TSV rows: text, comma-joined gold ids."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            gold = frozenset(g for g in parts[1].split(",") if g)
-            rows.append((parts[0], gold))
-    return rows
+    return [
+        (text, frozenset(g for g in gold.split(",") if g))
+        for text, gold in _read_tsv(path, 2)
+    ]
 
 
 def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:

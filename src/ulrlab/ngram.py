@@ -116,17 +116,19 @@ def compute_pmi(
     w = tuple(w)
     if len(w) < 2:
         raise NgramError(f"n-gram must have length >= 2, got {w}")
-    t = counts.total_tokens if total_tokens is None else total_tokens
     c_w = counts.ngrams.get(w, 0)
     if c_w <= 0:
         raise NgramError(f"unseen n-gram: {w}")
-    acc = math.log(c_w) + (len(w) - 1) * math.log(t)
     for x in w:
-        c_x = counts.unigrams.get(x, 0)
-        if c_x <= 0:
+        if counts.unigrams.get(x, 0) <= 0:
             raise NgramError(f"unseen n-gram: token {x} of {w} has zero count")
-        acc -= math.log(c_x)
-    return acc / len(w)
+    single = RawNgramCounts(
+        ngrams=Counter({w: c_w}),
+        unigrams=Counter({x: counts.unigrams[x] for x in w}),
+        total_tokens=counts.total_tokens if total_tokens is None else total_tokens,
+        n_max=len(w),
+    )
+    return build_table(single).pmi_of(w)
 
 
 @dataclass
@@ -309,9 +311,10 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
 def load_table(path: str | Path, vocab: Vocabulary, n_max: int = 6) -> NgramTable:
     """Read a table written by :func:`save_table`.
 
-    Entries with NaN scores are restored as privileged.  The privileged
-    flag of entities that do have a finite score is not preserved by the
-    file format.
+    A token missing from ``vocab`` means the table and vocabulary do not
+    belong together, and raises :class:`NgramError`.  Entries with NaN
+    scores are restored as privileged.  The privileged flag of entities
+    that do have a finite score is not preserved by the file format.
     """
     entries: dict[tuple[int, ...], tuple[int, float]] = {}
     privileged: set[tuple[int, ...]] = set()
@@ -327,7 +330,11 @@ def load_table(path: str | Path, vocab: Vocabulary, n_max: int = 6) -> NgramTabl
             parts = line.split("\t")
             if len(parts) != 3:
                 raise NgramError(f"{path}:{lineno}: malformed table row")
-            w = tuple(vocab.id_of(t) for t in parts[0].split(" "))
+            toks = parts[0].split(" ")
+            unknown = [t for t in toks if t not in vocab]
+            if unknown:
+                raise NgramError(f"{path}:{lineno}: token(s) {unknown} not in the vocabulary")
+            w = tuple(vocab.id_of(t) for t in toks)
             pmi = float(parts[2])
             entries[w] = (int(parts[1]), pmi)
             if math.isnan(pmi):

@@ -10,15 +10,14 @@ mean squared error).  In parallel, standard masked-token prediction
 runs on S with positions inside w protected from masking, so the same
 masked forward pass of S serves both losses.
 
-Span scoring, selection, and masking happen in :func:`prepare_batch`;
-:func:`loss_and_gradients` is then a smooth, deterministic function of
-the parameters, which is what makes finite-difference verification of
-the analytic gradients meaningful.
+Span scoring and selection happen in :func:`make_examples` and masking
+in :func:`prepare_batch`; :func:`loss_and_gradients` is then a smooth,
+deterministic function of the parameters, which is what makes
+finite-difference verification of the analytic gradients meaningful.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,17 +35,12 @@ from .encoder import (
     pad_batch,
     _pool_with_cache,
     pool_backward,
+    step_rng,
     zero_grads,
 )
 from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
 
 DEGENERATE_NORM_EPS = 1e-12
-
-
-def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
-    """Counter-based generator: a fresh stream per (seed, step, name)."""
-    digest = hashlib.blake2b(f"{seed}/{step}/{name}".encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
 def frame(ids: Iterable[int]) -> tuple[int, ...]:
@@ -113,106 +107,86 @@ def _masked_variant(seq: EncodedSequence, span: Span) -> list[int]:
     return ids
 
 
-def score_spans(s: EncodedSequence, spans: Sequence[Span], model: Model) -> list[float]:
-    """Average true-token probability of each span under the MLM head.
+def score_spans(
+    pairs: Sequence[tuple[EncodedSequence, SpanAnnotation]], model: Model
+) -> list[list[float]]:
+    """Average true-token probability of every annotated span under the MLM head.
 
-    Each span is masked on its own copy of the framed sequence (one
-    span at a time), the model runs without dropout, and the score is
-    the mean probability the head assigns to the true tokens.  Low
-    scores mark spans the model does not yet treat as units.
+    Each span is masked on its own copy of its framed sequence, and the
+    copies of the whole batch share one padded forward pass without
+    dropout.  The score is the mean probability the head assigns to the
+    true tokens; low scores mark spans the model does not yet treat as
+    units.  Returns one list per pair, in span order.
     """
-    for span in spans:
-        if not (1 <= span.start <= span.end <= s.m):
-            raise ValueError(f"span {span} outside sequence of length {s.m}")
-    if not spans:
-        return []
-    variants = [_masked_variant(s, span) for span in spans]
+    variants: list[list[int]] = []
+    owned: list[tuple[EncodedSequence, Span]] = []
+    for seq, ann in pairs:
+        for span in ann.spans:
+            if not (1 <= span.start <= span.end <= seq.m):
+                raise ValueError(f"span {span} outside sequence of length {seq.m}")
+            variants.append(_masked_variant(seq, span))
+            owned.append((seq, span))
+    if not variants:
+        return [[] for _ in pairs]
     ids, mask = pad_batch(variants, pad_id=PAD_ID)
-    hidden, _ = forward(model.params, model.config, ids, mask, train=False)
-    rows = []
-    targets = []
-    owners = []
-    for i, span in enumerate(spans):
+    hidden = forward(model.params, model.config, ids, mask, train=False)
+    row_owner, cols, targets = [], [], []
+    for vi, (seq, span) in enumerate(owned):
         for pos in range(span.start, span.end + 1):
-            rows.append(hidden[i, pos])
-            targets.append(s.ids[pos - 1])
-            owners.append(i)
-    log_probs, _ = mlm_head_rows(model.params, np.stack(rows))
+            row_owner.append(vi)
+            cols.append(pos)
+            targets.append(seq.ids[pos - 1])
+    log_probs, _ = mlm_head_rows(model.params, hidden[row_owner, cols])
     token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
-    scores = np.zeros(len(spans))
-    np.add.at(scores, owners, token_probs)
-    lengths = np.array([sp.length for sp in spans], dtype=float)
-    return [float(v) for v in scores / lengths]
+    sums = np.zeros(len(variants))
+    np.add.at(sums, row_owner, token_probs)
+    flat = iter(float(sums[vi] / span.length) for vi, (_, span) in enumerate(owned))
+    return [[next(flat) for _ in ann.spans] for _, ann in pairs]
 
 
 def make_examples(
     pairs: Sequence[tuple[EncodedSequence, SpanAnnotation]], model: Model
 ) -> list[TrainingExample]:
-    """Score, select, and split a batch of annotated sequences.
-
-    All masked span variants across the batch share one forward pass,
-    which keeps per-step selection cheap.
-    """
-    variants: list[list[int]] = []
-    owners: list[tuple[int, int]] = []  # (pair index, span index)
-    for pi, (seq, ann) in enumerate(pairs):
-        for si, span in enumerate(ann.spans):
-            if not (1 <= span.start <= span.end <= seq.m):
-                raise ValueError(f"span {span} outside sequence of length {seq.m}")
-            variants.append(_masked_variant(seq, span))
-            owners.append((pi, si))
-
-    scores: dict[int, list[float]] = {pi: [] for pi in range(len(pairs))}
-    if variants:
-        ids, mask = pad_batch(variants, pad_id=PAD_ID)
-        hidden, _ = forward(model.params, model.config, ids, mask, train=False)
-        rows, targets, row_owner = [], [], []
-        for vi, (pi, si) in enumerate(owners):
-            seq, ann = pairs[pi]
-            span = ann.spans[si]
-            for pos in range(span.start, span.end + 1):
-                rows.append(hidden[vi, pos])
-                targets.append(seq.ids[pos - 1])
-                row_owner.append(vi)
-        log_probs, _ = mlm_head_rows(model.params, np.stack(rows))
-        token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
-        sums = np.zeros(len(variants))
-        np.add.at(sums, row_owner, token_probs)
-        for vi, (pi, si) in enumerate(owners):
-            span = pairs[pi][1].spans[si]
-            scores[pi].append(float(sums[vi] / span.length))
-
+    """Score, select, and split a batch of annotated sequences."""
     examples = []
-    for pi, (seq, ann) in enumerate(pairs):
-        idx = select_span(scores[pi])
-        example = None
-        if idx is not None:
-            span = ann.spans[idx]
-            split = split_sequence(seq, span)
-            if split is not None:
-                w_ids, r_ids, s_ids = split
-                example = TrainingExample(seq, ann, span, w_ids, r_ids, s_ids)
-        if example is None:
-            example = TrainingExample(seq, ann, None, None, None, frame(seq.ids))
-        examples.append(example)
+    for (seq, ann), scores in zip(pairs, score_spans(pairs, model)):
+        idx = select_span(scores)
+        split = None if idx is None else split_sequence(seq, ann.spans[idx])
+        if split is None:
+            examples.append(TrainingExample(seq, ann, None, None, None, frame(seq.ids)))
+        else:
+            examples.append(TrainingExample(seq, ann, ann.spans[idx], *split))
     return examples
-
-
-def make_example(
-    s: EncodedSequence, annotation: SpanAnnotation, model: Model
-) -> TrainingExample:
-    return make_examples([(s, annotation)], model)[0]
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def _normalize_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(e, axis=-1, keepdims=True)
-    if np.any(norms < DEGENERATE_NORM_EPS):
-        raise ValueError("degenerate embedding")
-    return e / norms, norms
+def _misad_with_grads(e_w, e_r, e_s, weight: float):
+    """MiSAD loss of (k, d) stacks and its gradient with respect to each
+    raw stack, scaled by ``weight``.
+
+    Rows are unit-normalized first; a near-zero row is rejected.
+    Returns ``(loss, (d_e_w, d_e_r, d_e_s))``.
+    """
+    units, norms = [], []
+    for e in (e_w, e_r, e_s):
+        norm = np.linalg.norm(e, axis=-1, keepdims=True)
+        if np.any(norm < DEGENERATE_NORM_EPS):
+            raise ValueError("degenerate embedding")
+        units.append(e / norm)
+        norms.append(norm)
+    uw, ur, us = units
+    diff = uw + ur - us
+    k, d = diff.shape
+    loss = float(np.mean(np.mean(diff * diff, axis=-1)))
+    d_diff = diff * (2.0 * weight / (k * d))
+    grads = tuple(
+        (du - u * (u * du).sum(-1, keepdims=True)) / norm
+        for du, u, norm in zip((d_diff, d_diff, -d_diff), units, norms)
+    )
+    return loss, grads
 
 
 def misad_loss(e_w, e_r, e_s) -> float:
@@ -227,11 +201,7 @@ def misad_loss(e_w, e_r, e_s) -> float:
     e_s = np.atleast_2d(np.asarray(e_s, dtype=float))
     if not e_w.shape == e_r.shape == e_s.shape:
         raise ValueError("embedding shapes must match")
-    uw, _ = _normalize_rows(e_w)
-    ur, _ = _normalize_rows(e_r)
-    us, _ = _normalize_rows(e_s)
-    diff = uw + ur - us
-    return float(np.mean(np.mean(diff * diff, axis=-1)))
+    return _misad_with_grads(e_w, e_r, e_s, 1.0)[0]
 
 
 def mlm_loss(log_probs: np.ndarray, targets) -> float:
@@ -366,19 +336,6 @@ def prepare_batch(
 # loss + gradients
 
 
-def _normalized_with_grad(e: np.ndarray):
-    """Unit rows plus a closure mapping d(unit) to d(raw)."""
-    norms = np.linalg.norm(e, axis=-1, keepdims=True)
-    if np.any(norms < DEGENERATE_NORM_EPS):
-        raise ValueError("degenerate embedding")
-    u = e / norms
-
-    def backprop(du: np.ndarray) -> np.ndarray:
-        return (du - u * (u * du).sum(-1, keepdims=True)) / norms
-
-    return u, backprop
-
-
 def loss_and_gradients(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
@@ -406,12 +363,11 @@ def loss_and_gradients(
             raise ValueError("train-mode dropout requires dropout_tag=(seed, step)")
         return (*dropout_tag, name)
 
-    hidden_s, pooled_s, cache_s = forward(
+    hidden_s, cache_s = forward(
         params, config, batch.s_ids, batch.s_mask,
         train=train, rng_tag=tag("s"), want_cache=True,
     )
     d_hidden_s = np.zeros_like(hidden_s)
-    d_pooled_s = None
 
     l_mlm = 0.0
     if mlm_weight != 0.0 and batch.n_masked > 0:
@@ -426,46 +382,29 @@ def loss_and_gradients(
 
     l_misad = 0.0
     if misad_weight != 0.0 and batch.n_misad > 0:
-        hidden_w, pooled_w, cache_w = forward(
+        hidden_w, cache_w = forward(
             params, config, batch.w_ids, batch.w_mask,
             train=train, rng_tag=tag("w"), want_cache=True,
         )
-        hidden_r, pooled_r, cache_r = forward(
+        hidden_r, cache_r = forward(
             params, config, batch.r_ids, batch.r_mask,
             train=train, rng_tag=tag("r"), want_cache=True,
         )
         sub = batch.misad_s_rows
-        if pooling == "cls":
-            e_s, e_w, e_r = pooled_s[sub], pooled_w, pooled_r
-        else:
-            e_s, cache_ps = _pool_with_cache(hidden_s[sub], batch.s_mask[sub], pooling, params)
-            e_w, cache_pw = _pool_with_cache(hidden_w, batch.w_mask, pooling, params)
-            e_r, cache_pr = _pool_with_cache(hidden_r, batch.r_mask, pooling, params)
-        uw, back_w = _normalized_with_grad(e_w)
-        ur, back_r = _normalized_with_grad(e_r)
-        us, back_s = _normalized_with_grad(e_s)
-        diff = uw + ur - us
-        k, d = diff.shape
-        l_misad = float(np.mean(np.mean(diff * diff, axis=-1)))
-        d_diff = diff * (2.0 * misad_weight / (k * d))
-        de_w = back_w(d_diff)
-        de_r = back_r(d_diff)
-        de_s = back_s(-d_diff)
-        if pooling == "cls":
-            d_pooled_s = np.zeros_like(pooled_s)
-            d_pooled_s[sub] = de_s
-            backward(cache_w, params, config, d_pooled=de_w, grads=grads)
-            backward(cache_r, params, config, d_pooled=de_r, grads=grads)
-        else:
-            d_hidden_s[sub] += pool_backward(
-                de_s, cache_ps, hidden_s[sub].shape, pooling, params, grads
-            )
-            d_hw = pool_backward(de_w, cache_pw, hidden_w.shape, pooling, params, grads)
-            d_hr = pool_backward(de_r, cache_pr, hidden_r.shape, pooling, params, grads)
-            backward(cache_w, params, config, d_hidden=d_hw, grads=grads)
-            backward(cache_r, params, config, d_hidden=d_hr, grads=grads)
+        e_s, cache_ps = _pool_with_cache(hidden_s[sub], batch.s_mask[sub], pooling, params)
+        e_w, cache_pw = _pool_with_cache(hidden_w, batch.w_mask, pooling, params)
+        e_r, cache_pr = _pool_with_cache(hidden_r, batch.r_mask, pooling, params)
+        l_misad, (de_w, de_r, de_s) = _misad_with_grads(e_w, e_r, e_s, misad_weight)
+        # Pooler gradients accumulate w, r, then S; the order fixes their float sums.
+        d_hw = pool_backward(de_w, cache_pw, hidden_w.shape, pooling, params, grads)
+        d_hr = pool_backward(de_r, cache_pr, hidden_r.shape, pooling, params, grads)
+        d_hidden_s[sub] += pool_backward(
+            de_s, cache_ps, (len(sub), *hidden_s.shape[1:]), pooling, params, grads
+        )
+        backward(cache_w, params, config, d_hw, grads)
+        backward(cache_r, params, config, d_hr, grads)
 
-    backward(cache_s, params, config, d_hidden=d_hidden_s, d_pooled=d_pooled_s, grads=grads)
+    backward(cache_s, params, config, d_hidden_s, grads)
     l_total = misad_weight * l_misad + mlm_weight * l_mlm
     return LossReport(l_misad=l_misad, l_mlm=l_mlm, l_total=l_total), grads
 
@@ -530,15 +469,20 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> float:
-    """One in-place Adam update with bias correction; returns the lr used."""
+    """One in-place Adam update with bias correction; returns the lr used.
+
+    Every gradient is checked before anything changes, so a non-finite
+    value leaves parameters, moments and the step count untouched.
+    """
     t = state.step + 1
     lr = lr_at(t, state)
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise FloatingPointError(f"non-finite gradient for tensor {name}")
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for tensor {name}")
         m = state.m[name]
         v = state.v[name]
         m *= beta1

@@ -528,7 +528,7 @@ def test_criterion_compositional_experiment(capsys):
 
         def embed(seqs):
             ids, mask = pad_batch(seqs, pad_id=0)
-            hidden, _ = forward(model.params, model.config, ids, mask)
+            hidden = forward(model.params, model.config, ids, mask)
             return pool(hidden, mask, "mean")
 
         return float(misad_loss(embed(w_seqs), embed(r_seqs), embed(s_seqs)))

@@ -92,7 +92,6 @@ class TestExtractNgrams:
             "extract-ngrams",
             "--corpus", str(workspace / "corpus.txt"),
             "--min-count", "1",
-            "--seed", "3",
         ]
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert run(capsys, args + ["--out", str(a)])[0] == 0
@@ -179,6 +178,24 @@ class TestConfigResolution:
         cfg.write_text("n_max = 2\nn_max = 3\n")
         with pytest.raises(Exception, match="duplicate"):
             parse_config_file(cfg)
+
+
+class TestSeedOnlyOnTrain:
+    @pytest.mark.parametrize("command", [
+        "extract-ngrams", "eval-analogy", "eval-retrieval", "embed",
+    ])
+    def test_seed_flag_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_seed_config_key_rejected_by_embed(self, capsys, tmp_path):
+        cfg = tmp_path / "embed.cfg"
+        cfg.write_text("seed = 1\n")
+        code, _, stderr = run(capsys, ["embed", "--config", str(cfg)])
+        assert code == 1
+        assert "unknown config key" in stderr and "seed" in stderr
 
 
 class TestTrain:

@@ -20,7 +20,10 @@ from ulrlab.encoder import (
     pad_batch,
     parameter_count,
     pool,
+    pool_backward,
     save_checkpoint,
+    zero_grads,
+    _pool_with_cache,
 )
 
 TINY = EncoderConfig(
@@ -114,9 +117,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = init_params(TINY)
         ids, mask = tiny_batch(rng)
-        hidden, pooled = forward(params, TINY, ids, mask)
+        hidden = forward(params, TINY, ids, mask)
         assert hidden.shape == (2, 8, 16)
-        assert pooled.shape == (2, 16)
+        assert pool(hidden, mask, "cls", params).shape == (2, 16)
         assert hidden.dtype == np.float32
 
     def test_pad_content_cannot_leak(self):
@@ -124,18 +127,21 @@ class TestForward:
         rng = np.random.default_rng(1)
         params = init_params(TINY)
         ids, mask = tiny_batch(rng, b=3)
-        hidden, pooled = forward(params, TINY, ids, mask)
+        hidden = forward(params, TINY, ids, mask)
         tampered = ids.copy()
         tampered[~mask] = 37
-        hidden2, pooled2 = forward(params, TINY, tampered, mask)
-        assert np.array_equal(pooled, pooled2)
+        hidden2 = forward(params, TINY, tampered, mask)
+        for strategy in ("cls", "mean", "max"):
+            assert np.array_equal(
+                pool(hidden, mask, strategy, params), pool(hidden2, mask, strategy, params)
+            )
         assert np.array_equal(hidden[mask], hidden2[mask])
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         params = init_params(TINY)
         ids, mask = tiny_batch(rng)
-        _, _, cache = forward(params, TINY, ids, mask, want_cache=True)
+        _, cache = forward(params, TINY, ids, mask, want_cache=True)
         for layer in cache["layers"]:
             probs = layer["attn_probs"]  # (B, h, L, L)
             sums = probs.sum(-1)
@@ -151,9 +157,10 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = init_params(TINY)
         ids, mask = tiny_batch(rng)
-        h1, p1 = forward(params, TINY, ids, mask)
-        h2, p2 = forward(params, TINY, ids, mask)
-        assert np.array_equal(h1, h2) and np.array_equal(p1, p2)
+        h1 = forward(params, TINY, ids, mask)
+        h2 = forward(params, TINY, ids, mask)
+        assert np.array_equal(h1, h2)
+        assert np.array_equal(pool(h1, mask, "cls", params), pool(h2, mask, "cls", params))
 
 
 class TestDropout:
@@ -172,17 +179,17 @@ class TestDropout:
         rng = np.random.default_rng(4)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        h1, _ = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
-        h2, _ = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
+        h1 = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
+        h2 = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
         assert np.array_equal(h1, h2)
 
     def test_streams_differ_across_steps_and_names(self):
         rng = np.random.default_rng(5)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        base, _ = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "s"))
-        other_step, _ = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 1, "s"))
-        other_name, _ = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "w"))
+        base = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "s"))
+        other_step = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 1, "s"))
+        other_name = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "w"))
         assert not np.array_equal(base, other_step)
         assert not np.array_equal(base, other_name)
 
@@ -190,8 +197,8 @@ class TestDropout:
         rng = np.random.default_rng(6)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        h1, _ = forward(params, self.CFG, ids, mask, train=False)
-        h2, _ = forward(params, self.CFG, ids, mask, train=False)
+        h1 = forward(params, self.CFG, ids, mask, train=False)
+        h2 = forward(params, self.CFG, ids, mask, train=False)
         assert np.array_equal(h1, h2)
 
 
@@ -239,7 +246,7 @@ class TestMlmLogProbs:
         rng = np.random.default_rng(9)
         params = init_params(TINY)
         ids, mask = tiny_batch(rng)
-        hidden, _ = forward(params, TINY, ids, mask)
+        hidden = forward(params, TINY, ids, mask)
         log_probs = mlm_log_probs(hidden, params)
         assert log_probs.shape == (2, 8, 50)
         np.testing.assert_allclose(np.exp(log_probs).sum(-1), 1.0, atol=1e-6)
@@ -250,7 +257,7 @@ class TestMlmLogProbs:
         params = init_params(TINY)
         params["mlm_w"] = np.zeros_like(params["mlm_w"])
         ids, mask = tiny_batch(rng)
-        hidden, _ = forward(params, TINY, ids, mask)
+        hidden = forward(params, TINY, ids, mask)
         log_probs = mlm_log_probs(hidden, params)
         np.testing.assert_allclose(log_probs, math.log(1.0 / 50), atol=1e-6)
 
@@ -277,11 +284,15 @@ class TestBackwardSpotCheck:
         probe_p = rng.normal(size=(2, 16))
 
         def loss(p):
-            hidden, pooled = forward(p, TINY, ids, mask)
+            hidden = forward(p, TINY, ids, mask)
+            pooled = pool(hidden, mask, "cls", p)
             return float((hidden * probe).sum() + (pooled * probe_p).sum())
 
-        _, _, cache = forward(params, TINY, ids, mask, want_cache=True)
-        grads = backward(cache, params, TINY, d_hidden=probe, d_pooled=probe_p)
+        hidden, cache = forward(params, TINY, ids, mask, want_cache=True)
+        _, pool_cache = _pool_with_cache(hidden, mask, "cls", params)
+        grads = zero_grads(params)
+        d_hidden = probe + pool_backward(probe_p, pool_cache, hidden.shape, "cls", params, grads)
+        backward(cache, params, TINY, d_hidden, grads)
         eps = 1e-6
         for name in ("tok_emb", "layer0.attn_k_w", "layer1.ff_ln_g", "pooler_b"):
             flat = params[name].ravel()
@@ -346,7 +357,7 @@ class TestCheckpoint:
         model = Model.init(TINY)
         rng = np.random.default_rng(12)
         ids, mask = tiny_batch(rng)
-        hidden, pooled = model.forward(ids, mask)
+        hidden = model.forward(ids, mask)
         assert model.pool(hidden, mask, "mean").shape == (2, 16)
         wide = model.astype(np.float64)
         assert wide.params["tok_emb"].dtype == np.float64

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_mark
-from ulrlab.corpus import EncodedSequence, NUM_SPECIALS
+from ulrlab.corpus import UNK_ID, EncodedSequence, NUM_SPECIALS
 from ulrlab.ngram import (
     NgramError,
     NgramTable,
@@ -318,6 +318,18 @@ class TestTableIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "tokens\tcount\tpmi"
         assert lines[1].startswith("b c\t9\t")  # higher pmi first
+
+    def test_load_rejects_token_outside_vocabulary(self, tmp_path, vocab):
+        path = tmp_path / "table.tsv"
+        path.write_text("tokens\tcount\tpmi\na b\t3\t1.5\nzzz qqq\t1\t0.5\n")
+        with pytest.raises(NgramError, match=r"table\.tsv:3: .*zzz"):
+            load_table(path, vocab, n_max=3)
+
+    def test_load_accepts_saved_unk(self, tmp_path, vocab):
+        path = tmp_path / "table.tsv"
+        path.write_text("tokens\tcount\tpmi\n[UNK] cat\t2\t0.5\n")
+        loaded = load_table(path, vocab, n_max=3)
+        assert set(loaded.entries) == {(UNK_ID, vocab.id_of("cat"))}
 
     def test_load_rejects_bad_header(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"

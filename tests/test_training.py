@@ -20,7 +20,6 @@ from ulrlab.training import (
     init_optimizer,
     loss_and_gradients,
     lr_at,
-    make_example,
     make_examples,
     mask_for_mlm,
     misad_loss,
@@ -184,23 +183,26 @@ class TestMlmLoss:
         assert mlm_loss(np.zeros((0, 50)), []) == 0.0
 
 
+def one_pair(ids, *spans):
+    return EncodedSequence(ids=ids), SpanAnnotation(spans=spans)
+
+
 class TestScoreSpans:
     def test_uniform_head_scores_uniform(self):
         model = uniform_model()
-        s = EncodedSequence(ids=(10, 11, 12, 13))
-        scores = score_spans(s, [Span(1, 2), Span(3, 4)], model)
+        [scores] = score_spans([one_pair((10, 11, 12, 13), Span(1, 2), Span(3, 4))], model)
         np.testing.assert_allclose(scores, 1.0 / 50, rtol=1e-6)
 
     def test_matches_single_span_recount(self):
         model = Model.init(CFG)
-        s = EncodedSequence(ids=(10, 11, 12, 13, 14))
-        span = Span(2, 4)
-        [score] = score_spans(s, [span], model)
+        s, ann = one_pair((10, 11, 12, 13, 14), Span(2, 4))
+        [[score]] = score_spans([(s, ann)], model)
+        span = ann.spans[0]
         # Independent recount through the public forward surface.
         ids = list(frame(s.ids))
         for pos in range(span.start, span.end + 1):
             ids[pos] = MASK_ID
-        hidden, _ = model.forward(np.array([ids]))
+        hidden = model.forward(np.array([ids]))
         log_probs = model.mlm_log_probs(hidden)
         probs = [
             math.exp(log_probs[0, pos, s.ids[pos - 1]])
@@ -210,43 +212,51 @@ class TestScoreSpans:
 
     def test_scores_are_probabilities(self):
         model = Model.init(CFG)
-        s = EncodedSequence(ids=tuple(range(10, 22)))
-        spans = [Span(1, 2), Span(4, 6), Span(8, 12)]
-        for v in score_spans(s, spans, model):
+        pair = one_pair(tuple(range(10, 22)), Span(1, 2), Span(4, 6), Span(8, 12))
+        [scores] = score_spans([pair], model)
+        assert len(scores) == 3
+        for v in scores:
             assert 0.0 < v <= 1.0
 
+    def test_batch_matches_singletons(self):
+        model = Model.init(CFG)
+        pairs = [
+            one_pair((10, 11, 12, 13, 14), Span(1, 2), Span(3, 5)),
+            one_pair((20, 21)),
+            one_pair((30, 31, 32), Span(2, 3)),
+        ]
+        singles = [score_spans([p], model)[0] for p in pairs]
+        np.testing.assert_allclose(
+            [v for row in score_spans(pairs, model) for v in row],
+            [v for row in singles for v in row],
+            rtol=1e-6,
+        )
+
     def test_empty_span_list(self):
-        assert score_spans(EncodedSequence(ids=(10,)), [], Model.init(CFG)) == []
+        assert score_spans([one_pair((10,))], Model.init(CFG)) == [[]]
+        assert score_spans([], Model.init(CFG)) == []
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            score_spans(EncodedSequence(ids=(10, 11)), [Span(2, 3)], Model.init(CFG))
+            score_spans([one_pair((10, 11), Span(2, 3))], Model.init(CFG))
 
 
 class TestMakeExamples:
     def test_uniform_scores_select_leftmost(self):
         model = uniform_model()
-        s = EncodedSequence(ids=(10, 11, 12, 13, 14))
-        ann = SpanAnnotation(spans=(Span(1, 2), Span(4, 5)))
-        ex = make_example(s, ann, model)
+        [ex] = make_examples([one_pair((10, 11, 12, 13, 14), Span(1, 2), Span(4, 5))], model)
         assert ex.span == Span(1, 2)
         assert ex.w_ids == frame((10, 11))
         assert ex.r_ids == frame((12, 13, 14))
-        assert ex.s_ids == frame(s.ids)
+        assert ex.s_ids == frame((10, 11, 12, 13, 14))
 
     def test_no_spans_gives_mlm_only(self):
-        ex = make_example(
-            EncodedSequence(ids=(10, 11)), SpanAnnotation(spans=()), Model.init(CFG)
-        )
+        [ex] = make_examples([one_pair((10, 11))], Model.init(CFG))
         assert ex.span is None and ex.w_ids is None and ex.r_ids is None
         assert ex.s_ids == frame((10, 11))
 
     def test_whole_sequence_span_demoted_to_mlm_only(self):
-        ex = make_example(
-            EncodedSequence(ids=(10, 11)),
-            SpanAnnotation(spans=(Span(1, 2),)),
-            Model.init(CFG),
-        )
+        [ex] = make_examples([one_pair((10, 11), Span(1, 2))], Model.init(CFG))
         assert ex.span is None
 
     def test_batch_matches_singletons(self):
@@ -257,7 +267,7 @@ class TestMakeExamples:
             (EncodedSequence(ids=(30, 31)), SpanAnnotation(spans=())),
         ]
         batch = make_examples(pairs, model)
-        singles = [make_example(s, a, model) for s, a in pairs]
+        singles = [make_examples([p], model)[0] for p in pairs]
         assert batch == singles
 
 
@@ -391,6 +401,44 @@ class TestLossAndGradients:
             assert np.abs(g).sum() > 0, name
 
 
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    def test_matches_finite_differences(self, pooling):
+        """The gradient suite in the acceptance tests covers cls pooling;
+        this covers the strategies that bypass the tanh pooler."""
+        params = Model.init(CFG).astype(np.float64).params
+        rng = np.random.default_rng(21)
+        pairs = [
+            one_pair((10, 11, 12, 13, 14), Span(1, 2)),
+            one_pair((20, 21, 22, 23, 24, 25), Span(3, 5)),
+            one_pair((30, 31, 32, 33, 34, 35, 36), Span(4, 6)),
+            one_pair((40, 41, 42)),
+        ]
+        examples = make_examples(pairs, Model(params, CFG))
+        batch = prepare_batch(examples, CFG.vocab_size, rng, mask_rate=0.3)
+        assert batch.n_masked > 0 and batch.n_misad == 3
+
+        def loss(p):
+            report, _ = loss_and_gradients(p, CFG, batch, pooling=pooling, misad_weight=2.0)
+            return report
+
+        _, grads = loss_and_gradients(params, CFG, batch, pooling=pooling, misad_weight=2.0)
+        eps = 1e-5
+        for name in params:
+            flat = params[name].ravel()
+            for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+                old = flat[idx]
+                flat[idx] = old + eps
+                up = loss(params)
+                flat[idx] = old - eps
+                down = loss(params)
+                flat[idx] = old
+                fd = (up.l_total - down.l_total) / (2 * eps)
+                np.testing.assert_allclose(
+                    grads[name].ravel()[idx], fd, rtol=1e-4, atol=1e-7,
+                    err_msg=f"{pooling}: tensor {name}, entry {idx}",
+                )
+
+
 class TestLrSchedule:
     def make_state(self, total, frac, peak=1.0):
         params = {"w": np.zeros(1)}
@@ -443,6 +491,22 @@ class TestAdamStep:
         grads = {"w": np.zeros(2), "b": np.array([0.0, np.nan])}
         with pytest.raises(FloatingPointError, match="tensor b"):
             adam_step(params, grads, state)
+
+    def test_nonfinite_last_gradient_leaves_state_untouched(self):
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+        state = init_optimizer(params, 10, peak_lr=0.1, warmup_fraction=0.0)
+        adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([1.0])}, state)
+        before = {k: v.copy() for k, v in params.items()}
+        m_before = {k: v.copy() for k, v in state.m.items()}
+        v_before = {k: v.copy() for k, v in state.v.items()}
+        grads = {"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}
+        with pytest.raises(FloatingPointError, match="tensor b"):
+            adam_step(params, grads, state)
+        assert state.step == 1
+        for name in params:
+            assert np.array_equal(params[name], before[name]), name
+            assert np.array_equal(state.m[name], m_before[name]), name
+            assert np.array_equal(state.v[name], v_before[name]), name
 
     def test_descends_on_quadratic(self):
         params = {"w": np.array([5.0])}
