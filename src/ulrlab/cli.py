@@ -226,11 +226,9 @@ def cmd_extract_ngrams(args: argparse.Namespace) -> int:
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(d.tokens, vocab) for d in docs]
-    counts = count_ngrams(encoded, n_max=cfg["n_max"])
-    table = build_table(counts)
+    table = build_table(count_ngrams(encoded, n_max=cfg["n_max"]))
     if cfg["entities"]:
-        entities = read_entity_file(cfg["entities"], vocab)
-        inject_entities(table, entities)
+        table = inject_entities(table, read_entity_file(cfg["entities"], vocab))
     table = prune_table(
         table, pmi_threshold=cfg["pmi_threshold"], per_doc_top_k=cfg["per_doc_top_k"]
     )
@@ -239,6 +237,8 @@ def cmd_extract_ngrams(args: argparse.Namespace) -> int:
     save_table(table, vocab, cfg["out"])
     hist = length_histogram(table, top_n=2000)
     hist_text = " ".join(f"{n}:{c}" for n, c in sorted(hist.items()))
+    for stage, n in table.stage_counts:
+        print(f"entries {stage} = {n}")
     print(f"ngrams = {len(table)}")
     print(f"top-2000 length histogram = {hist_text or '(empty)'}")
     print(f"table written to {cfg['out']}; vocabulary to {vocab_out}")
@@ -249,7 +249,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config("train", args)
     vocab = Vocabulary.load(cfg["vocab"])
     sequences = _load_encoded_corpus(cfg["corpus"], vocab)
-    table = load_table(cfg["table"], vocab, n_max=6)
+    table = load_table(cfg["table"], vocab)
     enc_config = EncoderConfig(
         vocab_size=len(vocab),
         d_model=cfg["d_model"],

@@ -15,14 +15,20 @@ can be injected as privileged entries that are exempt from pruning.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import EncodedSequence, Vocabulary
+
+PAD = -1  # fills a row after the last id of an n-gram shorter than n_max
 
 
 class NgramError(ValueError):
@@ -58,57 +64,87 @@ class SpanAnnotation:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def __iter__(self):
-        return iter(self.spans)
+
+def _pad(grams: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
+    rows = [(*w, *[PAD] * (width - len(w))) for w in grams]
+    return np.array(rows, dtype=np.int32).reshape(len(rows), width)
 
 
-@dataclass
+def _lengths(grams: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(grams != PAD, axis=1)
+
+
+def _tuples(grams: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row[:n]) for row, n in zip(grams.tolist(), _lengths(grams).tolist())]
+
+
+def _exact_log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value, as ``np.log`` may differ in the last bit."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+
+
+@dataclass(frozen=True, eq=False)
 class RawNgramCounts:
     """Exact counts of all n-grams (lengths 2..n_max) and unigrams.
 
-    Keeps the encoded documents so that per-document pruning can replay
-    each document's n-gram inventory without storing it explicitly.
+    One row of ``grams`` per distinct n-gram, ``counts`` its count, and the
+    (document, row) pairs of all n-gram ``occurrences`` for pruning.
     """
 
-    ngrams: Counter
-    unigrams: Counter
+    grams: np.ndarray
+    counts: np.ndarray
+    unigrams: dict[int, int]
     total_tokens: int
     n_max: int
-    sequences: list[tuple[int, ...]] = field(default_factory=list)
+    occurrences: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def ngrams(self) -> Mapping[tuple[int, ...], int]:
+        """Read-only ``{id tuple: count}`` view."""
+        return MappingProxyType(dict(zip(_tuples(self.grams), self.counts.tolist())))
 
 
 def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCounts:
     """Count every contiguous n-gram of length 2..n_max plus all unigrams.
 
-    Returns exact counts and the total token count T.  Counting is a
-    single pass; shards of documents could be counted independently and
-    merged by summation.
+    Returns exact counts and the total token count T.  Length n extends
+    the lexicographic rank of each (n-1)-gram occurrence by the next token
+    into one int64 key; one ``np.unique`` counts the keys and ranks them.
     """
     if n_max < 2:
         raise NgramError(f"n_max must be >= 2, got {n_max}")
-    ngrams: Counter = Counter()
-    unigrams: Counter = Counter()
-    total = 0
-    sequences: list[tuple[int, ...]] = []
-    for doc in documents:
-        toks = tuple(doc.ids) if isinstance(doc, EncodedSequence) else tuple(doc)
-        sequences.append(toks)
-        total += len(toks)
-        unigrams.update(toks)
-        for n in range(2, n_max + 1):
-            if len(toks) < n:
-                break
-            ngrams.update(zip(*(toks[i:] for i in range(n))))
+    seqs = [doc.ids if isinstance(doc, EncodedSequence) else tuple(doc) for doc in documents]
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    total = int(lengths.sum())
     if total == 0:
         raise NgramError("empty corpus")
-    return RawNgramCounts(
-        ngrams=ngrams, unigrams=unigrams, total_tokens=total, n_max=n_max, sequences=sequences
-    )
+    tokens = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=total)
+    doc_of = np.repeat(np.arange(len(seqs), dtype=np.int32), lengths)
+    # tokens from each position to the end of its document, itself included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)
+    uni_ids, uni_counts = np.unique(tokens, return_counts=True)
+    base = int(uni_ids[-1]) + 1
+    pos, rank, prefix = np.arange(total), tokens, np.arange(base, dtype=np.int32)[:, None]
+    blocks, counts, docs, rows = [], [], [], []
+    for n in range(2, n_max + 1):
+        fits = room[pos] >= n
+        pos, rank = pos[fits], rank[fits]
+        keys, inverse, freq = np.unique(
+            rank * base + tokens[pos + n - 1], return_inverse=True, return_counts=True
+        )
+        prefix = np.hstack([prefix[keys // base], (keys % base).astype(np.int32)[:, None]])
+        blocks.append(np.pad(prefix, ((0, 0), (0, n_max - n)), constant_values=PAD))
+        rows.append(inverse + sum(map(len, counts)))
+        counts.append(freq)
+        docs.append(doc_of[pos])
+        rank = inverse
+    unigrams = dict(zip(uni_ids.tolist(), uni_counts.tolist()))
+    grams, occurrences = np.vstack(blocks), (np.concatenate(docs), np.concatenate(rows))
+    return RawNgramCounts(grams, np.concatenate(counts), unigrams, total, n_max, occurrences)
 
 
-def compute_pmi(
-    w: Sequence[int], counts: RawNgramCounts, total_tokens: int | None = None
-) -> float:
+def compute_pmi(w: Sequence[int], counts: RawNgramCounts) -> float:
     """Length-normalized PMI of n-gram ``w`` under ``counts``.
 
     Raises :class:`NgramError` if ``w`` or any of its tokens is unseen.
@@ -122,89 +158,123 @@ def compute_pmi(
     for x in w:
         if counts.unigrams.get(x, 0) <= 0:
             raise NgramError(f"unseen n-gram: token {x} of {w} has zero count")
-    single = RawNgramCounts(
-        ngrams=Counter({w: c_w}),
-        unigrams=Counter({x: counts.unigrams[x] for x in w}),
-        total_tokens=counts.total_tokens if total_tokens is None else total_tokens,
-        n_max=len(w),
-    )
-    return build_table(single).pmi_of(w)
+    unigrams = {x: counts.unigrams[x] for x in w}
+    single = RawNgramCounts(np.array([w]), np.array([c_w]), unigrams, counts.total_tokens, len(w))
+    return float(build_table(single).pmi[0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NgramTable:
-    """Scored n-gram inventory: id-tuple -> (count, pmi).
+    """Scored n-gram inventory, one row per entry, in the canonical order:
+    NaN scores (entities unseen in the corpus) first, then pmi descending,
+    count descending, ids ascending.
 
-    ``privileged`` entries (injected entities) are exempt from pruning.
-    ``_doc_sequences`` is carried only until pruning; a pruned or loaded
-    table no longer holds it.
+    ``is_privileged`` marks injected entities, which pruning keeps.  The
+    (document, row) pairs of all n-gram ``occurrences`` are carried only
+    until pruning.  ``stage_counts`` is the entry count after each stage.
     """
 
-    entries: dict[tuple[int, ...], tuple[int, float]]
+    grams: np.ndarray
+    counts: np.ndarray
+    pmi: np.ndarray
+    is_privileged: np.ndarray
     n_max: int
     total_tokens: int
-    privileged: set[tuple[int, ...]] = field(default_factory=set)
-    _doc_sequences: list[tuple[int, ...]] | None = None
+    occurrences: tuple[np.ndarray, np.ndarray] | None = None
+    stage_counts: tuple[tuple[str, int], ...] = ()
+
+    @classmethod
+    def from_entries(cls, entries: Mapping, n_max: int, total_tokens: int) -> NgramTable:
+        """A table of ``{id tuple: (count, pmi)}``; NaN scores mark unseen entities."""
+        values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2)
+        counts, pmi = values[:, 0].astype(np.int64), values[:, 1]
+        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max, total_tokens)._sorted()
+
+    def _sorted(self) -> NgramTable:
+        """These rows in the canonical order, by one lexsort.  PAD is below
+        every id, so a prefix sorts first, as Python orders tuples."""
+        nan = np.isnan(self.pmi)
+        # ids + 1 (PAD is 0) in the narrowest unsigned type, which lexsort
+        # sorts by radix when it has 16 bits or fewer
+        ids = (self.grams + 1).astype(np.min_scalar_type(int(self.grams.max(initial=0)) + 1))
+        order = np.lexsort((*ids.T[::-1], -self.counts, np.where(nan, 0.0, -self.pmi), ~nan))
+        if self.occurrences is None:
+            return self._rows(order, None)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return self._rows(order, (self.occurrences[0], rank[self.occurrences[1]]))
+
+    def _rows(self, index: np.ndarray, occurrences, **changes) -> NgramTable:
+        return replace(
+            self, grams=self.grams[index], counts=self.counts[index], pmi=self.pmi[index],
+            is_privileged=self.is_privileged[index], occurrences=occurrences, **changes,
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
     def __contains__(self, w: tuple[int, ...]) -> bool:
         return w in self.entries
 
-    def pmi_of(self, w: tuple[int, ...]) -> float:
-        return self.entries[w][1]
+    @cached_property
+    def entries(self) -> dict[tuple[int, ...], tuple[int, float]]:
+        """``{id tuple: (count, pmi)}``, for lookups."""
+        return dict(zip(_tuples(self.grams), zip(self.counts.tolist(), self.pmi.tolist())))
 
-    def count_of(self, w: tuple[int, ...]) -> int:
-        return self.entries[w][0]
+    @cached_property
+    def privileged(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(_tuples(self.grams[self.is_privileged]))
 
 
 def build_table(counts: RawNgramCounts) -> NgramTable:
-    """Score every counted n-gram, producing an unpruned table."""
+    """Score every counted n-gram, producing an unpruned table.
+
+    The float operations are those of the scalar formula, in its order.
+    """
     log_t = math.log(counts.total_tokens)
-    log_uni = {x: math.log(c) for x, c in counts.unigrams.items()}
-    entries: dict[tuple[int, ...], tuple[int, float]] = {}
-    for w, c_w in counts.ngrams.items():
-        n = len(w)
-        acc = math.log(c_w) + (n - 1) * log_t
-        for x in w:
-            acc -= log_uni[x]
-        entries[w] = (c_w, acc / n)
+    log_uni = np.zeros(max(counts.unigrams) + 1)
+    log_uni[list(counts.unigrams)] = [math.log(c) for c in counts.unigrams.values()]
+    lengths = _lengths(counts.grams)
+    acc = _exact_log(counts.counts) + (lengths - 1) * log_t
+    for col in counts.grams.T:
+        acc -= np.where(col == PAD, 0.0, log_uni[col])
     return NgramTable(
-        entries=entries,
-        n_max=counts.n_max,
-        total_tokens=counts.total_tokens,
-        _doc_sequences=list(counts.sequences),
-    )
+        counts.grams, counts.counts, acc / lengths, np.zeros(len(acc), dtype=bool),
+        counts.n_max, counts.total_tokens, counts.occurrences, (("counted", len(acc)),),
+    )._sorted()
 
 
-def inject_entities(
-    table: NgramTable, entity_ngrams: Iterable[Sequence[int]]
-) -> NgramTable:
+def inject_entities(table: NgramTable, entity_ngrams: Iterable[Sequence[int]]) -> NgramTable:
     """Mark entity n-grams as privileged, adding them if absent.
 
     Entities outside lengths 2..n_max are skipped with a warning.  An
     entity not present in the corpus is stored with count 0 and a NaN
-    score; idempotent under repeated injection.  Mutates and returns
-    ``table``.
+    score.  Returns a new table, or ``table`` itself when every entity
+    already is a privileged entry, so injection is idempotent.
     """
-    for ent in entity_ngrams:
-        w = tuple(ent)
-        if not (2 <= len(w) <= table.n_max):
+    rows = {w: i for i, w in enumerate(_tuples(table.grams))}
+    marked = []
+    for w in map(tuple, entity_ngrams):
+        if 2 <= len(w) <= table.n_max:
+            marked.append(rows.setdefault(w, len(rows)))
+        else:
             warnings.warn(
                 f"entity n-gram {w} has length {len(w)}, outside 2..{table.n_max}; skipped",
                 stacklevel=2,
             )
-            continue
-        if w not in table.entries:
-            table.entries[w] = (0, math.nan)
-        table.privileged.add(w)
-    return table
-
-
-def _prune_sort_key(item: tuple[tuple[int, ...], tuple[int, float]]):
-    w, (count, pmi) = item
-    return (-pmi, -count, w)
+    added = list(rows)[len(table) :]
+    if not added and table.is_privileged[marked].all():
+        return table
+    is_privileged = np.pad(table.is_privileged, (0, len(added)))
+    is_privileged[marked] = True
+    return replace(
+        table,
+        grams=np.vstack([table.grams, _pad(added, table.n_max)]),
+        counts=np.pad(table.counts, (0, len(added))),
+        pmi=np.pad(table.pmi, (0, len(added)), constant_values=math.nan),
+        is_privileged=is_privileged,
+        stage_counts=table.stage_counts + (("with entities", len(rows)),),
+    )._sorted()
 
 
 def prune_table(
@@ -220,45 +290,29 @@ def prune_table(
     result.  Privileged entries always survive.  Pass
     ``per_doc_top_k=None`` to skip the per-document stage.
     """
-    above = {
-        w: cp
-        for w, cp in table.entries.items()
-        if w in table.privileged or cp[1] > pmi_threshold
-    }
-    if per_doc_top_k is None:
-        kept = above
-    else:
+    keep = table.is_privileged | (table.pmi > pmi_threshold)
+    stage_counts = table.stage_counts + (("above threshold", int(keep.sum())),)
+    if per_doc_top_k is not None:
         if per_doc_top_k < 1:
             raise NgramError(f"per_doc_top_k must be >= 1, got {per_doc_top_k}")
-        if table._doc_sequences is None:
+        if table.occurrences is None:
             raise NgramError("table has no document information for per-document pruning")
-        keep: set[tuple[int, ...]] = set(table.privileged) & set(above)
-        for toks in table._doc_sequences:
-            doc_ngrams: set[tuple[int, ...]] = set()
-            for n in range(2, table.n_max + 1):
-                if len(toks) < n:
-                    break
-                for i in range(len(toks) - n + 1):
-                    w = toks[i : i + n]
-                    if w in above:
-                        doc_ngrams.add(w)
-            if len(doc_ngrams) > per_doc_top_k:
-                ranked = sorted(
-                    ((w, above[w]) for w in doc_ngrams), key=_prune_sort_key
-                )
-                keep.update(w for w, _ in ranked[:per_doc_top_k])
-            else:
-                keep.update(doc_ngrams)
-        kept = {w: above[w] for w in keep}
-    if not kept:
+        docs, rows = table.occurrences
+        hit = keep[rows]
+        # Distinct (document, row) pairs, by document and then by row: the
+        # rows are in the canonical order, so each document's first K are
+        # its best K.
+        stride = len(table) + 1
+        pairs = np.sort(docs[hit].astype(np.int64) * stride + rows[hit])
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+        pair_doc = pairs // stride
+        nth = np.arange(len(pairs)) - np.searchsorted(pair_doc, pair_doc)
+        keep = table.is_privileged.copy()
+        keep[pairs[nth < per_doc_top_k] % stride] = True
+        stage_counts += (("after per-document top-K", int(keep.sum())),)
+    if not keep.any():
         warnings.warn("pruning produced an empty n-gram table", stacklevel=2)
-    return NgramTable(
-        entries=kept,
-        n_max=table.n_max,
-        total_tokens=table.total_tokens,
-        privileged=set(table.privileged) & set(kept),
-        _doc_sequences=None,
-    )
+    return table._rows(keep, None, stage_counts=stage_counts)
 
 
 def mark_sequence(seq: EncodedSequence | Sequence[int], table: NgramTable) -> SpanAnnotation:
@@ -272,53 +326,49 @@ def mark_sequence(seq: EncodedSequence | Sequence[int], table: NgramTable) -> Sp
     spans: list[Span] = []
     i = 0
     while i < m - 1:
-        matched = False
         for n in range(min(table.n_max, m - i), 1, -1):
             if toks[i : i + n] in table.entries:
                 spans.append(Span(start=i + 1, end=i + n))
                 i += n
-                matched = True
                 break
-        if not matched:
+        else:
             i += 1
     return SpanAnnotation(spans=tuple(spans))
 
 
 _TABLE_HEADER = "tokens\tcount\tpmi"
-
-
-def _table_sort_key(item: tuple[tuple[int, ...], tuple[int, float]]):
-    w, (count, pmi) = item
-    # non-finite scores (privileged entities unseen in the corpus) first
-    if math.isnan(pmi):
-        return (0, 0.0, -count, w)
-    return (1, -pmi, -count, w)
+_SAVE_CHUNK = 1 << 16  # rows formatted per write
 
 
 def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
-    """Write TSV ``token .. token<TAB>count<TAB>pmi`` sorted by pmi descending.
+    """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
     Scores are written with 9 significant digits; a NaN score marks a
     privileged entity that never occurred in the corpus.
     """
+    first = np.array(vocab.tokens(), dtype=object)
+    later = np.array([" " + t for t in vocab.tokens()] + [""], dtype=object)  # PAD picks ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TABLE_HEADER + "\n")
-        for w, (count, pmi) in sorted(table.entries.items(), key=_table_sort_key):
-            toks = " ".join(vocab.token_of(i) for i in w)
-            fh.write(f"{toks}\t{count}\t{pmi:.9g}\n")
+        for lo in range(0, len(table), _SAVE_CHUNK):
+            chunk = slice(lo, lo + _SAVE_CHUNK)
+            text = first[table.grams[chunk, 0]]
+            for col in table.grams[chunk, 1:].T:
+                text = text + later[col]
+            rows = zip(text, table.counts[chunk].tolist(), table.pmi[chunk].tolist())
+            fh.writelines(f"{t}\t{c}\t{p:.9g}\n" for t, c, p in rows)
 
 
-def load_table(path: str | Path, vocab: Vocabulary, n_max: int = 6) -> NgramTable:
+def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     """Read a table written by :func:`save_table`.
 
-    A token missing from ``vocab`` means the table and vocabulary do not
-    belong together, and raises :class:`NgramError`.  Entries with NaN
-    scores are restored as privileged.  The privileged flag of entities
-    that do have a finite score is not preserved by the file format.
+    ``n_max`` is the length of the longest entry.  A token missing from
+    ``vocab`` means the table and vocabulary do not belong together, and
+    raises :class:`NgramError`.  Entries with NaN scores are restored as
+    privileged.  The file format loses ``total_tokens`` (read back as 0)
+    and the privileged flag of entities that have a finite score.
     """
     entries: dict[tuple[int, ...], tuple[int, float]] = {}
-    privileged: set[tuple[int, ...]] = set()
-    max_len = 2
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != _TABLE_HEADER:
@@ -334,19 +384,8 @@ def load_table(path: str | Path, vocab: Vocabulary, n_max: int = 6) -> NgramTabl
             unknown = [t for t in toks if t not in vocab]
             if unknown:
                 raise NgramError(f"{path}:{lineno}: token(s) {unknown} not in the vocabulary")
-            w = tuple(vocab.id_of(t) for t in toks)
-            pmi = float(parts[2])
-            entries[w] = (int(parts[1]), pmi)
-            if math.isnan(pmi):
-                privileged.add(w)
-            max_len = max(max_len, len(w))
-    return NgramTable(
-        entries=entries,
-        n_max=max(n_max, max_len),
-        total_tokens=0,
-        privileged=privileged,
-        _doc_sequences=None,
-    )
+            entries[tuple(vocab.id_of(t) for t in toks)] = (int(parts[1]), float(parts[2]))
+    return NgramTable.from_entries(entries, max([2, *map(len, entries)]), total_tokens=0)
 
 
 def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...]]:
@@ -369,9 +408,6 @@ def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...
 
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:
-    """Histogram of n-gram lengths over the ``top_n`` best-scored entries."""
-    items = sorted(table.entries.items(), key=_table_sort_key)
-    if top_n is not None:
-        items = items[:top_n]
-    hist: Counter = Counter(len(w) for w, _ in items)
-    return dict(sorted(hist.items()))
+    """Histogram of n-gram lengths over the ``top_n`` best-scored entries (the first rows)."""
+    hist = np.bincount(_lengths(table.grams[:top_n]))
+    return {n: int(c) for n, c in enumerate(hist.tolist()) if c}

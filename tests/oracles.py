@@ -60,6 +60,50 @@ def oracle_pmi(gram, joint, single, total):
     return value / n
 
 
+def oracle_mined_table(sequences, n_max, pmi_threshold, per_doc_top_k, entities, names, top_n):
+    """Brute-force mining: the saved table text and the top-n length histogram.
+
+    Counts and scores come from the oracles above; entities of length
+    2..n_max are injected (count 0 and a NaN score when unseen); entries
+    above the threshold, then each document's top-K, are kept with every
+    entity; rows are written NaN scores first, then by pmi descending,
+    count descending and ids ascending, by one Python sort.
+    """
+    joint, single, total = oracle_ngram_counts(sequences, n_max)
+    scored = {g: (c, oracle_pmi(g, joint, single, total)) for g, c in joint.items()}
+    privileged = set()
+    for ent in entities:
+        ent = tuple(ent)
+        if 2 <= len(ent) <= n_max:
+            scored.setdefault(ent, (0, math.nan))
+            privileged.add(ent)
+
+    def rank(g):
+        count, pmi = scored[g]
+        return (0, 0.0, -count, g) if math.isnan(pmi) else (1, -pmi, -count, g)
+
+    above = {g for g, (_, pmi) in scored.items() if g in privileged or pmi > pmi_threshold}
+    kept = above
+    if per_doc_top_k is not None:
+        kept = set(privileged)
+        for seq in sequences:
+            present = set()
+            for n in range(2, n_max + 1):
+                for i in range(len(seq) - n + 1):
+                    if tuple(seq[i : i + n]) in above:
+                        present.add(tuple(seq[i : i + n]))
+            kept.update(sorted(present, key=rank)[:per_doc_top_k])
+    rows = sorted(kept, key=rank)
+    lines = ["tokens\tcount\tpmi\n"]
+    for g in rows:
+        count, pmi = scored[g]
+        lines.append(f"{' '.join(names[i] for i in g)}\t{count}\t{pmi:.9g}\n")
+    hist = {}
+    for g in rows[:top_n]:
+        hist[len(g)] = hist.get(len(g), 0) + 1
+    return "".join(lines), dict(sorted(hist.items()))
+
+
 def oracle_answer(question, embedder):
     """Exhaustive cosine ranking with explicit loops; first best wins."""
 

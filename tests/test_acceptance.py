@@ -144,8 +144,8 @@ def test_criterion_marking_oracle(capsys):
         while len(grams) < 80:
             n = int(rng.integers(2, 5))
             grams.add(tuple(int(x) for x in rng.integers(5, 15, size=n)))
-        table = NgramTable(
-            entries={g: (1, 1.0) for g in grams}, n_max=4, total_tokens=10_000
+        table = NgramTable.from_entries(
+            {g: (1, 1.0) for g in grams}, n_max=4, total_tokens=10_000
         )
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 15, size=50))
@@ -614,6 +614,7 @@ def test_criterion_scale_sanity(capsys):
     t0 = time.monotonic()
     texts, total = _harvest_docstrings(min_tokens=1_050_000)
     assert total >= 1_000_000, f"harvested only {total} tokens"
+    t_mine = time.monotonic()
 
     docs = [
         Document(id=i, text=" ".join(toks), tokens=tuple(toks))
@@ -626,6 +627,7 @@ def test_criterion_scale_sanity(capsys):
         pmi_threshold=0.0, per_doc_top_k=3000,
     )
     hist = length_histogram(table, top_n=2000)
+    mining = time.monotonic() - t_mine
     assert sum(hist.values()) == 2000, "top-2000 histogram not fully produced"
     short_share = (hist.get(2, 0) + hist.get(3, 0)) / 2000
 
@@ -639,7 +641,8 @@ def test_criterion_scale_sanity(capsys):
     elapsed = time.monotonic() - t0
 
     report(capsys, f"PASS scale sanity: {total} tokens, {len(docs)} docstrings, "
-                   f"{len(table)} surviving n-grams, {elapsed:.0f}s")
+                   f"{len(table)} surviving n-grams, {elapsed:.0f}s "
+                   f"(harvest {t_mine - t0:.1f}s, mining {mining:.1f}s)")
     report(capsys, f"  top-2000 length histogram (all): "
                    f"{dict(sorted(hist.items()))}, 2-3-word share {short_share:.3f}")
     report(capsys, f"  top-2000 length histogram (count>=5): "

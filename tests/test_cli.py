@@ -87,6 +87,27 @@ class TestExtractNgrams:
         header = out.read_text().splitlines()[0]
         assert header == "tokens\tcount\tpmi"
 
+    @pytest.mark.parametrize("top_k", ["2", "none"])
+    def test_reports_monotone_stage_counts(self, capsys, workspace, tmp_path, top_k):
+        code, stdout, _ = run(capsys, [
+            "extract-ngrams",
+            "--corpus", str(workspace / "corpus.txt"),
+            "--min-count", "1",
+            "--n-max", "4",
+            "--top-k", top_k,
+            "--out", str(tmp_path / "t.tsv"),
+        ])
+        assert code == 0
+        values = dict(line.split(" = ") for line in stdout.splitlines() if " = " in line)
+        stages = ["entries counted", "entries above threshold"]
+        if top_k != "none":
+            stages.append("entries after per-document top-K")
+        counts = [int(values[stage]) for stage in stages]
+        assert counts == sorted(counts, reverse=True)
+        assert counts[-1] == int(values["ngrams"])
+        if top_k != "none":
+            assert counts[-1] < counts[-2]  # the cut binds on this corpus
+
     def test_rerun_is_byte_identical(self, capsys, workspace, tmp_path):
         args = [
             "extract-ngrams",

@@ -1,13 +1,17 @@
 """N-gram counting, extended PMI, pruning, and greedy span marking."""
 
 import math
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_mark
-from ulrlab.corpus import UNK_ID, EncodedSequence, NUM_SPECIALS
+from oracles import oracle_mark, oracle_mined_table
+from ulrlab.corpus import UNK_ID, Document, EncodedSequence, NUM_SPECIALS, build_vocabulary
 from ulrlab.ngram import (
     NgramError,
     NgramTable,
@@ -35,6 +39,45 @@ def seqs_from_texts(texts, token_ids):
 
 IDS = {t: i + NUM_SPECIALS for i, t in enumerate("abcdefghij")}
 IDS.update({t: i + NUM_SPECIALS + 10 for i, t in enumerate(["the", "cat", "sat", "ran"])})
+
+# Small alphabets give n-grams repeated inside one document and exact pmi
+# ties; documents of 0..9 tokens include ones shorter than n_max.
+MAX_ALPHABET = 5
+MINING_VOCAB = build_vocabulary(
+    [Document(0, "", tuple(f"t{i}" for i in range(MAX_ALPHABET)))], min_count=1
+)
+
+
+@st.composite
+def mining_inputs(draw):
+    """Corpus, n_max, threshold, per-document K and entities for one mining run."""
+    size = draw(st.integers(min_value=2, max_value=MAX_ALPHABET))
+    ids = st.integers(min_value=NUM_SPECIALS, max_value=NUM_SPECIALS + size - 1)
+    n_max = draw(st.integers(min_value=2, max_value=4))
+    docs = draw(
+        st.lists(st.lists(ids, max_size=9), min_size=1, max_size=6).filter(
+            lambda d: any(d)
+        )
+    )
+    entities = draw(st.lists(st.lists(ids, min_size=2, max_size=n_max), max_size=3))
+    threshold = draw(st.sampled_from([-math.inf, -0.3, 0.0, 0.2, math.inf]))
+    per_doc_top_k = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    return docs, n_max, threshold, per_doc_top_k, [tuple(e) for e in entities]
+
+
+def mine(docs, n_max, threshold, per_doc_top_k, entities):
+    table = build_table(count_ngrams([EncodedSequence(ids=tuple(d)) for d in docs], n_max))
+    table = inject_entities(table, entities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty result warns
+        return prune_table(table, pmi_threshold=threshold, per_doc_top_k=per_doc_top_k)
+
+
+def saved_text(table, vocab):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.tsv"
+        save_table(table, vocab, path)
+        return path.read_text(encoding="utf-8")
 
 
 class TestCountNgrams:
@@ -101,9 +144,12 @@ class TestComputePmi:
         (seq,) = seqs_from_texts(["a b a c a b a c"], IDS)
         counts = count_ngrams([seq], n_max=2)
         # Craft counts where P(ef) = P(e)P(f) exactly: 2/8 = (4/8)(4/8).
-        counts.unigrams[IDS["e"]] = 4
-        counts.unigrams[IDS["f"]] = 4
-        counts.ngrams[(IDS["e"], IDS["f"])] = 2
+        counts = replace(
+            counts,
+            grams=np.vstack([counts.grams, [(IDS["e"], IDS["f"])]]),
+            counts=np.append(counts.counts, 2),
+            unigrams={**counts.unigrams, IDS["e"]: 4, IDS["f"]: 4},
+        )
         pmi = compute_pmi((IDS["e"], IDS["f"]), counts)
         assert pmi == pytest.approx(0.0, abs=1e-12)
 
@@ -132,11 +178,12 @@ class TestComputePmi:
         counts = count_ngrams([seq], n_max=3)
         w = (IDS["a"], IDS["b"])
         base = compute_pmi(w, counts)
-        for gram in list(counts.unigrams):
-            counts.unigrams[gram] *= k
-        for gram in list(counts.ngrams):
-            counts.ngrams[gram] *= k
-        counts.total_tokens *= k
+        counts = replace(
+            counts,
+            counts=counts.counts * k,
+            unigrams={gram: c * k for gram, c in counts.unigrams.items()},
+            total_tokens=counts.total_tokens * k,
+        )
         assert compute_pmi(w, counts) == pytest.approx(base, abs=1e-12)
 
     def test_strictly_increasing_in_joint_count(self):
@@ -144,19 +191,15 @@ class TestComputePmi:
         counts = count_ngrams([seq], n_max=2)
         w = (IDS["a"], IDS["b"])
         values = []
+        row = (counts.grams == w).all(axis=1)
         for joint in (1, 2, 3):
-            counts.ngrams[w] = joint
-            values.append(compute_pmi(w, counts))
+            joint_counts = replace(counts, counts=np.where(row, joint, counts.counts))
+            values.append(compute_pmi(w, joint_counts))
         assert values[0] < values[1] < values[2]
 
 
-def toy_table(entries, n_max=3, total=1000, privileged=()):
-    return NgramTable(
-        entries=dict(entries),
-        n_max=n_max,
-        total_tokens=total,
-        privileged=set(privileged),
-    )
+def toy_table(entries, n_max=3, total=1000):
+    return NgramTable.from_entries(dict(entries), n_max=n_max, total_tokens=total)
 
 
 class TestPruneTable:
@@ -207,22 +250,20 @@ class TestPruneTable:
 
 class TestInjectEntities:
     def test_inject_into_empty_table(self):
-        table = toy_table({})
-        inject_entities(table, [(7, 8)])
+        table = inject_entities(toy_table({}), [(7, 8)])
         assert (7, 8) in table
         assert (7, 8) in table.privileged
 
     def test_duplicate_injection_is_idempotent(self):
-        table = toy_table({})
-        inject_entities(table, [(7, 8)])
+        table = inject_entities(toy_table({}), [(7, 8)])
         snapshot = dict(table.entries)
-        inject_entities(table, [(7, 8)])
+        table = inject_entities(table, [(7, 8)])
         assert table.entries == snapshot
 
     def test_entity_survives_infinite_threshold(self):
         (seq,) = seqs_from_texts(["a b a b"], IDS)
         table = build_table(count_ngrams([seq], n_max=2))
-        inject_entities(table, [(IDS["a"], IDS["b"])])
+        table = inject_entities(table, [(IDS["a"], IDS["b"])])
         pruned = prune_table(table, pmi_threshold=math.inf, per_doc_top_k=None)
         assert (IDS["a"], IDS["b"]) in pruned
 
@@ -299,14 +340,14 @@ class TestTableIO:
             (ids[1], ids[2], ids[3]): (2, 0.333333333),
             (ids[2], ids[3]): (2, float("nan")),
         }
-        table = toy_table(entries, n_max=3, privileged={(ids[2], ids[3])})
+        table = toy_table(entries, n_max=3)
         path = tmp_path / "table.tsv"
         save_table(table, vocab, path)
         first = path.read_bytes()
-        loaded = load_table(path, vocab, n_max=3)
+        loaded = load_table(path, vocab)
         assert set(loaded.entries) == set(entries)
         assert loaded.privileged == {(ids[2], ids[3])}
-        assert loaded.count_of((ids[0], ids[1])) == 5
+        assert loaded.entries[(ids[0], ids[1])][0] == 5
         save_table(loaded, vocab, path)
         assert path.read_bytes() == first
 
@@ -323,19 +364,67 @@ class TestTableIO:
         path = tmp_path / "table.tsv"
         path.write_text("tokens\tcount\tpmi\na b\t3\t1.5\nzzz qqq\t1\t0.5\n")
         with pytest.raises(NgramError, match=r"table\.tsv:3: .*zzz"):
-            load_table(path, vocab, n_max=3)
+            load_table(path, vocab)
 
     def test_load_accepts_saved_unk(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("tokens\tcount\tpmi\n[UNK] cat\t2\t0.5\n")
-        loaded = load_table(path, vocab, n_max=3)
+        loaded = load_table(path, vocab)
         assert set(loaded.entries) == {(UNK_ID, vocab.id_of("cat"))}
+
+    def test_loaded_n_max_is_longest_entry(self, tmp_path, vocab):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "table.tsv"
+        for n_max in (2, 3, 4):
+            seqs = [
+                EncodedSequence(ids=tuple(int(x) for x in rng.integers(5, 9, size=12)))
+                for _ in range(6)
+            ]
+            table = prune_table(
+                build_table(count_ngrams(seqs, n_max)), pmi_threshold=-math.inf, per_doc_top_k=None
+            )
+            save_table(table, vocab, path)
+            loaded = load_table(path, vocab)
+            assert loaded.n_max == max(map(len, loaded.entries)) == n_max
+            for _ in range(50):
+                ids = tuple(int(x) for x in rng.integers(5, 9, size=20))
+                assert mark_sequence(ids, loaded).spans == oracle_mark(ids, loaded)
 
     def test_load_rejects_bad_header(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("nope\n")
         with pytest.raises(NgramError):
-            load_table(path, vocab, n_max=3)
+            load_table(path, vocab)
+
+
+class TestMinedTableOracle:
+    @given(mining_inputs(), st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_saved_text_and_histogram_match_brute_force(self, inputs, top_n):
+        table = mine(*inputs)
+        text, hist = oracle_mined_table(*inputs, MINING_VOCAB.tokens(), top_n)
+        assert saved_text(table, MINING_VOCAB) == text
+        assert length_histogram(table, top_n=top_n) == hist
+
+    @given(mining_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_save_load_round_trip(self, inputs):
+        table = mine(*inputs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.tsv"
+            save_table(table, MINING_VOCAB, path)
+            loaded = load_table(path, MINING_VOCAB)
+        assert set(loaded.entries) == set(table.entries)
+        for w, (count, pmi) in table.entries.items():
+            assert loaded.entries[w][0] == count
+            assert f"{loaded.entries[w][1]:.9g}" == f"{pmi:.9g}"
+        unseen = {w for w in table.privileged if math.isnan(table.entries[w][1])}
+        assert unseen <= loaded.privileged
+        # The two losses of the file format, by name.
+        lost_total_tokens = loaded.total_tokens == 0 < table.total_tokens
+        lost_flags = table.privileged - loaded.privileged
+        assert lost_total_tokens
+        assert lost_flags == {w for w in table.privileged if not math.isnan(table.entries[w][1])}
 
 
 class TestLengthHistogram:

@@ -518,11 +518,7 @@ class TestAdamStep:
 
 def toy_table() -> NgramTable:
     """Table marking (10, 11) as a unit."""
-    return NgramTable(
-        entries={(10, 11): (5, 1.0)},
-        n_max=2,
-        total_tokens=100,
-    )
+    return NgramTable.from_entries({(10, 11): (5, 1.0)}, n_max=2, total_tokens=100)
 
 
 class TestTrainStep:
