@@ -329,29 +329,31 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
     ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
     if not ks:
         raise CliError("ks must name at least one cutoff")
+    bucket = cfg["group_by_length"]
+    for name, value in (("ks", ks[0]), ("group_by_length", bucket)):
+        if value is not None and value < 1:
+            raise CliError(f"{name} must be >= 1, got {value}")
     depth = min(max(ks), len(ids))
+    queries = [q for q, _ in retrieval.queries]
     if backend == "bm25":
         corpus_tokens = [tokenize(t) for t in texts]
-        rankings = [
-            bm25_rank(tokenize(q), corpus_tokens, ids=ids)[:depth]
-            for q, _ in retrieval.queries
-        ]
+        query_tokens = [tokenize(q) for q in queries]
+        rankings = [r[:depth] for r in bm25_rank(query_tokens, corpus_tokens, ids=ids)]
     else:
         embedder = _build_embedder(cfg)
         matrix = embed_corpus(texts, embedder)
         rankings = [
-            retrieve_topk(embedder(q), matrix, depth, ids=ids)
-            for q, _ in retrieval.queries
+            retrieve_topk(row, matrix, depth, ids=ids)
+            for row in embed_corpus(queries, embedder)
         ]
     gold_sets = [g for _, g in retrieval.queries]
     acc = topk_accuracy(rankings, gold_sets, ks)
     lines = ["top_k\taccuracy"]
     for k in ks:
         lines.append(f"{k}\t{acc[k]:.4f}")
-    if cfg["group_by_length"]:
-        bucket = cfg["group_by_length"]
+    if bucket is not None:
         groups = [f"len<={((len(tokenize(q)) - 1) // bucket + 1) * bucket}"
-                  for q, _ in retrieval.queries]
+                  for q in queries]
         grouped = topk_accuracy_by_group(rankings, gold_sets, groups, ks)
         lines.append("group\ttop_k\taccuracy")
         for label in sorted(grouped):

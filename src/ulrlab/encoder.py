@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
@@ -173,10 +172,14 @@ def layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # on first use: mining and BM25 never load scipy
+
     return 0.5 * x * (1.0 + erf(x * _SQRT1_2))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
@@ -544,15 +547,6 @@ class Model:
     @classmethod
     def init(cls, config: EncoderConfig, dtype=np.float32) -> "Model":
         return cls(params=init_params(config, dtype=dtype), config=config)
-
-    def forward(self, ids, mask=None, **kw):
-        return forward(self.params, self.config, ids, mask, **kw)
-
-    def pool(self, hidden, mask, strategy):
-        return pool(hidden, mask, strategy, self.params)
-
-    def mlm_log_probs(self, hidden):
-        return mlm_log_probs(hidden, self.params)
 
     def astype(self, dtype) -> "Model":
         return Model(

@@ -7,6 +7,8 @@ tautology.
 
 import math
 
+import numpy as np
+
 from ulrlab.ngram import Span
 
 
@@ -112,14 +114,17 @@ def oracle_answer(question, embedder):
         n = math.sqrt(sum(x * x for x in v))
         return [x / n for x in v]
 
-    va = unit(embedder(question.a))
-    vb = unit(embedder(question.b))
-    vc = unit(embedder(question.c))
+    def embed(text):
+        return embedder.embed_many([text])[0]
+
+    va = unit(embed(question.a))
+    vb = unit(embed(question.b))
+    vc = unit(embed(question.c))
     target = [c + b - a for a, b, c in zip(va, vb, vc)]
     tnorm = math.sqrt(sum(x * x for x in target))
     best_idx, best_cos = 0, -math.inf
     for idx, cand in enumerate(question.candidates):
-        vd = unit(embedder(cand))
+        vd = unit(embed(cand))
         cos = sum(t * d for t, d in zip(target, vd)) / tnorm
         if cos > best_cos:
             best_idx, best_cos = idx, cos
@@ -135,3 +140,29 @@ def oracle_rank(query_vec, corpus_matrix):
         dnorm = math.sqrt(sum(float(d) * float(d) for d in row))
         cosines.append(dot / (qnorm * dnorm))
     return sorted(range(len(corpus_matrix)), key=lambda i: (-cosines[i], i))
+
+
+def oracle_bm25(query_tokens, corpus_tokens, k1=1.2, b=0.75):
+    """Okapi BM25 of one query: rescan every document for every query term."""
+    n = len(corpus_tokens)
+    if n == 0:
+        raise ValueError("empty corpus")
+    df: dict[str, int] = {}
+    for doc in corpus_tokens:
+        for term in set(doc):
+            df[term] = df.get(term, 0) + 1
+    lengths = np.array([len(doc) for doc in corpus_tokens], dtype=np.float64)
+    avg_len = float(lengths.mean()) if lengths.sum() > 0 else 1.0
+    scores = np.zeros(n)
+    for term in query_tokens:
+        d_f = df.get(term)
+        if not d_f:
+            continue
+        idf = math.log(1.0 + (n - d_f + 0.5) / (d_f + 0.5))
+        for di, doc in enumerate(corpus_tokens):
+            tf = doc.count(term)
+            if tf == 0:
+                continue
+            denom = tf + k1 * (1.0 - b + b * lengths[di] / avg_len)
+            scores[di] += idf * tf * (k1 + 1.0) / denom
+    return scores

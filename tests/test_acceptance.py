@@ -309,14 +309,14 @@ def test_criterion_gradient_suite(capsys):
 
 
 class _TableEmbedder:
-    """Callable lookup used in place of a trained model."""
+    """Table lookup used in place of a trained model."""
 
     def __init__(self, table):
         self.table = table
         self.vocabulary = tuple(table)
 
-    def __call__(self, text):
-        return self.table[text]
+    def embed_many(self, texts):
+        return np.stack([self.table[text] for text in texts])
 
 
 def test_criterion_evaluation_oracles(capsys):
@@ -358,10 +358,10 @@ def test_criterion_evaluation_oracles(capsys):
     # Okapi BM25 against hand-computed scores (k1=1.2, b=0.75, doc
     # lengths 3 and 2, average 2.5).
     docs = [["a", "b", "a"], ["b", "c"]]
-    got_a = bm25_scores(["a"], docs)
+    got_a = bm25_scores([["a"]], docs)[0]
     exp_a = [math.log(2.0) * 2 * 2.2 / (2 + 1.2 * (0.25 + 0.75 * 3 / 2.5)), 0.0]
     np.testing.assert_allclose(got_a, exp_a, rtol=0, atol=1e-9)
-    got_b = bm25_scores(["b"], docs)
+    got_b = bm25_scores([["b"]], docs)[0]
     exp_b = [
         math.log(1.2) * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 3 / 2.5)),
         math.log(1.2) * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 2 / 2.5)),

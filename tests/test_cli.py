@@ -1,8 +1,15 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ulrlab
 from ulrlab.cli import main, parse_config_file
 from ulrlab.corpus import Vocabulary
 from ulrlab.encoder import load_checkpoint
@@ -142,6 +149,35 @@ class TestExtractNgrams:
         ])
         assert code == 1
         assert stderr.splitlines()[-1].startswith("error:")
+
+    def test_mining_and_bm25_never_import_scipy(self, workspace, tmp_path):
+        # scipy only serves the encoder's GELU; loading it costs mining runs
+        # a third of their wall time.
+        corpus_path = tmp_path / "c.tsv"
+        corpus_path.write_text("d0\ta b a\nd1\tb c\n")
+        queries_path = tmp_path / "q.tsv"
+        queries_path.write_text("b\td1\n")
+        runs = [
+            ["extract-ngrams", "--corpus", str(workspace / "corpus.txt"),
+             "--min-count", "1", "--out", str(tmp_path / "t.tsv")],
+            ["eval-retrieval", "--backend", "bm25",
+             "--corpus", str(corpus_path), "--queries", str(queries_path)],
+        ]
+        script = (
+            "import json, sys\n"
+            "from ulrlab.cli import main\n"
+            "assert 'scipy' not in sys.modules, 'import ulrlab.cli loaded scipy'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv[0]\n"
+            "    assert 'scipy' not in sys.modules, f'{argv[0]} loaded scipy'\n"
+        )
+        src = str(Path(ulrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_required_setting(self, capsys, tmp_path):
         code, _, stderr = run(capsys, ["extract-ngrams", "--out", str(tmp_path / "t")])
@@ -405,6 +441,23 @@ class TestEvalRetrieval:
         text = out.read_text()
         assert "group\ttop_k\taccuracy" in text
         assert "len<=5\t1\t1.0000" in text
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--ks=-1"], "ks"),
+        (["--ks", "0,1"], "ks"),
+        (["--group-by-length=-2"], "group_by_length"),
+        (["--group-by-length", "0"], "group_by_length"),
+    ], ids=["ks-negative", "ks-zero", "group-negative", "group-zero"])
+    def test_cutoffs_below_one_rejected(self, capsys, retrieval_files, flags, setting):
+        vec_path, corpus_path, queries_path = retrieval_files
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", "vectors",
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--vectors", str(vec_path), *flags,
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {setting} " in stderr and "must be >= 1" in stderr
 
     def test_unknown_backend_lists_valid_ones(self, capsys, retrieval_files):
         vec_path, corpus_path, queries_path = retrieval_files

@@ -357,8 +357,8 @@ class TestCheckpoint:
         model = Model.init(TINY)
         rng = np.random.default_rng(12)
         ids, mask = tiny_batch(rng)
-        hidden = model.forward(ids, mask)
-        assert model.pool(hidden, mask, "mean").shape == (2, 16)
+        hidden = forward(model.params, model.config, ids, mask)
+        assert pool(hidden, mask, "mean", model.params).shape == (2, 16)
         wide = model.astype(np.float64)
         assert wide.params["tok_emb"].dtype == np.float64
         np.testing.assert_allclose(wide.params["tok_emb"], model.params["tok_emb"])

@@ -1,13 +1,18 @@
 """Analogy answering, dataset construction, retrieval, and BM25."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_bm25
 from ulrlab.corpus import Document, build_vocabulary
 from ulrlab.encoder import EncoderConfig, Model, save_checkpoint
 from ulrlab.evaluation import (
+    EMBED_BATCH,
     AnalogyQuestion,
     CategoryResult,
     ModelEmbedder,
@@ -40,8 +45,8 @@ class DictEmbedder:
     def __init__(self, table):
         self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
 
-    def __call__(self, text):
-        return self.table[text]
+    def embed_many(self, texts):
+        return np.stack([self.table[text] for text in texts])
 
 
 def oracle_answer(question, embedder):
@@ -51,14 +56,17 @@ def oracle_answer(question, embedder):
         n = math.sqrt(sum(x * x for x in v))
         return [x / n for x in v]
 
-    va = unit(embedder(question.a))
-    vb = unit(embedder(question.b))
-    vc = unit(embedder(question.c))
+    def embed(text):
+        return embedder.embed_many([text])[0]
+
+    va = unit(embed(question.a))
+    vb = unit(embed(question.b))
+    vc = unit(embed(question.c))
     target = [c + b - a for a, b, c in zip(va, vb, vc)]
     best_idx, best_cos = 0, -math.inf
     tnorm = math.sqrt(sum(x * x for x in target))
     for idx, cand in enumerate(question.candidates):
-        vd = unit(embedder(cand))
+        vd = unit(embed(cand))
         cos = sum(t * d for t, d in zip(target, vd)) / tnorm
         if cos > best_cos + 1e-12:
             best_idx, best_cos = idx, cos
@@ -356,22 +364,22 @@ class TestExpandTemplates:
 class TestWordVectorEmbedder:
     def test_averages_known_tokens(self):
         emb = WordVectorEmbedder({"red": (1.0, 0.0), "fox": (0.0, 1.0)})
-        got = emb("the red fox")  # "the" unknown, skipped
+        got = embed_corpus(["the red fox"], emb)[0]  # "the" unknown, skipped
         np.testing.assert_allclose(got, np.array([1.0, 1.0]) / math.sqrt(2))
 
     def test_unit_norm_output(self):
         emb = WordVectorEmbedder({"a": (3.0, 4.0)})
-        assert np.linalg.norm(emb("a")) == pytest.approx(1.0)
+        assert np.linalg.norm(embed_corpus(["a"], emb)[0]) == pytest.approx(1.0)
 
     def test_empty_text_rejected(self):
         emb = WordVectorEmbedder({"a": (1.0, 0.0)})
         with pytest.raises(ValueError, match="empty text"):
-            emb("   ")
+            emb.embed_many(["   "])
 
     def test_no_known_tokens_rejected(self):
         emb = WordVectorEmbedder({"a": (1.0, 0.0)})
         with pytest.raises(ValueError, match="no known tokens"):
-            emb("b c d")
+            emb.embed_many(["b c d"])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -402,8 +410,8 @@ def model_embedder(tmp_path_factory):
 class TestModelEmbedder:
     def test_unit_norm_and_determinism(self, model_embedder):
         emb, tokens = model_embedder
-        v1 = emb("t0 t1 t2")
-        v2 = emb("t0 t1 t2")
+        v1 = embed_corpus(["t0 t1 t2"], emb)[0]
+        v2 = embed_corpus(["t0 t1 t2"], emb)[0]
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
         assert np.array_equal(v1, v2)
 
@@ -412,24 +420,47 @@ class TestModelEmbedder:
         texts = ["t0 t1", "t2 t3 t4 t5", "t6"]
         batch = emb.embed_many(texts)
         for i, t in enumerate(texts):
-            np.testing.assert_allclose(batch[i], emb(t), atol=1e-6)
+            np.testing.assert_allclose(batch[i], emb.embed_many([t])[0], atol=1e-6)
 
     def test_truncation_warns(self, model_embedder):
         emb, tokens = model_embedder
         long_text = " ".join(tokens[0:1] * 40)
         with pytest.warns(UserWarning, match="truncating"):
-            vec = emb(long_text)
-        np.testing.assert_allclose(vec, emb(" ".join(tokens[0:1] * 14)), atol=1e-6)
+            vec = embed_corpus([long_text], emb)[0]
+        want = embed_corpus([" ".join(tokens[0:1] * 14)], emb)[0]
+        np.testing.assert_allclose(vec, want, atol=1e-6)
 
     def test_empty_text_rejected(self, model_embedder):
         emb, _ = model_embedder
         with pytest.raises(ValueError, match="empty text"):
-            emb("")
+            emb.embed_many([""])
 
     def test_unknown_pooling_rejected(self, model_embedder):
         emb, _ = model_embedder
         with pytest.raises(ValueError, match="pooling"):
             ModelEmbedder(emb.model, emb.vocab, pooling="sum")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pooling=st.sampled_from(["cls", "mean", "max"]),
+        lengths=st.lists(
+            st.integers(1, 20), min_size=EMBED_BATCH + 1, max_size=2 * EMBED_BATCH + 3
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_padding_and_chunks_do_not_change_rows(self, model_embedder, pooling, lengths, seed):
+        base, tokens = model_embedder
+        emb = ModelEmbedder(base.model, base.vocab, pooling=pooling)
+        rng = np.random.default_rng(seed)
+        texts = [" ".join(rng.choice(tokens, size=n)) for n in lengths]
+        limit = emb.model.config.max_len - 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = embed_corpus(texts, emb)
+            singles = np.stack([embed_corpus([t], emb)[0] for t in texts])
+        truncated = any("truncating" in str(w.message) for w in caught)
+        assert truncated == (max(lengths) > limit)
+        np.testing.assert_allclose(batch, singles, atol=1e-6)
 
 
 class TestEmbedCorpus:
@@ -437,7 +468,8 @@ class TestEmbedCorpus:
         emb = WordVectorEmbedder({"a": (1.0, 2.0), "b": (0.0, 1.0)})
         mat = embed_corpus(["a", "b", "a b"], emb)
         assert mat.shape == (3, 2)
-        np.testing.assert_allclose(mat[0], emb("a"))
+        raw = emb.embed_many(["a"])[0]
+        np.testing.assert_allclose(mat[0], raw / np.linalg.norm(raw))
         np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
 
     def test_identical_texts_identical_rows(self):
@@ -453,6 +485,11 @@ class TestEmbedCorpus:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             embed_corpus([], WordVectorEmbedder({"a": (1.0,)}))
+
+    def test_degenerate_row_names_index(self):
+        emb = WordVectorEmbedder({"a": (1.0, 2.0), "z": (0.0, 0.0)})
+        with pytest.raises(ValueError, match="degenerate embedding .*index 1"):
+            embed_corpus(["a", "z"], emb)
 
 
 class TestRetrieveTopk:
@@ -546,38 +583,59 @@ class TestBm25:
 
     def test_hand_computed_fixture(self):
         # N=2, avg_len=2.5.  Term "a": df=1, idf=ln 2; doc 0 tf=2, len 3.
-        scores = bm25_scores(["a"], self.DOCS)
+        scores = bm25_scores([["a"]], self.DOCS)[0]
         denom = 2 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2.5)
         want0 = math.log(2.0) * 2 * 2.2 / denom
         np.testing.assert_allclose(scores, [want0, 0.0], atol=1e-9)
 
     def test_shared_term_prefers_shorter_doc(self):
         # "b" occurs once in both docs; the shorter doc scores higher.
-        scores = bm25_scores(["b"], self.DOCS)
+        scores = bm25_scores([["b"]], self.DOCS)[0]
         idf_b = math.log(1 + 0.5 / 2.5)
         want0 = idf_b * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 3 / 2.5))
         want1 = idf_b * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 2 / 2.5))
         np.testing.assert_allclose(scores, [want0, want1], atol=1e-9)
-        assert bm25_rank(["b"], self.DOCS) == [1, 0]
+        assert bm25_rank([["b"]], self.DOCS) == [[1, 0]]
 
     def test_repeated_query_terms_double(self):
-        once = bm25_scores(["b"], self.DOCS)
-        twice = bm25_scores(["b", "b"], self.DOCS)
+        once = bm25_scores([["b"]], self.DOCS)[0]
+        twice = bm25_scores([["b", "b"]], self.DOCS)[0]
         np.testing.assert_allclose(twice, 2 * once, atol=1e-12)
 
     def test_absent_term_and_empty_query(self):
-        np.testing.assert_array_equal(bm25_scores(["zzz"], self.DOCS), [0.0, 0.0])
-        assert bm25_rank([], self.DOCS) == [0, 1]
-        assert bm25_rank(["zzz"], self.DOCS, ids=["d1", "d0"]) == ["d0", "d1"]
+        np.testing.assert_array_equal(bm25_scores([["zzz"]], self.DOCS)[0], [0.0, 0.0])
+        assert bm25_rank([[]], self.DOCS) == [[0, 1]]
+        assert bm25_rank([["zzz"]], self.DOCS, ids=["d1", "d0"]) == [["d0", "d1"]]
 
     def test_idf_nonnegative_even_for_ubiquitous_terms(self):
         docs = [["x"], ["x"], ["x"]]
-        scores = bm25_scores(["x"], docs)
+        scores = bm25_scores([["x"]], docs)[0]
         assert np.all(scores > 0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            bm25_scores(["a"], [])
+            bm25_scores([["a"]], [])
+
+    def test_string_query_rejected(self):
+        # A string is a sequence of one-letter tokens: the query "ab" would
+        # silently score as the query "a", "b".
+        with pytest.raises(TypeError, match="query 0 is a string"):
+            bm25_scores(["ab"], self.DOCS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=8
+        ),
+        queries=st.lists(
+            st.lists(st.sampled_from("abcdexy"), max_size=5), min_size=1, max_size=5
+        ),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    def test_batch_equals_scalar_oracle(self, corpus, queries, k1, b):
+        want = np.stack([oracle_bm25(q, corpus, k1, b) for q in queries])
+        assert np.array_equal(bm25_scores(queries, corpus, k1, b), want)
 
 
 class TestRetrievalSet:

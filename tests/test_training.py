@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence
-from ulrlab.encoder import EncoderConfig, Model, load_checkpoint, save_checkpoint
+from ulrlab.encoder import (
+    EncoderConfig,
+    Model,
+    forward,
+    load_checkpoint,
+    mlm_log_probs,
+    save_checkpoint,
+)
 from ulrlab.ngram import NgramTable, Span, SpanAnnotation
 from ulrlab.training import (
     METRICS_HEADER,
@@ -202,8 +209,8 @@ class TestScoreSpans:
         ids = list(frame(s.ids))
         for pos in range(span.start, span.end + 1):
             ids[pos] = MASK_ID
-        hidden = model.forward(np.array([ids]))
-        log_probs = model.mlm_log_probs(hidden)
+        hidden = forward(model.params, model.config, np.array([ids]))
+        log_probs = mlm_log_probs(hidden, model.params)
         probs = [
             math.exp(log_probs[0, pos, s.ids[pos - 1]])
             for pos in range(span.start, span.end + 1)
