@@ -34,6 +34,34 @@ INIT_STD = 0.02
 _SQRT1_2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
+# Cephes ndtr.c coefficients, highest power first.  The leading 1 of U and Q
+# is implied there; 1 * x is exact, so spelling it out changes no bits.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+# Cephes rounds erf(x) to exactly 1 from x ~ 5.92 on (erfc(x) < 2**-54), so
+# clamping |x| here changes no result and spares Cephes' x >= 8 branch.
+_ERF_SATURATES = 6.0
+# Elements per pass of erf.  Every pass reuses three float64 work buffers of
+# this size (64 KB each), which stay in cache between the encoder's larger
+# activations; whole-array passes made span scoring slower.
+_ERF_CHUNK = 8192
+
 
 class ConfigError(ValueError):
     """Raised when an encoder configuration violates a constraint."""
@@ -171,16 +199,65 @@ def layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
     return dx, dg, db
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # on first use: mining and BM25 never load scipy
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise: a numpy port of the Cephes
+    rational approximations that ``scipy.special.erf`` evaluates.
 
-    return 0.5 * x * (1.0 + erf(x * _SQRT1_2))
+    Computed in float64 and cast back to the input dtype, so float32
+    results match scipy bit for bit; in float64 they can differ from it
+    by one ulp where |x| > 1, from numpy's ``exp``.  ±0 keeps its sign,
+    ±inf gives ±1 and NaN propagates, without floating-point warnings.
+    """
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.float64)
+    work = np.empty((3, min(flat.size, _ERF_CHUNK)))
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        part = flat[lo : lo + _ERF_CHUNK]
+        y = out[lo : lo + part.size]
+        a, z, den = work[:, : part.size]
+        np.minimum(np.abs(part, out=a), _ERF_SATURATES, out=a)
+        np.multiply(a, a, out=z)
+        # |x| <= 1: erf(x) = x T(x^2) / U(x^2)
+        _polevl(z, _ERF_T, y)
+        y *= a
+        y /= _polevl(z, _ERF_U, den)
+        # |x| > 1: erf(x) = 1 - exp(-x^2) P(x) / Q(x), at those elements only
+        big = np.flatnonzero(a > 1.0)
+        if big.size:
+            ab, e = a[big], np.exp(-z[big])
+            buf = np.empty_like(ab)
+            e *= _polevl(ab, _ERFC_P, buf)
+            e /= _polevl(ab, _ERFC_Q, buf)
+            y[big] = 1.0 - e
+        np.copysign(y, part, out=y)
+    return out.astype(x.dtype, copy=False).reshape(x.shape)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
+def _polevl(x: np.ndarray, coefs: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """Horner's rule into ``out`` (not ``x``), highest power first,
+    rounding as Cephes ``polevl``."""
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
 
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-erf GELU, x Φ(x).
+
+    Returns ``(gelu(x), erf_term)`` with ``erf_term = 1 + erf(x/√2)``,
+    which :func:`gelu_grad` reuses instead of evaluating erf again.
+    """
+    erf_term = 1.0 + erf(x * _SQRT1_2)
+    return 0.5 * x * erf_term, erf_term
+
+
+def gelu_grad(x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
+    """d GELU / dx at ``x``, given the ``erf_term`` :func:`gelu` returned."""
+    return 0.5 * erf_term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
@@ -224,6 +301,7 @@ def forward(
     train: bool = False,
     rng_tag: tuple[int, int, str] | None = None,
     want_cache: bool = False,
+    rows: tuple[Sequence[int], Sequence[int]] | None = None,
 ):
     """Run the encoder.
 
@@ -233,6 +311,11 @@ def forward(
     logits, so outputs at real positions do not depend on pad content.  Dropout is applied only
     when ``train`` is set; it then requires ``rng_tag=(seed, step,
     name)`` for reproducible masks.
+
+    ``rows=(batch_index, position)`` returns only those (M, d) rows of
+    ``hidden``, bit for bit: the last layer's attention reads every
+    position, but its output projection, feed-forward and layer norms
+    run at the requested rows alone.  It excludes dropout and the cache.
     """
     ids, mask = _as_batch(ids, mask, config)
     b, length = ids.shape
@@ -240,6 +323,8 @@ def forward(
     use_dropout = train and config.dropout > 0.0
     if use_dropout and rng_tag is None:
         raise ValueError("train-mode dropout requires rng_tag=(seed, step, name)")
+    if rows is not None and (use_dropout or want_cache):
+        raise ValueError("rows= runs without dropout and returns no cache")
     rate = config.dropout
 
     def drop(x: np.ndarray, site: str, store: dict):
@@ -278,6 +363,12 @@ def forward(
         probs_d = drop(probs, "attn_probs", lc["dropout"])
         lc["attn_probs_dropped"] = probs_d
         ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
+        if rows is not None and i == config.n_layers - 1:
+            n_rows = len(rows[0])
+            # numpy sends a one-row product to gemv, whose sums round
+            # unlike the per-sequence gemm; compute such a row twice.
+            take = tuple(np.repeat(r, 2) for r in rows) if n_rows == 1 else rows
+            ctx, x = ctx[take], x[take]
         lc["ctx"] = ctx
         ao = ctx @ params[p + "attn_o_w"] + params[p + "attn_o_b"]
         ao = drop(ao, "attn_out", lc["dropout"])
@@ -287,9 +378,8 @@ def forward(
         lc["attn_ln"] = attn_ln
         lc["x_mid"] = x
         t = x @ params[p + "ff_w1"] + params[p + "ff_b1"]
-        a = gelu(t)
-        lc["ff_pre"] = t
-        lc["ff_act"] = a
+        a, erf_term = gelu(t)
+        lc.update(ff_pre=t, ff_erf=erf_term, ff_act=a)
         f = a @ params[p + "ff_w2"] + params[p + "ff_b2"]
         f = drop(f, "ff_out", lc["dropout"])
         x, ff_ln = layer_norm(x + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
@@ -298,6 +388,8 @@ def forward(
 
     if want_cache:
         return x, cache
+    if rows is not None:
+        return x[:n_rows]
     return x
 
 
@@ -350,7 +442,7 @@ def backward(
         grads[p + "ff_w2"] += dw
         grads[p + "ff_b2"] += db2
         da = df @ params[p + "ff_w2"].T
-        dt = da * gelu_grad(lc["ff_pre"])
+        dt = da * gelu_grad(lc["ff_pre"], lc["ff_erf"])
         dw, db1 = _linear_param_grads(lc["x_mid"], dt)
         grads[p + "ff_w1"] += dw
         grads[p + "ff_b1"] += db1
@@ -490,13 +582,13 @@ def mlm_head_rows(params: dict[str, np.ndarray], rows: np.ndarray):
     Returns ``(log_probs (M, V), cache)``.
     """
     t = rows @ params["mlm_w"] + params["mlm_b"]
-    a = gelu(t)
+    a, erf_term = gelu(t)
     h, ln = layer_norm(a, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = h @ params["tok_emb"].T + params["mlm_out_b"]
     shifted = logits - logits.max(-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(-1, keepdims=True))
     log_probs = shifted - lse
-    cache = {"rows": rows, "t": t, "h": h, "ln": ln, "log_probs": log_probs}
+    cache = {"rows": rows, "t": t, "erf": erf_term, "h": h, "ln": ln, "log_probs": log_probs}
     return log_probs, cache
 
 
@@ -519,7 +611,7 @@ def mlm_head_rows_backward(
     da, dg, db = layer_norm_backward(dh, cache["ln"], params["mlm_ln_g"])
     grads["mlm_ln_g"] += dg
     grads["mlm_ln_b"] += db
-    dt = da * gelu_grad(cache["t"])
+    dt = da * gelu_grad(cache["t"], cache["erf"])
     dw, dbt = _linear_param_grads(cache["rows"], dt)
     grads["mlm_w"] += dw
     grads["mlm_b"] += dbt

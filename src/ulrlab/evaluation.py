@@ -112,9 +112,11 @@ class WordVectorEmbedder:
     """Bag-of-words baseline: average static word vectors.
 
     Tokens missing from the vector table are skipped; a text with no
-    known tokens cannot be embedded.  The token order of the source
-    table is preserved and exposed as ``vocabulary`` so the same object
-    can serve as the reference for candidate construction.
+    known tokens cannot be embedded.  Vectors are summed in sorted token
+    order, so texts with the same bag of words embed to the same bits and
+    their ties fall to the tie rules, not to rounding.  The token order
+    of the source table is preserved and exposed as ``vocabulary`` so the
+    same object can serve as the reference for candidate construction.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
@@ -156,7 +158,7 @@ class WordVectorEmbedder:
             tokens = tokenize(text)
             if not tokens:
                 raise ValueError(f"cannot embed empty text {text!r}")
-            known = [self._vectors[t] for t in tokens if t in self._vectors]
+            known = [self._vectors[t] for t in sorted(tokens) if t in self._vectors]
             if not known:
                 raise ValueError(f"no known tokens in text {text!r}")
             rows.append(np.mean(known, axis=0))

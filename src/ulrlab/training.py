@@ -114,9 +114,10 @@ def score_spans(
 
     Each span is masked on its own copy of its framed sequence, and the
     copies of the whole batch share one padded forward pass without
-    dropout.  The score is the mean probability the head assigns to the
-    true tokens; low scores mark spans the model does not yet treat as
-    units.  Returns one list per pair, in span order.
+    dropout, whose last layer finishes only at the masked rows.  The
+    score is the mean probability the head assigns to the true tokens;
+    low scores mark spans the model does not yet treat as units.
+    Returns one list per pair, in span order.
     """
     variants: list[list[int]] = []
     owned: list[tuple[EncodedSequence, Span]] = []
@@ -128,15 +129,15 @@ def score_spans(
             owned.append((seq, span))
     if not variants:
         return [[] for _ in pairs]
-    ids, mask = pad_batch(variants, pad_id=PAD_ID)
-    hidden = forward(model.params, model.config, ids, mask, train=False)
     row_owner, cols, targets = [], [], []
     for vi, (seq, span) in enumerate(owned):
         for pos in range(span.start, span.end + 1):
             row_owner.append(vi)
             cols.append(pos)
             targets.append(seq.ids[pos - 1])
-    log_probs, _ = mlm_head_rows(model.params, hidden[row_owner, cols])
+    ids, mask = pad_batch(variants, pad_id=PAD_ID)
+    hidden = forward(model.params, model.config, ids, mask, rows=(row_owner, cols))
+    log_probs, _ = mlm_head_rows(model.params, hidden)
     token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
     sums = np.zeros(len(variants))
     np.add.at(sums, row_owner, token_probs)

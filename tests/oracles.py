@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from ulrlab.corpus import CLS_ID, MASK_ID, PAD_ID, SEP_ID
+from ulrlab.encoder import forward, mlm_head_rows
 from ulrlab.ngram import Span
 
 
@@ -166,3 +168,38 @@ def oracle_bm25(query_tokens, corpus_tokens, k1=1.2, b=0.75):
             denom = tf + k1 * (1.0 - b + b * lengths[di] / avg_len)
             scores[di] += idf * tf * (k1 + 1.0) / denom
     return scores
+
+
+def oracle_score_spans(pairs, model):
+    """Span scores from a full forward pass: every layer at every position
+    of the padded batch of masked copies, then the MLM head at the masked
+    rows and a running mean per span.
+
+    It shares the encoder and the head with the package: what it checks
+    is that scoring only the masked rows changes no bit.
+    """
+    variants, picks = [], []
+    for seq, ann in pairs:
+        for span in ann.spans:
+            ids = [CLS_ID, *seq.ids, SEP_ID]
+            for pos in range(span.start, span.end + 1):
+                ids[pos] = MASK_ID
+            variants.append(ids)
+            picks.append([(pos, seq.ids[pos - 1]) for pos in range(span.start, span.end + 1)])
+    if not variants:
+        return [[] for _ in pairs]
+    length = max(len(v) for v in variants)
+    ids = np.array([v + [PAD_ID] * (length - len(v)) for v in variants], dtype=np.int64)
+    mask = np.array([[j < len(v) for j in range(length)] for v in variants])
+    hidden = forward(model.params, model.config, ids, mask)
+    rows = [(vi, pos) for vi, pick in enumerate(picks) for pos, _ in pick]
+    log_probs, _ = mlm_head_rows(model.params, hidden[tuple(np.array(rows).T)])
+    scores, j = [], 0
+    for pick in picks:
+        total = 0.0
+        for _, target in pick:
+            total += float(np.exp(log_probs[j, target]))
+            j += 1
+        scores.append(total / len(pick))
+    flat = iter(scores)
+    return [[next(flat) for _ in ann.spans] for _, ann in pairs]

@@ -150,35 +150,6 @@ class TestExtractNgrams:
         assert code == 1
         assert stderr.splitlines()[-1].startswith("error:")
 
-    def test_mining_and_bm25_never_import_scipy(self, workspace, tmp_path):
-        # scipy only serves the encoder's GELU; loading it costs mining runs
-        # a third of their wall time.
-        corpus_path = tmp_path / "c.tsv"
-        corpus_path.write_text("d0\ta b a\nd1\tb c\n")
-        queries_path = tmp_path / "q.tsv"
-        queries_path.write_text("b\td1\n")
-        runs = [
-            ["extract-ngrams", "--corpus", str(workspace / "corpus.txt"),
-             "--min-count", "1", "--out", str(tmp_path / "t.tsv")],
-            ["eval-retrieval", "--backend", "bm25",
-             "--corpus", str(corpus_path), "--queries", str(queries_path)],
-        ]
-        script = (
-            "import json, sys\n"
-            "from ulrlab.cli import main\n"
-            "assert 'scipy' not in sys.modules, 'import ulrlab.cli loaded scipy'\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert main(argv) == 0, argv[0]\n"
-            "    assert 'scipy' not in sys.modules, f'{argv[0]} loaded scipy'\n"
-        )
-        src = str(Path(ulrlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(runs)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-
     def test_missing_required_setting(self, capsys, tmp_path):
         code, _, stderr = run(capsys, ["extract-ngrams", "--out", str(tmp_path / "t")])
         assert code == 1
@@ -533,3 +504,49 @@ class TestEmbed:
                 "--vocab", str(extracted["vocab"]), "--texts", str(texts_file),
                 "--pooling", "sum",
             ])
+
+
+def test_no_command_imports_scipy(workspace, tmp_path):
+    # The encoder's GELU uses its own erf; importing scipy.special would
+    # cost every process ~0.3 s and ~16 MB.
+    corpus_path = tmp_path / "c.tsv"
+    corpus_path.write_text("d0\tred fox jumps\nd1\tblue bird sings\n")
+    queries_path = tmp_path / "q.tsv"
+    queries_path.write_text("blue bird\td1\n")
+    texts_path = tmp_path / "texts.txt"
+    texts_path.write_text("red fox jumps\nblue bird sings\n")
+    analogy_path = tmp_path / "analogy.tsv"
+    write_analogy_file(
+        [AnalogyQuestion("capital-common", "red", "fox", "blue", ("bird", "dog"), 0)],
+        analogy_path,
+    )
+    table, ckpt = tmp_path / "t.tsv", tmp_path / "m.ckpt"
+    model = ["--checkpoint", str(ckpt), "--vocab", str(tmp_path / "t.tsv.vocab")]
+    retrieval = ["eval-retrieval", "--corpus", str(corpus_path), "--queries", str(queries_path)]
+    runs = [
+        ["extract-ngrams", "--corpus", str(workspace / "corpus.txt"),
+         "--min-count", "1", "--n-max", "3", "--out", str(table)],
+        ["train", "--corpus", str(workspace / "corpus.txt"), "--table", str(table),
+         "--vocab", str(tmp_path / "t.tsv.vocab"), "--d-model", "16", "--n-heads", "2",
+         "--n-layers", "1", "--d-ff", "32", "--max-len", "16",
+         "--total-steps", "2", "--batch-size", "8", "--out", str(ckpt)],
+        ["embed", *model, "--texts", str(texts_path), "--out", str(tmp_path / "e.txt")],
+        ["eval-analogy", "--dataset", str(analogy_path), *model],
+        [*retrieval, "--backend", "model", *model],
+        [*retrieval, "--backend", "bm25"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from ulrlab.cli import main\n"
+        "assert 'scipy' not in sys.modules, 'import ulrlab.cli loaded scipy'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv[0]\n"
+        "    assert 'scipy' not in sys.modules, f'{argv[0]} loaded scipy'\n"
+    )
+    src = str(Path(ulrlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ulrlab.encoder import (
     EncoderConfig,
     Model,
     backward,
+    erf,
     expected_shapes,
     forward,
     init_params,
@@ -153,6 +155,33 @@ class TestForward:
         with pytest.raises(ValueError, match="max_len"):
             forward(params, TINY, ids)
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    def test_rows_match_full_pass_bit_for_bit(self, n_rows):
+        # At d_model 64 a one-row product (gemv) rounds unlike the gemm of
+        # the full pass, so a single requested row is the sharpest case.
+        cfg = EncoderConfig(vocab_size=50, d_model=64, n_heads=2, n_layers=2, d_ff=128,
+                            max_len=32, seed=4)
+        rng = np.random.default_rng(n_rows)
+        params = init_params(cfg)
+        for name in params:
+            params[name] += rng.normal(0.0, 0.05, params[name].shape).astype(np.float32)
+        ids, mask = tiny_batch(rng, b=4, length=10)
+        batch_index = rng.integers(0, 4, size=n_rows)
+        position = rng.integers(0, mask.sum(1)[batch_index])
+        full = forward(params, cfg, ids, mask)
+        rows = forward(params, cfg, ids, mask, rows=(batch_index, position))
+        assert np.array_equal(rows, full[batch_index, position])
+
+    def test_rows_exclude_dropout_and_cache(self):
+        params = init_params(TINY)
+        ids, mask = tiny_batch(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rows="):
+            forward(params, TINY, ids, mask, want_cache=True, rows=([0], [1]))
+        cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                            max_len=32, dropout=0.1)
+        with pytest.raises(ValueError, match="rows="):
+            forward(params, cfg, ids, mask, train=True, rng_tag=(0, 0, "s"), rows=([0], [1]))
+
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
         params = init_params(TINY)
@@ -161,6 +190,46 @@ class TestForward:
         h2 = forward(params, TINY, ids, mask)
         assert np.array_equal(h1, h2)
         assert np.array_equal(pool(h1, mask, "cls", params), pool(h2, mask, "cls", params))
+
+
+class TestErf:
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 4.5, -4.5, 8.0, -8.0, 1e-45, -1e-45, 1e-40,
+               1.17549435e-38, np.inf, -np.inf, np.nan]
+
+    def test_float32_matches_scipy_bit_for_bit(self):
+        special = pytest.importorskip("scipy.special")
+        one = np.float32(1.0)
+        x = np.concatenate([
+            np.linspace(-6.0, 6.0, 1_200_001, dtype=np.float32),
+            np.array(self.SPECIAL, dtype=np.float32),
+            [np.nextafter(one, 2 * one), np.nextafter(one, 0 * one),
+             -np.nextafter(one, 2 * one), -np.nextafter(one, 0 * one)],
+        ])
+        got = erf(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), special.erf(x).view(np.uint32))
+
+    def test_float64_within_three_ulp_of_math_erf(self):
+        # Cephes documents a peak relative error of 3.7e-16 on [0, 1]; this
+        # grid meets it (3 ulp) at four points between |x| = 0.86 and 0.96.
+        x = np.concatenate([np.linspace(-7.0, 7.0, 200_001), np.geomspace(1e-300, 7.0, 2_001)])
+        want = np.array([math.erf(v) for v in x])
+        got = erf(x)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 3 * np.spacing(np.abs(want)))
+
+    def test_edge_values_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dtype in (np.float32, np.float64):
+                got = erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype))
+                assert np.array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+                assert list(np.signbit(got[:2])) == [False, True]
+                assert np.isnan(got[4])
+
+    def test_keeps_shape(self):
+        assert erf(np.zeros((2, 0, 3), dtype=np.float32)).shape == (2, 0, 3)
+        assert erf(np.full((3, 4), 0.5)).shape == (3, 4)
 
 
 class TestDropout:

@@ -367,6 +367,19 @@ class TestWordVectorEmbedder:
         got = embed_corpus(["the red fox"], emb)[0]  # "the" unknown, skipped
         np.testing.assert_allclose(got, np.array([1.0, 1.0]) / math.sqrt(2))
 
+    def test_word_order_does_not_change_bits(self):
+        # 1e16 + 1 rounds to 1e16: summed in text order, "big one neg"
+        # would point along (0, 1) and "big neg one" along (1, 1).
+        emb = WordVectorEmbedder({
+            "big": (1e16, 0.0), "neg": (-1e16, 0.0), "one": (1.0, 1.0),
+            "x": (1.0, 0.0), "x2": (1.0, 0.0), "y": (0.0, 1.0),
+        })
+        rows = emb.embed_many(["big neg one", "big one neg", "one neg big"])
+        assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
+        # The same bag gives the same cosine, so the tie goes to the lowest index.
+        q = AnalogyQuestion("t", "x", "y", "x2", ("big neg one", "big one neg"), 0)
+        assert answer_analogy(q, emb) == 0
+
     def test_unit_norm_output(self):
         emb = WordVectorEmbedder({"a": (3.0, 4.0)})
         assert np.linalg.norm(embed_corpus(["a"], emb)[0]) == pytest.approx(1.0)

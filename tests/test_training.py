@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_score_spans
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence
 from ulrlab.encoder import (
@@ -88,7 +89,8 @@ class TestSelectSpan:
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
     def test_invariant_under_monotone_transform(self, scores):
-        assert select_span(scores) == select_span([s * 3.0 + 1.0 for s in scores])
+        # Scaling by a power of two is exact, so it keeps every order and tie.
+        assert select_span(scores) == select_span([s * 4.0 for s in scores])
 
 
 class TestSplitSequence:
@@ -246,6 +248,27 @@ class TestScoreSpans:
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             score_spans([one_pair((10, 11), Span(2, 3))], Model.init(CFG))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_equals_full_forward_oracle(self, pooling, dropout):
+        # Scoring uses neither pooling nor dropout; two training steps with
+        # them give each case its own parameters.
+        cfg = EncoderConfig(
+            vocab_size=50, d_model=64, n_heads=2, n_layers=2, d_ff=128, max_len=32,
+            dropout=dropout, seed=5,
+        )
+        model = Model.init(cfg)
+        rng = np.random.default_rng(5)
+        pairs = []
+        for n in (3, 5, 8, 12, 14):
+            ids = tuple(rng.integers(NUM_SPECIALS, 50, size=n).tolist())
+            pairs.append(one_pair(ids, Span(1, 2), *([Span(4, min(n, 6))] if n >= 4 else [])))
+        state = init_optimizer(model.params, total_steps=2, peak_lr=1e-2)
+        for _ in range(2):
+            train_step(make_examples(pairs, model), model, state,
+                       pooling_for_misad=pooling, seed=5)
+        assert score_spans(pairs, model) == oracle_score_spans(pairs, model)
 
 
 class TestMakeExamples:
