@@ -14,7 +14,7 @@ import argparse
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -27,6 +27,7 @@ from .corpus import (
     tokenize,
 )
 from .encoder import (
+    POOLING_STRATEGIES,
     CheckpointError,
     ConfigError,
     EncoderConfig,
@@ -75,71 +76,84 @@ def _int_or_none(text: str):
 
 @dataclass(frozen=True)
 class Setting:
+    """One config key: its converter, default and command-line flag.
+
+    The flag is ``--`` plus the key with dashes, unless ``flag`` names it.
+    """
+
     convert: Callable[[str], Any]
     default: Any = None
     required: bool = False
+    help: str | None = None
+    flag: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
+OUT_HELP = "primary output path"
+
+# Each command's keys in the order its --help lists them.
 COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
     "extract-ngrams": {
-        "corpus": Setting(str, required=True),
-        "n_max": Setting(int, 6),
-        "pmi_threshold": Setting(float, 0.0),
-        "per_doc_top_k": Setting(_int_or_none, 3000),
+        "out": Setting(str, required=True, help=OUT_HELP),
+        "corpus": Setting(str, required=True, help="input corpus, one document per line"),
+        "n_max": Setting(int, 6, help="longest n-gram length"),
+        "pmi_threshold": Setting(float, 0.0, flag="--threshold",
+                                 help="global PMI threshold (strictly greater-than)"),
+        "per_doc_top_k": Setting(_int_or_none, 3000, flag="--top-k",
+                                 help="per-document top-K cap, or 'none'"),
         "min_count": Setting(int, 5),
         "max_size": Setting(int, 50_000),
-        "entities": Setting(str, None),
-        "vocab_out": Setting(str, None),
-        "out": Setting(str, required=True),
+        "entities": Setting(str, help="privileged entity n-grams, one per line"),
+        "vocab_out": Setting(str, help="vocabulary output path"),
     },
     "train": {
+        "out": Setting(str, required=True, help=OUT_HELP),
+        "seed": Setting(int, 0, help="master random seed"),
         "corpus": Setting(str, required=True),
-        "table": Setting(str, required=True),
-        "vocab": Setting(str, required=True),
+        "table": Setting(str, required=True, help="n-gram table file"),
+        "vocab": Setting(str, required=True, help="vocabulary file"),
+        "total_steps": Setting(int, required=True),
+        "batch_size": Setting(int, 64),
         "d_model": Setting(int, 64),
         "n_heads": Setting(int, 2),
         "n_layers": Setting(int, 2),
         "d_ff": Setting(int, 128),
         "max_len": Setting(int, 128),
         "dropout": Setting(float, 0.1),
-        "total_steps": Setting(int, required=True),
-        "batch_size": Setting(int, 64),
         "peak_lr": Setting(float, 5e-5),
         "warmup_fraction": Setting(float, 0.1),
         "mask_rate": Setting(float, 0.15),
-        "pooling_for_misad": Setting(str, "cls"),
+        "pooling_for_misad": Setting(str, "cls", choices=POOLING_STRATEGIES),
         "misad_weight": Setting(float, 1.0),
         "mlm_weight": Setting(float, 1.0),
-        "metrics_out": Setting(str, None),
-        "out": Setting(str, required=True),
-        "seed": Setting(int, 0),
+        "metrics_out": Setting(str),
     },
     "eval-analogy": {
-        "dataset": Setting(str, required=True),
-        "checkpoint": Setting(str, None),
-        "vocab": Setting(str, None),
-        "vectors": Setting(str, None),
-        "pooling": Setting(str, "mean"),
-        "out": Setting(str, None),
+        "out": Setting(str, help=OUT_HELP),
+        "dataset": Setting(str, required=True, help="analogy TSV file"),
+        "checkpoint": Setting(str),
+        "vocab": Setting(str),
+        "vectors": Setting(str, help="static word-vector file"),
+        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
     },
     "eval-retrieval": {
-        "backend": Setting(str, required=True),
-        "corpus": Setting(str, required=True),
-        "queries": Setting(str, required=True),
-        "checkpoint": Setting(str, None),
-        "vocab": Setting(str, None),
-        "vectors": Setting(str, None),
-        "pooling": Setting(str, "mean"),
-        "ks": Setting(str, "1,5,10"),
-        "group_by_length": Setting(_int_or_none, None),
-        "out": Setting(str, None),
+        "out": Setting(str, help=OUT_HELP),
+        "backend": Setting(str, required=True, help="model | vectors | bm25"),
+        "corpus": Setting(str, required=True, help="retrieval corpus TSV (id, text)"),
+        "queries": Setting(str, required=True, help="queries TSV (text, gold ids)"),
+        "checkpoint": Setting(str),
+        "vocab": Setting(str),
+        "vectors": Setting(str),
+        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
+        "ks": Setting(str, "1,5,10", help="comma-separated cutoffs, default 1,5,10"),
+        "group_by_length": Setting(_int_or_none, help="bucket queries by token count"),
     },
     "embed": {
+        "out": Setting(str, help=OUT_HELP),
         "checkpoint": Setting(str, required=True),
         "vocab": Setting(str, required=True),
-        "texts": Setting(str, required=True),
-        "pooling": Setting(str, "mean"),
-        "out": Setting(str, None),
+        "texts": Setting(str, required=True, help="input texts, one per line"),
+        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
     },
 }
 
@@ -252,26 +266,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     table = load_table(cfg["table"], vocab)
     enc_config = EncoderConfig(
         vocab_size=len(vocab),
-        d_model=cfg["d_model"],
-        n_heads=cfg["n_heads"],
-        n_layers=cfg["n_layers"],
-        d_ff=cfg["d_ff"],
-        max_len=cfg["max_len"],
-        dropout=cfg["dropout"],
-        seed=cfg["seed"],
+        **{f.name: cfg[f.name] for f in fields(EncoderConfig) if f.name != "vocab_size"},
     )
     model = Model.init(enc_config)
-    train_config = TrainingConfig(
-        total_steps=cfg["total_steps"],
-        batch_size=cfg["batch_size"],
-        peak_lr=cfg["peak_lr"],
-        warmup_fraction=cfg["warmup_fraction"],
-        mask_rate=cfg["mask_rate"],
-        pooling_for_misad=cfg["pooling_for_misad"],
-        misad_weight=cfg["misad_weight"],
-        mlm_weight=cfg["mlm_weight"],
-        seed=cfg["seed"],
-    )
+    train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     trainer = Trainer(model, table, sequences, train_config)
     metrics_path = cfg["metrics_out"] or f"{cfg['out']}.metrics.tsv"
     rows = trainer.run(metrics_path=metrics_path)
@@ -290,9 +288,7 @@ def _build_embedder(cfg: dict[str, Any]):
         if not cfg.get("vocab"):
             raise CliError("a checkpoint embedder needs a vocab file (--vocab)")
         vocab = Vocabulary.load(cfg["vocab"])
-        return ModelEmbedder.from_checkpoint(
-            cfg["checkpoint"], vocab, pooling=cfg.get("pooling", "mean")
-        )
+        return ModelEmbedder.from_checkpoint(cfg["checkpoint"], vocab, pooling=cfg["pooling"])
     raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
 
 
@@ -365,10 +361,7 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     cfg = resolve_config("embed", args)
-    vocab = Vocabulary.load(cfg["vocab"])
-    embedder = ModelEmbedder.from_checkpoint(
-        cfg["checkpoint"], vocab, pooling=cfg["pooling"]
-    )
+    embedder = _build_embedder(cfg)
     with open(cfg["texts"], encoding="utf-8") as fh:
         texts = [line.rstrip("\n") for line in fh]
     matrix = embed_corpus(texts, embedder)
@@ -388,81 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
         "analogy/retrieval evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser):
+    commands = {
+        "extract-ngrams": (cmd_extract_ngrams, "mine a pruned PMI n-gram table"),
+        "train": (cmd_train, "train the encoder with the joint objective"),
+        "eval-analogy": (cmd_eval_analogy, "score analogy questions"),
+        "eval-retrieval": (cmd_eval_retrieval, "Top-k paraphrase retrieval"),
+        "embed": (cmd_embed, "write one unit-norm vector per input line"),
+    }
+    for command, (func, help_text) in commands.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value settings file")
         p.add_argument("--threads", type=int, help="bound on BLAS threads")
-        p.add_argument("--out", help="primary output path")
-
-    p = sub.add_parser("extract-ngrams", help="mine a pruned PMI n-gram table")
-    add_shared(p)
-    p.add_argument("--corpus", help="input corpus, one document per line")
-    p.add_argument("--n-max", dest="n_max", type=int, help="longest n-gram length")
-    p.add_argument("--threshold", dest="pmi_threshold", type=float,
-                   help="global PMI threshold (strictly greater-than)")
-    p.add_argument("--top-k", dest="per_doc_top_k", type=_int_or_none,
-                   help="per-document top-K cap, or 'none'")
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--max-size", dest="max_size", type=int)
-    p.add_argument("--entities", help="privileged entity n-grams, one per line")
-    p.add_argument("--vocab-out", dest="vocab_out", help="vocabulary output path")
-    p.set_defaults(func=cmd_extract_ngrams)
-
-    p = sub.add_parser("train", help="train the encoder with the joint objective")
-    add_shared(p)
-    p.add_argument("--seed", type=int, help="master random seed")
-    p.add_argument("--corpus")
-    p.add_argument("--table", help="n-gram table file")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--total-steps", dest="total_steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--d-ff", dest="d_ff", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--peak-lr", dest="peak_lr", type=float)
-    p.add_argument("--warmup-fraction", dest="warmup_fraction", type=float)
-    p.add_argument("--mask-rate", dest="mask_rate", type=float)
-    p.add_argument("--pooling-for-misad", dest="pooling_for_misad",
-                   choices=("cls", "mean", "max"))
-    p.add_argument("--misad-weight", dest="misad_weight", type=float)
-    p.add_argument("--mlm-weight", dest="mlm_weight", type=float)
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval-analogy", help="score analogy questions")
-    add_shared(p)
-    p.add_argument("--dataset", help="analogy TSV file")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--vectors", help="static word-vector file")
-    p.add_argument("--pooling", choices=("cls", "mean", "max"))
-    p.set_defaults(func=cmd_eval_analogy)
-
-    p = sub.add_parser("eval-retrieval", help="Top-k paraphrase retrieval")
-    add_shared(p)
-    p.add_argument("--backend", help="model | vectors | bm25")
-    p.add_argument("--corpus", help="retrieval corpus TSV (id, text)")
-    p.add_argument("--queries", help="queries TSV (text, gold ids)")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--vectors")
-    p.add_argument("--pooling", choices=("cls", "mean", "max"))
-    p.add_argument("--ks", help="comma-separated cutoffs, default 1,5,10")
-    p.add_argument("--group-by-length", dest="group_by_length", type=_int_or_none,
-                   help="bucket queries by token count")
-    p.set_defaults(func=cmd_eval_retrieval)
-
-    p = sub.add_parser("embed", help="write one unit-norm vector per input line")
-    add_shared(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--texts", help="input texts, one per line")
-    p.add_argument("--pooling", choices=("cls", "mean", "max"))
-    p.set_defaults(func=cmd_embed)
-
+        for key, s in COMMAND_SETTINGS[command].items():
+            p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key,
+                           type=s.convert, choices=s.choices, help=s.help)
+        p.set_defaults(func=func)
     return parser
 
 

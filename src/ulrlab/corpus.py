@@ -101,12 +101,6 @@ class Vocabulary:
         """Id of ``token``, falling back to the UNK id."""
         return self._token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
-    def count_of(self, idx: int) -> int:
-        return self._id_to_count[idx]
-
     def tokens(self) -> list[str]:
         """All tokens in id order."""
         return list(self._id_to_token)
@@ -187,9 +181,3 @@ def build_vocabulary(
 def encode(tokens: Sequence[str], vocab: Vocabulary) -> EncodedSequence:
     """Map tokens to ids; unknown tokens map to UNK.  Length-preserving."""
     return EncodedSequence(ids=tuple(vocab.id_of(t) for t in tokens))
-
-
-def decode(seq: EncodedSequence | Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Inverse of :func:`encode` for in-vocabulary ids."""
-    ids = seq.ids if isinstance(seq, EncodedSequence) else seq
-    return [vocab.token_of(i) for i in ids]

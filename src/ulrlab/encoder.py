@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -166,10 +166,6 @@ def init_params(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray
         else:
             params[name] = _truncated_normal(rng, shape, INIT_STD).astype(dtype)
     return params
-
-
-def parameter_count(config: EncoderConfig) -> int:
-    return sum(int(np.prod(s)) for s in expected_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +361,7 @@ def forward(
         ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
         if rows is not None and i == config.n_layers - 1:
             n_rows = len(rows[0])
-            # numpy sends a one-row product to gemv, whose sums round
-            # unlike the per-sequence gemm; compute such a row twice.
-            take = tuple(np.repeat(r, 2) for r in rows) if n_rows == 1 else rows
-            ctx, x = ctx[take], x[take]
+            ctx, x = _gemm_rows(ctx[rows]), _gemm_rows(x[rows])
         lc["ctx"] = ctx
         ao = ctx @ params[p + "attn_o_w"] + params[p + "attn_o_b"]
         ao = drop(ao, "attn_out", lc["dropout"])
@@ -391,6 +384,13 @@ def forward(
     if rows is not None:
         return x[:n_rows]
     return x
+
+
+def _gemm_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with a lone row repeated, for products whose rows must keep
+    the bits they have inside a batch: numpy sends a one-row product to
+    gemv, whose sums round unlike gemm.  Callers keep the first row."""
+    return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -522,7 +522,7 @@ def _pool_with_cache(hidden, mask, strategy, params):
         if params is None:
             raise ValueError("cls pooling requires encoder parameters")
         h0 = hidden[:, 0, :]
-        pooled = np.tanh(h0 @ params["pooler_w"] + params["pooler_b"])
+        pooled = np.tanh((_gemm_rows(h0) @ params["pooler_w"])[: len(h0)] + params["pooler_b"])
         return pooled, {"h0": h0, "pooled": pooled}
     if strategy == "mean":
         m = mask.astype(hidden.dtype)
@@ -618,13 +618,6 @@ def mlm_head_rows_backward(
     return dt @ params["mlm_w"].T
 
 
-def mlm_log_probs(hidden: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """(B, L, V) log-probabilities from the MLM head at every position."""
-    b, length, d = hidden.shape
-    log_probs, _ = mlm_head_rows(params, hidden.reshape(-1, d))
-    return log_probs.reshape(b, length, -1)
-
-
 # ---------------------------------------------------------------------------
 # model bundle and batching helpers
 
@@ -639,12 +632,6 @@ class Model:
     @classmethod
     def init(cls, config: EncoderConfig, dtype=np.float32) -> "Model":
         return cls(params=init_params(config, dtype=dtype), config=config)
-
-    def astype(self, dtype) -> "Model":
-        return Model(
-            params={k: v.astype(dtype) for k, v in self.params.items()},
-            config=self.config,
-        )
 
 
 def pad_batch(sequences: Sequence[Sequence[int]], pad_id: int = 0):

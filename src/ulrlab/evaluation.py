@@ -36,11 +36,6 @@ SYNTACTIC_CATEGORIES = frozenset(
     {"present-participle", "positive-comparative", "positive-negative"}
 )
 
-#: Currency analogies are skipped by template expansion: bag-of-words
-#: baselines already fail them at word level, so the expanded variants
-#: measure nothing.
-EXPANSION_EXCLUDED_CATEGORIES = frozenset({"currency", "country-currency"})
-
 
 class Embedder(Protocol):
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
@@ -73,10 +68,6 @@ class AnalogyQuestion:
                 f"answer_index {self.answer_index} outside candidates "
                 f"(n={len(self.candidates)})"
             )
-
-    @property
-    def answer(self) -> str:
-        return self.candidates[self.answer_index]
 
 
 @dataclass(frozen=True)
@@ -114,9 +105,7 @@ class WordVectorEmbedder:
     Tokens missing from the vector table are skipped; a text with no
     known tokens cannot be embedded.  Vectors are summed in sorted token
     order, so texts with the same bag of words embed to the same bits and
-    their ties fall to the tie rules, not to rounding.  The token order
-    of the source table is preserved and exposed as ``vocabulary`` so the
-    same object can serve as the reference for candidate construction.
+    their ties fall to the tie rules, not to rounding.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
@@ -135,22 +124,10 @@ class WordVectorEmbedder:
                     f"vector for {token!r} has dimension {arr.shape[0]}, expected {dim}"
                 )
             self._vectors[token] = arr
-        self._dim = dim
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordVectorEmbedder":
         return cls(read_word_vectors(path))
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
-    @property
-    def vocabulary(self) -> tuple[str, ...]:
-        return tuple(self._vectors)
-
-    def token_vector(self, token: str) -> np.ndarray | None:
-        return self._vectors.get(token)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         rows = []
@@ -187,10 +164,6 @@ class ModelEmbedder:
         cls, path: str | Path, vocab: Vocabulary, pooling: str = "mean"
     ) -> "ModelEmbedder":
         return cls(load_checkpoint(path), vocab, pooling)
-
-    @property
-    def dimension(self) -> int:
-        return self.model.config.d_model
 
     def _framed_ids(self, text: str) -> list[int]:
         tokens = tokenize(text)
@@ -301,127 +274,6 @@ def evaluate_analogy(
     return AnalogyReport(
         per_category={c: CategoryResult(v[0], v[1]) for c, v in counts.items()}
     )
-
-
-def build_candidates(
-    a: str,
-    b: str,
-    c: str,
-    gold: str,
-    reference_embedder: Embedder,
-    k: int = 5,
-    vocabulary: Sequence[str] | None = None,
-) -> list[str]:
-    """Negative-sample a candidate list: the k nearest neighbours of the
-    analogy target, with the gold answer forced in.
-
-    The reference embedder supplies the finite candidate vocabulary
-    (``vocabulary`` attribute) unless one is passed explicitly.  The
-    question's own a, b, c are excluded; if the gold answer misses the
-    top k, it replaces the last candidate.
-    """
-    if vocabulary is None:
-        vocabulary = getattr(reference_embedder, "vocabulary", None)
-        if vocabulary is None:
-            raise TypeError("reference embedder exposes no candidate vocabulary")
-    pool_texts = [t for t in vocabulary if t not in (a, b, c)]
-    if len(pool_texts) < k:
-        raise ValueError(
-            f"vocabulary of {len(pool_texts)} candidates is smaller than k={k}"
-        )
-    if gold not in pool_texts:
-        raise ValueError(f"gold answer {gold!r} not in candidate vocabulary")
-    va, vb, vc, *pool_vecs = embed_corpus([a, b, c, *pool_texts], reference_embedder)
-    target = vc + vb - va
-    scores = np.array([float(target @ v) for v in pool_vecs])
-    order = np.argsort(-scores, kind="stable")
-    top = [pool_texts[i] for i in order[:k]]
-    if gold not in top:
-        top[-1] = gold
-    return top
-
-
-TEMPLATE_SLOT = "{X}"
-
-
-def _synonym_variant(template: str, synonyms: Mapping[str, str]) -> str:
-    out = template
-    for phrase, replacement in synonyms.items():
-        out = out.replace(phrase, replacement)
-    return out
-
-
-def expand_templates(
-    pairs: Sequence[tuple[str, str]],
-    templates: Sequence[str],
-    synonyms: Mapping[str, str],
-    category: str,
-    num_candidates: int = 5,
-) -> list[AnalogyQuestion]:
-    """Lift word pairs into phrase/sentence analogy questions.
-
-    For every ordered pair of pairs (A, B) and (C, D) and every
-    template, the A and C slots use the plain template while the B and
-    D slots (and all candidates) use the synonym-substituted variant —
-    so a bag-of-words model cannot win on lexical overlap between the
-    question and answer sides.  Distractors are drawn from the other
-    pairs' answer words; candidates are sorted lexicographically.
-
-    Currency categories are excluded (empty result, with a warning).
-    """
-    if category in EXPANSION_EXCLUDED_CATEGORIES:
-        warnings.warn(f"category {category!r} is excluded from template expansion")
-        return []
-    for t in templates:
-        if t.count(TEMPLATE_SLOT) != 1:
-            raise ValueError(f"template must contain exactly one {TEMPLATE_SLOT} slot: {t!r}")
-    if not synonyms:
-        warnings.warn(
-            "empty synonym map: question and answer variants will be identical"
-        )
-    questions = []
-    for i, (word_a, word_b) in enumerate(pairs):
-        for j, (word_c, word_d) in enumerate(pairs):
-            if i == j:
-                continue
-            distractors = []
-            for pi, (_, other) in enumerate(pairs):
-                if other not in (word_b, word_d) and other not in distractors:
-                    distractors.append(other)
-            distractors = distractors[: num_candidates - 1]
-            for template in templates:
-                variant = _synonym_variant(template, synonyms)
-                gold_text = variant.replace(TEMPLATE_SLOT, word_d)
-                cand_texts = sorted(
-                    [variant.replace(TEMPLATE_SLOT, w) for w in distractors]
-                    + [gold_text]
-                )
-                questions.append(
-                    AnalogyQuestion(
-                        category=category,
-                        a=template.replace(TEMPLATE_SLOT, word_a),
-                        b=variant.replace(TEMPLATE_SLOT, word_b),
-                        c=template.replace(TEMPLATE_SLOT, word_c),
-                        candidates=tuple(cand_texts),
-                        answer_index=cand_texts.index(gold_text),
-                    )
-                )
-    return questions
-
-
-def question_length_stats(questions: Sequence[AnalogyQuestion]) -> dict[str, float]:
-    """Token-count statistics over every text in a question set."""
-    lengths = []
-    for q in questions:
-        for text in (q.a, q.b, q.c, *q.candidates):
-            lengths.append(len(tokenize(text)))
-    if not lengths:
-        return {"n_questions": 0, "mean_tokens": 0.0, "max_tokens": 0}
-    return {
-        "n_questions": len(questions),
-        "mean_tokens": float(np.mean(lengths)),
-        "max_tokens": int(max(lengths)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +448,6 @@ def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
     ]
 
 
-def write_analogy_file(questions: Sequence[AnalogyQuestion], path: str | Path) -> None:
-    lines = []
-    for q in questions:
-        for text in (q.a, q.b, q.c, *q.candidates):
-            if "\t" in text or "|" in text:
-                raise ValueError(f"text contains a reserved delimiter: {text!r}")
-        lines.append(
-            "\t".join(
-                [q.category, q.a, q.b, q.c, "|".join(q.candidates), str(q.answer_index)]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
     """TSV rows: id, text."""
     return [(doc_id, text) for doc_id, text in _read_tsv(path, 2)]
@@ -647,11 +485,3 @@ def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     if not vectors:
         raise ValueError(f"{path}: empty word-vector file")
     return vectors
-
-
-def write_word_vectors(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
-    lines = []
-    for token, vec in vectors.items():
-        comps = " ".join(f"{float(x):.8g}" for x in np.asarray(vec).ravel())
-        lines.append(f"{token} {comps}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

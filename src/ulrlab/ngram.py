@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -99,11 +98,6 @@ class RawNgramCounts:
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
 
-    @cached_property
-    def ngrams(self) -> Mapping[tuple[int, ...], int]:
-        """Read-only ``{id tuple: count}`` view."""
-        return MappingProxyType(dict(zip(_tuples(self.grams), self.counts.tolist())))
-
 
 def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCounts:
     """Count every contiguous n-gram of length 2..n_max plus all unigrams.
@@ -142,25 +136,6 @@ def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCo
     unigrams = dict(zip(uni_ids.tolist(), uni_counts.tolist()))
     grams, occurrences = np.vstack(blocks), (np.concatenate(docs), np.concatenate(rows))
     return RawNgramCounts(grams, np.concatenate(counts), unigrams, total, n_max, occurrences)
-
-
-def compute_pmi(w: Sequence[int], counts: RawNgramCounts) -> float:
-    """Length-normalized PMI of n-gram ``w`` under ``counts``.
-
-    Raises :class:`NgramError` if ``w`` or any of its tokens is unseen.
-    """
-    w = tuple(w)
-    if len(w) < 2:
-        raise NgramError(f"n-gram must have length >= 2, got {w}")
-    c_w = counts.ngrams.get(w, 0)
-    if c_w <= 0:
-        raise NgramError(f"unseen n-gram: {w}")
-    for x in w:
-        if counts.unigrams.get(x, 0) <= 0:
-            raise NgramError(f"unseen n-gram: token {x} of {w} has zero count")
-    unigrams = {x: counts.unigrams[x] for x in w}
-    single = RawNgramCounts(np.array([w]), np.array([c_w]), unigrams, counts.total_tokens, len(w))
-    return float(build_table(single).pmi[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +195,6 @@ class NgramTable:
     def entries(self) -> dict[tuple[int, ...], tuple[int, float]]:
         """``{id tuple: (count, pmi)}``, for lookups."""
         return dict(zip(_tuples(self.grams), zip(self.counts.tolist(), self.pmi.tolist())))
-
-    @cached_property
-    def privileged(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(_tuples(self.grams[self.is_privileged]))
 
 
 def build_table(counts: RawNgramCounts) -> NgramTable:

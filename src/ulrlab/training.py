@@ -190,21 +190,6 @@ def _misad_with_grads(e_w, e_r, e_s, weight: float):
     return loss, grads
 
 
-def misad_loss(e_w, e_r, e_s) -> float:
-    """Mean squared error between E^w + E^R and E^S on unit vectors.
-
-    Inputs may be single vectors or (n, d) stacks; each row is
-    normalized to unit length first.  Zero iff the normalized vectors
-    compose exactly.
-    """
-    e_w = np.atleast_2d(np.asarray(e_w, dtype=float))
-    e_r = np.atleast_2d(np.asarray(e_r, dtype=float))
-    e_s = np.atleast_2d(np.asarray(e_s, dtype=float))
-    if not e_w.shape == e_r.shape == e_s.shape:
-        raise ValueError("embedding shapes must match")
-    return _misad_with_grads(e_w, e_r, e_s, 1.0)[0]
-
-
 def mlm_loss(log_probs: np.ndarray, targets) -> float:
     """Mean negative log-likelihood over masked positions; 0 if none."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -521,30 +506,24 @@ def train_step(
     examples: Sequence[TrainingExample],
     model: Model,
     state: OptimizerState,
-    *,
-    pooling_for_misad: str = "cls",
-    mask_rate: float = 0.15,
-    misad_weight: float = 1.0,
-    mlm_weight: float = 1.0,
-    seed: int = 0,
-    use_dropout: bool = True,
+    config: TrainingConfig,
 ) -> LossReport:
     """One optimization step over pre-selected examples.
 
     Masking randomness and dropout streams are keyed by (seed, current
     step), so a rerun from the same state is bit-identical.
     """
-    mask_gen = step_rng(seed, state.step, "mlm")
-    batch = prepare_batch(examples, model.config.vocab_size, mask_gen, mask_rate)
+    mask_gen = step_rng(config.seed, state.step, "mlm")
+    batch = prepare_batch(examples, model.config.vocab_size, mask_gen, config.mask_rate)
     report, grads = loss_and_gradients(
         model.params,
         model.config,
         batch,
-        pooling=pooling_for_misad,
-        misad_weight=misad_weight,
-        mlm_weight=mlm_weight,
-        train=use_dropout,
-        dropout_tag=(seed, state.step),
+        pooling=config.pooling_for_misad,
+        misad_weight=config.misad_weight,
+        mlm_weight=config.mlm_weight,
+        train=True,
+        dropout_tag=(config.seed, state.step),
     )
     adam_step(params=model.params, grads=grads, state=state)
     return report
@@ -593,16 +572,7 @@ class Trainer:
                 idx = perm[lo : lo + cfg.batch_size]
                 examples = make_examples([self.pairs[i] for i in idx], self.model)
                 step_before = self.state.step
-                report = train_step(
-                    examples,
-                    self.model,
-                    self.state,
-                    pooling_for_misad=cfg.pooling_for_misad,
-                    mask_rate=cfg.mask_rate,
-                    misad_weight=cfg.misad_weight,
-                    mlm_weight=cfg.mlm_weight,
-                    seed=cfg.seed,
-                )
+                report = train_step(examples, self.model, self.state, cfg)
                 lr = lr_at(self.state.step, self.state)
                 self.metrics.append(
                     (step_before + 1, report.l_misad, report.l_mlm, report.l_total, lr)

@@ -1,0 +1,26 @@
+"""Small test helpers: fixture-file writers and a scalar MiSAD loss."""
+
+import numpy as np
+
+from ulrlab.training import _misad_with_grads
+
+
+def misad_loss(e_w, e_r, e_s) -> float:
+    """MiSAD loss of single vectors or (n, d) stacks, as training computes it."""
+    stacks = (np.atleast_2d(np.asarray(e, dtype=float)) for e in (e_w, e_r, e_s))
+    return _misad_with_grads(*stacks, 1.0)[0]
+
+
+def write_analogy_file(questions, path) -> None:
+    """TSV rows in the format ``read_analogy_file`` reads."""
+    lines = [
+        "\t".join([q.category, q.a, q.b, q.c, "|".join(q.candidates), str(q.answer_index)])
+        for q in questions
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_word_vectors(vectors, path) -> None:
+    """``token v1 .. vd`` rows in the format ``read_word_vectors`` reads."""
+    lines = [f"{t} {' '.join(f'{float(x):.8g}' for x in np.ravel(v))}" for t, v in vectors.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +11,11 @@ import numpy as np
 import pytest
 
 import ulrlab
-from ulrlab.cli import main, parse_config_file
+from helpers import write_analogy_file, write_word_vectors
+from ulrlab.cli import COMMAND_SETTINGS, build_parser, main, parse_config_file, resolve_config
 from ulrlab.corpus import Vocabulary
 from ulrlab.encoder import load_checkpoint
-from ulrlab.evaluation import (
-    AnalogyQuestion,
-    ModelEmbedder,
-    embed_corpus,
-    write_analogy_file,
-    write_word_vectors,
-)
+from ulrlab.evaluation import AnalogyQuestion, ModelEmbedder, embed_corpus
 
 CORPUS_LINES = [
     "red fox jumps over the lazy dog",
@@ -206,6 +202,55 @@ class TestConfigResolution:
         cfg.write_text("n_max = 2\nn_max = 3\n")
         with pytest.raises(Exception, match="duplicate"):
             parse_config_file(cfg)
+
+
+PARENT_FLAGS = {
+    "extract-ngrams": "--corpus --entities --max-size --min-count --n-max --out "
+                      "--threshold --top-k --vocab-out",
+    "train": "--batch-size --corpus --d-ff --d-model --dropout --mask-rate --max-len "
+             "--metrics-out --misad-weight --mlm-weight --n-heads --n-layers --out "
+             "--peak-lr --pooling-for-misad --seed --table --total-steps --vocab "
+             "--warmup-fraction",
+    "eval-analogy": "--checkpoint --dataset --out --pooling --vectors --vocab",
+    "eval-retrieval": "--backend --checkpoint --corpus --group-by-length --ks --out "
+                      "--pooling --queries --vectors --vocab",
+    "embed": "--checkpoint --out --pooling --texts --vocab",
+}
+
+
+def _file_and_flag_text(setting):
+    """Two distinct values a setting accepts, for the file and the flag."""
+    if setting.choices:
+        return setting.choices[0], setting.choices[-1]
+    if setting.convert is float:
+        return "0.5", "0.25"
+    if setting.convert is str:
+        return "from-file", "from-flag"
+    return "3", "7"
+
+
+class TestEverySetting:
+    @pytest.mark.parametrize("command", sorted(PARENT_FLAGS))
+    def test_help_lists_the_same_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--threads", *PARENT_FLAGS[command].split()}
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, settings in COMMAND_SETTINGS.items() for key in settings
+    ])
+    def test_flag_overrides_config_file(self, capsys, tmp_path, command, key):
+        settings = COMMAND_SETTINGS[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {_file_and_flag_text(s)[0]}\n" for k, s in settings.items()))
+        setting = settings[key]
+        flag = setting.flag or "--" + key.replace("_", "-")
+        flag_text = _file_and_flag_text(setting)[1]
+        args = build_parser().parse_args([command, "--config", str(cfg), flag, flag_text])
+        resolved = resolve_config(command, args)
+        assert resolved[key] == setting.convert(flag_text)
+        assert f"{key} = {setting.convert(flag_text)}" in capsys.readouterr().err.splitlines()
 
 
 class TestSeedOnlyOnTrain:

@@ -18,7 +18,6 @@ from ulrlab.corpus import (
     Document,
     Vocabulary,
     build_vocabulary,
-    decode,
     encode,
     read_corpus,
     tokenize,
@@ -56,7 +55,7 @@ class TestBuildVocabulary:
     def test_specials_occupy_first_five_ids(self):
         vocab = build_vocabulary(make_documents("a a a a a b"), min_count=1, max_size=10)
         for sid, token in enumerate(SPECIAL_TOKENS):
-            assert vocab.token_of(sid) == token
+            assert vocab.tokens()[sid] == token
         assert (PAD_ID, UNK_ID, MASK_ID, CLS_ID, SEP_ID) == (0, 1, 2, 3, 4)
         assert NUM_SPECIALS == 5
 
@@ -89,7 +88,7 @@ class TestBuildVocabulary:
                 tally[token] = tally.get(token, 0) + 1
         vocab = build_vocabulary(docs, min_count=1, max_size=1000)
         for token, expected in tally.items():
-            assert vocab.count_of(vocab.id_of(token)) == expected
+            assert vocab._id_to_count[vocab.id_of(token)] == expected
 
     def test_empty_corpus_raises(self):
         with pytest.raises(CorpusError, match="empty corpus"):
@@ -110,7 +109,7 @@ class TestBuildVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.tokens() == vocab.tokens()
         for tid in range(len(vocab)):
-            assert loaded.count_of(tid) == vocab.count_of(tid)
+            assert loaded._id_to_count[tid] == vocab._id_to_count[tid]
 
     def test_load_rejects_scrambled_ids(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -136,7 +135,7 @@ class TestEncode:
 
     def test_roundtrip_for_in_vocabulary_tokens(self, vocab):
         tokens = ["b", "a", "c", "c"]
-        assert decode(encode(tokens, vocab), vocab) == tokens
+        assert [vocab.tokens()[i] for i in encode(tokens, vocab).ids] == tokens
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov"]), max_size=30))
     def test_length_preserved(self, tokens):

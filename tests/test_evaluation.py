@@ -1,4 +1,4 @@
-"""Analogy answering, dataset construction, retrieval, and BM25."""
+"""Analogy answering, embedders, retrieval, BM25 and the file formats."""
 
 import math
 import warnings
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_analogy_file, write_word_vectors
 from oracles import oracle_bm25
 from ulrlab.corpus import Document, build_vocabulary
 from ulrlab.encoder import EncoderConfig, Model, save_checkpoint
@@ -21,12 +22,9 @@ from ulrlab.evaluation import (
     answer_analogy,
     bm25_rank,
     bm25_scores,
-    build_candidates,
     embed_corpus,
     evaluate_analogy,
-    expand_templates,
     is_syntactic,
-    question_length_stats,
     read_analogy_file,
     read_retrieval_corpus,
     read_retrieval_queries,
@@ -34,8 +32,6 @@ from ulrlab.evaluation import (
     retrieve_topk,
     topk_accuracy,
     topk_accuracy_by_group,
-    write_analogy_file,
-    write_word_vectors,
 )
 
 
@@ -74,10 +70,6 @@ def oracle_answer(question, embedder):
 
 
 class TestAnalogyQuestion:
-    def test_answer_property(self):
-        q = AnalogyQuestion("cat", "a", "b", "c", ("x", "y"), 1)
-        assert q.answer == "y"
-
     def test_rejects_duplicate_candidates(self):
         with pytest.raises(ValueError, match="distinct"):
             AnalogyQuestion("cat", "a", "b", "c", ("x", "x"), 0)
@@ -236,129 +228,9 @@ class TestEvaluateAnalogy:
         for q in qs:
             perm = tuple(reversed(q.candidates))
             moved = AnalogyQuestion(
-                q.category, q.a, q.b, q.c, perm, perm.index(q.answer)
+                q.category, q.a, q.b, q.c, perm, perm.index(q.candidates[q.answer_index])
             )
             assert answer_analogy(moved, emb) == moved.answer_index
-
-
-class TestBuildCandidates:
-    def make_reference(self, n=20, d=6, seed=3):
-        rng = np.random.default_rng(seed)
-        table = {f"w{i}": rng.normal(size=d) for i in range(n)}
-        emb = DictEmbedder(table)
-        emb.vocabulary = tuple(table)
-        return emb, table
-
-    def test_matches_sort_oracle(self):
-        emb, table = self.make_reference()
-        a, b, c = "w0", "w1", "w2"
-        got = build_candidates(a, b, c, gold="w3", reference_embedder=emb, k=5)
-        # Independent oracle: rank the remaining vocabulary by cosine.
-        def unit(v):
-            return v / np.linalg.norm(v)
-        target = unit(table[c]) + unit(table[b]) - unit(table[a])
-        pool = [w for w in table if w not in (a, b, c)]
-        ranked = sorted(pool, key=lambda w: (-float(target @ unit(table[w])), pool.index(w)))
-        want = ranked[:5]
-        if "w3" not in want:
-            want[-1] = "w3"
-        assert got == want
-
-    def test_gold_always_present(self):
-        emb, _ = self.make_reference()
-        for gold in ("w5", "w11", "w19"):
-            cands = build_candidates("w0", "w1", "w2", gold, emb, k=5)
-            assert gold in cands and len(cands) == 5
-
-    def test_excludes_question_words(self):
-        emb, _ = self.make_reference()
-        cands = build_candidates("w0", "w1", "w2", "w3", emb, k=5)
-        assert not {"w0", "w1", "w2"} & set(cands)
-
-    def test_small_vocabulary_rejected(self):
-        emb, _ = self.make_reference(n=6)
-        with pytest.raises(ValueError, match="smaller than k"):
-            build_candidates("w0", "w1", "w2", "w3", emb, k=5)
-
-    def test_gold_outside_vocabulary_rejected(self):
-        emb, _ = self.make_reference()
-        with pytest.raises(ValueError, match="gold"):
-            build_candidates("w0", "w1", "w2", "nope", emb, k=5)
-
-    def test_embedder_without_vocabulary_rejected(self):
-        with pytest.raises(TypeError, match="vocabulary"):
-            build_candidates("a", "b", "c", "d", DictEmbedder({}), k=5)
-
-    def test_explicit_vocabulary_wins(self):
-        emb, _ = self.make_reference()
-        cands = build_candidates(
-            "w0", "w1", "w2", "w4", emb, k=3, vocabulary=("w3", "w4", "w5", "w6")
-        )
-        assert set(cands) <= {"w3", "w4", "w5", "w6"}
-        assert "w4" in cands
-
-
-class TestExpandTemplates:
-    PAIRS = [("athens", "greece"), ("baghdad", "iraq"), ("bangkok", "thailand")]
-    TEMPLATE = "hired by the embassy in {X}"
-    SYNONYMS = {"hired": "employed"}
-
-    def test_question_structure(self):
-        qs = expand_templates(self.PAIRS, [self.TEMPLATE], self.SYNONYMS, "capital")
-        assert len(qs) == 3 * 2 * 1  # ordered pairs times templates
-        first = qs[0]
-        assert first.a == "hired by the embassy in athens"
-        assert first.b == "employed by the embassy in greece"
-        assert first.c == "hired by the embassy in baghdad"
-        assert first.answer == "employed by the embassy in iraq"
-        # Candidates use the synonym variant and come sorted.
-        assert all(c.startswith("employed") for c in first.candidates)
-        assert list(first.candidates) == sorted(first.candidates)
-
-    def test_distractors_from_other_pairs(self):
-        qs = expand_templates(self.PAIRS, [self.TEMPLATE], self.SYNONYMS, "capital")
-        first = qs[0]  # A=athens..., D=iraq; thailand is the spare pair
-        assert "employed by the embassy in thailand" in first.candidates
-
-    def test_num_candidates_cap(self):
-        qs = expand_templates(
-            self.PAIRS, [self.TEMPLATE], self.SYNONYMS, "capital", num_candidates=2
-        )
-        assert all(len(q.candidates) == 2 for q in qs)
-        assert all(q.answer_index < 2 for q in qs)
-
-    def test_multiple_templates_multiply(self):
-        templates = [self.TEMPLATE, "the embassy of {X} called"]
-        qs = expand_templates(self.PAIRS, templates, self.SYNONYMS, "capital")
-        assert len(qs) == 3 * 2 * 2
-
-    def test_template_without_slot_rejected(self):
-        with pytest.raises(ValueError, match="slot"):
-            expand_templates(self.PAIRS, ["no placeholder here"], self.SYNONYMS, "c")
-
-    def test_template_with_two_slots_rejected(self):
-        with pytest.raises(ValueError, match="slot"):
-            expand_templates(self.PAIRS, ["{X} and {X}"], self.SYNONYMS, "c")
-
-    def test_empty_synonyms_warn(self):
-        with pytest.warns(UserWarning, match="synonym"):
-            qs = expand_templates(self.PAIRS, [self.TEMPLATE], {}, "capital")
-        assert qs[0].b == "hired by the embassy in greece"
-
-    def test_currency_category_excluded(self):
-        for cat in ("currency", "country-currency"):
-            with pytest.warns(UserWarning, match="excluded"):
-                assert expand_templates(self.PAIRS, [self.TEMPLATE], {}, cat) == []
-
-    def test_length_stats(self):
-        qs = expand_templates(self.PAIRS, [self.TEMPLATE], self.SYNONYMS, "capital")
-        stats = question_length_stats(qs)
-        assert stats["n_questions"] == len(qs)
-        assert stats["mean_tokens"] == 6.0  # every text is six tokens
-        assert stats["max_tokens"] == 6
-
-    def test_length_stats_empty(self):
-        assert question_length_stats([])["n_questions"] == 0
 
 
 class TestWordVectorEmbedder:
@@ -397,12 +269,6 @@ class TestWordVectorEmbedder:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             WordVectorEmbedder({"a": (1.0, 0.0), "b": (1.0, 0.0, 0.0)})
-
-    def test_vocabulary_preserves_order(self):
-        emb = WordVectorEmbedder({"z": (1.0,), "a": (2.0,)})
-        assert emb.vocabulary == ("z", "a")
-        assert emb.dimension == 1
-        assert emb.token_vector("q") is None
 
 
 @pytest.fixture(scope="module")
@@ -681,11 +547,6 @@ class TestFileFormats:
         path = tmp_path / "qs.tsv"
         write_analogy_file(qs, path)
         assert read_analogy_file(path) == qs
-
-    def test_analogy_reserved_delimiter_rejected(self, tmp_path):
-        q = AnalogyQuestion("cap", "a|b", "b", "c", ("x", "y"), 0)
-        with pytest.raises(ValueError, match="reserved"):
-            write_analogy_file([q], tmp_path / "qs.tsv")
 
     def test_analogy_bad_field_count(self, tmp_path):
         path = tmp_path / "qs.tsv"
