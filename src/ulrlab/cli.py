@@ -2,10 +2,11 @@
 
 Every command resolves its settings the same way: built-in defaults,
 then a flat ``key = value`` config file, then command-line flags (flags
-win).  Unknown config keys are rejected, the fully resolved config is
-echoed to stderr.  Only ``train`` draws random numbers, all from its one
-seed; the other commands are deterministic — so a rerun with the same
-config reproduces artifacts byte for byte.
+win).  Unknown config keys are rejected, and so is a config-file value
+outside its setting's choices, as argparse rejects such a flag.  The
+fully resolved config is echoed to stderr.  Only ``train`` draws random
+numbers, all from its one seed; the other commands are deterministic —
+so a rerun with the same config reproduces artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -192,10 +193,15 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
                 f"unknown config key(s) for {command}: {', '.join(unknown)}"
             )
         for key, text in file_settings.items():
+            choices = known[key].choices
             try:
                 resolved[key] = known[key].convert(text)
             except ValueError as exc:
                 raise CliError(f"config key {key!r}: bad value {text!r} ({exc})")
+            if choices is not None and resolved[key] not in choices:
+                raise CliError(
+                    f"config key {key!r}: bad value {text!r}; valid values: {', '.join(choices)}"
+                )
     for key in known:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -261,6 +267,7 @@ def cmd_extract_ngrams(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config("train", args)
+    train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     vocab = Vocabulary.load(cfg["vocab"])
     sequences = _load_encoded_corpus(cfg["corpus"], vocab)
     table = load_table(cfg["table"], vocab)
@@ -269,7 +276,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         **{f.name: cfg[f.name] for f in fields(EncoderConfig) if f.name != "vocab_size"},
     )
     model = Model.init(enc_config)
-    train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     trainer = Trainer(model, table, sequences, train_config)
     metrics_path = cfg["metrics_out"] or f"{cfg['out']}.metrics.tsv"
     rows = trainer.run(metrics_path=metrics_path)

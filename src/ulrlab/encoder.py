@@ -12,15 +12,17 @@ gradient checks, where float32 rounding would swamp the comparison.
 :func:`forward` can return a cache; :func:`backward` consumes it and
 produces the exact analytic gradient of any loss expressed as a
 cotangent of the hidden states.  Pooling, including the tanh pooler,
-lives only in :func:`pool` and :func:`pool_backward`.  Dropout draws
-come from :func:`step_rng`, keyed by (seed, step, site), so a training
-step replays bit-identically.
+lives only in :func:`pool` and :func:`pool_backward`.  Dropout follows
+the tag: it runs exactly when :func:`forward` is given ``rng_tag`` (and
+the configured rate is above 0), with draws from :func:`step_rng` keyed
+by (seed, step, site), so a training step replays bit-identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -87,9 +89,10 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 6:
             raise ConfigError(f"vocab_size ({self.vocab_size}) must be >= 6")
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
-                f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
+                f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads}), "
+                "both >= 1"
             )
         if self.n_layers < 1:
             raise ConfigError(f"n_layers ({self.n_layers}) must be >= 1")
@@ -181,18 +184,29 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return g * xhat + b, (xhat, inv)
 
 
-def layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
+def _ln_backward(dy: np.ndarray, ln_cache, params, grads, prefix: str) -> np.ndarray:
+    """Accumulate the gain and bias gradients of the layer norm whose
+    parameters are ``prefix_g`` and ``prefix_b``; return the input cotangent."""
     xhat, inv = ln_cache
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
-    dxh = dy * g
-    dx = inv * (
+    grads[prefix + "_g"] += (dy * xhat).sum(axis=axes)
+    grads[prefix + "_b"] += dy.sum(axis=axes)
+    dxh = dy * params[prefix + "_g"]
+    return inv * (
         dxh
         - dxh.mean(-1, keepdims=True)
         - xhat * (dxh * xhat).mean(-1, keepdims=True)
     )
-    return dx, dg, db
+
+
+def _linear_backward(x: np.ndarray, dy: np.ndarray, params, grads, w: str, b: str) -> np.ndarray:
+    """Accumulate dW and db of y = x @ W + b (any leading axes) into
+    ``grads``; return the input cotangent dy @ W^T."""
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    grads[w] += x2.T @ dy2
+    grads[b] += dy2.sum(0)
+    return dy @ params[w].T
 
 
 def erf(x: np.ndarray) -> np.ndarray:
@@ -294,7 +308,6 @@ def forward(
     ids,
     mask=None,
     *,
-    train: bool = False,
     rng_tag: tuple[int, int, str] | None = None,
     want_cache: bool = False,
     rows: tuple[Sequence[int], Sequence[int]] | None = None,
@@ -304,9 +317,9 @@ def forward(
     Returns ``hidden`` of shape (B, L, d), or ``(hidden, cache)`` with
     ``want_cache`` for :func:`backward`; :func:`pool` reduces it to
     sequence vectors.  Padded key positions receive -inf attention
-    logits, so outputs at real positions do not depend on pad content.  Dropout is applied only
-    when ``train`` is set; it then requires ``rng_tag=(seed, step,
-    name)`` for reproducible masks.
+    logits, so outputs at real positions do not depend on pad content.
+    Dropout follows the tag: it runs exactly when ``rng_tag=(seed, step,
+    name)`` is given and ``config.dropout > 0``, and the tag keys its masks.
 
     ``rows=(batch_index, position)`` returns only those (M, d) rows of
     ``hidden``, bit for bit: the last layer's attention reads every
@@ -316,9 +329,7 @@ def forward(
     ids, mask = _as_batch(ids, mask, config)
     b, length = ids.shape
     dtype = params["tok_emb"].dtype
-    use_dropout = train and config.dropout > 0.0
-    if use_dropout and rng_tag is None:
-        raise ValueError("train-mode dropout requires rng_tag=(seed, step, name)")
+    use_dropout = rng_tag is not None and config.dropout > 0.0
     if rows is not None and (use_dropout or want_cache):
         raise ValueError("rows= runs without dropout and returns no cache")
     rate = config.dropout
@@ -397,29 +408,20 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
-def _linear_param_grads(x: np.ndarray, dy: np.ndarray):
-    """(dW, db) for y = x @ W + b with arbitrary leading axes."""
-    x2 = x.reshape(-1, x.shape[-1])
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    return x2.T @ dy2, dy2.sum(0)
-
-
 def backward(
     cache: dict,
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     d_hidden: np.ndarray,
-    grads: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
+    grads: dict[str, np.ndarray],
+) -> None:
     """Backpropagate the hidden-state cotangent (B, L, d) through a
     cached forward pass.
 
-    Gradients are accumulated into ``grads`` (created when omitted), so
-    several forward passes can contribute to one update.  A pooled
-    cotangent reaches ``d_hidden`` through :func:`pool_backward`.
+    Gradients are accumulated into ``grads``, so several forward passes
+    can contribute to one update.  A pooled cotangent reaches
+    ``d_hidden`` through :func:`pool_backward`.
     """
-    if grads is None:
-        grads = zero_grads(params)
     ids = cache["ids"]
     b, length = ids.shape
     dx = d_hidden
@@ -431,36 +433,18 @@ def backward(
         p = f"layer{i}."
         lc = cache["layers"][i]
         # second sublayer: x_out = LN(x_mid + dropout(FF(x_mid)))
-        dy, dg, db = layer_norm_backward(dx, lc["ff_ln"], params[p + "ff_ln_g"])
-        grads[p + "ff_ln_g"] += dg
-        grads[p + "ff_ln_b"] += db
-        dx_mid = dy
-        df = dy
+        dx_mid = df = _ln_backward(dx, lc["ff_ln"], params, grads, p + "ff_ln")
         if "ff_out" in lc["dropout"]:
             df = df * lc["dropout"]["ff_out"]
-        dw, db2 = _linear_param_grads(lc["ff_act"], df)
-        grads[p + "ff_w2"] += dw
-        grads[p + "ff_b2"] += db2
-        da = df @ params[p + "ff_w2"].T
+        da = _linear_backward(lc["ff_act"], df, params, grads, p + "ff_w2", p + "ff_b2")
         dt = da * gelu_grad(lc["ff_pre"], lc["ff_erf"])
-        dw, db1 = _linear_param_grads(lc["x_mid"], dt)
-        grads[p + "ff_w1"] += dw
-        grads[p + "ff_b1"] += db1
-        dx_mid = dx_mid + dt @ params[p + "ff_w1"].T
+        dx_mid += _linear_backward(lc["x_mid"], dt, params, grads, p + "ff_w1", p + "ff_b1")
         # first sublayer: x_mid = LN(x_in + dropout(attn(x_in)))
-        dy, dg, db = layer_norm_backward(dx_mid, lc["attn_ln"], params[p + "attn_ln_g"])
-        grads[p + "attn_ln_g"] += dg
-        grads[p + "attn_ln_b"] += db
-        dx_in = dy
-        dao = dy
+        dx_in = dao = _ln_backward(dx_mid, lc["attn_ln"], params, grads, p + "attn_ln")
         if "attn_out" in lc["dropout"]:
             dao = dao * lc["dropout"]["attn_out"]
-        dw, dbo = _linear_param_grads(lc["ctx"], dao)
-        grads[p + "attn_o_w"] += dw
-        grads[p + "attn_o_b"] += dbo
-        dctx = (dao @ params[p + "attn_o_w"].T).reshape(
-            b, length, n_heads, d_head
-        ).transpose(0, 2, 1, 3)
+        dctx = _linear_backward(lc["ctx"], dao, params, grads, p + "attn_o_w", p + "attn_o_b")
+        dctx = dctx.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
         probs_d = lc["attn_probs_dropped"]
         dv = probs_d.transpose(0, 1, 3, 2) @ dctx
         dprobs = dctx @ lc["v"].transpose(0, 1, 3, 2)
@@ -470,23 +454,16 @@ def backward(
         dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
         dq = (dscores @ lc["k"]) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
-        x_in = lc["x_in"]
-        for dproj, wname in ((dq, "attn_q"), (dk, "attn_k"), (dv, "attn_v")):
+        for dproj, proj in ((dq, p + "attn_q"), (dk, p + "attn_k"), (dv, p + "attn_v")):
             dflat = dproj.transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
-            dw, dbp = _linear_param_grads(x_in, dflat)
-            grads[p + wname + "_w"] += dw
-            grads[p + wname + "_b"] += dbp
-            dx_in = dx_in + dflat @ params[p + wname + "_w"].T
+            dx_in += _linear_backward(lc["x_in"], dflat, params, grads, proj + "_w", proj + "_b")
         dx = dx_in
 
     if "emb" in cache["dropout"]:
         dx = dx * cache["dropout"]["emb"]
-    dy, dg, db = layer_norm_backward(dx, cache["emb_ln"], params["emb_ln_g"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
+    dy = _ln_backward(dx, cache["emb_ln"], params, grads, "emb_ln")
     np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, config.d_model))
     grads["pos_emb"][:length] += dy.sum(0)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +519,8 @@ def pool_backward(
     pool_cache: dict,
     hidden_shape: tuple[int, ...],
     strategy: str,
-    params: dict[str, np.ndarray] | None = None,
-    grads: dict[str, np.ndarray] | None = None,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Cotangent of the hidden states for a cached :func:`pool` call.
 
@@ -554,11 +531,9 @@ def pool_backward(
     if strategy == "cls":
         pooled = pool_cache["pooled"]
         dz = d_pooled * (1.0 - pooled * pooled)
-        if grads is not None:
-            dw, db = _linear_param_grads(pool_cache["h0"], dz)
-            grads["pooler_w"] += dw
-            grads["pooler_b"] += db
-        d_hidden[:, 0, :] = dz @ params["pooler_w"].T
+        d_hidden[:, 0, :] = _linear_backward(
+            pool_cache["h0"], dz, params, grads, "pooler_w", "pooler_b"
+        )
     elif strategy == "mean":
         m, denom = pool_cache["m"], pool_cache["denom"]
         d_hidden += (d_pooled / denom)[:, None, :] * m[:, :, None]
@@ -607,15 +582,9 @@ def mlm_head_rows_backward(
     h = cache["h"]
     grads["mlm_out_b"] += d_logits.sum(0)
     grads["tok_emb"] += d_logits.T @ h
-    dh = d_logits @ params["tok_emb"]
-    da, dg, db = layer_norm_backward(dh, cache["ln"], params["mlm_ln_g"])
-    grads["mlm_ln_g"] += dg
-    grads["mlm_ln_b"] += db
+    da = _ln_backward(d_logits @ params["tok_emb"], cache["ln"], params, grads, "mlm_ln")
     dt = da * gelu_grad(cache["t"], cache["erf"])
-    dw, dbt = _linear_param_grads(cache["rows"], dt)
-    grads["mlm_w"] += dw
-    grads["mlm_b"] += dbt
-    return dt @ params["mlm_w"].T
+    return _linear_backward(cache["rows"], dt, params, grads, "mlm_w", "mlm_b")
 
 
 # ---------------------------------------------------------------------------
@@ -683,58 +652,61 @@ def save_checkpoint(
         fh.write(payload)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint file while reading {what}")
-    return data
-
-
 def load_checkpoint(path: str | Path) -> Model:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises :class:`CheckpointError` for foreign files, version or shape
-    mismatches, and truncation; no partial state is ever returned.
+    Fails closed: every length field is checked against the bytes left
+    in the file before it is used, and a foreign, truncated, malformed
+    or mismatched file raises :class:`CheckpointError`; no partial state
+    is ever returned.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError("not a ULRM checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-            )
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        try:
-            cfg_dict = json.loads(_read_exact(fh, cfg_len, "config").decode("utf-8"))
-            config = EncoderConfig(**cfg_dict)
-        except (ValueError, TypeError) as exc:
-            raise CheckpointError(f"bad checkpoint config block: {exc}") from exc
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        entries = []
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "tensor dims"))
-            (offset,) = struct.unpack("<Q", _read_exact(fh, 8, "tensor offset"))
-            entries.append((name, dims, offset))
-        (payload_len,) = struct.unpack("<Q", _read_exact(fh, 8, "payload length"))
-        payload = _read_exact(fh, payload_len, "tensor payload")
-    shapes = expected_shapes(config)
+    data = memoryview(Path(path).read_bytes())
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError("not a ULRM checkpoint")
+    pos = 4
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise CheckpointError(f"truncated checkpoint file while reading {what}")
+        pos += n
+        return data[pos - n : pos]
+
+    def number(fmt: str, what: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+    version = number("<I", "version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+        )
+    blob = take(number("<I", "config length"), "config")
+    try:
+        config = EncoderConfig(**json.loads(str(blob, "utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"bad checkpoint config block: {exc}") from exc
+    entries = []
+    for _ in range(number("<I", "tensor count")):
+        name = bytes(take(number("<I", "tensor name length"), "tensor name"))
+        rank = number("<I", "tensor rank")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor dims"))
+        entries.append((name, dims, number("<Q", "tensor offset")))
+    payload = take(number("<Q", "payload length"), "tensor payload")
+    # names stay bytes until they match: a foreign name is never decoded
+    shapes = {name.encode(): (name, shape) for name, shape in expected_shapes(config).items()}
     if {e[0] for e in entries} != set(shapes):
         raise CheckpointError("checkpoint tensor directory does not match config")
     params: dict[str, np.ndarray] = {}
-    for name, dims, offset in entries:
-        if shapes[name] != tuple(dims):
+    for raw_name, dims, offset in entries:
+        name, shape = shapes[raw_name]
+        if shape != tuple(dims):
             raise CheckpointError(
                 f"shape mismatch for tensor {name}: file has {tuple(dims)}, "
-                f"config implies {shapes[name]}"
+                f"config implies {shape}"
             )
-        size = int(np.prod(dims)) * 4
-        if offset + size > len(payload):
+        count = math.prod(dims)
+        if offset + 4 * count > len(payload):
             raise CheckpointError(f"truncated checkpoint file while reading {name}")
-        arr = np.frombuffer(payload, dtype="<f4", count=int(np.prod(dims)), offset=offset)
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         params[name] = arr.reshape(dims).copy()
     return Model(params=params, config=config)

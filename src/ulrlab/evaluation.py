@@ -184,7 +184,7 @@ class ModelEmbedder:
         chunks = []
         for start in range(0, len(framed), EMBED_BATCH):
             ids, mask = pad_batch(framed[start : start + EMBED_BATCH], pad_id=PAD_ID)
-            hidden = forward(self.model.params, self.model.config, ids, mask, train=False)
+            hidden = forward(self.model.params, self.model.config, ids, mask)
             chunks.append(pool(hidden, mask, self.pooling, self.model.params))
         return np.concatenate(chunks)
 

@@ -142,7 +142,8 @@ def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCo
 class NgramTable:
     """Scored n-gram inventory, one row per entry, in the canonical order:
     NaN scores (entities unseen in the corpus) first, then pmi descending,
-    count descending, ids ascending.
+    count descending, ids ascending.  :meth:`from_entries` keeps the order
+    it is given, so a loaded table keeps its file's.
 
     ``is_privileged`` marks injected entities, which pruning keeps.  The
     (document, row) pairs of all n-gram ``occurrences`` are carried only
@@ -160,10 +161,11 @@ class NgramTable:
 
     @classmethod
     def from_entries(cls, entries: Mapping, n_max: int, total_tokens: int) -> NgramTable:
-        """A table of ``{id tuple: (count, pmi)}``; NaN scores mark unseen entities."""
+        """A table of ``{id tuple: (count, pmi)}`` in the mapping's order;
+        NaN scores mark unseen entities."""
         values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2)
         counts, pmi = values[:, 0].astype(np.int64), values[:, 1]
-        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max, total_tokens)._sorted()
+        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max, total_tokens)
 
     def _sorted(self) -> NgramTable:
         """These rows in the canonical order, by one lexsort.  PAD is below
@@ -337,7 +339,10 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     ``vocab`` means the table and vocabulary do not belong together, and
     raises :class:`NgramError`.  Entries with NaN scores are restored as
     privileged.  The file format loses ``total_tokens`` (read back as 0)
-    and the privileged flag of entities that have a finite score.
+    and the privileged flag of entities that have a finite score.  Rows
+    keep the file's order: a reload never re-breaks ties between scores
+    that the 9 written digits made equal, so save, load and save again
+    writes the same bytes.
     """
     entries: dict[tuple[int, ...], tuple[int, float]] = {}
     with open(path, encoding="utf-8") as fh:

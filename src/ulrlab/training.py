@@ -14,6 +14,10 @@ Span scoring and selection happen in :func:`make_examples` and masking
 in :func:`prepare_batch`; :func:`loss_and_gradients` is then a smooth,
 deterministic function of the parameters, which is what makes
 finite-difference verification of the analytic gradients meaningful.
+Dropout follows the step tag: it runs exactly when a ``dropout_tag`` is
+given.  The learning-rate schedule (Adam, linear warmup, then linear
+decay) lives in :class:`TrainingConfig` alone; :class:`OptimizerState`
+holds only what a resumed run needs, the Adam moments and the step.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 
 from .corpus import CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, EncodedSequence
 from .encoder import (
+    POOLING_STRATEGIES,
+    ConfigError,
     EncoderConfig,
     Model,
     backward,
@@ -41,6 +47,9 @@ from .encoder import (
 from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
 
 DEGENERATE_NORM_EPS = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def frame(ids: Iterable[int]) -> tuple[int, ...]:
@@ -330,28 +339,23 @@ def loss_and_gradients(
     pooling: str = "cls",
     misad_weight: float = 1.0,
     mlm_weight: float = 1.0,
-    train: bool = False,
     dropout_tag: tuple[int, int] | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Joint loss and its exact analytic gradient for every tensor.
 
     The masked forward pass of S feeds both losses: its hidden rows at
     masked positions go to the MLM head, and its pooled vector is E^S
-    for the compositional term.  ``dropout_tag=(seed, step)`` fixes the
-    dropout streams when ``train`` is set.
+    for the compositional term.  Dropout follows the tag: it runs
+    exactly when ``dropout_tag=(seed, step)`` is given and
+    ``config.dropout > 0``, and the tag fixes its streams.
     """
     grads = zero_grads(params)
 
     def tag(name: str):
-        if not (train and config.dropout > 0.0):
-            return None
-        if dropout_tag is None:
-            raise ValueError("train-mode dropout requires dropout_tag=(seed, step)")
-        return (*dropout_tag, name)
+        return None if dropout_tag is None else (*dropout_tag, name)
 
     hidden_s, cache_s = forward(
-        params, config, batch.s_ids, batch.s_mask,
-        train=train, rng_tag=tag("s"), want_cache=True,
+        params, config, batch.s_ids, batch.s_mask, rng_tag=tag("s"), want_cache=True
     )
     d_hidden_s = np.zeros_like(hidden_s)
 
@@ -369,12 +373,10 @@ def loss_and_gradients(
     l_misad = 0.0
     if misad_weight != 0.0 and batch.n_misad > 0:
         hidden_w, cache_w = forward(
-            params, config, batch.w_ids, batch.w_mask,
-            train=train, rng_tag=tag("w"), want_cache=True,
+            params, config, batch.w_ids, batch.w_mask, rng_tag=tag("w"), want_cache=True
         )
         hidden_r, cache_r = forward(
-            params, config, batch.r_ids, batch.r_mask,
-            train=train, rng_tag=tag("r"), want_cache=True,
+            params, config, batch.r_ids, batch.r_mask, rng_tag=tag("r"), want_cache=True
         )
         sub = batch.misad_s_rows
         e_s, cache_ps = _pool_with_cache(hidden_s[sub], batch.s_mask[sub], pooling, params)
@@ -396,48 +398,56 @@ def loss_and_gradients(
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# schedule and optimizer
+
+
+@dataclass
+class TrainingConfig:
+    """Loop hyperparameters and the learning-rate schedule, checked when
+    built (architecture lives in EncoderConfig)."""
+
+    total_steps: int
+    batch_size: int = 64
+    peak_lr: float = 5e-5
+    warmup_fraction: float = 0.1
+    mask_rate: float = 0.15
+    pooling_for_misad: str = "cls"
+    misad_weight: float = 1.0
+    mlm_weight: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.total_steps < 1:
+            raise ConfigError(f"total_steps ({self.total_steps}) must be >= 1")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigError(f"warmup_fraction ({self.warmup_fraction}) must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size ({self.batch_size}) must be >= 1")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise ConfigError(f"mask_rate ({self.mask_rate}) must be in [0, 1]")
+        if self.pooling_for_misad not in POOLING_STRATEGIES:
+            raise ConfigError(
+                f"pooling_for_misad ({self.pooling_for_misad!r}) must be in {POOLING_STRATEGIES}"
+            )
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the learning-rate schedule parameters."""
+    """Adam moments and the number of steps taken: all a resumed run needs."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int
-    peak_lr: float
-    total_steps: int
-    warmup_fraction: float
 
-    @property
-    def warmup_steps(self) -> int:
-        return int(self.total_steps * self.warmup_fraction)
+    @classmethod
+    def zeros(cls, params: dict[str, np.ndarray]) -> OptimizerState:
+        return cls(zero_grads(params), zero_grads(params), 0)
 
 
-def init_optimizer(
-    params: dict[str, np.ndarray],
-    total_steps: int,
-    peak_lr: float = 5e-5,
-    warmup_fraction: float = 0.1,
-) -> OptimizerState:
-    if total_steps < 1:
-        raise ValueError(f"total_steps ({total_steps}) must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction ({warmup_fraction}) must be in [0, 1)")
-    return OptimizerState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        step=0,
-        peak_lr=peak_lr,
-        total_steps=total_steps,
-        warmup_fraction=warmup_fraction,
-    )
-
-
-def lr_at(step: int, state: OptimizerState) -> float:
+def lr_at(step: int, config: TrainingConfig) -> float:
     """Linear warmup to the peak, then linear decay to 0 at total_steps."""
-    total, warm, peak = state.total_steps, state.warmup_steps, state.peak_lr
+    total, peak = config.total_steps, config.peak_lr
+    warm = int(total * config.warmup_fraction)
     if step > total:
         return 0.0
     if warm > 0 and step <= warm:
@@ -451,9 +461,7 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    config: TrainingConfig,
 ) -> float:
     """One in-place Adam update with bias correction; returns the lr used.
 
@@ -461,9 +469,9 @@ def adam_step(
     value leaves parameters, moments and the step count untouched.
     """
     t = state.step + 1
-    lr = lr_at(t, state)
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    lr = lr_at(t, config)
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise FloatingPointError(f"non-finite gradient for tensor {name}")
@@ -471,32 +479,17 @@ def adam_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     state.step = t
     return lr
 
 
 # ---------------------------------------------------------------------------
 # the loop
-
-
-@dataclass
-class TrainingConfig:
-    """Loop hyperparameters (architecture lives in EncoderConfig)."""
-
-    total_steps: int
-    batch_size: int = 64
-    peak_lr: float = 5e-5
-    warmup_fraction: float = 0.1
-    mask_rate: float = 0.15
-    pooling_for_misad: str = "cls"
-    misad_weight: float = 1.0
-    mlm_weight: float = 1.0
-    seed: int = 0
 
 
 METRICS_HEADER = "step\tl_misad\tl_mlm\tl_total\tlr"
@@ -507,8 +500,9 @@ def train_step(
     model: Model,
     state: OptimizerState,
     config: TrainingConfig,
-) -> LossReport:
-    """One optimization step over pre-selected examples.
+) -> tuple[LossReport, float]:
+    """One optimization step over pre-selected examples; returns the
+    loss report and the learning rate the update used.
 
     Masking randomness and dropout streams are keyed by (seed, current
     step), so a rerun from the same state is bit-identical.
@@ -522,11 +516,9 @@ def train_step(
         pooling=config.pooling_for_misad,
         misad_weight=config.misad_weight,
         mlm_weight=config.mlm_weight,
-        train=True,
         dropout_tag=(config.seed, state.step),
     )
-    adam_step(params=model.params, grads=grads, state=state)
-    return report
+    return report, adam_step(model.params, grads, state, config)
 
 
 class Trainer:
@@ -555,9 +547,7 @@ class Trainer:
         self.model = model
         self.config = config
         self.pairs = [(s, mark_sequence(s, table)) for s in sequences]
-        self.state = init_optimizer(
-            model.params, config.total_steps, config.peak_lr, config.warmup_fraction
-        )
+        self.state = OptimizerState.zeros(model.params)
         self.metrics: list[tuple[int, float, float, float, float]] = []
 
     def run(self, metrics_path: str | Path | None = None) -> list[tuple]:
@@ -571,11 +561,9 @@ class Trainer:
                     break
                 idx = perm[lo : lo + cfg.batch_size]
                 examples = make_examples([self.pairs[i] for i in idx], self.model)
-                step_before = self.state.step
-                report = train_step(examples, self.model, self.state, cfg)
-                lr = lr_at(self.state.step, self.state)
+                report, lr = train_step(examples, self.model, self.state, cfg)
                 self.metrics.append(
-                    (step_before + 1, report.l_misad, report.l_mlm, report.l_total, lr)
+                    (self.state.step, report.l_misad, report.l_mlm, report.l_total, lr)
                 )
         if metrics_path is not None:
             write_metrics(self.metrics, metrics_path)

@@ -191,6 +191,36 @@ class TestConfigResolution:
         assert code == 1
         assert "unknown config key" in stderr and "mystery_knob" in stderr
 
+    @pytest.mark.parametrize("weight", ["0", "1"])
+    def test_config_file_value_outside_choices_rejected(
+        self, capsys, workspace, extracted, tmp_path, weight
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pooling_for_misad = foo\nmisad_weight = {weight}\n")
+        out = tmp_path / "m.ckpt"
+        code, _, stderr = run(capsys, [
+            "train", "--config", str(cfg), "--corpus", str(workspace / "corpus.txt"),
+            "--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
+            "--total-steps", "2", "--out", str(out),
+        ])
+        assert code == 1
+        assert "'pooling_for_misad'" in stderr and "valid values: cls, mean, max" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_bad_batch_size_rejected_before_training(
+        self, capsys, workspace, extracted, tmp_path, batch_size
+    ):
+        out = tmp_path / "m.ckpt"
+        code, _, stderr = run(capsys, [
+            "train", "--corpus", str(workspace / "corpus.txt"),
+            "--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
+            "--total-steps", "2", "--batch-size", batch_size, "--out", str(out),
+        ])
+        assert code == 1
+        assert f"batch_size ({batch_size}) must be >= 1" in stderr
+        assert not out.exists()
+
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")

@@ -1,11 +1,16 @@
 """Encoder architecture: init, forward, pooling, MLM head, checkpoints."""
 
+import functools
 import math
 import struct
+import tempfile
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulrlab.encoder import (
     CheckpointError,
@@ -33,6 +38,17 @@ TINY = EncoderConfig(
 )
 
 
+@functools.cache
+def checkpoint_bytes() -> tuple[bytes, int]:
+    """A TINY checkpoint's bytes and the length of its header (all but
+    the tensor payload)."""
+    params = init_params(TINY)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(params, TINY, Path(tmp) / "model.ckpt")
+        blob = (Path(tmp) / "model.ckpt").read_bytes()
+    return blob, len(blob) - 4 * sum(p.size for p in params.values())
+
+
 def tiny_batch(rng, b=2, length=8, vocab=50):
     ids = rng.integers(5, vocab, size=(b, length))
     ids[:, 0] = 3  # CLS
@@ -49,6 +65,10 @@ class TestConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ConfigError, match="divisible"):
             EncoderConfig(vocab_size=50, d_model=10, n_heads=3)
+
+    def test_rejects_zero_heads(self):
+        with pytest.raises(ConfigError, match="n_heads"):
+            EncoderConfig(vocab_size=50, n_heads=0)
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ConfigError, match="dropout"):
@@ -178,7 +198,7 @@ class TestForward:
         cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32,
                             max_len=32, dropout=0.1)
         with pytest.raises(ValueError, match="rows="):
-            forward(params, cfg, ids, mask, train=True, rng_tag=(0, 0, "s"), rows=([0], [1]))
+            forward(params, cfg, ids, mask, rng_tag=(0, 0, "s"), rows=([0], [1]))
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
@@ -236,36 +256,31 @@ class TestDropout:
         dropout=0.3, seed=1,
     )
 
-    def test_requires_tag_in_train_mode(self):
-        params = init_params(self.CFG)
-        ids = np.full((1, 4), 5)
-        with pytest.raises(ValueError, match="rng_tag"):
-            forward(params, self.CFG, ids, train=True)
-
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(4)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
-        h2 = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 2, "s"))
+        h1 = forward(params, self.CFG, ids, mask, rng_tag=(9, 2, "s"))
+        h2 = forward(params, self.CFG, ids, mask, rng_tag=(9, 2, "s"))
         assert np.array_equal(h1, h2)
 
     def test_streams_differ_across_steps_and_names(self):
         rng = np.random.default_rng(5)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        base = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "s"))
-        other_step = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 1, "s"))
-        other_name = forward(params, self.CFG, ids, mask, train=True, rng_tag=(9, 0, "w"))
+        base = forward(params, self.CFG, ids, mask, rng_tag=(9, 0, "s"))
+        other_step = forward(params, self.CFG, ids, mask, rng_tag=(9, 1, "s"))
+        other_name = forward(params, self.CFG, ids, mask, rng_tag=(9, 0, "w"))
         assert not np.array_equal(base, other_step)
         assert not np.array_equal(base, other_name)
 
     def test_eval_mode_ignores_dropout(self):
+        # Without a tag no dropout runs: the output is that of rate 0.
         rng = np.random.default_rng(6)
         params = init_params(self.CFG)
         ids, mask = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids, mask, train=False)
-        h2 = forward(params, self.CFG, ids, mask, train=False)
+        h1 = forward(params, self.CFG, ids, mask)
+        h2 = forward(params, replace(self.CFG, dropout=0.0), ids, mask)
         assert np.array_equal(h1, h2)
 
 
@@ -426,6 +441,36 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 100])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    @staticmethod
+    def mutations_fail_closed(mutations, path) -> None:
+        """Each mutated checkpoint either loads or raises CheckpointError."""
+        for blob in mutations:
+            path.write_bytes(blob)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+
+    def test_every_header_byte_maxed_fails_closed(self, tmp_path):
+        # 0xff in the top byte of a length field asks for more bytes than
+        # the file has; in a tensor name it is invalid UTF-8.
+        blob, header = checkpoint_bytes()
+        mutations = (blob[:pos] + b"\xff" + blob[pos + 1 :] for pos in range(header))
+        self.mutations_fail_closed(mutations, tmp_path / "m.ckpt")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_checkpoint_loads_or_fails_closed(self, tmp_path_factory, data):
+        blob, header = checkpoint_bytes()
+        pos = data.draw(st.one_of(st.integers(0, header), st.integers(0, len(blob) - 1)))
+        if data.draw(st.booleans()):
+            mutated = blob[:pos]
+        else:
+            value = data.draw(st.binary(min_size=1, max_size=8))
+            mutated = blob[:pos] + value + blob[pos + len(value) :]
+        path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+        self.mutations_fail_closed([mutated], path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         params = init_params(TINY)

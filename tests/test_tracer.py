@@ -1,10 +1,17 @@
-"""The benchmark's layer tracer patches names that still exist."""
+"""The benchmark's layer tracer patches names that still exist, and a
+traced run of the CLI still records every span the per-layer metrics read."""
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import ulrlab
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -24,3 +31,42 @@ tracer = load_tracer()
 )
 def test_patch_target_resolves(owner, attr):
     inspect.getattr_static(tracer._resolve(owner), attr)
+
+
+def traced_spans(tmp_path, *argv):
+    """Run one CLI stage under ``bench/tracer.py``; return its spans."""
+    spans_path = tmp_path / f"{argv[0]}.spans.json"
+    src = str(Path(ulrlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans_path.read_text())["spans"]
+
+
+def test_traced_train_and_embed(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("red fox jumps over the lazy dog\nblue bird sings in the old tree\n" * 8)
+    table, ckpt = tmp_path / "table.tsv", tmp_path / "m.ckpt"
+    vocab = tmp_path / "table.tsv.vocab"
+    traced_spans(tmp_path, "extract-ngrams", "--corpus", corpus, "--min-count", "1",
+                      "--n-max", "3", "--out", table)
+    train = traced_spans(
+        tmp_path, "train", "--corpus", corpus, "--table", table, "--vocab", vocab,
+        "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "32",
+        "--max-len", "16", "--total-steps", "3", "--batch-size", "4", "--out", ckpt,
+    )
+    names = [name for name, *_ in train]
+    for span in ("training.update", "training.adam", "training.prepare", "encoder.backward"):
+        assert names.count(span) >= 3, span
+    prepared = [attrs for name, _, _, _, attrs in train if name == "training.prepare"]
+    assert all(attrs["examples"] == 4 and attrs["masked"] >= 0 and 0 <= attrs["misad"] <= 4
+               for attrs in prepared)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("red fox\nblue bird sings\n")
+    embed = traced_spans(tmp_path, "embed", "--checkpoint", ckpt, "--vocab", vocab,
+                              "--texts", texts, "--out", tmp_path / "e.txt")
+    assert "evaluation.embed" in [name for name, *_ in embed]

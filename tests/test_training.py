@@ -11,6 +11,7 @@ from oracles import oracle_score_spans
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence
 from ulrlab.encoder import (
+    ConfigError,
     EncoderConfig,
     Model,
     forward,
@@ -22,11 +23,11 @@ from ulrlab.ngram import NgramTable, Span, SpanAnnotation
 from ulrlab.training import (
     METRICS_HEADER,
     LossReport,
+    OptimizerState,
     Trainer,
     TrainingConfig,
     adam_step,
     frame,
-    init_optimizer,
     loss_and_gradients,
     lr_at,
     make_examples,
@@ -260,10 +261,10 @@ class TestScoreSpans:
         for n in (3, 5, 8, 12, 14):
             ids = tuple(rng.integers(NUM_SPECIALS, 50, size=n).tolist())
             pairs.append(one_pair(ids, Span(1, 2), *([Span(4, min(n, 6))] if n >= 4 else [])))
-        state = init_optimizer(model.params, total_steps=2, peak_lr=1e-2)
+        state = OptimizerState.zeros(model.params)
+        config = TrainingConfig(total_steps=2, peak_lr=1e-2, pooling_for_misad=pooling, seed=5)
         for _ in range(2):
-            train_step(make_examples(pairs, model), model, state,
-                       TrainingConfig(total_steps=2, pooling_for_misad=pooling, seed=5))
+            train_step(make_examples(pairs, model), model, state, config)
         assert score_spans(pairs, model) == oracle_score_spans(pairs, model)
 
 
@@ -465,39 +466,52 @@ class TestLossAndGradients:
                 )
 
 
-class TestLrSchedule:
-    def make_state(self, total, frac, peak=1.0):
-        params = {"w": np.zeros(1)}
-        return init_optimizer(params, total, peak_lr=peak, warmup_fraction=frac)
+def schedule(total, frac=0.1, peak=5e-5, **loop) -> TrainingConfig:
+    return TrainingConfig(total_steps=total, peak_lr=peak, warmup_fraction=frac, **loop)
 
+
+class TestLrSchedule:
     def test_warmup_then_decay(self):
-        state = self.make_state(100, 0.1, peak=5e-5)
-        assert lr_at(0, state) == 0.0
-        assert lr_at(5, state) == pytest.approx(2.5e-5)
-        assert lr_at(10, state) == pytest.approx(5e-5)  # warmup boundary
-        assert lr_at(55, state) == pytest.approx(2.5e-5)  # halfway down
-        assert lr_at(100, state) == 0.0
-        assert lr_at(101, state) == 0.0
+        config = schedule(100, 0.1, peak=5e-5)
+        assert lr_at(0, config) == 0.0
+        assert lr_at(5, config) == pytest.approx(2.5e-5)
+        assert lr_at(10, config) == pytest.approx(5e-5)  # warmup boundary
+        assert lr_at(55, config) == pytest.approx(2.5e-5)  # halfway down
+        assert lr_at(100, config) == 0.0
+        assert lr_at(101, config) == 0.0
 
     def test_no_warmup_starts_below_peak_and_decays(self):
-        state = self.make_state(5, 0.0, peak=1.0)
-        assert state.warmup_steps == 0
-        assert lr_at(1, state) == pytest.approx(0.8)
-        assert lr_at(5, state) == 0.0
+        config = schedule(5, 0.0, peak=1.0)
+        assert lr_at(1, config) == pytest.approx(0.8)
+        assert lr_at(5, config) == 0.0
 
     def test_invalid_arguments(self):
-        params = {"w": np.zeros(1)}
         with pytest.raises(ValueError, match="total_steps"):
-            init_optimizer(params, 0)
+            TrainingConfig(total_steps=0)
         with pytest.raises(ValueError, match="warmup_fraction"):
-            init_optimizer(params, 10, warmup_fraction=1.0)
+            schedule(10, 1.0)
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -1), ("mask_rate", -0.1), ("mask_rate", 1.5),
+        ("pooling_for_misad", "foo"),
+    ])
+    def test_rejects_bad_loop_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainingConfig(total_steps=10, **{field: value})
+
+    def test_accepts_edge_values(self):
+        for pooling in ("cls", "mean", "max"):
+            TrainingConfig(total_steps=1, batch_size=1, mask_rate=0.0, pooling_for_misad=pooling)
+        TrainingConfig(total_steps=1, mask_rate=1.0)
 
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params(self):
         params = {"w": np.array([1.5, -2.0])}
-        state = init_optimizer(params, 10, peak_lr=0.1, warmup_fraction=0.0)
-        lr = adam_step(params, {"w": np.zeros(2)}, state)
+        state = OptimizerState.zeros(params)
+        lr = adam_step(params, {"w": np.zeros(2)}, state, schedule(10, 0.0, peak=0.1))
         assert state.step == 1
         assert lr == pytest.approx(0.09)
         np.testing.assert_array_equal(params["w"], [1.5, -2.0])
@@ -505,29 +519,31 @@ class TestAdamStep:
     def test_first_step_closed_form(self):
         # With bias correction the first update is lr * g / (|g| + eps').
         params = {"w": np.array([1.0])}
-        state = init_optimizer(params, 2, peak_lr=0.25, warmup_fraction=0.5)
-        assert state.warmup_steps == 1
-        adam_step(params, {"w": np.array([3.0])}, state)
+        state = OptimizerState.zeros(params)
+        config = schedule(2, 0.5, peak=0.25)
+        assert lr_at(1, config) == 0.25  # one warmup step ends at the peak
+        adam_step(params, {"w": np.array([3.0])}, state, config)
         expected = 1.0 - 0.25 * 3.0 / (3.0 + 1e-8)
         np.testing.assert_allclose(params["w"], [expected], rtol=1e-12)
 
     def test_nonfinite_gradient_names_tensor(self):
         params = {"w": np.zeros(2), "b": np.zeros(2)}
-        state = init_optimizer(params, 10)
+        state = OptimizerState.zeros(params)
         grads = {"w": np.zeros(2), "b": np.array([0.0, np.nan])}
         with pytest.raises(FloatingPointError, match="tensor b"):
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, schedule(10))
 
     def test_nonfinite_last_gradient_leaves_state_untouched(self):
         params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
-        state = init_optimizer(params, 10, peak_lr=0.1, warmup_fraction=0.0)
-        adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([1.0])}, state)
+        state = OptimizerState.zeros(params)
+        config = schedule(10, 0.0, peak=0.1)
+        adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([1.0])}, state, config)
         before = {k: v.copy() for k, v in params.items()}
         m_before = {k: v.copy() for k, v in state.m.items()}
         v_before = {k: v.copy() for k, v in state.v.items()}
         grads = {"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}
         with pytest.raises(FloatingPointError, match="tensor b"):
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, config)
         assert state.step == 1
         for name in params:
             assert np.array_equal(params[name], before[name]), name
@@ -536,9 +552,10 @@ class TestAdamStep:
 
     def test_descends_on_quadratic(self):
         params = {"w": np.array([5.0])}
-        state = init_optimizer(params, 200, peak_lr=0.1, warmup_fraction=0.0)
+        state = OptimizerState.zeros(params)
+        config = schedule(200, 0.0, peak=0.1)
         for _ in range(200):
-            adam_step(params, {"w": 2.0 * params["w"]}, state)
+            adam_step(params, {"w": 2.0 * params["w"]}, state, config)
         assert abs(params["w"][0]) < 1.0
 
 
@@ -550,7 +567,7 @@ def toy_table() -> NgramTable:
 class TestTrainStep:
     def test_returns_report_and_advances(self):
         model = Model.init(CFG)
-        state = init_optimizer(model.params, 10, peak_lr=1e-3, warmup_fraction=0.0)
+        state = OptimizerState.zeros(model.params)
         examples = make_examples(
             [
                 (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
@@ -558,25 +575,40 @@ class TestTrainStep:
             model,
         )
         before = {k: v.copy() for k, v in model.params.items()}
-        report = train_step(examples, model, state, TrainingConfig(total_steps=10))
+        report, _ = train_step(examples, model, state, schedule(10, 0.0, peak=1e-3))
         assert isinstance(report, LossReport)
         assert state.step == 1
         changed = any(not np.array_equal(before[k], model.params[k]) for k in before)
         assert changed
 
+    @pytest.mark.parametrize("peak", [1e-3, 4e-3])
+    def test_follows_the_config_schedule(self, peak):
+        # Adam's first step moves a weight by lr * |g| / (|g| + eps): at most
+        # the lr, and within 1% of it for any gradient above 100 * eps.
+        model = Model.init(CFG)
+        examples = make_examples(
+            [(EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),)))], model
+        )
+        before = {k: v.copy() for k, v in model.params.items()}
+        config = schedule(10, 0.0, peak=peak)
+        _, lr = train_step(examples, model, OptimizerState.zeros(model.params), config)
+        assert lr == lr_at(1, config) == pytest.approx(0.9 * peak)
+        largest = max(float(np.max(np.abs(model.params[k] - before[k]))) for k in before)
+        assert 0.99 * lr < largest <= lr * (1 + 1e-6)
+
     def test_mlm_only_examples_report_zero_misad(self):
         model = Model.init(CFG)
-        state = init_optimizer(model.params, 10, peak_lr=1e-3, warmup_fraction=0.0)
+        state = OptimizerState.zeros(model.params)
         examples = make_examples(
             [(EncodedSequence(ids=(10, 11, 12)), SpanAnnotation(spans=()))], model
         )
-        report = train_step(examples, model, state, TrainingConfig(total_steps=10))
+        report, _ = train_step(examples, model, state, schedule(10, 0.0, peak=1e-3))
         assert report.l_misad == 0.0
 
     def test_rerun_is_bit_identical(self):
         def run():
             model = Model.init(CFG)
-            state = init_optimizer(model.params, 5, peak_lr=1e-3, warmup_fraction=0.0)
+            state = OptimizerState.zeros(model.params)
             pairs = [
                 (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
                 (EncodedSequence(ids=(14, 15, 16)), SpanAnnotation(spans=(Span(2, 3),))),
@@ -584,7 +616,9 @@ class TestTrainStep:
             reports = []
             for _ in range(5):
                 examples = make_examples(pairs, model)
-                reports.append(train_step(examples, model, state, TrainingConfig(total_steps=5, seed=123)))
+                reports.append(
+                    train_step(examples, model, state, schedule(5, 0.0, peak=1e-3, seed=123))
+                )
             return model.params, reports
 
         params_a, reports_a = run()
