@@ -1,12 +1,14 @@
 """Command-line pipelines: n-gram extraction, training, evaluation, embedding.
 
-Every command resolves its settings the same way: built-in defaults,
-then a flat ``key = value`` config file, then command-line flags (flags
-win).  Unknown config keys are rejected, and so is a config-file value
-outside its setting's choices, as argparse rejects such a flag.  The
-fully resolved config is echoed to stderr.  Only ``train`` draws random
-numbers, all from its one seed; the other commands are deterministic —
-so a rerun with the same config reproduces artifacts byte for byte.
+Every command resolves its settings the same way: built-in defaults
+(for ``train``, the field defaults of ``EncoderConfig`` and
+``TrainingConfig``), then a flat ``key = value`` config file, then
+command-line flags (flags win).  Unknown config keys are rejected, and
+so is a config-file value outside its setting's choices, as argparse
+rejects such a flag.  The fully resolved config is echoed to stderr.
+Only ``train`` draws random numbers, all from its one seed; the other
+commands are deterministic — so a rerun with the same config reproduces
+artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import argparse
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 from .corpus import (
     CorpusError,
     Vocabulary,
+    atomic_open,
     build_vocabulary,
     encode,
     read_corpus,
@@ -90,7 +93,24 @@ class Setting:
     choices: tuple[str, ...] | None = None
 
 
+def _config_settings(*configs: type) -> dict[str, Setting]:
+    """One setting per config field but ``vocab_size``, converted by the field's type,
+    defaulted by its default (required if none), with ``choices`` from its metadata;
+    a field that two configs share is one setting."""
+    settings = {}
+    for config in configs:
+        types = get_type_hints(config)
+        for f in fields(config):
+            if f.name != "vocab_size":
+                settings[f.name] = Setting(
+                    types[f.name], None if f.default is MISSING else f.default,
+                    required=f.default is MISSING, choices=f.metadata.get("choices"),
+                )
+    return settings
+
+
 OUT_HELP = "primary output path"
+POOLING = Setting(str, "mean", choices=POOLING_STRATEGIES)
 
 # Each command's keys in the order its --help lists them.
 COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
@@ -109,25 +129,11 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
     },
     "train": {
         "out": Setting(str, required=True, help=OUT_HELP),
-        "seed": Setting(int, 0, help="master random seed"),
         "corpus": Setting(str, required=True),
         "table": Setting(str, required=True, help="n-gram table file"),
         "vocab": Setting(str, required=True, help="vocabulary file"),
-        "total_steps": Setting(int, required=True),
-        "batch_size": Setting(int, 64),
-        "d_model": Setting(int, 64),
-        "n_heads": Setting(int, 2),
-        "n_layers": Setting(int, 2),
-        "d_ff": Setting(int, 128),
-        "max_len": Setting(int, 128),
-        "dropout": Setting(float, 0.1),
-        "peak_lr": Setting(float, 5e-5),
-        "warmup_fraction": Setting(float, 0.1),
-        "mask_rate": Setting(float, 0.15),
-        "pooling_for_misad": Setting(str, "cls", choices=POOLING_STRATEGIES),
-        "misad_weight": Setting(float, 1.0),
-        "mlm_weight": Setting(float, 1.0),
         "metrics_out": Setting(str),
+        **_config_settings(EncoderConfig, TrainingConfig),
     },
     "eval-analogy": {
         "out": Setting(str, help=OUT_HELP),
@@ -135,18 +141,18 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "checkpoint": Setting(str),
         "vocab": Setting(str),
         "vectors": Setting(str, help="static word-vector file"),
-        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
+        "pooling": POOLING,
     },
     "eval-retrieval": {
         "out": Setting(str, help=OUT_HELP),
-        "backend": Setting(str, required=True, help="model | vectors | bm25"),
+        "backend": Setting(str, required=True, choices=("model", "vectors", "bm25")),
         "corpus": Setting(str, required=True, help="retrieval corpus TSV (id, text)"),
         "queries": Setting(str, required=True, help="queries TSV (text, gold ids)"),
         "checkpoint": Setting(str),
         "vocab": Setting(str),
         "vectors": Setting(str),
-        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
-        "ks": Setting(str, "1,5,10", help="comma-separated cutoffs, default 1,5,10"),
+        "pooling": POOLING,
+        "ks": Setting(str, "1,5,10", help="comma-separated cutoffs"),
         "group_by_length": Setting(_int_or_none, help="bucket queries by token count"),
     },
     "embed": {
@@ -154,11 +160,9 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
         "checkpoint": Setting(str, required=True),
         "vocab": Setting(str, required=True),
         "texts": Setting(str, required=True, help="input texts, one per line"),
-        "pooling": Setting(str, "mean", choices=POOLING_STRATEGIES),
+        "pooling": POOLING,
     },
 }
-
-VALID_BACKENDS = ("model", "vectors", "bm25")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -229,23 +233,19 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with atomic_open(out) as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _load_encoded_corpus(corpus_path: str, vocab: Vocabulary):
-    docs = list(read_corpus(corpus_path))
-    return [encode(d.tokens, vocab) for d in docs]
-
-
 def cmd_extract_ngrams(args: argparse.Namespace) -> int:
     cfg = resolve_config("extract-ngrams", args)
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
-    encoded = [encode(d.tokens, vocab) for d in docs]
+    encoded = [encode(tokens, vocab) for tokens in docs]
     table = build_table(count_ngrams(encoded, n_max=cfg["n_max"]))
     if cfg["entities"]:
         table = inject_entities(table, read_entity_file(cfg["entities"], vocab))
@@ -269,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config("train", args)
     train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     vocab = Vocabulary.load(cfg["vocab"])
-    sequences = _load_encoded_corpus(cfg["corpus"], vocab)
+    sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]
     table = load_table(cfg["table"], vocab)
     enc_config = EncoderConfig(
         vocab_size=len(vocab),
@@ -318,11 +318,6 @@ def cmd_eval_analogy(args: argparse.Namespace) -> int:
 
 def cmd_eval_retrieval(args: argparse.Namespace) -> int:
     cfg = resolve_config("eval-retrieval", args)
-    backend = cfg["backend"]
-    if backend not in VALID_BACKENDS:
-        raise CliError(
-            f"unknown backend {backend!r}; valid backends: {', '.join(VALID_BACKENDS)}"
-        )
     corpus_rows = read_retrieval_corpus(cfg["corpus"])
     query_rows = read_retrieval_queries(cfg["queries"])
     retrieval = RetrievalSet(corpus=tuple(corpus_rows), queries=tuple(query_rows))
@@ -337,10 +332,10 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
             raise CliError(f"{name} must be >= 1, got {value}")
     depth = min(max(ks), len(ids))
     queries = [q for q, _ in retrieval.queries]
-    if backend == "bm25":
+    if cfg["backend"] == "bm25":
         corpus_tokens = [tokenize(t) for t in texts]
         query_tokens = [tokenize(q) for q in queries]
-        rankings = [r[:depth] for r in bm25_rank(query_tokens, corpus_tokens, ids=ids)]
+        rankings = [r[:depth] for r in bm25_rank(query_tokens, corpus_tokens, ids)]
     else:
         embedder = _build_embedder(cfg)
         matrix = embed_corpus(texts, embedder)

@@ -8,11 +8,13 @@ and evaluation items stay interpretable.
 
 from __future__ import annotations
 
+import os
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -34,15 +36,6 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class Document:
-    """A single input document: raw text plus its token sequence."""
-
-    id: int
-    text: str
-    tokens: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class EncodedSequence:
     """A token-id sequence, before [CLS]/[SEP] framing."""
 
@@ -55,6 +48,32 @@ class EncodedSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def frame(ids: Iterable[int]) -> tuple[int, ...]:
+    """Wrap raw token ids with the sequence delimiters."""
+    return (CLS_ID, *ids, SEP_ID)
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Write a temp file beside ``path`` (or its symlink's target) and ``os.replace``
+    it over ``path`` when the block ends; a block that raises leaves ``path`` as it
+    was and no temp file.  A device or pipe, such as /dev/null, is written in place."""
+    encoding = None if "b" in mode else "utf-8"
+    target = Path(os.path.realpath(path))
+    if os.path.exists(path) and not target.is_file():
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -107,7 +126,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         """Write TSV ``token<TAB>id<TAB>count``, specials first."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for idx, tok in enumerate(self._id_to_token):
                 fh.write(f"{tok}\t{idx}\t{self._id_to_count[idx]}\n")
 
@@ -135,22 +154,16 @@ class Vocabulary:
         return vocab
 
 
-def read_corpus(path: str | Path) -> Iterator[Document]:
-    """Yield one Document per non-blank line of a UTF-8 text file."""
+def read_corpus(path: str | Path) -> Iterator[tuple[str, ...]]:
+    """Yield the tokens of each non-blank line of a UTF-8 text file."""
     with open(path, encoding="utf-8") as fh:
-        doc_id = 0
         for line in fh:
-            text = line.rstrip("\n")
-            if not text.strip():
-                continue
-            yield Document(id=doc_id, text=text, tokens=tuple(tokenize(text)))
-            doc_id += 1
+            if line.strip():
+                yield tuple(tokenize(line))
 
 
 def build_vocabulary(
-    documents: Iterable[Document],
-    min_count: int = 5,
-    max_size: int = 50_000,
+    documents: Iterable[Sequence[str]], min_count: int, max_size: int
 ) -> Vocabulary:
     """Count tokens and keep those with count >= ``min_count``.
 
@@ -163,8 +176,8 @@ def build_vocabulary(
     if max_size <= NUM_SPECIALS:
         raise CorpusError(f"max_size must be > {NUM_SPECIALS}, got {max_size}")
     counts: Counter[str] = Counter()
-    for doc in documents:
-        counts.update(doc.tokens)
+    for tokens in documents:
+        counts.update(tokens)
     if not counts:
         raise CorpusError("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -30,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import PAD_ID, atomic_open
+
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
 
@@ -603,12 +605,12 @@ class Model:
         return cls(params=init_params(config, dtype=dtype), config=config)
 
 
-def pad_batch(sequences: Sequence[Sequence[int]], pad_id: int = 0):
-    """Right-pad id lists to a rectangle; returns (ids, mask) arrays."""
+def pad_batch(sequences: Sequence[Sequence[int]]):
+    """Right-pad id lists with PAD_ID to a rectangle; returns (ids, mask) arrays."""
     if not sequences:
         raise ValueError("empty batch")
     length = max(len(s) for s in sequences)
-    ids = np.full((len(sequences), length), pad_id, dtype=np.int64)
+    ids = np.full((len(sequences), length), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(sequences), length), dtype=bool)
     for i, s in enumerate(sequences):
         ids[i, : len(s)] = s
@@ -641,7 +643,7 @@ def save_checkpoint(
         directory.extend(struct.pack(f"<{arr.ndim}I", *arr.shape))
         directory.extend(struct.pack("<Q", offset))
     config_blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

@@ -20,7 +20,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CLS_ID, PAD_ID, SEP_ID, Vocabulary, encode, tokenize
+from .corpus import Vocabulary, encode, frame, tokenize
 from .encoder import POOLING_STRATEGIES, Model, forward, load_checkpoint, pad_batch, pool
 
 _EPS = 1e-12
@@ -150,7 +150,7 @@ class ModelEmbedder:
     (with a warning), and pooled in chunks of :data:`EMBED_BATCH` texts.
     """
 
-    def __init__(self, model: Model, vocab: Vocabulary, pooling: str = "mean"):
+    def __init__(self, model: Model, vocab: Vocabulary, pooling: str):
         if pooling not in POOLING_STRATEGIES:
             raise ValueError(
                 f"unknown pooling strategy {pooling!r}; expected one of {POOLING_STRATEGIES}"
@@ -160,16 +160,14 @@ class ModelEmbedder:
         self.pooling = pooling
 
     @classmethod
-    def from_checkpoint(
-        cls, path: str | Path, vocab: Vocabulary, pooling: str = "mean"
-    ) -> "ModelEmbedder":
+    def from_checkpoint(cls, path: str | Path, vocab: Vocabulary, pooling: str) -> "ModelEmbedder":
         return cls(load_checkpoint(path), vocab, pooling)
 
-    def _framed_ids(self, text: str) -> list[int]:
+    def _framed_ids(self, text: str) -> tuple[int, ...]:
         tokens = tokenize(text)
         if not tokens:
             raise ValueError(f"cannot embed empty text {text!r}")
-        ids = list(encode(tokens, self.vocab).ids)
+        ids = encode(tokens, self.vocab).ids
         limit = self.model.config.max_len - 2
         if len(ids) > limit:
             warnings.warn(
@@ -177,13 +175,13 @@ class ModelEmbedder:
                 stacklevel=3,
             )
             ids = ids[:limit]
-        return [CLS_ID] + ids + [SEP_ID]
+        return frame(ids)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
         chunks = []
         for start in range(0, len(framed), EMBED_BATCH):
-            ids, mask = pad_batch(framed[start : start + EMBED_BATCH], pad_id=PAD_ID)
+            ids, mask = pad_batch(framed[start : start + EMBED_BATCH])
             hidden = forward(self.model.params, self.model.config, ids, mask)
             chunks.append(pool(hidden, mask, self.pooling, self.model.params))
         return np.concatenate(chunks)
@@ -328,7 +326,7 @@ def retrieve_topk(
 def topk_accuracy(
     rankings: Sequence[Sequence],
     gold_sets: Sequence[set],
-    ks: Sequence[int] = (1, 5, 10),
+    ks: Sequence[int],
 ) -> dict[int, float]:
     """Fraction of queries with any gold id inside the top k."""
     if len(rankings) != len(gold_sets):
@@ -352,7 +350,7 @@ def topk_accuracy_by_group(
     rankings: Sequence[Sequence],
     gold_sets: Sequence[set],
     groups: Sequence,
-    ks: Sequence[int] = (1, 5, 10),
+    ks: Sequence[int],
 ) -> dict[str, dict[int, float]]:
     """Top-k accuracy computed separately per query group label."""
     if len(groups) != len(rankings):
@@ -410,14 +408,10 @@ def bm25_scores(
 def bm25_rank(
     queries: Sequence[Sequence[str]],
     corpus_tokens: Sequence[Sequence[str]],
-    k1: float = 1.2,
-    b: float = 0.75,
-    ids: Sequence | None = None,
+    ids: Sequence,
 ) -> list[list]:
     """One ranking of every document per query, by BM25 score; ties break by ascending id."""
-    scores = bm25_scores(queries, corpus_tokens, k1, b)
-    if ids is None:
-        ids = list(range(len(corpus_tokens)))
+    scores = bm25_scores(queries, corpus_tokens)
     return [_rank(row, ids, len(ids)) for row in scores]
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import EncodedSequence, Vocabulary
+from .corpus import EncodedSequence, Vocabulary, atomic_open
 
 PAD = -1  # fills a row after the last id of an n-gram shorter than n_max
 
@@ -251,9 +251,7 @@ def inject_entities(table: NgramTable, entity_ngrams: Iterable[Sequence[int]]) -
 
 
 def prune_table(
-    table: NgramTable,
-    pmi_threshold: float = 0.0,
-    per_doc_top_k: int | None = 3000,
+    table: NgramTable, pmi_threshold: float, per_doc_top_k: int | None
 ) -> NgramTable:
     """Apply the score threshold, then keep each document's top-K entries.
 
@@ -321,7 +319,7 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """
     first = np.array(vocab.tokens(), dtype=object)
     later = np.array([" " + t for t in vocab.tokens()] + [""], dtype=object)  # PAD picks ""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(_TABLE_HEADER + "\n")
         for lo in range(0, len(table), _SAVE_CHUNK):
             chunk = slice(lo, lo + _SAVE_CHUNK)

@@ -22,13 +22,16 @@ holds only what a resumed run needs, the Adam moments and the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, EncodedSequence
+from .corpus import (
+    CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, EncodedSequence, atomic_open, frame,
+)
 from .encoder import (
     POOLING_STRATEGIES,
     ConfigError,
@@ -52,22 +55,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def frame(ids: Iterable[int]) -> tuple[int, ...]:
-    """Wrap raw token ids with the sequence delimiters."""
-    return (CLS_ID, *ids, SEP_ID)
-
-
 @dataclass(frozen=True)
 class TrainingExample:
-    """One sequence with its selected span and the framed model inputs.
+    """One sequence's selected span and its framed model inputs.
 
     ``span`` is None for MLM-only examples (no annotated spans, or the
     only spans cover the whole sequence so the remainder would be
     empty); then ``w_ids`` and ``r_ids`` are None as well.
     """
 
-    s: EncodedSequence
-    annotation: SpanAnnotation
     span: Span | None
     w_ids: tuple[int, ...] | None
     r_ids: tuple[int, ...] | None
@@ -144,7 +140,7 @@ def score_spans(
             row_owner.append(vi)
             cols.append(pos)
             targets.append(seq.ids[pos - 1])
-    ids, mask = pad_batch(variants, pad_id=PAD_ID)
+    ids, mask = pad_batch(variants)
     hidden = forward(model.params, model.config, ids, mask, rows=(row_owner, cols))
     log_probs, _ = mlm_head_rows(model.params, hidden)
     token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
@@ -163,9 +159,9 @@ def make_examples(
         idx = select_span(scores)
         split = None if idx is None else split_sequence(seq, ann.spans[idx])
         if split is None:
-            examples.append(TrainingExample(seq, ann, None, None, None, frame(seq.ids)))
+            examples.append(TrainingExample(None, None, None, frame(seq.ids)))
         else:
-            examples.append(TrainingExample(seq, ann, ann.spans[idx], *split))
+            examples.append(TrainingExample(ann.spans[idx], *split))
     return examples
 
 
@@ -213,7 +209,7 @@ def mask_for_mlm(
     span: Span | None,
     vocab_size: int,
     rng: np.random.Generator,
-    mask_rate: float = 0.15,
+    mask_rate: float,
 ):
     """BERT-style masking that never touches the selected span.
 
@@ -287,7 +283,7 @@ def prepare_batch(
     examples: Sequence[TrainingExample],
     vocab_size: int,
     rng: np.random.Generator,
-    mask_rate: float = 0.15,
+    mask_rate: float,
 ) -> PreparedBatch:
     """Apply MLM masking and pad every input the step will need."""
     if not examples:
@@ -307,10 +303,10 @@ def prepare_batch(
             misad_s_rows.append(row)
             w_seqs.append(ex.w_ids)
             r_seqs.append(ex.r_ids)
-    s_ids, s_mask = pad_batch(s_seqs, pad_id=PAD_ID)
+    s_ids, s_mask = pad_batch(s_seqs)
     if w_seqs:
-        w_ids, w_mask = pad_batch(w_seqs, pad_id=PAD_ID)
-        r_ids, r_mask = pad_batch(r_seqs, pad_id=PAD_ID)
+        w_ids, w_mask = pad_batch(w_seqs)
+        r_ids, r_mask = pad_batch(r_seqs)
     else:
         w_ids = w_mask = r_ids = r_mask = None
     return PreparedBatch(
@@ -335,20 +331,21 @@ def loss_and_gradients(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     batch: PreparedBatch,
+    train_config: TrainingConfig,
     *,
-    pooling: str = "cls",
-    misad_weight: float = 1.0,
-    mlm_weight: float = 1.0,
     dropout_tag: tuple[int, int] | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Joint loss and its exact analytic gradient for every tensor.
 
     The masked forward pass of S feeds both losses: its hidden rows at
     masked positions go to the MLM head, and its pooled vector is E^S
-    for the compositional term.  Dropout follows the tag: it runs
-    exactly when ``dropout_tag=(seed, step)`` is given and
+    for the compositional term.  ``train_config`` gives the pooling for
+    E^w, E^R and E^S and the two loss weights.  Dropout follows the tag:
+    it runs exactly when ``dropout_tag=(seed, step)`` is given and
     ``config.dropout > 0``, and the tag fixes its streams.
     """
+    pooling = train_config.pooling_for_misad
+    misad_weight, mlm_weight = train_config.misad_weight, train_config.mlm_weight
     grads = zero_grads(params)
 
     def tag(name: str):
@@ -411,7 +408,7 @@ class TrainingConfig:
     peak_lr: float = 5e-5
     warmup_fraction: float = 0.1
     mask_rate: float = 0.15
-    pooling_for_misad: str = "cls"
+    pooling_for_misad: str = field(default="cls", metadata={"choices": POOLING_STRATEGIES})
     misad_weight: float = 1.0
     mlm_weight: float = 1.0
     seed: int = 0
@@ -429,6 +426,12 @@ class TrainingConfig:
             raise ConfigError(
                 f"pooling_for_misad ({self.pooling_for_misad!r}) must be in {POOLING_STRATEGIES}"
             )
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0.0):
+            raise ConfigError(f"peak_lr ({self.peak_lr}) must be finite and > 0")
+        for name in ("misad_weight", "mlm_weight"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ConfigError(f"{name} ({weight}) must be finite and >= 0")
 
 
 @dataclass
@@ -510,13 +513,7 @@ def train_step(
     mask_gen = step_rng(config.seed, state.step, "mlm")
     batch = prepare_batch(examples, model.config.vocab_size, mask_gen, config.mask_rate)
     report, grads = loss_and_gradients(
-        model.params,
-        model.config,
-        batch,
-        pooling=config.pooling_for_misad,
-        misad_weight=config.misad_weight,
-        mlm_weight=config.mlm_weight,
-        dropout_tag=(config.seed, state.step),
+        model.params, model.config, batch, config, dropout_tag=(config.seed, state.step)
     )
     return report, adam_step(model.params, grads, state, config)
 
@@ -574,4 +571,5 @@ def write_metrics(rows: Sequence[tuple], path: str | Path) -> None:
     lines = [METRICS_HEADER]
     for step, l_misad, l_mlm, l_total, lr in rows:
         lines.append(f"{step}\t{l_misad:.9g}\t{l_mlm:.9g}\t{l_total:.9g}\t{lr:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -35,7 +35,7 @@ from oracles import (
     oracle_rank,
 )
 from ulrlab.cli import main
-from ulrlab.corpus import Document, EncodedSequence, build_vocabulary, encode, tokenize
+from ulrlab.corpus import EncodedSequence, build_vocabulary, encode, frame, tokenize
 from ulrlab.encoder import (
     EncoderConfig,
     Model,
@@ -58,7 +58,6 @@ from ulrlab.evaluation import (
 from ulrlab.ngram import (
     NgramTable,
     Span,
-    SpanAnnotation,
     build_table,
     count_ngrams,
     length_histogram,
@@ -69,7 +68,6 @@ from ulrlab.training import (
     Trainer,
     TrainingConfig,
     TrainingExample,
-    frame,
     loss_and_gradients,
     mask_for_mlm,
     prepare_batch,
@@ -243,26 +241,17 @@ def test_criterion_gradient_suite(capsys):
             seq = EncodedSequence(ids=ids)
             span = Span(2, 3 + k)
             w_f, r_f, s_f = split_sequence(seq, span)
-            examples.append(
-                TrainingExample(
-                    s=seq, annotation=SpanAnnotation(spans=(span,)), span=span,
-                    w_ids=w_f, r_ids=r_f, s_ids=s_f,
-                )
-            )
+            examples.append(TrainingExample(span=span, w_ids=w_f, r_ids=r_f, s_ids=s_f))
         ids = tuple(int(x) for x in rng.integers(5, 50, size=9))
-        examples.append(
-            TrainingExample(
-                s=EncodedSequence(ids=ids), annotation=SpanAnnotation(spans=()),
-                span=None, w_ids=None, r_ids=None, s_ids=frame(ids),
-            )
-        )
+        examples.append(TrainingExample(span=None, w_ids=None, r_ids=None, s_ids=frame(ids)))
         batch = prepare_batch(examples, config.vocab_size, rng, mask_rate=0.3)
         assert batch.n_masked > 0 and batch.n_misad > 0
 
         def joint(mw, lw):
             return loss_and_gradients(
-                params, config, batch, pooling="cls",
-                misad_weight=mw, mlm_weight=lw,
+                params, config, batch, TrainingConfig(
+                    total_steps=1, pooling_for_misad="cls", misad_weight=mw, mlm_weight=lw,
+                ),
             )
 
         _, g_misad = joint(1.0, 0.0)
@@ -478,13 +467,10 @@ def test_criterion_compositional_experiment(capsys):
     t0 = time.monotonic()
     train_texts = _make_sentences(5000, np.random.default_rng(2024))
     held_texts = _make_sentences(500, np.random.default_rng(77))
-    docs = [
-        Document(id=i, text=t, tokens=tuple(t.split()))
-        for i, t in enumerate(train_texts)
-    ]
+    docs = [tuple(t.split()) for t in train_texts]
     vocab = build_vocabulary(docs, min_count=5, max_size=50_000)
     assert len(vocab) == 205  # 100 units x 2 word types + 5 specials
-    encoded = [encode(d.tokens, vocab) for d in docs]
+    encoded = [encode(tokens, vocab) for tokens in docs]
     table = prune_table(
         build_table(count_ngrams(encoded, n_max=2)),
         pmi_threshold=2.0, per_doc_top_k=None,
@@ -525,7 +511,7 @@ def test_criterion_compositional_experiment(capsys):
         assert len(s_seqs) >= 450  # nearly every held-out sentence splits
 
         def embed(seqs):
-            ids, mask = pad_batch(seqs, pad_id=0)
+            ids, mask = pad_batch(seqs)
             hidden = forward(model.params, model.config, ids, mask)
             return pool(hidden, mask, "mean")
 
@@ -614,12 +600,9 @@ def test_criterion_scale_sanity(capsys):
     assert total >= 1_000_000, f"harvested only {total} tokens"
     t_mine = time.monotonic()
 
-    docs = [
-        Document(id=i, text=" ".join(toks), tokens=tuple(toks))
-        for i, toks in enumerate(texts)
-    ]
+    docs = [tuple(toks) for toks in texts]
     vocab = build_vocabulary(docs, min_count=5, max_size=50_000)
-    encoded = [encode(d.tokens, vocab) for d in docs]
+    encoded = [encode(tokens, vocab) for tokens in docs]
     table = prune_table(
         build_table(count_ngrams(encoded, n_max=6)),
         pmi_threshold=0.0, per_doc_top_k=3000,

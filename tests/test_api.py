@@ -2,8 +2,9 @@
 
 A name counts as used when ``src/ulrlab`` or ``bench/`` loads it outside
 its own definition: a module-level function, class or constant by name
-or as an attribute, a method or property as an attribute.  Tests do not
-count; code only they call belongs in the tests.
+or as an attribute, a method, property or dataclass field as an
+attribute.  Tests do not count; code only they call, or fields only
+they read, belong in the tests.
 
 Blind spot: names are matched by spelling alone, so a definition that
 shares its name with a method of numpy arrays or bytes (``decode``,
@@ -19,8 +20,16 @@ SOURCES = sorted((ROOT / "src" / "ulrlab").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
 def definitions(tree: ast.Module, module: str):
-    """(qualified name, name, defining node, is a method) for every definition."""
+    """(qualified name, name, defining node, is a member) for every definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", node.name, node, False
@@ -28,6 +37,10 @@ def definitions(tree: ast.Module, module: str):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield f"{module}.{node.name}.{item.name}", item.name, item, True
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and is_dataclass(node)):
+                    name = item.target.id
+                    yield f"{module}.{node.name}.{name}", name, item, True
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -56,10 +69,10 @@ def test_every_definition_has_a_caller():
         attrs += tree_attrs
     unused = []
     for path in SOURCES:
-        for qualname, name, node, is_method in definitions(trees[path], path.stem):
+        for qualname, name, node, is_member in definitions(trees[path], path.stem):
             own_names, own_attrs = load_counts(node)
             outside = attrs[name] - own_attrs[name]
-            if not is_method:
+            if not is_member:
                 outside += names[name] - own_names[name]
             if outside == 0:
                 unused.append(qualname)

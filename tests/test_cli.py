@@ -221,6 +221,21 @@ class TestConfigResolution:
         assert f"batch_size ({batch_size}) must be >= 1" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--peak-lr", "-1"), ("--misad-weight", "nan")])
+    def test_bad_rate_or_weight_rejected_before_reading_input(
+        self, capsys, tmp_path, flag, value
+    ):
+        missing = tmp_path / "absent"
+        out = tmp_path / "m.ckpt"
+        code, _, stderr = run(capsys, [
+            "train", "--corpus", str(missing), "--table", str(missing),
+            "--vocab", str(missing), "--total-steps", "2", flag, value, "--out", str(out),
+        ])
+        assert code == 1
+        [error] = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert error.startswith(f"error: {flag[2:].replace('-', '_')} ({float(value)})")
+        assert not out.exists()
+
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -507,13 +522,28 @@ class TestEvalRetrieval:
 
     def test_unknown_backend_lists_valid_ones(self, capsys, retrieval_files):
         vec_path, corpus_path, queries_path = retrieval_files
-        code, _, stderr = run(capsys, [
-            "eval-retrieval", "--backend", "lucene",
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval-retrieval", "--backend", "lucene",
+                "--corpus", str(corpus_path), "--queries", str(queries_path),
+            ])
+        assert exc.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "invalid choice: 'lucene'" in stderr
+        assert re.search(r"choose from '?model'?, '?vectors'?, '?bm25", stderr)
+
+    def test_unknown_backend_in_config_file_lists_valid_ones(
+        self, capsys, retrieval_files, tmp_path
+    ):
+        vec_path, corpus_path, queries_path = retrieval_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("backend = lucene\n")
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--config", str(cfg),
             "--corpus", str(corpus_path), "--queries", str(queries_path),
         ])
-        assert code == 1
-        assert "unknown backend" in stderr
-        assert "model, vectors, bm25" in stderr
+        assert code == 1 and stdout == ""
+        assert "'backend'" in stderr and "valid values: model, vectors, bm25" in stderr
 
 
 class TestEmbed:

@@ -1,6 +1,8 @@
 """Tokenization, vocabulary construction, and id encoding."""
 
 import collections
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from ulrlab.corpus import (
     SPECIAL_TOKENS,
     UNK_ID,
     CorpusError,
-    Document,
     Vocabulary,
+    atomic_open,
     build_vocabulary,
     encode,
     read_corpus,
@@ -25,7 +27,7 @@ from ulrlab.corpus import (
 
 
 def make_documents(*texts):
-    return [Document(id=i, text=t, tokens=tokenize(t)) for i, t in enumerate(texts)]
+    return [tokenize(t) for t in texts]
 
 
 class TestTokenize:
@@ -148,17 +150,41 @@ class TestReadCorpus:
         path = tmp_path / "corpus.txt"
         path.write_text("First doc here.\n\n  \nSecond DOC\n", encoding="utf-8")
         docs = list(read_corpus(path))
-        assert [list(d.tokens) for d in docs] == [
+        assert [list(tokens) for tokens in docs] == [
             ["first", "doc", "here"],
             ["second", "doc"],
         ]
-        assert [d.id for d in docs] == [0, 1]
 
     def test_tokens_contain_no_punctuation_characters(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("a,b.c  (d) e!\n", encoding="utf-8")
-        (doc,) = read_corpus(path)
+        (tokens,) = read_corpus(path)
         stripped = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
-        for token in doc.tokens:
+        for token in tokens:
             assert token
             assert not (set(token) & stripped)
+
+
+class TestAtomicOpen:
+    def test_symlink_keeps_its_link_and_replaces_its_target(self, tmp_path):
+        (tmp_path / "real.txt").write_text("old")
+        (tmp_path / "link.txt").symlink_to("real.txt")
+        with atomic_open(tmp_path / "link.txt") as fh:
+            fh.write("new")
+        assert (tmp_path / "link.txt").is_symlink()
+        assert (tmp_path / "real.txt").read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text()), daemon=True
+        )
+        reader.start()
+        with atomic_open(pipe) as fh:
+            fh.write("through the pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["through the pipe"] and pipe.is_fifo()

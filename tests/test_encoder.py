@@ -361,7 +361,7 @@ class TestMlmLogProbs:
 
 class TestPadBatch:
     def test_pads_to_rectangle(self):
-        ids, mask = pad_batch([[3, 5, 4], [3, 4]], pad_id=0)
+        ids, mask = pad_batch([[3, 5, 4], [3, 4]])
         assert ids.tolist() == [[3, 5, 4], [3, 4, 0]]
         assert mask.tolist() == [[True, True, True], [True, True, False]]
 

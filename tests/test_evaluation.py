@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import write_analogy_file, write_word_vectors
 from oracles import oracle_bm25
-from ulrlab.corpus import Document, build_vocabulary
+from ulrlab.corpus import build_vocabulary
 from ulrlab.encoder import EncoderConfig, Model, save_checkpoint
 from ulrlab.evaluation import (
     EMBED_BATCH,
@@ -281,8 +281,7 @@ def model_embedder(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     save_checkpoint(model.params, cfg, path)
     tokens = [f"t{i}" for i in range(25)]
-    doc = Document(id=0, text=" ".join(tokens), tokens=tuple(tokens))
-    vocab = build_vocabulary([doc], min_count=1, max_size=30)
+    vocab = build_vocabulary([tokens], min_count=1, max_size=30)
     return ModelEmbedder.from_checkpoint(path, vocab, pooling="mean"), tokens
 
 
@@ -445,9 +444,9 @@ class TestTopkAccuracy:
 
     def test_missing_gold_rejected(self):
         with pytest.raises(ValueError, match="missing gold"):
-            topk_accuracy([[1]], [set()])
+            topk_accuracy([[1]], [set()], (1,))
         with pytest.raises(ValueError, match="missing gold"):
-            topk_accuracy([[1], [2]], [{1}])
+            topk_accuracy([[1], [2]], [{1}], (1,))
 
     def test_by_group(self):
         rankings = [[0, 1], [1, 0], [0, 1], [1, 0]]
@@ -474,7 +473,7 @@ class TestBm25:
         want0 = idf_b * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 3 / 2.5))
         want1 = idf_b * 2.2 / (1 + 1.2 * (0.25 + 0.75 * 2 / 2.5))
         np.testing.assert_allclose(scores, [want0, want1], atol=1e-9)
-        assert bm25_rank([["b"]], self.DOCS) == [[1, 0]]
+        assert bm25_rank([["b"]], self.DOCS, [0, 1]) == [[1, 0]]
 
     def test_repeated_query_terms_double(self):
         once = bm25_scores([["b"]], self.DOCS)[0]
@@ -483,7 +482,7 @@ class TestBm25:
 
     def test_absent_term_and_empty_query(self):
         np.testing.assert_array_equal(bm25_scores([["zzz"]], self.DOCS)[0], [0.0, 0.0])
-        assert bm25_rank([[]], self.DOCS) == [[0, 1]]
+        assert bm25_rank([[]], self.DOCS, [0, 1]) == [[0, 1]]
         assert bm25_rank([["zzz"]], self.DOCS, ids=["d1", "d0"]) == [["d0", "d1"]]
 
     def test_idf_nonnegative_even_for_ubiquitous_terms(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import oracle_mark, oracle_mined_table
-from ulrlab.corpus import UNK_ID, Document, EncodedSequence, NUM_SPECIALS, build_vocabulary
+from ulrlab.corpus import UNK_ID, EncodedSequence, NUM_SPECIALS, build_vocabulary
 from ulrlab.ngram import (
     NgramError,
     NgramTable,
@@ -57,7 +57,7 @@ IDS.update({t: i + NUM_SPECIALS + 10 for i, t in enumerate(["the", "cat", "sat",
 # ties; documents of 0..9 tokens include ones shorter than n_max.
 MAX_ALPHABET = 5
 MINING_VOCAB = build_vocabulary(
-    [Document(0, "", tuple(f"t{i}" for i in range(MAX_ALPHABET)))], min_count=1
+    [tuple(f"t{i}" for i in range(MAX_ALPHABET))], min_count=1, max_size=50_000
 )
 
 
@@ -344,10 +344,10 @@ class TestSpanTypes:
 class TestTableIO:
     @pytest.fixture
     def vocab(self):
-        from ulrlab.corpus import build_vocabulary, Document, tokenize
+        from ulrlab.corpus import build_vocabulary, tokenize
 
         text = "a b c d e the cat sat " * 6
-        docs = [Document(0, text, tokenize(text))]
+        docs = [tokenize(text)]
         return build_vocabulary(docs, min_count=1, max_size=100)
 
     def test_roundtrip_and_stable_bytes(self, tmp_path, vocab):
@@ -367,6 +367,17 @@ class TestTableIO:
         assert loaded.entries[(ids[0], ids[1])][0] == 5
         save_table(loaded, vocab, path)
         assert path.read_bytes() == first
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, vocab):
+        ids = [vocab.id_of(t) for t in ("a", "b")]
+        path = tmp_path / "table.tsv"
+        save_table(toy_table({tuple(ids): (5, 1.25)}), vocab, path)
+        before = path.read_bytes()
+        # An id past the vocabulary fails after the header is written.
+        with pytest.raises(IndexError):
+            save_table(toy_table({(len(vocab), ids[0]): (1, 0.5)}), vocab, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
     @given(st.dictionaries(
         st.lists(st.integers(NUM_SPECIALS, NUM_SPECIALS + MAX_ALPHABET - 1), min_size=2,

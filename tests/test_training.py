@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import misad_loss
 from oracles import oracle_score_spans
 
-from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence
+from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence, frame
 from ulrlab.encoder import (
     ConfigError,
     EncoderConfig,
@@ -27,7 +27,6 @@ from ulrlab.training import (
     Trainer,
     TrainingConfig,
     adam_step,
-    frame,
     loss_and_gradients,
     lr_at,
     make_examples,
@@ -46,6 +45,11 @@ CFG = EncoderConfig(
     vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=32,
     dropout=0.0, seed=3,
 )
+
+
+def objective(**loss) -> TrainingConfig:
+    """A config carrying the loss settings ``loss_and_gradients`` reads."""
+    return TrainingConfig(total_steps=1, **loss)
 
 
 def uniform_model() -> Model:
@@ -384,15 +388,19 @@ class TestPrepareBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            prepare_batch([], 50, np.random.default_rng(0))
+            prepare_batch([], 50, np.random.default_rng(0), 0.15)
 
 
 class TestLossAndGradients:
     def test_weights_scale_total(self):
         model = Model.init(CFG)
         batch, _ = TestPrepareBatch().make_batch()
-        r1, _ = loss_and_gradients(model.params, CFG, batch, misad_weight=1.0, mlm_weight=1.0)
-        r2, _ = loss_and_gradients(model.params, CFG, batch, misad_weight=2.0, mlm_weight=0.5)
+        r1, _ = loss_and_gradients(
+            model.params, CFG, batch, objective(misad_weight=1.0, mlm_weight=1.0)
+        )
+        r2, _ = loss_and_gradients(
+            model.params, CFG, batch, objective(misad_weight=2.0, mlm_weight=0.5)
+        )
         assert r1.l_misad == pytest.approx(r2.l_misad)
         assert r1.l_mlm == pytest.approx(r2.l_mlm)
         assert r2.l_total == pytest.approx(2.0 * r2.l_misad + 0.5 * r2.l_mlm)
@@ -403,7 +411,7 @@ class TestLossAndGradients:
             [(EncodedSequence(ids=(10, 11, 12)), SpanAnnotation(spans=()))], model
         )
         batch = prepare_batch(examples, 50, np.random.default_rng(0), 0.5)
-        report, grads = loss_and_gradients(model.params, CFG, batch)
+        report, grads = loss_and_gradients(model.params, CFG, batch, objective())
         assert report.l_misad == 0.0
         assert report.l_total == pytest.approx(report.l_mlm)
         assert set(grads) == set(model.params)
@@ -411,14 +419,16 @@ class TestLossAndGradients:
     def test_uniform_head_mlm_loss_is_log_vocab(self):
         model = uniform_model()
         batch, _ = TestPrepareBatch().make_batch()
-        report, _ = loss_and_gradients(model.params, CFG, batch, misad_weight=0.0)
+        report, _ = loss_and_gradients(model.params, CFG, batch, objective(misad_weight=0.0))
         assert report.l_mlm == pytest.approx(math.log(50), rel=1e-6)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     def test_gradients_nonzero_every_tensor(self, pooling):
         model = Model.init(CFG)
         batch, _ = TestPrepareBatch().make_batch()
-        _, grads = loss_and_gradients(model.params, CFG, batch, pooling=pooling)
+        _, grads = loss_and_gradients(
+            model.params, CFG, batch, objective(pooling_for_misad=pooling)
+        )
         for name, g in grads.items():
             assert np.all(np.isfinite(g)), name
             if pooling != "cls" and name.startswith("pooler"):
@@ -444,11 +454,13 @@ class TestLossAndGradients:
         batch = prepare_batch(examples, CFG.vocab_size, rng, mask_rate=0.3)
         assert batch.n_masked > 0 and batch.n_misad == 3
 
+        train_config = objective(pooling_for_misad=pooling, misad_weight=2.0)
+
         def loss(p):
-            report, _ = loss_and_gradients(p, CFG, batch, pooling=pooling, misad_weight=2.0)
+            report, _ = loss_and_gradients(p, CFG, batch, train_config)
             return report
 
-        _, grads = loss_and_gradients(params, CFG, batch, pooling=pooling, misad_weight=2.0)
+        _, grads = loss_and_gradients(params, CFG, batch, train_config)
         eps = 1e-5
         for name in params:
             flat = params[name].ravel()
@@ -495,7 +507,9 @@ class TestLrSchedule:
 class TestTrainingConfig:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", -1), ("mask_rate", -0.1), ("mask_rate", 1.5),
-        ("pooling_for_misad", "foo"),
+        ("pooling_for_misad", "foo"), ("peak_lr", 0.0), ("peak_lr", -1.0),
+        ("peak_lr", math.nan), ("peak_lr", math.inf), ("misad_weight", -0.5),
+        ("misad_weight", math.nan), ("mlm_weight", -1.0), ("mlm_weight", math.inf),
     ])
     def test_rejects_bad_loop_values(self, field, value):
         with pytest.raises(ConfigError, match=field):
