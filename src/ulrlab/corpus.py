@@ -12,7 +12,6 @@ import os
 import string
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -33,21 +32,6 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 class CorpusError(ValueError):
     """Raised for malformed or empty corpus input."""
-
-
-@dataclass(frozen=True)
-class EncodedSequence:
-    """A token-id sequence, before [CLS]/[SEP] framing."""
-
-    ids: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        """Number of tokens."""
-        return len(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def frame(ids: Iterable[int]) -> tuple[int, ...]:
@@ -84,31 +68,22 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-@dataclass
 class Vocabulary:
     """Bijective token<->id mapping with counts.
 
-    Ids are dense ``0..len-1`` and the five reserved tokens occupy the
-    first five ids.
+    Ids are dense ``0..len-1`` in the order given; the five reserved
+    tokens must come first, and no token may repeat.
     """
 
-    _id_to_token: list[str] = field(default_factory=list)
-    _id_to_count: list[int] = field(default_factory=list)
-    _token_to_id: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._id_to_token:
-            for tok in SPECIAL_TOKENS:
-                self._add(tok, 0)
-
-    def _add(self, token: str, count: int) -> int:
-        if token in self._token_to_id:
-            raise CorpusError(f"duplicate vocabulary token: {token!r}")
-        idx = len(self._id_to_token)
-        self._id_to_token.append(token)
-        self._id_to_count.append(count)
-        self._token_to_id[token] = idx
-        return idx
+    def __init__(self, tokens: Sequence[str], counts: Sequence[int]):
+        self._id_to_token = list(tokens)
+        self._id_to_count = list(counts)
+        self._token_to_id = {tok: idx for idx, tok in enumerate(self._id_to_token)}
+        if tuple(self._id_to_token[:NUM_SPECIALS]) != SPECIAL_TOKENS:
+            raise CorpusError("reserved tokens missing or out of order")
+        if len(self._token_to_id) != len(self._id_to_token):
+            dup = next(t for i, t in enumerate(self._id_to_token) if self._token_to_id[t] != i)
+            raise CorpusError(f"duplicate vocabulary token: {dup!r}")
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -132,26 +107,27 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        vocab = cls.__new__(cls)
-        vocab._id_to_token = []
-        vocab._id_to_count = []
-        vocab._token_to_id = {}
+        tokens, counts = [], []
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
-                    raise CorpusError(f"{path}:{lineno + 1}: malformed vocabulary row")
-                tok, idx_s, count_s = parts
-                idx = int(idx_s)
-                if idx != len(vocab._id_to_token):
-                    raise CorpusError(f"{path}:{lineno + 1}: non-dense id {idx}")
-                vocab._add(tok, int(count_s))
-        if tuple(vocab._id_to_token[:NUM_SPECIALS]) != SPECIAL_TOKENS:
-            raise CorpusError(f"{path}: reserved tokens missing or out of order")
-        return vocab
+                    raise CorpusError(f"{path}:{lineno}: malformed vocabulary row")
+                try:
+                    idx, count = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise CorpusError(f"{path}:{lineno}: id and count must be integers") from None
+                if idx != len(tokens):
+                    raise CorpusError(f"{path}:{lineno}: non-dense id {idx}")
+                tokens.append(parts[0])
+                counts.append(count)
+        try:
+            return cls(tokens, counts)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 def read_corpus(path: str | Path) -> Iterator[tuple[str, ...]]:
@@ -181,16 +157,12 @@ def build_vocabulary(
     if not counts:
         raise CorpusError("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    vocab = Vocabulary()
-    for token, count in ranked:
-        if count < min_count:
-            continue
-        if len(vocab) >= max_size:
-            break
-        vocab._add(token, count)
-    return vocab
+    kept = [(t, c) for t, c in ranked if c >= min_count][: max_size - NUM_SPECIALS]
+    return Vocabulary(
+        [*SPECIAL_TOKENS, *(t for t, _ in kept)], [0] * NUM_SPECIALS + [c for _, c in kept]
+    )
 
 
-def encode(tokens: Sequence[str], vocab: Vocabulary) -> EncodedSequence:
+def encode(tokens: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:
     """Map tokens to ids; unknown tokens map to UNK.  Length-preserving."""
-    return EncodedSequence(ids=tuple(vocab.id_of(t) for t in tokens))
+    return tuple(vocab.id_of(t) for t in tokens)

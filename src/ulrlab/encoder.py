@@ -625,31 +625,33 @@ CHECKPOINT_MAGIC = b"ULRM"
 CHECKPOINT_VERSION = 1
 
 
+def _tensor_directory(shapes: dict[str, tuple[int, ...]]) -> bytes:
+    """The tensor count, then each sorted name's length, name, rank, dims and
+    payload offset: the directory that :func:`save_checkpoint` writes and
+    :func:`load_checkpoint` requires, byte for byte."""
+    out = [struct.pack("<I", len(shapes))]
+    offset = 0
+    for name in sorted(shapes):
+        nb, dims = name.encode("utf-8"), shapes[name]
+        fmt = f"<I{len(nb)}sI{len(dims)}IQ"
+        out.append(struct.pack(fmt, len(nb), nb, len(dims), *dims, offset))
+        offset += 4 * math.prod(dims)
+    return b"".join(out)
+
+
 def save_checkpoint(
     params: dict[str, np.ndarray], config: EncoderConfig, path: str | Path
 ) -> None:
     """Write a versioned binary checkpoint (tensors as little-endian f32)."""
     names = sorted(params)
-    payload = bytearray()
-    directory = bytearray()
-    for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        offset = len(payload)
-        payload.extend(arr.tobytes())
-        nb = name.encode("utf-8")
-        directory.extend(struct.pack("<I", len(nb)))
-        directory.extend(nb)
-        directory.extend(struct.pack("<I", arr.ndim))
-        directory.extend(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        directory.extend(struct.pack("<Q", offset))
+    payload = b"".join(np.ascontiguousarray(params[n], dtype="<f4").tobytes() for n in names)
     config_blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
-        fh.write(struct.pack("<I", len(names)))
-        fh.write(directory)
+        fh.write(_tensor_directory({n: params[n].shape for n in names}))
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
 
@@ -658,9 +660,10 @@ def load_checkpoint(path: str | Path) -> Model:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Fails closed: every length field is checked against the bytes left
-    in the file before it is used, and a foreign, truncated, malformed
-    or mismatched file raises :class:`CheckpointError`; no partial state
-    is ever returned.
+    in the file before it is used, the tensor directory must be the one
+    the config implies, byte for byte, nothing may follow the payload,
+    and a foreign, truncated, malformed or mismatched file raises
+    :class:`CheckpointError`; no partial state is ever returned.
     """
     data = memoryview(Path(path).read_bytes())
     if data[:4] != CHECKPOINT_MAGIC:
@@ -687,28 +690,18 @@ def load_checkpoint(path: str | Path) -> Model:
         config = EncoderConfig(**json.loads(str(blob, "utf-8")))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad checkpoint config block: {exc}") from exc
-    entries = []
-    for _ in range(number("<I", "tensor count")):
-        name = bytes(take(number("<I", "tensor name length"), "tensor name"))
-        rank = number("<I", "tensor rank")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor dims"))
-        entries.append((name, dims, number("<Q", "tensor offset")))
-    payload = take(number("<Q", "payload length"), "tensor payload")
-    # names stay bytes until they match: a foreign name is never decoded
-    shapes = {name.encode(): (name, shape) for name, shape in expected_shapes(config).items()}
-    if {e[0] for e in entries} != set(shapes):
+    shapes = expected_shapes(config)
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[name]) for name in names]
+    directory = _tensor_directory(shapes)
+    if take(len(directory), "tensor directory") != directory:
         raise CheckpointError("checkpoint tensor directory does not match config")
-    params: dict[str, np.ndarray] = {}
-    for raw_name, dims, offset in entries:
-        name, shape = shapes[raw_name]
-        if shape != tuple(dims):
-            raise CheckpointError(
-                f"shape mismatch for tensor {name}: file has {tuple(dims)}, "
-                f"config implies {shape}"
-            )
-        count = math.prod(dims)
-        if offset + 4 * count > len(payload):
-            raise CheckpointError(f"truncated checkpoint file while reading {name}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        params[name] = arr.reshape(dims).copy()
+    size = 4 * sum(sizes)
+    if number("<Q", "payload length") != size:
+        raise CheckpointError(f"checkpoint payload length is not the config's {size} bytes")
+    flat = np.frombuffer(take(size, "tensor payload"), dtype="<f4")
+    if pos != len(data):
+        raise CheckpointError(f"{len(data) - pos} stray bytes after the checkpoint payload")
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    params = {name: c.reshape(shapes[name]).copy() for name, c in zip(names, chunks)}
     return Model(params=params, config=config)

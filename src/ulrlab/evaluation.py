@@ -16,7 +16,7 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -167,7 +167,7 @@ class ModelEmbedder:
         tokens = tokenize(text)
         if not tokens:
             raise ValueError(f"cannot embed empty text {text!r}")
-        ids = encode(tokens, self.vocab).ids
+        ids = encode(tokens, self.vocab)
         limit = self.model.config.max_len - 2
         if len(ids) > limit:
             warnings.warn(
@@ -419,8 +419,10 @@ def bm25_rank(
 # file formats
 
 
-def _read_tsv(path: str | Path, n_fields: int):
-    """Yield the fields of every non-blank TSV row, which must number ``n_fields``."""
+def _read_tsv(path: str | Path, n_fields: int, row: Callable) -> list:
+    """``row(*fields)`` for every non-blank TSV row, which must have ``n_fields``
+    fields; a ValueError from ``row`` is raised again naming the file and line."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -431,28 +433,29 @@ def _read_tsv(path: str | Path, n_fields: int):
                 raise ValueError(
                     f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
                 )
-            yield parts
+            try:
+                rows.append(row(*parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
     """TSV rows: category, a, b, c, pipe-joined candidates, answer index."""
-    return [
-        AnalogyQuestion(category, a, b, c, tuple(candidates.split("|")), int(answer))
-        for category, a, b, c, candidates, answer in _read_tsv(path, 6)
-    ]
+    def question(category, a, b, c, candidates, answer):
+        return AnalogyQuestion(category, a, b, c, tuple(candidates.split("|")), int(answer))
+
+    return _read_tsv(path, 6, question)
 
 
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
     """TSV rows: id, text."""
-    return [(doc_id, text) for doc_id, text in _read_tsv(path, 2)]
+    return _read_tsv(path, 2, lambda doc_id, text: (doc_id, text))
 
 
 def read_retrieval_queries(path: str | Path) -> list[tuple[str, frozenset[str]]]:
     """TSV rows: text, comma-joined gold ids."""
-    return [
-        (text, frozenset(g for g in gold.split(",") if g))
-        for text, gold in _read_tsv(path, 2)
-    ]
+    return _read_tsv(path, 2, lambda text, gold: (text, frozenset(filter(None, gold.split(",")))))
 
 
 def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:

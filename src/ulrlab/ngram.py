@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import EncodedSequence, Vocabulary, atomic_open
+from .corpus import Vocabulary, atomic_open
 
 PAD = -1  # fills a row after the last id of an n-gram shorter than n_max
 
@@ -99,7 +99,7 @@ class RawNgramCounts:
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCounts:
+def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCounts:
     """Count every contiguous n-gram of length 2..n_max plus all unigrams.
 
     Returns exact counts and the total token count T.  Length n extends
@@ -108,7 +108,7 @@ def count_ngrams(documents: Iterable[EncodedSequence], n_max: int) -> RawNgramCo
     """
     if n_max < 2:
         raise NgramError(f"n_max must be >= 2, got {n_max}")
-    seqs = [doc.ids if isinstance(doc, EncodedSequence) else tuple(doc) for doc in documents]
+    seqs = list(documents)
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     total = int(lengths.sum())
     if total == 0:
@@ -155,17 +155,16 @@ class NgramTable:
     pmi: np.ndarray
     is_privileged: np.ndarray
     n_max: int
-    total_tokens: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
 
     @classmethod
-    def from_entries(cls, entries: Mapping, n_max: int, total_tokens: int) -> NgramTable:
+    def from_entries(cls, entries: Mapping, n_max: int) -> NgramTable:
         """A table of ``{id tuple: (count, pmi)}`` in the mapping's order;
         NaN scores mark unseen entities."""
         values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2)
         counts, pmi = values[:, 0].astype(np.int64), values[:, 1]
-        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max, total_tokens)
+        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max)
 
     def _sorted(self) -> NgramTable:
         """These rows in the canonical order, by one lexsort.  PAD is below
@@ -213,7 +212,7 @@ def build_table(counts: RawNgramCounts) -> NgramTable:
         acc -= np.where(col == PAD, 0.0, log_uni[col])
     return NgramTable(
         counts.grams, counts.counts, acc / lengths, np.zeros(len(acc), dtype=bool),
-        counts.n_max, counts.total_tokens, counts.occurrences, (("counted", len(acc)),),
+        counts.n_max, counts.occurrences, (("counted", len(acc)),),
     )._sorted()
 
 
@@ -286,13 +285,13 @@ def prune_table(
     return table._rows(keep, None, stage_counts=stage_counts)
 
 
-def mark_sequence(seq: EncodedSequence | Sequence[int], table: NgramTable) -> SpanAnnotation:
+def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
     """Greedy left-to-right, longest-match-first span annotation.
 
     Span positions are 1-based inclusive.  Matched spans never overlap;
     every matched tuple is a table entry.
     """
-    toks = tuple(seq.ids) if isinstance(seq, EncodedSequence) else tuple(seq)
+    toks = tuple(ids)
     m = len(toks)
     spans: list[Span] = []
     i = 0
@@ -336,11 +335,10 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     ``n_max`` is the length of the longest entry.  A token missing from
     ``vocab`` means the table and vocabulary do not belong together, and
     raises :class:`NgramError`.  Entries with NaN scores are restored as
-    privileged.  The file format loses ``total_tokens`` (read back as 0)
-    and the privileged flag of entities that have a finite score.  Rows
-    keep the file's order: a reload never re-breaks ties between scores
-    that the 9 written digits made equal, so save, load and save again
-    writes the same bytes.
+    privileged.  The file format loses the privileged flag of entities
+    that have a finite score.  Rows keep the file's order: a reload never
+    re-breaks ties between scores that the 9 written digits made equal,
+    so save, load and save again writes the same bytes.
     """
     entries: dict[tuple[int, ...], tuple[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -358,8 +356,11 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
             unknown = [t for t in toks if t not in vocab]
             if unknown:
                 raise NgramError(f"{path}:{lineno}: token(s) {unknown} not in the vocabulary")
-            entries[tuple(vocab.id_of(t) for t in toks)] = (int(parts[1]), float(parts[2]))
-    return NgramTable.from_entries(entries, max([2, *map(len, entries)]), total_tokens=0)
+            try:
+                entries[tuple(vocab.id_of(t) for t in toks)] = (int(parts[1]), float(parts[2]))
+            except ValueError:
+                raise NgramError(f"{path}:{lineno}: bad count or pmi in {parts[1:]}") from None
+    return NgramTable.from_entries(entries, max([2, *map(len, entries)]))
 
 
 def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, EncodedSequence, atomic_open, frame,
+    CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, atomic_open, frame,
 )
 from .encoder import (
     POOLING_STRATEGIES,
@@ -88,14 +88,13 @@ def select_span(scores: Sequence[float]) -> int | None:
     return int(np.argmin(np.asarray(scores)))
 
 
-def split_sequence(s: EncodedSequence, span: Span):
+def split_sequence(tokens: Sequence[int], span: Span):
     """Split S around a span into framed (w, R, S) inputs.
 
     R is the remainder concatenated in order with no placeholder at the
     removal point.  Returns None when R would be empty, demoting the
     example to MLM-only.
     """
-    tokens = s.ids
     if not (1 <= span.start <= span.end <= len(tokens)):
         raise ValueError(f"span {span} outside sequence of length {len(tokens)}")
     w = tokens[span.start - 1 : span.end]
@@ -105,15 +104,15 @@ def split_sequence(s: EncodedSequence, span: Span):
     return frame(w), frame(r), frame(tokens)
 
 
-def _masked_variant(seq: EncodedSequence, span: Span) -> list[int]:
-    ids = list(frame(seq.ids))
+def _masked_variant(seq: Sequence[int], span: Span) -> list[int]:
+    ids = list(frame(seq))
     for pos in range(span.start, span.end + 1):
         ids[pos] = MASK_ID
     return ids
 
 
 def score_spans(
-    pairs: Sequence[tuple[EncodedSequence, SpanAnnotation]], model: Model
+    pairs: Sequence[tuple[Sequence[int], SpanAnnotation]], model: Model
 ) -> list[list[float]]:
     """Average true-token probability of every annotated span under the MLM head.
 
@@ -125,11 +124,11 @@ def score_spans(
     Returns one list per pair, in span order.
     """
     variants: list[list[int]] = []
-    owned: list[tuple[EncodedSequence, Span]] = []
+    owned: list[tuple[Sequence[int], Span]] = []
     for seq, ann in pairs:
         for span in ann.spans:
-            if not (1 <= span.start <= span.end <= seq.m):
-                raise ValueError(f"span {span} outside sequence of length {seq.m}")
+            if not (1 <= span.start <= span.end <= len(seq)):
+                raise ValueError(f"span {span} outside sequence of length {len(seq)}")
             variants.append(_masked_variant(seq, span))
             owned.append((seq, span))
     if not variants:
@@ -139,7 +138,7 @@ def score_spans(
         for pos in range(span.start, span.end + 1):
             row_owner.append(vi)
             cols.append(pos)
-            targets.append(seq.ids[pos - 1])
+            targets.append(seq[pos - 1])
     ids, mask = pad_batch(variants)
     hidden = forward(model.params, model.config, ids, mask, rows=(row_owner, cols))
     log_probs, _ = mlm_head_rows(model.params, hidden)
@@ -151,7 +150,7 @@ def score_spans(
 
 
 def make_examples(
-    pairs: Sequence[tuple[EncodedSequence, SpanAnnotation]], model: Model
+    pairs: Sequence[tuple[Sequence[int], SpanAnnotation]], model: Model
 ) -> list[TrainingExample]:
     """Score, select, and split a batch of annotated sequences."""
     examples = []
@@ -159,7 +158,7 @@ def make_examples(
         idx = select_span(scores)
         split = None if idx is None else split_sequence(seq, ann.spans[idx])
         if split is None:
-            examples.append(TrainingExample(None, None, None, frame(seq.ids)))
+            examples.append(TrainingExample(None, None, None, frame(seq)))
         else:
             examples.append(TrainingExample(ann.spans[idx], *split))
     return examples
@@ -530,15 +529,11 @@ class Trainer:
         self,
         model: Model,
         table: NgramTable,
-        sequences: Sequence[EncodedSequence],
+        sequences: Sequence[Sequence[int]],
         config: TrainingConfig,
     ):
         limit = model.config.max_len - 2
-        sequences = [
-            s if s.m <= limit else EncodedSequence(ids=s.ids[:limit])
-            for s in sequences
-            if s.m > 0
-        ]
+        sequences = [s[:limit] for s in sequences if s]
         if not sequences:
             raise ValueError("empty corpus")
         self.model = model

@@ -181,11 +181,11 @@ def oracle_score_spans(pairs, model):
     variants, picks = [], []
     for seq, ann in pairs:
         for span in ann.spans:
-            ids = [CLS_ID, *seq.ids, SEP_ID]
+            ids = [CLS_ID, *seq, SEP_ID]
             for pos in range(span.start, span.end + 1):
                 ids[pos] = MASK_ID
             variants.append(ids)
-            picks.append([(pos, seq.ids[pos - 1]) for pos in range(span.start, span.end + 1)])
+            picks.append([(pos, seq[pos - 1]) for pos in range(span.start, span.end + 1)])
     if not variants:
         return [[] for _ in pairs]
     length = max(len(v) for v in variants)

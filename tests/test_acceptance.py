@@ -35,7 +35,7 @@ from oracles import (
     oracle_rank,
 )
 from ulrlab.cli import main
-from ulrlab.corpus import EncodedSequence, build_vocabulary, encode, frame, tokenize
+from ulrlab.corpus import build_vocabulary, encode, frame, tokenize
 from ulrlab.encoder import (
     EncoderConfig,
     Model,
@@ -102,8 +102,7 @@ def test_criterion_nonreproducibility_statement(capsys):
 def test_criterion_pmi_oracle(capsys):
     rng = np.random.default_rng(2025)
     raw = [tuple(int(x) for x in rng.integers(5, 19, size=50)) for _ in range(20)]
-    seqs = [EncodedSequence(ids=ids) for ids in raw]
-    counts = count_ngrams(seqs, n_max=4)
+    counts = count_ngrams(raw, n_max=4)
     joint, single, total = oracle_ngram_counts(raw, 4)
     assert total == 1000 and counts.total_tokens == 1000
 
@@ -118,7 +117,7 @@ def test_criterion_pmi_oracle(capsys):
 
     # Hand-derived closed forms on two miniature corpora.
     def pmi_of(ids):
-        return build_table(count_ngrams([EncodedSequence(ids=ids)], 2)).entries[(5, 6)][1]
+        return build_table(count_ngrams([ids], 2)).entries[(5, 6)][1]
 
     half_ln2 = pmi_of((5, 6, 5, 6))
     half_ln3 = pmi_of((5, 6, 7, 5, 6, 8))
@@ -141,13 +140,10 @@ def test_criterion_marking_oracle(capsys):
         while len(grams) < 80:
             n = int(rng.integers(2, 5))
             grams.add(tuple(int(x) for x in rng.integers(5, 15, size=n)))
-        table = NgramTable.from_entries(
-            {g: (1, 1.0) for g in grams}, n_max=4, total_tokens=10_000
-        )
+        table = NgramTable.from_entries({g: (1, 1.0) for g in grams}, n_max=4)
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 15, size=50))
-            seq = EncodedSequence(ids=ids)
-            assert mark_sequence(seq, table).spans == oracle_mark(ids, table)
+            assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
             checked += 1
     assert checked == 1000
     report(capsys, "PASS marking oracle: greedy annotation == interval-scan oracle "
@@ -205,7 +201,7 @@ def test_criterion_misad_mechanics(capsys):
         end = int(rng.integers(start, m + 1))
         if start == 1 and end == m:
             continue  # whole-sequence spans have no remainder to test
-        split = split_sequence(EncodedSequence(ids=ids), Span(start, end))
+        split = split_sequence(ids, Span(start, end))
         assert split is not None
         w_f, r_f, s_f = split
         assert s_f == frame(ids)
@@ -238,9 +234,8 @@ def test_criterion_gradient_suite(capsys):
         for k in range(3):
             m = int(rng.integers(8, 14))
             ids = tuple(int(x) for x in rng.integers(5, 50, size=m))
-            seq = EncodedSequence(ids=ids)
             span = Span(2, 3 + k)
-            w_f, r_f, s_f = split_sequence(seq, span)
+            w_f, r_f, s_f = split_sequence(ids, span)
             examples.append(TrainingExample(span=span, w_ids=w_f, r_ids=r_f, s_ids=s_f))
         ids = tuple(int(x) for x in rng.integers(5, 50, size=9))
         examples.append(TrainingExample(span=None, w_ids=None, r_ids=None, s_ids=frame(ids)))

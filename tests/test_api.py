@@ -6,9 +6,11 @@ or as an attribute, a method, property or dataclass field as an
 attribute.  Tests do not count; code only they call, or fields only
 they read, belong in the tests.
 
-Blind spot: names are matched by spelling alone, so a definition that
-shares its name with a method of numpy arrays or bytes (``decode``,
-``astype``) always looks used.
+Blind spot: names are matched by spelling alone, so a definition looks
+used whenever anything of the same name is loaded: a method of numpy
+arrays or bytes (``decode``, ``astype``), or a field of another class (a
+dataclass field ``total_tokens`` looks used while ``RawNgramCounts`` has
+a ``total_tokens`` that is read).
 """
 
 import ast

@@ -122,6 +122,50 @@ class TestBuildVocabulary:
             Vocabulary.load(path)
 
 
+SPECIAL_ROWS = [(tok, 0) for tok in SPECIAL_TOKENS]
+BAD_VOCABULARIES = {
+    "missing reserved token": SPECIAL_ROWS[:-1] + [("word", 3)],
+    "reserved tokens reordered": [SPECIAL_ROWS[1], SPECIAL_ROWS[0], *SPECIAL_ROWS[2:]],
+    "reserved token not first": [("word", 3), *SPECIAL_ROWS],
+    "duplicate token": SPECIAL_ROWS + [("word", 3), ("other", 2), ("word", 1)],
+}
+
+
+def write_vocabulary_rows(path, rows):
+    path.write_text("".join(f"{tok}\t{i}\t{count}\n" for i, (tok, count) in enumerate(rows)))
+
+
+class TestVocabularyChecks:
+    @pytest.mark.parametrize("case", sorted(BAD_VOCABULARIES))
+    def test_constructor_rejects(self, case):
+        rows = BAD_VOCABULARIES[case]
+        with pytest.raises(CorpusError, match="duplicate.*'word'|reserved tokens"):
+            Vocabulary([tok for tok, _ in rows], [count for _, count in rows])
+
+    @pytest.mark.parametrize("case", sorted(BAD_VOCABULARIES))
+    def test_load_rejects_naming_the_file(self, tmp_path, case):
+        path = tmp_path / "vocab.tsv"
+        write_vocabulary_rows(path, BAD_VOCABULARIES[case])
+        with pytest.raises(CorpusError, match=r"vocab\.tsv: .*(duplicate|reserved tokens)"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("row", ["word\t5", "word\t5\t3\textra", "word"])
+    def test_load_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "vocab.tsv"
+        write_vocabulary_rows(path, SPECIAL_ROWS)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(CorpusError, match=r"vocab\.tsv:6: malformed vocabulary row"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("row", ["word\tfive\t3", "word\t5\t3.5", "word\t5\t"])
+    def test_load_names_file_and_line_of_a_bad_number(self, tmp_path, row):
+        path = tmp_path / "vocab.tsv"
+        write_vocabulary_rows(path, SPECIAL_ROWS)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(CorpusError, match=r"vocab\.tsv:6: id and count must be integers"):
+            Vocabulary.load(path)
+
+
 class TestEncode:
     @pytest.fixture
     def vocab(self):
@@ -129,20 +173,20 @@ class TestEncode:
 
     def test_unknown_tokens_map_to_unk(self, vocab):
         seq = encode(["a", "zzz"], vocab)
-        assert seq.ids == (vocab.id_of("a"), UNK_ID)
+        assert seq == (vocab.id_of("a"), UNK_ID)
 
     def test_empty_sequence(self, vocab):
-        assert encode([], vocab).ids == ()
-        assert encode([], vocab).m == 0
+        assert encode([], vocab) == ()
+        assert len(encode([], vocab)) == 0
 
     def test_roundtrip_for_in_vocabulary_tokens(self, vocab):
         tokens = ["b", "a", "c", "c"]
-        assert [vocab.tokens()[i] for i in encode(tokens, vocab).ids] == tokens
+        assert [vocab.tokens()[i] for i in encode(tokens, vocab)] == tokens
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov"]), max_size=30))
     def test_length_preserved(self, tokens):
         vocab = build_vocabulary(make_documents("a b c a b a"), min_count=1, max_size=20)
-        assert encode(tokens, vocab).m == len(tokens)
+        assert len(encode(tokens, vocab)) == len(tokens)
 
 
 class TestReadCorpus:

@@ -472,12 +472,45 @@ class TestCheckpoint:
         path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
         self.mutations_fail_closed([mutated], path)
 
+    def test_appended_byte_rejected(self, tmp_path):
+        blob, _ = checkpoint_bytes()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointError, match="1 stray bytes after the checkpoint payload"):
+            load_checkpoint(path)
+
+    def test_payload_length_beyond_config_rejected(self, tmp_path):
+        # The length field asks for 4 more bytes, and the file supplies them.
+        blob, header = checkpoint_bytes()
+        (length,) = struct.unpack_from("<Q", blob, header - 8)
+        path = tmp_path / "model.ckpt"
+        longer = struct.pack("<Q", length + 4)
+        path.write_bytes(blob[: header - 8] + longer + blob[header:] + bytes(4))
+        with pytest.raises(CheckpointError, match="payload length is not the config's"):
+            load_checkpoint(path)
+
+    def test_swapped_directory_entries_rejected(self, tmp_path):
+        # Each entry keeps its own name, dims and offset: only the order changes.
+        blob, _ = checkpoint_bytes()
+        pos = 12 + struct.unpack_from("<I", blob, 8)[0] + 4  # past the config and count
+        bounds = [pos]
+        for _ in range(2):
+            (name_len,) = struct.unpack_from("<I", blob, pos)
+            (rank,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
+            pos += 4 + name_len + 4 + 4 * rank + 8
+            bounds.append(pos)
+        first, second, end = bounds
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob[:first] + blob[second:end] + blob[first:second] + blob[end:])
+        with pytest.raises(CheckpointError, match="tensor directory does not match config"):
+            load_checkpoint(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         params = init_params(TINY)
         params["pooler_w"] = params["pooler_w"][:, :8].copy()
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, TINY, path)
-        with pytest.raises(CheckpointError, match="shape mismatch"):
+        with pytest.raises(CheckpointError, match="tensor directory does not match config"):
             load_checkpoint(path)
 
     def test_model_bundle_helpers(self, tmp_path):

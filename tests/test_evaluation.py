@@ -553,6 +553,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="6 tab-separated"):
             read_analogy_file(path)
 
+    @pytest.mark.parametrize("answer", ["x", "1.0", "3"])
+    def test_analogy_bad_answer_names_file_and_line(self, tmp_path, answer):
+        path = tmp_path / "qs.tsv"
+        path.write_text(f"cap\ta\tb\tc\tp|q\t0\n\ncap\ta\tb\tc\tp|q|r\t{answer}\n")
+        with pytest.raises(ValueError, match=r"qs\.tsv:3: .*(invalid literal|outside)"):
+            read_analogy_file(path)
+
     def test_retrieval_files(self, tmp_path):
         cpath = tmp_path / "corpus.tsv"
         cpath.write_text("d0\talpha beta\n\nd1\tgamma\n")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import oracle_mark, oracle_mined_table
-from ulrlab.corpus import UNK_ID, EncodedSequence, NUM_SPECIALS, build_vocabulary
+from ulrlab.corpus import UNK_ID, NUM_SPECIALS, build_vocabulary
 from ulrlab.ngram import (
     NgramError,
     NgramTable,
@@ -31,7 +31,7 @@ from ulrlab.ngram import (
 def seqs_from_texts(texts, token_ids):
     """Encode whitespace token strings through an explicit id map."""
     return [
-        EncodedSequence(ids=tuple(token_ids[t] for t in text.split()))
+        tuple(token_ids[t] for t in text.split())
         for text in texts
     ]
 
@@ -79,7 +79,7 @@ def mining_inputs(draw):
 
 
 def mine(docs, n_max, threshold, per_doc_top_k, entities):
-    table = build_table(count_ngrams([EncodedSequence(ids=tuple(d)) for d in docs], n_max))
+    table = build_table(count_ngrams([tuple(d) for d in docs], n_max))
     table = inject_entities(table, entities)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty result warns
@@ -115,7 +115,7 @@ class TestCountNgrams:
     def test_unigram_counts_sum_to_total(self):
         rng = np.random.default_rng(7)
         seqs = [
-            EncodedSequence(ids=tuple(rng.integers(5, 25, size=rng.integers(1, 30))))
+            tuple(rng.integers(5, 25, size=rng.integers(1, 30)))
             for _ in range(20)
         ]
         counts = count_ngrams(seqs, n_max=4)
@@ -125,15 +125,14 @@ class TestCountNgrams:
         """Counts equal a brute-force sliding-window recount."""
         rng = np.random.default_rng(11)
         seqs = [
-            EncodedSequence(ids=tuple(rng.integers(5, 15, size=rng.integers(2, 60))))
+            tuple(rng.integers(5, 15, size=rng.integers(2, 60)))
             for _ in range(30)
         ]
         n_max = 4
         counts = count_ngrams(seqs, n_max=n_max)
         expected = {}
         total = 0
-        for seq in seqs:
-            ids = seq.ids
+        for ids in seqs:
             total += len(ids)
             for n in range(1, n_max + 1):
                 for i in range(len(ids) - n + 1):
@@ -152,7 +151,7 @@ class TestCountNgrams:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(NgramError, match="empty corpus"):
-            count_ngrams([EncodedSequence(ids=())], n_max=2)
+            count_ngrams([()], n_max=2)
 
     def test_n_max_must_cover_bigrams(self):
         (seq,) = seqs_from_texts(["a b"], IDS)
@@ -214,9 +213,9 @@ class TestComputePmi:
         assert values[0] < values[1] < values[2]
 
 
-def toy_table(entries, n_max=3, total=1000):
+def toy_table(entries, n_max=3):
     """A table of ``entries`` in the canonical order."""
-    return NgramTable.from_entries(dict(entries), n_max=n_max, total_tokens=total)._sorted()
+    return NgramTable.from_entries(dict(entries), n_max=n_max)._sorted()
 
 
 class TestPruneTable:
@@ -236,7 +235,7 @@ class TestPruneTable:
         """Per-doc retention keeps exactly the k best by the stated order."""
         rng = np.random.default_rng(3)
         seqs = [
-            EncodedSequence(ids=tuple(rng.integers(5, 12, size=40))) for _ in range(4)
+            tuple(rng.integers(5, 12, size=40)) for _ in range(4)
         ]
         counts = count_ngrams(seqs, n_max=3)
         table = build_table(counts)
@@ -246,8 +245,8 @@ class TestPruneTable:
         for seq in seqs:
             present = set()
             for n in range(2, 4):
-                for i in range(len(seq.ids) - n + 1):
-                    gram = seq.ids[i : i + n]
+                for i in range(len(seq) - n + 1):
+                    gram = seq[i : i + n]
                     if gram in table.entries:
                         present.add(gram)
             ranked = sorted(
@@ -296,18 +295,18 @@ class TestMarkSequence:
         ids = (IDS["a"], IDS["b"], IDS["c"])
         table = toy_table({(IDS["a"], IDS["b"], IDS["c"]): (2, 1.0),
                            (IDS["a"], IDS["b"]): (3, 2.0)})
-        ann = mark_sequence(EncodedSequence(ids=ids), table)
+        ann = mark_sequence(ids, table)
         assert ann.spans == (Span(1, 3),)
 
     def test_non_overlap(self):
         a, b, c = IDS["a"], IDS["b"], IDS["c"]
         table = toy_table({(a, b): (2, 1.0), (b, c): (2, 1.0)})
-        ann = mark_sequence(EncodedSequence(ids=(a, b, b, c)), table)
+        ann = mark_sequence((a, b, b, c), table)
         assert ann.spans == (Span(1, 2), Span(3, 4))
 
     def test_no_match_yields_empty_annotation(self):
         table = toy_table({})
-        ann = mark_sequence(EncodedSequence(ids=(5, 6, 7)), table)
+        ann = mark_sequence((5, 6, 7), table)
         assert ann.spans == ()
 
     def test_matches_interval_scan_oracle(self):
@@ -320,8 +319,7 @@ class TestMarkSequence:
         table = toy_table({g: (1, 1.0) for g in grams}, n_max=4)
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 13, size=50))
-            seq = EncodedSequence(ids=ids)
-            assert mark_sequence(seq, table).spans == oracle_mark(ids, table)
+            assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
 
 
 class TestSpanTypes:
@@ -410,6 +408,13 @@ class TestTableIO:
         with pytest.raises(NgramError, match=r"table\.tsv:3: .*zzz"):
             load_table(path, vocab)
 
+    @pytest.mark.parametrize("row", ["a b\tthree\t1.5", "a b\t3.0\t1.5", "a b\t3\thigh"])
+    def test_load_names_file_and_line_of_a_bad_number(self, tmp_path, vocab, row):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\n{row}\n")
+        with pytest.raises(NgramError, match=r"table\.tsv:3: bad count or pmi"):
+            load_table(path, vocab)
+
     def test_load_accepts_saved_unk(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("tokens\tcount\tpmi\n[UNK] cat\t2\t0.5\n")
@@ -421,7 +426,7 @@ class TestTableIO:
         path = tmp_path / "table.tsv"
         for n_max in (2, 3, 4):
             seqs = [
-                EncodedSequence(ids=tuple(int(x) for x in rng.integers(5, 9, size=12)))
+                tuple(int(x) for x in rng.integers(5, 9, size=12))
                 for _ in range(6)
             ]
             table = prune_table(
@@ -464,10 +469,8 @@ class TestMinedTableOracle:
             assert f"{loaded.entries[w][1]:.9g}" == f"{pmi:.9g}"
         unseen = {w for w in privileged(table) if math.isnan(table.entries[w][1])}
         assert unseen <= privileged(loaded)
-        # The two losses of the file format, by name.
-        lost_total_tokens = loaded.total_tokens == 0 < table.total_tokens
+        # The one loss of the file format, by name.
         lost_flags = privileged(table) - privileged(loaded)
-        assert lost_total_tokens
         assert lost_flags == {w for w in privileged(table) if not math.isnan(table.entries[w][1])}
 
 

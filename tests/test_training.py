@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import misad_loss
 from oracles import oracle_score_spans
 
-from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, EncodedSequence, frame
+from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, frame
 from ulrlab.encoder import (
     ConfigError,
     EncoderConfig,
@@ -100,24 +100,24 @@ class TestSelectSpan:
 
 class TestSplitSequence:
     def test_middle_span(self):
-        s = EncodedSequence(ids=(10, 11, 12, 13, 14))
+        s = (10, 11, 12, 13, 14)
         w, r, full = split_sequence(s, Span(2, 3))
         assert w == frame((11, 12))
         assert r == frame((10, 13, 14))
         assert full == frame((10, 11, 12, 13, 14))
 
     def test_prefix_span(self):
-        s = EncodedSequence(ids=(10, 11, 12))
+        s = (10, 11, 12)
         w, r, _ = split_sequence(s, Span(1, 2))
         assert w == frame((10, 11))
         assert r == frame((12,))
 
     def test_whole_sequence_span_returns_none(self):
-        s = EncodedSequence(ids=(10, 11))
+        s = (10, 11)
         assert split_sequence(s, Span(1, 2)) is None
 
     def test_out_of_range_rejected(self):
-        s = EncodedSequence(ids=(10, 11))
+        s = (10, 11)
         with pytest.raises(ValueError, match="outside"):
             split_sequence(s, Span(2, 3))
 
@@ -129,7 +129,7 @@ class TestSplitSequence:
     def test_conserves_tokens(self, ids, data):
         start = data.draw(st.integers(1, len(ids) - 1))
         end = data.draw(st.integers(start + 1, len(ids)))
-        s = EncodedSequence(ids=tuple(ids))
+        s = tuple(ids)
         result = split_sequence(s, Span(start, end))
         if result is None:
             assert end - start + 1 == len(ids)
@@ -194,7 +194,7 @@ class TestMlmLoss:
 
 
 def one_pair(ids, *spans):
-    return EncodedSequence(ids=ids), SpanAnnotation(spans=spans)
+    return ids, SpanAnnotation(spans=spans)
 
 
 class TestScoreSpans:
@@ -209,13 +209,13 @@ class TestScoreSpans:
         [[score]] = score_spans([(s, ann)], model)
         span = ann.spans[0]
         # Independent recount through the public forward surface.
-        ids = list(frame(s.ids))
+        ids = list(frame(s))
         for pos in range(span.start, span.end + 1):
             ids[pos] = MASK_ID
         hidden = forward(model.params, model.config, np.array([ids]))
         log_probs = mlm_head_rows(model.params, hidden[0])[0][None]
         probs = [
-            math.exp(log_probs[0, pos, s.ids[pos - 1]])
+            math.exp(log_probs[0, pos, s[pos - 1]])
             for pos in range(span.start, span.end + 1)
         ]
         assert score == pytest.approx(np.mean(probs), rel=1e-6)
@@ -293,9 +293,9 @@ class TestMakeExamples:
     def test_batch_matches_singletons(self):
         model = Model.init(CFG)
         pairs = [
-            (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
-            (EncodedSequence(ids=(20, 21, 22)), SpanAnnotation(spans=(Span(2, 3),))),
-            (EncodedSequence(ids=(30, 31)), SpanAnnotation(spans=())),
+            ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
+            ((20, 21, 22), SpanAnnotation(spans=(Span(2, 3),))),
+            ((30, 31), SpanAnnotation(spans=())),
         ]
         batch = make_examples(pairs, model)
         singles = [make_examples([p], model)[0] for p in pairs]
@@ -355,8 +355,8 @@ class TestPrepareBatch:
     def make_batch(self, mask_rate=0.5):
         model = uniform_model()
         pairs = [
-            (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
-            (EncodedSequence(ids=(20, 21, 22)), SpanAnnotation(spans=())),
+            ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
+            ((20, 21, 22), SpanAnnotation(spans=())),
         ]
         examples = make_examples(pairs, model)
         rng = np.random.default_rng(0)
@@ -381,7 +381,7 @@ class TestPrepareBatch:
     def test_mlm_only_batch_has_no_composition_inputs(self):
         model = uniform_model()
         examples = make_examples(
-            [(EncodedSequence(ids=(10, 11)), SpanAnnotation(spans=()))], model
+            [((10, 11), SpanAnnotation(spans=()))], model
         )
         batch = prepare_batch(examples, 50, np.random.default_rng(0), 0.5)
         assert batch.n_misad == 0 and batch.w_ids is None and batch.r_ids is None
@@ -408,7 +408,7 @@ class TestLossAndGradients:
     def test_mlm_only_batch_has_zero_misad(self):
         model = Model.init(CFG)
         examples = make_examples(
-            [(EncodedSequence(ids=(10, 11, 12)), SpanAnnotation(spans=()))], model
+            [((10, 11, 12), SpanAnnotation(spans=()))], model
         )
         batch = prepare_batch(examples, 50, np.random.default_rng(0), 0.5)
         report, grads = loss_and_gradients(model.params, CFG, batch, objective())
@@ -575,7 +575,7 @@ class TestAdamStep:
 
 def toy_table() -> NgramTable:
     """Table marking (10, 11) as a unit."""
-    return NgramTable.from_entries({(10, 11): (5, 1.0)}, n_max=2, total_tokens=100)
+    return NgramTable.from_entries({(10, 11): (5, 1.0)}, n_max=2)
 
 
 class TestTrainStep:
@@ -584,7 +584,7 @@ class TestTrainStep:
         state = OptimizerState.zeros(model.params)
         examples = make_examples(
             [
-                (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
+                ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
             ],
             model,
         )
@@ -601,7 +601,7 @@ class TestTrainStep:
         # the lr, and within 1% of it for any gradient above 100 * eps.
         model = Model.init(CFG)
         examples = make_examples(
-            [(EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),)))], model
+            [((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),)))], model
         )
         before = {k: v.copy() for k, v in model.params.items()}
         config = schedule(10, 0.0, peak=peak)
@@ -614,7 +614,7 @@ class TestTrainStep:
         model = Model.init(CFG)
         state = OptimizerState.zeros(model.params)
         examples = make_examples(
-            [(EncodedSequence(ids=(10, 11, 12)), SpanAnnotation(spans=()))], model
+            [((10, 11, 12), SpanAnnotation(spans=()))], model
         )
         report, _ = train_step(examples, model, state, schedule(10, 0.0, peak=1e-3))
         assert report.l_misad == 0.0
@@ -624,8 +624,8 @@ class TestTrainStep:
             model = Model.init(CFG)
             state = OptimizerState.zeros(model.params)
             pairs = [
-                (EncodedSequence(ids=(10, 11, 12, 13)), SpanAnnotation(spans=(Span(1, 2),))),
-                (EncodedSequence(ids=(14, 15, 16)), SpanAnnotation(spans=(Span(2, 3),))),
+                ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
+                ((14, 15, 16), SpanAnnotation(spans=(Span(2, 3),))),
             ]
             reports = []
             for _ in range(5):
@@ -648,7 +648,7 @@ class TestTrainer:
         seqs = []
         for _ in range(n):
             body = [10, 11] + list(rng.integers(12, 30, size=rng.integers(2, 5)))
-            seqs.append(EncodedSequence(ids=tuple(body)))
+            seqs.append(tuple(body))
         return seqs
 
     def test_loss_decreases_on_tiny_corpus(self):
@@ -670,13 +670,13 @@ class TestTrainer:
         assert last < first
 
     def test_truncates_overlong_sequences(self):
-        long_seq = EncodedSequence(ids=tuple(range(10, 10 + CFG.max_len + 10)))
+        long_seq = tuple(range(10, 10 + CFG.max_len + 10))
         trainer = Trainer(
             Model.init(CFG), toy_table(), [long_seq],
             TrainingConfig(total_steps=1, batch_size=4),
         )
         (seq, _ann) = trainer.pairs[0]
-        assert seq.m == CFG.max_len - 2
+        assert len(seq) == CFG.max_len - 2
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
