@@ -366,8 +366,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     with open(cfg["texts"], encoding="utf-8") as fh:
         texts = [line.rstrip("\n") for line in fh]
     matrix = embed_corpus(texts, embedder)
-    lines = [" ".join(f"{x:.9g}" for x in row) for row in matrix]
-    _write_or_print("\n".join(lines) + "\n", cfg["out"])
+    row_format = " ".join(["%.9g"] * matrix.shape[1]) + "\n"
+    _write_or_print((row_format * len(matrix)) % tuple(matrix.ravel().tolist()), cfg["out"])
     return 0
 
 

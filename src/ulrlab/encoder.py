@@ -642,7 +642,11 @@ def _tensor_directory(shapes: dict[str, tuple[int, ...]]) -> bytes:
 def save_checkpoint(
     params: dict[str, np.ndarray], config: EncoderConfig, path: str | Path
 ) -> None:
-    """Write a versioned binary checkpoint (tensors as little-endian f32)."""
+    """Write a versioned binary checkpoint (tensors as little-endian f32);
+    params that are not the config's raise before the file is opened."""
+    shapes = {name: p.shape for name, p in params.items()}
+    if shapes != expected_shapes(config):
+        raise CheckpointError("params do not match the config's tensor names and shapes")
     names = sorted(params)
     payload = b"".join(np.ascontiguousarray(params[n], dtype="<f4").tobytes() for n in names)
     config_blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
@@ -651,7 +655,7 @@ def save_checkpoint(
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
-        fh.write(_tensor_directory({n: params[n].shape for n in names}))
+        fh.write(_tensor_directory(shapes))
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
 

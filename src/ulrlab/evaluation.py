@@ -478,7 +478,10 @@ def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 )
             if token in vectors:
                 raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-            vectors[token] = np.array([float(v) for v in values])
+            try:
+                vectors[token] = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not vectors:
         raise ValueError(f"{path}: empty word-vector file")
     return vectors

@@ -78,8 +78,13 @@ def _tuples(grams: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _exact_log(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of each value, as ``np.log`` may differ in the last bit."""
-    distinct, inverse = np.unique(values, return_inverse=True)
+    """``math.log`` of each positive integer (``np.log`` may differ in the last bit),
+    once per distinct value, found by a bincount unless it would outgrow the input."""
+    if values.max(initial=0) > 4 * len(values):
+        distinct, inverse = np.unique(values, return_inverse=True)
+    else:
+        seen = np.bincount(values) > 0
+        distinct, inverse = np.flatnonzero(seen), np.cumsum(seen)[values] - 1
     return np.array([math.log(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
@@ -314,19 +319,20 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
     Scores are written with 9 significant digits; a NaN score marks a
-    privileged entity that never occurred in the corpus.
+    privileged entity that never occurred in the corpus.  A chunk of rows
+    is one ``%`` of their formats, picked by length, over their non-PAD fields.
     """
-    first = np.array(vocab.tokens(), dtype=object)
-    later = np.array([" " + t for t in vocab.tokens()] + [""], dtype=object)  # PAD picks ""
+    names = np.array(vocab.tokens(), dtype=object)
+    formats = [" ".join(["%s"] * n) + "\t%d\t%.9g\n" for n in range(table.n_max + 1)]
     with atomic_open(path) as fh:
         fh.write(_TABLE_HEADER + "\n")
         for lo in range(0, len(table), _SAVE_CHUNK):
-            chunk = slice(lo, lo + _SAVE_CHUNK)
-            text = first[table.grams[chunk, 0]]
-            for col in table.grams[chunk, 1:].T:
-                text = text + later[col]
-            rows = zip(text, table.counts[chunk].tolist(), table.pmi[chunk].tolist())
-            fh.writelines(f"{t}\t{c}\t{p:.9g}\n" for t, c, p in rows)
+            rows = slice(lo, lo + _SAVE_CHUNK)
+            grams, counts, pmi = table.grams[rows], table.counts[rows], table.pmi[rows]
+            fields = np.column_stack([names[grams], counts.astype(object), pmi.astype(object)])
+            present = np.pad(grams != PAD, ((0, 0), (0, 2)), constant_values=True)
+            row_format = "".join([formats[n] for n in _lengths(grams).tolist()])
+            fh.write(row_format % tuple(fields[present]))
 
 
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:

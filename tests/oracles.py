@@ -108,6 +108,21 @@ def oracle_mined_table(sequences, n_max, pmi_threshold, per_doc_top_k, entities,
     return "".join(lines), dict(sorted(hist.items()))
 
 
+def oracle_table_text(table, vocab):
+    """The table file written the plain way: one f-string per row, the
+    n-gram's ids up to the first -1 (padding) looked up one by one."""
+    tokens = vocab.tokens()
+    lines = ["tokens\tcount\tpmi\n"]
+    for row, count, pmi in zip(table.grams.tolist(), table.counts.tolist(), table.pmi.tolist()):
+        words = []
+        for i in row:
+            if i == -1:
+                break
+            words.append(tokens[i])
+        lines.append(f"{' '.join(words)}\t{count}\t{pmi:.9g}\n")
+    return "".join(lines)
+
+
 def oracle_answer(question, embedder):
     """Exhaustive cosine ranking with explicit loops; first best wins."""
 

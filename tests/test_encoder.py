@@ -506,12 +506,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        params = init_params(TINY)
-        params["pooler_w"] = params["pooler_w"][:, :8].copy()
+        # pooler_w's entry says 16x8 where the config has 16x16; the payload is unchanged.
+        blob, _ = checkpoint_bytes()
+        name = struct.pack("<I", len(b"pooler_w")) + b"pooler_w"
+        dims = blob.index(name) + len(name) + 4  # past the name and the rank
+        assert struct.unpack_from("<2I", blob, dims) == (16, 16)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, TINY, path)
+        path.write_bytes(blob[:dims] + struct.pack("<2I", 16, 8) + blob[dims + 8 :])
         with pytest.raises(CheckpointError, match="tensor directory does not match config"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["shape", "missing", "extra"])
+    def test_save_rejects_params_not_of_the_config(self, tmp_path, change):
+        params = init_params(TINY)
+        if change == "shape":
+            params["pooler_w"] = params["pooler_w"][:, :8].copy()
+        elif change == "missing":
+            del params["mlm_out_b"]
+        else:
+            params["extra_b"] = np.zeros(16, dtype=np.float32)
+        with pytest.raises(CheckpointError, match="do not match the config"):
+            save_checkpoint(params, TINY, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_model_bundle_helpers(self, tmp_path):
         model = Model.init(TINY)

@@ -583,6 +583,12 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="duplicate"):
             read_word_vectors(path)
 
+    def test_word_vectors_bad_component_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0\nb x 3.0\n")
+        with pytest.raises(ValueError, match=r"vecs\.txt:2: could not convert string to float"):
+            read_word_vectors(path)
+
     def test_word_vectors_ragged_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 2.0\nb 1.0\n")

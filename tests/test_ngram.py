@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import oracle_mark, oracle_mined_table
-from ulrlab.corpus import UNK_ID, NUM_SPECIALS, build_vocabulary
+from oracles import oracle_mark, oracle_mined_table, oracle_table_text
+from ulrlab.corpus import UNK_ID, NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, build_vocabulary
 from ulrlab.ngram import (
+    _SAVE_CHUNK,
     NgramError,
     NgramTable,
     Span,
@@ -25,6 +26,7 @@ from ulrlab.ngram import (
     mark_sequence,
     prune_table,
     save_table,
+    _exact_log,
 )
 
 
@@ -211,6 +213,20 @@ class TestComputePmi:
             joint_counts = replace(counts, counts=np.where(row, joint, counts.counts))
             values.append(compute_pmi(w, joint_counts))
         assert values[0] < values[1] < values[2]
+
+
+class TestExactLog:
+    # Many values below 300 are found by a bincount; a few large ones by np.unique.
+    @given(st.lists(st.integers(1, 300), max_size=400)
+           | st.lists(st.integers(1, 300) | st.integers(2**31, 2**62), max_size=60))
+    @example([1])
+    @example([1, 2**31, 2**31 + 1, 2**62])
+    @example(list(range(300, 0, -3)) * 2)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_math_log_elementwise(self, values):
+        got = _exact_log(np.array(values, dtype=np.int64))
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        assert got.tolist() == [math.log(v) for v in values]
 
 
 def toy_table(entries, n_max=3):
@@ -444,6 +460,61 @@ class TestTableIO:
         path.write_text("nope\n")
         with pytest.raises(NgramError):
             load_table(path, vocab)
+
+
+# Tokens the writer must copy as they are: format directives, braces and
+# characters outside ASCII.
+ODD_TOKENS = ["100%", "%s", "%d%%", "%(x)s", "{", "{0}", "}", "naïve", "東京", "a"]
+ODD_VOCAB = Vocabulary(
+    [*SPECIAL_TOKENS, *ODD_TOKENS], [0] * len(SPECIAL_TOKENS) + [1] * len(ODD_TOKENS)
+)
+EDGE_SCORES = [math.nan, -0.0, 0.0, 1e-5, -1e-5, 1 / 3, 123456789.5, 5e-324, math.inf]
+
+
+def edge_table(n_rows, n_max, seed):
+    """``n_rows`` n-grams of lengths 2..n_max over ODD_VOCAB, a fifth of them
+    with an edge score; NaN rows are entities with count 0."""
+    rng = np.random.default_rng(seed)
+    grams = rng.integers(0, len(ODD_VOCAB), size=(n_rows, n_max)).astype(np.int32)
+    grams[np.arange(n_max) >= rng.integers(2, n_max + 1, size=(n_rows, 1))] = -1
+    pmi = rng.normal(0.0, 3.0, size=n_rows)
+    edge = rng.random(n_rows) < 0.2
+    pmi[edge] = rng.choice(EDGE_SCORES, size=int(edge.sum()))
+    counts = np.where(np.isnan(pmi), 0, rng.integers(1, 2**40, size=n_rows))
+    return NgramTable(grams, counts, pmi, np.isnan(pmi), n_max)
+
+
+class TestTableWriter:
+    """save_table's bytes against the per-row reference writer."""
+
+    def test_chunk_boundary(self):
+        table = edge_table(_SAVE_CHUNK + 3, n_max=6, seed=0)
+        text = saved_text(table, ODD_VOCAB)
+        assert text.count("\n") == _SAVE_CHUNK + 4
+        assert text == oracle_table_text(table, ODD_VOCAB)
+
+    def test_edge_scores_counts_and_tokens(self):
+        tok = {t: ODD_VOCAB.id_of(t) for t in ODD_TOKENS}
+        entries = {
+            (tok["100%"], tok["%s"]): (0, math.nan),
+            (tok["%d%%"], tok["{"], tok["}"]): (3, -0.0),
+            (tok["{0}"], tok["naïve"]): (7, 1e-5),
+            (tok["東京"], tok["%(x)s"], tok["a"], tok["a"]): (2, -1e-5),
+        }
+        table = NgramTable.from_entries(entries, n_max=4)
+        text = saved_text(table, ODD_VOCAB)
+        assert text.splitlines()[1:] == [
+            "100% %s\t0\tnan", "%d%% { }\t3\t-0", "{0} naïve\t7\t1e-05",
+            "東京 %(x)s a a\t2\t-1e-05",
+        ]
+        assert text == oracle_table_text(table, ODD_VOCAB)
+        assert reloaded_text(text, ODD_VOCAB) == text
+
+    @given(st.integers(0, 40), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_writer(self, n_rows, n_max, seed):
+        table = edge_table(n_rows, n_max, seed)
+        assert saved_text(table, ODD_VOCAB) == oracle_table_text(table, ODD_VOCAB)
 
 
 class TestMinedTableOracle:
