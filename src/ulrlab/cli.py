@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 from .corpus import (
-    CorpusError,
     Vocabulary,
     atomic_open,
     build_vocabulary,
@@ -33,7 +30,6 @@ from .corpus import (
 from .encoder import (
     POOLING_STRATEGIES,
     CheckpointError,
-    ConfigError,
     EncoderConfig,
     Model,
     save_checkpoint,
@@ -53,7 +49,6 @@ from .evaluation import (
     topk_accuracy_by_group,
 )
 from .ngram import (
-    NgramError,
     build_table,
     count_ngrams,
     inject_entities,
@@ -216,17 +211,6 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     echo = "\n".join(f"{k} = {resolved[k]}" for k in sorted(resolved))
     print(f"# resolved config ({command})\n{echo}", file=sys.stderr)
     return resolved
-
-
-def _thread_limit_context(n: int | None):
-    if n is None:
-        return nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        warnings.warn("--threads has no effect: threadpoolctl is not installed")
-        return nullcontext()
-    return threadpool_limits(limits=n)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -392,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text) in commands.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--threads", type=int, help="bound on BLAS threads")
         for key, s in COMMAND_SETTINGS[command].items():
             p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key,
                            type=s.convert, choices=s.choices, help=s.help)
@@ -404,18 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit_context(getattr(args, "threads", None)):
-            return args.func(args)
-    except (
-        CliError,
-        CorpusError,
-        NgramError,
-        ConfigError,
-        CheckpointError,
-        FloatingPointError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return args.func(args)
+    except (CliError, CheckpointError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -155,6 +155,11 @@ class ModelEmbedder:
             raise ValueError(
                 f"unknown pooling strategy {pooling!r}; expected one of {POOLING_STRATEGIES}"
             )
+        if len(vocab) != model.config.vocab_size:
+            raise ValueError(
+                f"vocabulary has {len(vocab)} tokens but the checkpoint was trained "
+                f"on {model.config.vocab_size}"
+            )
         self.model = model
         self.vocab = vocab
         self.pooling = pooling

@@ -32,6 +32,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def child_env(**extra):
+    """This environment, with ``ulrlab`` importable from a child process."""
+    src = str(Path(ulrlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -280,7 +287,7 @@ class TestEverySetting:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-        assert listed == {"--help", "--config", "--threads", *PARENT_FLAGS[command].split()}
+        assert listed == {"--help", "--config", *PARENT_FLAGS[command].split()}
 
     @pytest.mark.parametrize("command, key", [
         (command, key) for command, settings in COMMAND_SETTINGS.items() for key in settings
@@ -350,6 +357,39 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.ckpt.metrics.tsv").read_bytes() == \
             (tmp_path / "b.ckpt.metrics.tsv").read_bytes()
+
+    def test_blas_thread_count_does_not_change_bits(self, capsys, tmp_path):
+        # At this shape a threaded OpenBLAS splits the MLM head's
+        # weight-gradient products (inner dimension: the ~600 masked rows)
+        # by thread count; two steps, because step 1's learning rate is 0.
+        rng = np.random.default_rng(0)
+        corpus = tmp_path / "units.txt"
+        corpus.write_text("".join(
+            " ".join(f"si{u} xu{u}" for u in rng.integers(0, 100, rng.integers(4, 30))) + "\n"
+            for _ in range(600)
+        ))
+        table = tmp_path / "units.tsv"
+        code, _, _ = run(capsys, [
+            "extract-ngrams", "--corpus", str(corpus), "--n-max", "2",
+            "--threshold", "2.0", "--top-k", "none", "--out", str(table),
+        ])
+        assert code == 0
+        outputs = []
+        for threads in ("1", "2"):
+            ckpt = tmp_path / f"threads{threads}.ckpt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ulrlab.cli", "train",
+                 "--corpus", str(corpus), "--table", str(table),
+                 "--vocab", str(table) + ".vocab",
+                 "--total-steps", "2", "--batch-size", "128", "--d-model", "32",
+                 "--n-heads", "2", "--n-layers", "1", "--d-ff", "64", "--max-len", "64",
+                 "--dropout", "0", "--seed", "1", "--out", str(ckpt)],
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((ckpt.read_bytes(), Path(f"{ckpt}.metrics.tsv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bad_architecture_fails_cleanly(self, capsys, workspace, extracted, tmp_path):
         code, _, stderr = run(capsys, [
@@ -602,6 +642,27 @@ class TestEmbed:
         assert code == 1
         assert "error:" in stderr and "index 1" in stderr
 
+    @pytest.mark.parametrize("change", [-3, 20])
+    def test_vocabulary_of_another_size_rejected(
+        self, capsys, trained, extracted, tmp_path, change
+    ):
+        trained_tokens = Vocabulary.load(extracted["vocab"]).tokens()
+        if change < 0:
+            tokens = trained_tokens[:change]
+        else:
+            tokens = trained_tokens + [f"extra{i}" for i in range(change)]
+        other = tmp_path / "other.vocab"
+        Vocabulary(tokens, [1] * len(tokens)).save(other)
+        texts = tmp_path / "texts.txt"
+        texts.write_text(" ".join(tokens[-3:]) + "\n")
+        code, _, stderr = run(capsys, [
+            "embed", "--checkpoint", str(trained["ckpt"]),
+            "--vocab", str(other), "--texts", str(texts),
+        ])
+        assert code == 1
+        assert f"error: vocabulary has {len(tokens)} tokens" in stderr
+        assert f"trained on {len(trained_tokens)}" in stderr
+
     def test_unknown_pooling_rejected_by_parser(self, trained, extracted, texts_file):
         with pytest.raises(SystemExit):
             main([
@@ -648,10 +709,8 @@ def test_no_command_imports_scipy(workspace, tmp_path):
         "    assert main(argv) == 0, argv[0]\n"
         "    assert 'scipy' not in sys.modules, f'{argv[0]} loaded scipy'\n"
     )
-    src = str(Path(ulrlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
