@@ -36,7 +36,6 @@ from .encoder import (
 )
 from .evaluation import (
     ModelEmbedder,
-    RetrievalSet,
     WordVectorEmbedder,
     bm25_rank,
     embed_corpus,
@@ -302,11 +301,8 @@ def cmd_eval_analogy(args: argparse.Namespace) -> int:
 
 def cmd_eval_retrieval(args: argparse.Namespace) -> int:
     cfg = resolve_config("eval-retrieval", args)
-    corpus_rows = read_retrieval_corpus(cfg["corpus"])
-    query_rows = read_retrieval_queries(cfg["queries"])
-    retrieval = RetrievalSet(corpus=tuple(corpus_rows), queries=tuple(query_rows))
-    ids = [i for i, _ in retrieval.corpus]
-    texts = [t for _, t in retrieval.corpus]
+    ids, texts = zip(*read_retrieval_corpus(cfg["corpus"]))
+    queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
     if not ks:
         raise CliError("ks must name at least one cutoff")
@@ -315,7 +311,6 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise CliError(f"{name} must be >= 1, got {value}")
     depth = min(max(ks), len(ids))
-    queries = [q for q, _ in retrieval.queries]
     if cfg["backend"] == "bm25":
         corpus_tokens = [tokenize(t) for t in texts]
         query_tokens = [tokenize(q) for q in queries]
@@ -327,19 +322,17 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
             retrieve_topk(row, matrix, depth, ids=ids)
             for row in embed_corpus(queries, embedder)
         ]
-    gold_sets = [g for _, g in retrieval.queries]
     acc = topk_accuracy(rankings, gold_sets, ks)
     lines = ["top_k\taccuracy"]
     for k in ks:
         lines.append(f"{k}\t{acc[k]:.4f}")
     if bucket is not None:
-        groups = [f"len<={((len(tokenize(q)) - 1) // bucket + 1) * bucket}"
-                  for q in queries]
+        groups = [((len(tokenize(q)) - 1) // bucket + 1) * bucket for q in queries]
         grouped = topk_accuracy_by_group(rankings, gold_sets, groups, ks)
         lines.append("group\ttop_k\taccuracy")
-        for label in sorted(grouped):
+        for bound, acc_by_k in grouped.items():
             for k in ks:
-                lines.append(f"{label}\t{k}\t{grouped[label][k]:.4f}")
+                lines.append(f"len<={bound}\t{k}\t{acc_by_k[k]:.4f}")
     _write_or_print("\n".join(lines) + "\n", cfg["out"])
     return 0
 

@@ -13,7 +13,7 @@ import string
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -58,6 +58,24 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path: str | Path, parse: Callable, header: Callable | None = None) -> list:
+    """``parse(line)`` for each line of a UTF-8 file that is not empty or
+    whitespace-only, without its newline.  ``header``, if given, is called on
+    the first line instead, whatever it holds.  A ValueError that either raises
+    comes out as the same class with ``path:line: `` in front of its message."""
+    def call(fn: Callable, lineno: int, line: str):
+        try:
+            return fn(line.rstrip("\n"))
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+
+    with open(path, encoding="utf-8") as fh:
+        if header is not None:
+            call(header, 1, fh.readline())
+        start = 1 if header is None else 2
+        return [call(parse, n, line) for n, line in enumerate(fh, start) if not line.isspace()]
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,34 +126,30 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         tokens, counts = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise CorpusError(f"{path}:{lineno}: malformed vocabulary row")
-                try:
-                    idx, count = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise CorpusError(f"{path}:{lineno}: id and count must be integers") from None
-                if idx != len(tokens):
-                    raise CorpusError(f"{path}:{lineno}: non-dense id {idx}")
-                tokens.append(parts[0])
-                counts.append(count)
+
+        def row(line: str) -> None:
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise CorpusError("malformed vocabulary row")
+            try:
+                idx, count = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise CorpusError("id and count must be integers") from None
+            if idx != len(tokens):
+                raise CorpusError(f"non-dense id {idx}")
+            tokens.append(parts[0])
+            counts.append(count)
+
+        read_lines(path, row)
         try:
             return cls(tokens, counts)
         except CorpusError as exc:
             raise CorpusError(f"{path}: {exc}") from None
 
 
-def read_corpus(path: str | Path) -> Iterator[tuple[str, ...]]:
-    """Yield the tokens of each non-blank line of a UTF-8 text file."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield tuple(tokenize(line))
+def read_corpus(path: str | Path) -> list[tuple[str, ...]]:
+    """The tokens of each non-blank line of a UTF-8 text file."""
+    return read_lines(path, lambda line: tuple(tokenize(line)))
 
 
 def build_vocabulary(

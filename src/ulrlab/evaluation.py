@@ -16,11 +16,11 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, encode, frame, tokenize
+from .corpus import Vocabulary, encode, frame, read_lines, tokenize
 from .encoder import POOLING_STRATEGIES, Model, forward, load_checkpoint, pad_batch, pool
 
 _EPS = 1e-12
@@ -68,31 +68,6 @@ class AnalogyQuestion:
                 f"answer_index {self.answer_index} outside candidates "
                 f"(n={len(self.candidates)})"
             )
-
-
-@dataclass(frozen=True)
-class RetrievalSet:
-    """A paraphrase-retrieval task: an id'd corpus plus gold-labelled queries."""
-
-    corpus: tuple[tuple[str, str], ...]
-    queries: tuple[tuple[str, frozenset[str]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "corpus", tuple((i, t) for i, t in self.corpus))
-        object.__setattr__(
-            self, "queries", tuple((t, frozenset(g)) for t, g in self.queries)
-        )
-        ids = [i for i, _ in self.corpus]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate corpus ids")
-        known = set(ids)
-        for qi, (_, gold) in enumerate(self.queries):
-            if not gold:
-                raise ValueError(f"missing gold set for query {qi}")
-            if not gold <= known:
-                raise ValueError(
-                    f"query {qi} references unknown gold ids {sorted(gold - known)}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +331,13 @@ def topk_accuracy_by_group(
     gold_sets: Sequence[set],
     groups: Sequence,
     ks: Sequence[int],
-) -> dict[str, dict[int, float]]:
-    """Top-k accuracy computed separately per query group label."""
+) -> dict[Any, dict[int, float]]:
+    """Top-k accuracy computed separately per query group, in sorted group order."""
     if len(groups) != len(rankings):
         raise ValueError("groups length must match rankings")
     out = {}
-    for label in sorted(set(str(g) for g in groups), key=str):
-        idx = [i for i, g in enumerate(groups) if str(g) == label]
+    for label in sorted(set(groups)):
+        idx = [i for i, g in enumerate(groups) if g == label]
         out[label] = topk_accuracy(
             [rankings[i] for i in idx], [gold_sets[i] for i in idx], ks
         )
@@ -424,69 +399,80 @@ def bm25_rank(
 # file formats
 
 
-def _read_tsv(path: str | Path, n_fields: int, row: Callable) -> list:
-    """``row(*fields)`` for every non-blank TSV row, which must have ``n_fields``
-    fields; a ValueError from ``row`` is raised again naming the file and line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(parts)}"
-                )
-            try:
-                rows.append(row(*parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
+def _split_tsv(line: str, n: int) -> list[str]:
+    parts = line.split("\t")
+    if len(parts) != n:
+        raise ValueError(f"expected {n} tab-separated fields, got {len(parts)}")
+    return parts
 
 
 def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
-    """TSV rows: category, a, b, c, pipe-joined candidates, answer index."""
-    def question(category, a, b, c, candidates, answer):
-        return AnalogyQuestion(category, a, b, c, tuple(candidates.split("|")), int(answer))
+    """TSV rows: category, a, b, c, pipe-joined candidates, answer index.  Every
+    text must keep a token after :func:`tokenize`."""
+    def question(line: str) -> AnalogyQuestion:
+        category, a, b, c, candidates, answer = _split_tsv(line, 6)
+        candidates = tuple(candidates.split("|"))
+        for text in (a, b, c, *candidates):
+            if not tokenize(text):
+                raise ValueError(f"text {text!r} has no tokens")
+        return AnalogyQuestion(category, a, b, c, candidates, int(answer))
 
-    return _read_tsv(path, 6, question)
+    return read_lines(path, question)
 
 
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
-    """TSV rows: id, text."""
-    return _read_tsv(path, 2, lambda doc_id, text: (doc_id, text))
+    """TSV rows: id, text; at least one row, and no id twice."""
+    seen = set()
+
+    def document(line: str) -> tuple[str, str]:
+        doc_id, text = _split_tsv(line, 2)
+        if doc_id in seen:
+            raise ValueError(f"duplicate corpus id {doc_id!r}")
+        seen.add(doc_id)
+        return doc_id, text
+
+    rows = read_lines(path, document)
+    if not rows:
+        raise ValueError(f"{path}: no documents")
+    return rows
 
 
-def read_retrieval_queries(path: str | Path) -> list[tuple[str, frozenset[str]]]:
-    """TSV rows: text, comma-joined gold ids."""
-    return _read_tsv(path, 2, lambda text, gold: (text, frozenset(filter(None, gold.split(",")))))
+def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[str, frozenset]]:
+    """TSV rows: text, comma-joined gold ids; at least one row, and every gold
+    set non-empty and inside ``ids``."""
+    known = set(ids)
+
+    def query(line: str) -> tuple[str, frozenset[str]]:
+        text, gold = _split_tsv(line, 2)
+        gold = frozenset(filter(None, gold.split(",")))
+        if not gold:
+            raise ValueError("missing gold set")
+        if not gold <= known:
+            raise ValueError(f"unknown gold ids {sorted(gold - known)}")
+        return text, gold
+
+    rows = read_lines(path, query)
+    if not rows:
+        raise ValueError(f"{path}: no queries")
+    return rows
 
 
 def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Space-separated rows: token v1 v2 ... vd; insertion order kept."""
     vectors: dict[str, np.ndarray] = {}
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if not values:
-                raise ValueError(f"{path}:{lineno}: no vector components")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: dimension {len(values)} != {dim}"
-                )
-            if token in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    def row(line: str) -> None:
+        token, *values = line.split()
+        if not values:
+            raise ValueError("no vector components")
+        first = next(iter(vectors.values()), values)
+        if len(values) != len(first):
+            raise ValueError(f"dimension {len(values)} != {len(first)}")
+        if token in vectors:
+            raise ValueError(f"duplicate token {token!r}")
+        vectors[token] = np.array([float(v) for v in values])
+
+    read_lines(path, row)
     if not vectors:
         raise ValueError(f"{path}: empty word-vector file")
     return vectors

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_open
+from .corpus import Vocabulary, atomic_open, read_lines
 
 PAD = -1  # fills a row after the last id of an n-gram shorter than n_max
 
@@ -194,9 +194,6 @@ class NgramTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __contains__(self, w: tuple[int, ...]) -> bool:
-        return w in self.entries
-
     @cached_property
     def entries(self) -> dict[tuple[int, ...], tuple[int, float]]:
         """``{id tuple: (count, pmi)}``, for lookups."""
@@ -346,26 +343,24 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     re-breaks ties between scores that the 9 written digits made equal,
     so save, load and save again writes the same bytes.
     """
-    entries: dict[tuple[int, ...], tuple[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _TABLE_HEADER:
-            raise NgramError(f"{path}: missing table header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise NgramError(f"{path}:{lineno}: malformed table row")
-            toks = parts[0].split(" ")
-            unknown = [t for t in toks if t not in vocab]
-            if unknown:
-                raise NgramError(f"{path}:{lineno}: token(s) {unknown} not in the vocabulary")
-            try:
-                entries[tuple(vocab.id_of(t) for t in toks)] = (int(parts[1]), float(parts[2]))
-            except ValueError:
-                raise NgramError(f"{path}:{lineno}: bad count or pmi in {parts[1:]}") from None
+    def check_header(line: str) -> None:
+        if line != _TABLE_HEADER:
+            raise NgramError("missing table header")
+
+    def entry(line: str):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise NgramError("malformed table row")
+        toks = parts[0].split(" ")
+        unknown = [t for t in toks if t not in vocab]
+        if unknown:
+            raise NgramError(f"token(s) {unknown} not in the vocabulary")
+        try:
+            return tuple(vocab.id_of(t) for t in toks), (int(parts[1]), float(parts[2]))
+        except ValueError:
+            raise NgramError(f"bad count or pmi in {parts[1:]}") from None
+
+    entries = dict(read_lines(path, entry, header=check_header))
     return NgramTable.from_entries(entries, max([2, *map(len, entries)]))
 
 
@@ -376,14 +371,10 @@ def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...
     warning; matching them through UNK would mark unrelated spans.
     """
     out: list[tuple[int, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            if any(t not in vocab for t in toks):
-                warnings.warn(f"entity {' '.join(toks)!r} has OOV tokens; skipped", stacklevel=2)
-                continue
+    for toks in read_lines(path, str.split):
+        if any(t not in vocab for t in toks):
+            warnings.warn(f"entity {' '.join(toks)!r} has OOV tokens; skipped", stacklevel=2)
+        else:
             out.append(tuple(vocab.id_of(t) for t in toks))
     return out
 

@@ -543,6 +543,34 @@ class TestEvalRetrieval:
         assert "group\ttop_k\taccuracy" in text
         assert "len<=5\t1\t1.0000" in text
 
+    def test_length_groups_print_in_numeric_order(self, capsys, tmp_path):
+        corpus_path = tmp_path / "c.tsv"
+        corpus_path.write_text("d0\ta b c\nd1\tk\n")
+        queries_path = tmp_path / "q.tsv"
+        queries_path.write_text("a\td0\na b\td0\na b c\td0\na b c d e f g h i j k\td1\n")
+        code, stdout, _ = run(capsys, [
+            "eval-retrieval", "--backend", "bm25",
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--ks", "1", "--group-by-length", "5",
+        ])
+        assert code == 0
+        groups = stdout.split("group\ttop_k\taccuracy\n")[1].splitlines()
+        assert [row.split("\t")[0] for row in groups] == ["len<=5", "len<=15"]
+
+    @pytest.mark.parametrize("backend", ["bm25", "vectors", "model"])
+    def test_empty_queries_file_is_named(self, capsys, retrieval_files, tmp_path, backend):
+        vec_path, corpus_path, _ = retrieval_files
+        queries_path = tmp_path / "queries.tsv"
+        queries_path.write_text("")
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", backend,
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--vectors", str(vec_path),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.endswith(f"error: {queries_path}: no queries\n")
+
     @pytest.mark.parametrize("flags, setting", [
         (["--ks=-1"], "ks"),
         (["--ks", "0,1"], "ks"),

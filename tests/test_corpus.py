@@ -24,6 +24,13 @@ from ulrlab.corpus import (
     read_corpus,
     tokenize,
 )
+from ulrlab.evaluation import (
+    read_analogy_file,
+    read_retrieval_corpus,
+    read_retrieval_queries,
+    read_word_vectors,
+)
+from ulrlab.ngram import NgramError, load_table, read_entity_file
 
 
 def make_documents(*texts):
@@ -207,6 +214,48 @@ class TestReadCorpus:
         for token in tokens:
             assert token
             assert not (set(token) & stripped)
+
+
+READ_VOCAB = Vocabulary([*SPECIAL_TOKENS, "red", "fox"], [0] * NUM_SPECIALS + [2, 1])
+
+# Every reader that goes through read_lines: (read, good rows, a bad row or None
+# if the reader accepts any line, the reader's error class, a comparable view).
+READERS = {
+    "vocabulary": (
+        Vocabulary.load, [f"{t}\t{i}\t0" for i, t in enumerate(READ_VOCAB.tokens())],
+        "blue\t7", CorpusError, Vocabulary.tokens,
+    ),
+    "corpus": (read_corpus, ["Red fox.", "fox"], None, None, None),
+    "table": (
+        lambda path: load_table(path, READ_VOCAB), ["tokens\tcount\tpmi", "red fox\t2\t1.5"],
+        "fox red\t2\tx", NgramError, lambda table: table.entries,
+    ),
+    "entities": (lambda path: read_entity_file(path, READ_VOCAB), ["red fox"], None, None, None),
+    "word vectors": (
+        read_word_vectors, ["red 1 2", "fox 3 4"], "blue 1", ValueError,
+        lambda vectors: {t: v.tolist() for t, v in vectors.items()},
+    ),
+    "analogy": (read_analogy_file, ["cat\ta\tb\tc\tx|y\t1"], "cat\ta\tb", ValueError, None),
+    "retrieval corpus": (read_retrieval_corpus, ["d0\tred", "d1\tfox"], "d0\tx", ValueError, None),
+    "retrieval queries": (
+        lambda path: read_retrieval_queries(path, ["d0"]), ["red\td0"], "fox\td7", ValueError, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READERS))
+def test_reader_skips_whitespace_lines_and_names_a_bad_row(tmp_path, case):
+    read, rows, bad, error, view = READERS[case]
+    view = view or list
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    plain.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    spaced.write_text("\n".join([rows[0], " \t ", *rows[1:]]) + "\n", encoding="utf-8")
+    assert view(read(spaced)) == view(read(plain))
+    if bad is not None:
+        spaced.write_text(spaced.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+        with pytest.raises(error, match=rf"spaced\.txt:{len(rows) + 2}: ") as info:
+            read(spaced)
+        assert type(info.value) is error
 
 
 class TestAtomicOpen:

@@ -17,7 +17,6 @@ from ulrlab.evaluation import (
     AnalogyQuestion,
     CategoryResult,
     ModelEmbedder,
-    RetrievalSet,
     WordVectorEmbedder,
     answer_analogy,
     bm25_rank,
@@ -517,24 +516,43 @@ class TestBm25:
 
 
 class TestRetrievalSet:
-    def test_valid_set(self):
-        rs = RetrievalSet(
-            corpus=(("d0", "alpha"), ("d1", "beta")),
-            queries=(("alpha?", frozenset({"d0"})),),
-        )
-        assert rs.queries[0][1] == {"d0"}
+    """The retrieval corpus and queries readers check the set as they read it."""
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            RetrievalSet(corpus=(("d0", "x"), ("d0", "y")), queries=())
+    def test_valid_set(self, tmp_path):
+        cpath = tmp_path / "docs.tsv"
+        cpath.write_text("d0\talpha\nd1\tbeta\n")
+        ids = [doc_id for doc_id, _ in read_retrieval_corpus(cpath)]
+        qpath = tmp_path / "queries.tsv"
+        qpath.write_text("alpha?\td0\n")
+        assert read_retrieval_queries(qpath, ids) == [("alpha?", frozenset({"d0"}))]
 
-    def test_missing_gold_rejected(self):
-        with pytest.raises(ValueError, match="missing gold set for query 0"):
-            RetrievalSet(corpus=(("d0", "x"),), queries=(("q", frozenset()),))
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "docs.tsv"
+        path.write_text("d0\tx\n\nd0\ty\n")
+        with pytest.raises(ValueError, match=r"docs\.tsv:3: duplicate corpus id 'd0'"):
+            read_retrieval_corpus(path)
 
-    def test_unknown_gold_rejected(self):
-        with pytest.raises(ValueError, match="unknown gold"):
-            RetrievalSet(corpus=(("d0", "x"),), queries=(("q", frozenset({"d9"})),))
+    def test_missing_gold_rejected(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q\td0\nq\t,\n")
+        with pytest.raises(ValueError, match=r"queries\.tsv:2: missing gold set"):
+            read_retrieval_queries(path, ["d0"])
+
+    def test_unknown_gold_rejected(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q\td0,d9\n")
+        with pytest.raises(ValueError, match=r"queries\.tsv:1: unknown gold ids \['d9'\]"):
+            read_retrieval_queries(path, ["d0"])
+
+    @pytest.mark.parametrize("reader, what", [
+        (read_retrieval_corpus, "documents"),
+        (lambda path: read_retrieval_queries(path, ["d0"]), "queries"),
+    ], ids=["corpus", "queries"])
+    def test_file_without_rows_rejected(self, tmp_path, reader, what):
+        path = tmp_path / "empty.tsv"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError, match=rf"empty\.tsv: no {what}$"):
+            reader(path)
 
 
 class TestFileFormats:
@@ -560,13 +578,20 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=r"qs\.tsv:3: .*(invalid literal|outside)"):
             read_analogy_file(path)
 
+    @pytest.mark.parametrize("text", ["", "  ", "!!!"])
+    def test_analogy_text_without_tokens_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "an.tsv"
+        path.write_text(f"cat\tred\tfox\tblue\tred|{text}|fox\t0\n")
+        with pytest.raises(ValueError, match=r"an\.tsv:1: text .* has no tokens"):
+            read_analogy_file(path)
+
     def test_retrieval_files(self, tmp_path):
         cpath = tmp_path / "corpus.tsv"
         cpath.write_text("d0\talpha beta\n\nd1\tgamma\n")
         assert read_retrieval_corpus(cpath) == [("d0", "alpha beta"), ("d1", "gamma")]
         qpath = tmp_path / "queries.tsv"
         qpath.write_text("alpha?\td0,d1\ngamma?\td1\n")
-        got = read_retrieval_queries(qpath)
+        got = read_retrieval_queries(qpath, ["d0", "d1"])
         assert got == [("alpha?", frozenset({"d0", "d1"})), ("gamma?", frozenset({"d1"}))]
 
     def test_word_vectors_roundtrip(self, tmp_path):

@@ -245,7 +245,7 @@ class TestPruneTable:
     def test_threshold_is_strict(self):
         entries = {(5, 6): (3, 0.5), (6, 7): (2, 0.0)}
         pruned = prune_table(toy_table(entries), pmi_threshold=0.0, per_doc_top_k=None)
-        assert (5, 6) in pruned and (6, 7) not in pruned
+        assert (5, 6) in pruned.entries and (6, 7) not in pruned.entries
 
     def test_per_document_top_k_matches_sort_oracle(self):
         """Per-doc retention keeps exactly the k best by the stated order."""
@@ -283,7 +283,7 @@ class TestPruneTable:
 class TestInjectEntities:
     def test_inject_into_empty_table(self):
         table = inject_entities(toy_table({}), [(7, 8)])
-        assert (7, 8) in table
+        assert (7, 8) in table.entries
         assert (7, 8) in privileged(table)
 
     def test_duplicate_injection_is_idempotent(self):
@@ -297,7 +297,7 @@ class TestInjectEntities:
         table = build_table(count_ngrams([seq], n_max=2))
         table = inject_entities(table, [(IDS["a"], IDS["b"])])
         pruned = prune_table(table, pmi_threshold=math.inf, per_doc_top_k=None)
-        assert (IDS["a"], IDS["b"]) in pruned
+        assert (IDS["a"], IDS["b"]) in pruned.entries
 
     def test_bad_length_skipped_with_warning(self):
         table = toy_table({}, n_max=3)
