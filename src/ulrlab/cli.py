@@ -24,6 +24,7 @@ from .corpus import (
     atomic_open,
     build_vocabulary,
     encode,
+    open_text,
     read_corpus,
     tokenize,
 )
@@ -43,6 +44,7 @@ from .evaluation import (
     read_analogy_file,
     read_retrieval_corpus,
     read_retrieval_queries,
+    read_word_vectors,
     retrieve_topk,
     topk_accuracy,
     topk_accuracy_by_group,
@@ -162,7 +164,7 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments allowed."""
     settings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -224,8 +226,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 # commands
 
 
-def cmd_extract_ngrams(args: argparse.Namespace) -> int:
-    cfg = resolve_config("extract-ngrams", args)
+def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(tokens, vocab) for tokens in docs]
@@ -248,8 +249,7 @@ def cmd_extract_ngrams(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config("train", args)
+def cmd_train(cfg: dict[str, Any]) -> int:
     train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     vocab = Vocabulary.load(cfg["vocab"])
     sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]
@@ -270,21 +270,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_embedder(cfg: dict[str, Any]):
-    if cfg.get("vectors"):
-        return WordVectorEmbedder.from_file(cfg["vectors"])
-    if cfg.get("checkpoint"):
-        if not cfg.get("vocab"):
+def _build_embedder(cfg: dict[str, Any], backend: str, used_by: str):
+    """The embedder of ``backend``, "vectors", "model" or "bm25" (None); unused sources fail."""
+    for key, user in (("vectors", "vectors"), ("checkpoint", "model")):
+        if cfg.get(key) and backend != user:
+            raise CliError(f"--{key} is not used with {used_by}")
+    if backend == "vectors" and cfg["vectors"]:
+        return WordVectorEmbedder(read_word_vectors(cfg["vectors"]))
+    if cfg["checkpoint"]:
+        if not cfg["vocab"]:
             raise CliError("a checkpoint embedder needs a vocab file (--vocab)")
         vocab = Vocabulary.load(cfg["vocab"])
         return ModelEmbedder.from_checkpoint(cfg["checkpoint"], vocab, pooling=cfg["pooling"])
-    raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
+    if backend != "bm25":
+        raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
 
 
-def cmd_eval_analogy(args: argparse.Namespace) -> int:
-    cfg = resolve_config("eval-analogy", args)
+def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
     questions = read_analogy_file(cfg["dataset"])
-    embedder = _build_embedder(cfg)
+    embedder = _build_embedder(cfg, "vectors" if cfg["vectors"] else "model", "--vectors")
     report = evaluate_analogy(questions, embedder)
     lines = ["category\tcorrect\ttotal\taccuracy"]
     for name in sorted(report.per_category):
@@ -299,8 +303,7 @@ def cmd_eval_analogy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    cfg = resolve_config("eval-retrieval", args)
+def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     ids, texts = zip(*read_retrieval_corpus(cfg["corpus"]))
     queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
@@ -311,12 +314,12 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise CliError(f"{name} must be >= 1, got {value}")
     depth = min(max(ks), len(ids))
-    if cfg["backend"] == "bm25":
+    embedder = _build_embedder(cfg, cfg["backend"], f"--backend {cfg['backend']}")
+    if embedder is None:
         corpus_tokens = [tokenize(t) for t in texts]
         query_tokens = [tokenize(q) for q in queries]
         rankings = [r[:depth] for r in bm25_rank(query_tokens, corpus_tokens, ids)]
     else:
-        embedder = _build_embedder(cfg)
         matrix = embed_corpus(texts, embedder)
         rankings = [
             retrieve_topk(row, matrix, depth, ids=ids)
@@ -337,10 +340,9 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    cfg = resolve_config("embed", args)
-    embedder = _build_embedder(cfg)
-    with open(cfg["texts"], encoding="utf-8") as fh:
+def cmd_embed(cfg: dict[str, Any]) -> int:
+    embedder = _build_embedder(cfg, "model", "embed")
+    with open_text(cfg["texts"]) as fh:
         texts = [line.rstrip("\n") for line in fh]
     matrix = embed_corpus(texts, embedder)
     row_format = " ".join(["%.9g"] * matrix.shape[1]) + "\n"
@@ -380,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args.command, args))
     except (CliError, CheckpointError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

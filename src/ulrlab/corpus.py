@@ -60,22 +60,41 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def read_lines(path: str | Path, parse: Callable, header: Callable | None = None) -> list:
-    """``parse(line)`` for each line of a UTF-8 file that is not empty or
-    whitespace-only, without its newline.  ``header``, if given, is called on
-    the first line instead, whatever it holds.  A ValueError that either raises
-    comes out as the same class with ``path:line: `` in front of its message."""
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO]:
+    """Open ``path`` to read UTF-8; an undecodable byte raises UnicodeError naming ``path:line``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise UnicodeError(f"{path}:{lineno}: {exc}") from None
+        raise
+
+
+def read_lines(path: str | Path, parse: Callable, header: Callable | None = None,
+               what: str | None = None) -> list:
+    """``parse(line)`` for each line of a UTF-8 file that is not empty or whitespace-only,
+    without its newline; ``header``, if given, gets the first line instead, whatever it
+    holds.  A ValueError from either comes out as the same class with ``path:line: `` in
+    front.  If ``what`` names the rows, a file without any is a ValueError too."""
     def call(fn: Callable, lineno: int, line: str):
         try:
             return fn(line.rstrip("\n"))
         except ValueError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        lines = enumerate(fh, 1)
         if header is not None:
-            call(header, 1, fh.readline())
-        start = 1 if header is None else 2
-        return [call(parse, n, line) for n, line in enumerate(fh, start) if not line.isspace()]
+            call(header, *next(lines, (1, "")))
+        rows = [call(parse, n, line) for n, line in lines if not line.isspace()]
+    if what is not None and not rows:
+        raise ValueError(f"{path}: no {what}")
+    return rows
 
 
 def tokenize(text: str) -> list[str]:

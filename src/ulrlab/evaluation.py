@@ -100,10 +100,6 @@ class WordVectorEmbedder:
                 )
             self._vectors[token] = arr
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "WordVectorEmbedder":
-        return cls(read_word_vectors(path))
-
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         rows = []
         for text in texts:
@@ -259,7 +255,7 @@ def evaluate_analogy(
 
 
 def embed_corpus(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
-    """One ``embed_many`` call; the only place rows are unit-normalized."""
+    """One ``embed_many`` call, its rows unit-normalized."""
     if len(texts) == 0:
         raise ValueError("cannot embed an empty corpus")
     for i, text in enumerate(texts):
@@ -407,8 +403,8 @@ def _split_tsv(line: str, n: int) -> list[str]:
 
 
 def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
-    """TSV rows: category, a, b, c, pipe-joined candidates, answer index.  Every
-    text must keep a token after :func:`tokenize`."""
+    """TSV rows: category, a, b, c, pipe-joined candidates, answer index; at least
+    one row, and every text must keep a token after :func:`tokenize`."""
     def question(line: str) -> AnalogyQuestion:
         category, a, b, c, candidates, answer = _split_tsv(line, 6)
         candidates = tuple(candidates.split("|"))
@@ -417,7 +413,7 @@ def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
                 raise ValueError(f"text {text!r} has no tokens")
         return AnalogyQuestion(category, a, b, c, candidates, int(answer))
 
-    return read_lines(path, question)
+    return read_lines(path, question, what="questions")
 
 
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
@@ -431,10 +427,7 @@ def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
         seen.add(doc_id)
         return doc_id, text
 
-    rows = read_lines(path, document)
-    if not rows:
-        raise ValueError(f"{path}: no documents")
-    return rows
+    return read_lines(path, document, what="documents")
 
 
 def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[str, frozenset]]:
@@ -451,14 +444,11 @@ def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[s
             raise ValueError(f"unknown gold ids {sorted(gold - known)}")
         return text, gold
 
-    rows = read_lines(path, query)
-    if not rows:
-        raise ValueError(f"{path}: no queries")
-    return rows
+    return read_lines(path, query, what="queries")
 
 
 def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Space-separated rows: token v1 v2 ... vd; insertion order kept."""
+    """Space-separated rows: token v1 v2 ... vd; at least one row, insertion order kept."""
     vectors: dict[str, np.ndarray] = {}
 
     def row(line: str) -> None:
@@ -472,7 +462,5 @@ def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
             raise ValueError(f"duplicate token {token!r}")
         vectors[token] = np.array([float(v) for v in values])
 
-    read_lines(path, row)
-    if not vectors:
-        raise ValueError(f"{path}: empty word-vector file")
+    read_lines(path, row, what="vectors")
     return vectors

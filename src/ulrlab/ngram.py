@@ -335,19 +335,21 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     """Read a table written by :func:`save_table`.
 
-    ``n_max`` is the length of the longest entry.  A token missing from
-    ``vocab`` means the table and vocabulary do not belong together, and
-    raises :class:`NgramError`.  Entries with NaN scores are restored as
-    privileged.  The file format loses the privileged flag of entities
-    that have a finite score.  Rows keep the file's order: a reload never
-    re-breaks ties between scores that the 9 written digits made equal,
-    so save, load and save again writes the same bytes.
+    ``n_max`` is the length of the longest entry.  A repeated n-gram, or
+    a token missing from ``vocab`` (the table and vocabulary do not
+    belong together), raises :class:`NgramError`.  Entries with NaN
+    scores are restored as privileged; the format loses the privileged
+    flag of entities with a finite score.  Rows keep the file's order: a
+    reload never re-breaks ties between scores that the 9 written digits
+    made equal, so save, load and save again writes the same bytes.
     """
+    entries: dict[tuple[int, ...], tuple[int, float]] = {}
+
     def check_header(line: str) -> None:
         if line != _TABLE_HEADER:
             raise NgramError("missing table header")
 
-    def entry(line: str):
+    def entry(line: str) -> None:
         parts = line.split("\t")
         if len(parts) != 3:
             raise NgramError("malformed table row")
@@ -355,12 +357,15 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
         unknown = [t for t in toks if t not in vocab]
         if unknown:
             raise NgramError(f"token(s) {unknown} not in the vocabulary")
+        gram = tuple(vocab.id_of(t) for t in toks)
+        if gram in entries:
+            raise NgramError(f"duplicate n-gram {parts[0]!r}")
         try:
-            return tuple(vocab.id_of(t) for t in toks), (int(parts[1]), float(parts[2]))
+            entries[gram] = int(parts[1]), float(parts[2])
         except ValueError:
             raise NgramError(f"bad count or pmi in {parts[1:]}") from None
 
-    entries = dict(read_lines(path, entry, header=check_header))
+    read_lines(path, entry, header=check_header)
     return NgramTable.from_entries(entries, max([2, *map(len, entries)]))
 
 

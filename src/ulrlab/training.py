@@ -17,7 +17,7 @@ finite-difference verification of the analytic gradients meaningful.
 Dropout follows the step tag: it runs exactly when a ``dropout_tag`` is
 given.  The learning-rate schedule (Adam, linear warmup, then linear
 decay) lives in :class:`TrainingConfig` alone; :class:`OptimizerState`
-holds only what a resumed run needs, the Adam moments and the step.
+holds the Adam moments and the step, and :meth:`Trainer.run` the batch order.
 """
 
 from __future__ import annotations
@@ -104,13 +104,6 @@ def split_sequence(tokens: Sequence[int], span: Span):
     return frame(w), frame(r), frame(tokens)
 
 
-def _masked_variant(seq: Sequence[int], span: Span) -> list[int]:
-    ids = list(frame(seq))
-    for pos in range(span.start, span.end + 1):
-        ids[pos] = MASK_ID
-    return ids
-
-
 def score_spans(
     pairs: Sequence[tuple[Sequence[int], SpanAnnotation]], model: Model
 ) -> list[list[float]]:
@@ -124,29 +117,26 @@ def score_spans(
     Returns one list per pair, in span order.
     """
     variants: list[list[int]] = []
-    owned: list[tuple[Sequence[int], Span]] = []
+    row_owner, cols, targets = [], [], []
     for seq, ann in pairs:
         for span in ann.spans:
             if not (1 <= span.start <= span.end <= len(seq)):
                 raise ValueError(f"span {span} outside sequence of length {len(seq)}")
-            variants.append(_masked_variant(seq, span))
-            owned.append((seq, span))
+            masked = range(span.start, span.end + 1)
+            row_owner.extend([len(variants)] * span.length)
+            cols.extend(masked)
+            targets.extend(seq[span.start - 1 : span.end])
+            variants.append([MASK_ID if i in masked else t for i, t in enumerate(frame(seq))])
     if not variants:
         return [[] for _ in pairs]
-    row_owner, cols, targets = [], [], []
-    for vi, (seq, span) in enumerate(owned):
-        for pos in range(span.start, span.end + 1):
-            row_owner.append(vi)
-            cols.append(pos)
-            targets.append(seq[pos - 1])
     ids, mask = pad_batch(variants)
     hidden = forward(model.params, model.config, ids, mask, rows=(row_owner, cols))
     log_probs, _ = mlm_head_rows(model.params, hidden)
     token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
     sums = np.zeros(len(variants))
     np.add.at(sums, row_owner, token_probs)
-    flat = iter(float(sums[vi] / span.length) for vi, (_, span) in enumerate(owned))
-    return [[next(flat) for _ in ann.spans] for _, ann in pairs]
+    means = iter((sums / np.bincount(row_owner)).tolist())
+    return [[next(means) for _ in ann.spans] for _, ann in pairs]
 
 
 def make_examples(
@@ -285,8 +275,6 @@ def prepare_batch(
     mask_rate: float,
 ) -> PreparedBatch:
     """Apply MLM masking and pad every input the step will need."""
-    if not examples:
-        raise ValueError("empty batch")
     s_seqs, w_seqs, r_seqs = [], [], []
     mlm_rows, mlm_cols, mlm_targets = [], [], []
     misad_s_rows = []
@@ -435,7 +423,7 @@ class TrainingConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments and the number of steps taken: all a resumed run needs."""
+    """Adam moments and the number of steps taken; a resume also needs the batch order."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -545,18 +533,16 @@ class Trainer:
     def run(self, metrics_path: str | Path | None = None) -> list[tuple]:
         cfg = self.config
         order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        n = len(self.pairs)
+        order = np.empty(0, dtype=np.int64)  # the rest of the current epoch
         while self.state.step < cfg.total_steps:
-            perm = order_rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                if self.state.step >= cfg.total_steps:
-                    break
-                idx = perm[lo : lo + cfg.batch_size]
-                examples = make_examples([self.pairs[i] for i in idx], self.model)
-                report, lr = train_step(examples, self.model, self.state, cfg)
-                self.metrics.append(
-                    (self.state.step, report.l_misad, report.l_mlm, report.l_total, lr)
-                )
+            if not order.size:
+                order = order_rng.permutation(len(self.pairs))
+            idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
+            examples = make_examples([self.pairs[i] for i in idx], self.model)
+            report, lr = train_step(examples, self.model, self.state, cfg)
+            self.metrics.append(
+                (self.state.step, report.l_misad, report.l_mlm, report.l_total, lr)
+            )
         if metrics_path is not None:
             write_metrics(self.metrics, metrics_path)
         return self.metrics

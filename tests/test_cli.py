@@ -249,6 +249,17 @@ class TestConfigResolution:
         with pytest.raises(Exception, match="key = value"):
             parse_config_file(cfg)
 
+    def test_config_line_not_utf8_is_named(self, capsys, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# settings\nmin_count = 1\nout = t\xff.tsv\n")
+        with pytest.raises(UnicodeError, match=rf"run\.cfg:3: .* byte 0xff"):
+            parse_config_file(cfg)
+        code, stdout, stderr = run(capsys, [
+            "extract-ngrams", "--config", str(cfg), "--corpus", str(workspace / "corpus.txt"),
+        ])
+        assert code == 1
+        assert f"error: {cfg}:3: 'utf-8' codec can't decode byte 0xff" in stderr
+
     def test_duplicate_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("n_max = 2\nn_max = 3\n")
@@ -454,6 +465,27 @@ class TestEvalAnalogy:
         assert code == 1
         assert "no embedder source" in stderr
 
+    def test_vectors_and_checkpoint_together_rejected(self, capsys, oracle_files, tmp_path):
+        vec_path, q_path = oracle_files
+        code, stdout, stderr = run(capsys, [
+            "eval-analogy", "--dataset", str(q_path), "--vectors", str(vec_path),
+            "--checkpoint", str(tmp_path / "missing.ckpt"), "--vocab", str(tmp_path / "nov"),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.endswith("error: --checkpoint is not used with --vectors\n")
+
+    def test_dataset_without_questions_is_named(self, capsys, oracle_files, tmp_path):
+        vec_path, _ = oracle_files
+        dataset = tmp_path / "empty.tsv"
+        dataset.write_text("\n")
+        code, stdout, stderr = run(capsys, [
+            "eval-analogy", "--dataset", str(dataset), "--vectors", str(vec_path),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.endswith(f"error: {dataset}: no questions\n")
+
 
 class TestEvalRetrieval:
     @pytest.fixture()
@@ -571,6 +603,41 @@ class TestEvalRetrieval:
         assert stdout == ""
         assert stderr.endswith(f"error: {queries_path}: no queries\n")
 
+    @pytest.mark.parametrize("backend, unused", [
+        ("model", "vectors"), ("vectors", "checkpoint"),
+        ("bm25", "vectors"), ("bm25", "checkpoint"),
+    ])
+    def test_source_the_backend_does_not_use_rejected(
+        self, capsys, retrieval_files, trained, extracted, backend, unused
+    ):
+        vec_path, corpus_path, queries_path = retrieval_files
+        sources = {
+            "vectors": ["--vectors", str(vec_path)],
+            "checkpoint": [
+                "--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"]),
+            ],
+        }
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", backend,
+            "--corpus", str(corpus_path), "--queries", str(queries_path), *sources[unused],
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.endswith(f"error: --{unused} is not used with --backend {backend}\n")
+
+    def test_corpus_row_not_utf8_is_named(self, capsys, retrieval_files):
+        _, corpus_path, queries_path = retrieval_files
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"tok3", b"tok3 \xff\xfe")
+        corpus_path.write_bytes(b"".join(lines))
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", "bm25",
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {corpus_path}:2: 'utf-8' codec can't decode byte 0xff" in stderr
+
     @pytest.mark.parametrize("flags, setting", [
         (["--ks=-1"], "ks"),
         (["--ks", "0,1"], "ks"),
@@ -669,6 +736,18 @@ class TestEmbed:
         ])
         assert code == 1
         assert "error:" in stderr and "index 1" in stderr
+
+    def test_text_not_utf8_is_named(self, capsys, trained, extracted, tmp_path):
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"red fox\r\nblue \xff bird\r\n")
+        out = tmp_path / "emb.txt"
+        code, _, stderr = run(capsys, [
+            "embed", "--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"]),
+            "--texts", str(texts), "--out", str(out),
+        ])
+        assert code == 1
+        assert f"error: {texts}:2: 'utf-8' codec can't decode byte 0xff in position 5" in stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [-3, 20])
     def test_vocabulary_of_another_size_rejected(

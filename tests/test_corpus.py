@@ -258,6 +258,21 @@ def test_reader_skips_whitespace_lines_and_names_a_bad_row(tmp_path, case):
         assert type(info.value) is error
 
 
+@pytest.mark.parametrize("case", sorted(READERS))
+def test_reader_names_the_line_that_is_not_utf8(tmp_path, case):
+    read, rows, _, _, view = READERS[case]
+    view = view or list
+    lf, mixed = tmp_path / "lf.txt", tmp_path / "mixed.txt"
+    lf.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # A lone CR and a CRLF end lines as a LF does, in the reader and in its line count.
+    mixed.write_bytes(("\r".join(rows) + "\r\n").encode("utf-8"))
+    assert view(read(mixed)) == view(read(lf))
+    mixed.write_bytes(mixed.read_bytes() + b"x \xff\xfe\n")
+    bad_line = rf"mixed\.txt:{len(rows) + 1}: .* byte 0xff in position 2"
+    with pytest.raises(UnicodeError, match=bad_line):
+        read(mixed)
+
+
 class TestAtomicOpen:
     def test_symlink_keeps_its_link_and_replaces_its_target(self, tmp_path):
         (tmp_path / "real.txt").write_text("old")

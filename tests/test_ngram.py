@@ -455,6 +455,21 @@ class TestTableIO:
                 ids = tuple(int(x) for x in rng.integers(5, 9, size=20))
                 assert mark_sequence(ids, loaded).spans == oracle_mark(ids, loaded)
 
+    def test_load_rejects_a_repeated_ngram(self, tmp_path, vocab):
+        seqs = [tuple(vocab.id_of(t) for t in "the cat sat a b the cat sat c d".split())]
+        table = build_table(count_ngrams(seqs, 3))
+        path = tmp_path / "t.tsv"
+        save_table(table, vocab, path)
+        text = path.read_text()
+        save_table(load_table(path, vocab), vocab, path)
+        assert path.read_text() == text
+        (row,) = [line for line in text.splitlines() if line.startswith("the cat\t")]
+        gram, _, pmi = row.split("\t")
+        path.write_text(f"{text}{gram}\t99\t{pmi}\n")
+        line = len(text.splitlines()) + 1
+        with pytest.raises(NgramError, match=rf"t\.tsv:{line}: duplicate n-gram 'the cat'"):
+            load_table(path, vocab)
+
     def test_load_rejects_bad_header(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("nope\n")

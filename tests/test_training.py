@@ -669,6 +669,32 @@ class TestTrainer:
         last = np.mean([row[3] for row in metrics[-5:]])
         assert last < first
 
+    def test_batches_are_slices_of_successive_permutations(self, monkeypatch):
+        import ulrlab.training as training
+
+        seqs = [(10 + i, 11, 12 + i) for i in range(10)]
+        trainer = Trainer(
+            Model.init(CFG), toy_table(), seqs,
+            TrainingConfig(total_steps=7, batch_size=4, seed=4),
+        )
+        position = {seq: i for i, (seq, _) in enumerate(trainer.pairs)}
+        batches = []
+        real = training.make_examples
+
+        def recording(pairs, model):
+            batches.append([position[seq] for seq, _ in pairs])
+            return real(pairs, model)
+
+        monkeypatch.setattr(training, "make_examples", recording)
+        trainer.run()
+        order_rng = np.random.Generator(np.random.PCG64(4))
+        epochs = [order_rng.permutation(10).tolist() for _ in range(3)]
+        assert batches == [
+            epochs[0][:4], epochs[0][4:8], epochs[0][8:],
+            epochs[1][:4], epochs[1][4:8], epochs[1][8:],
+            epochs[2][:4],
+        ]
+
     def test_truncates_overlong_sequences(self):
         long_seq = tuple(range(10, 10 + CFG.max_len + 10))
         trainer = Trainer(
