@@ -202,10 +202,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
                 raise CliError(
                     f"config key {key!r}: bad value {text!r}; valid values: {', '.join(choices)}"
                 )
-    for key in known:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    resolved.update((key, value) for key, value in vars(args).items() if key in known)
     missing = sorted(k for k, s in known.items() if s.required and resolved[k] is None)
     if missing:
         raise CliError(f"missing required setting(s) for {command}: {', '.join(missing)}")
@@ -283,11 +280,14 @@ def _build_embedder(cfg: dict[str, Any], backend: str, used_by: str):
         vocab = Vocabulary.load(cfg["vocab"])
         return ModelEmbedder.from_checkpoint(cfg["checkpoint"], vocab, pooling=cfg["pooling"])
     if backend != "bm25":
-        raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
+        source = "--vectors" if backend == "vectors" else "--checkpoint (with --vocab)"
+        raise CliError(f"no embedder source: pass {source}")
 
 
 def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
     questions = read_analogy_file(cfg["dataset"])
+    if not cfg["vectors"] and not cfg["checkpoint"]:
+        raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
     embedder = _build_embedder(cfg, "vectors" if cfg["vectors"] else "model", "--vectors")
     report = evaluate_analogy(questions, embedder)
     lines = ["category\tcorrect\ttotal\taccuracy"]
@@ -344,6 +344,11 @@ def cmd_embed(cfg: dict[str, Any]) -> int:
     embedder = _build_embedder(cfg, "model", "embed")
     with open_text(cfg["texts"]) as fh:
         texts = [line.rstrip("\n") for line in fh]
+    if not texts:
+        raise CliError(f"{cfg['texts']}: no texts")
+    for lineno, text in enumerate(texts, 1):
+        if not tokenize(text):
+            raise CliError(f"{cfg['texts']}:{lineno}: text has no tokens")
     matrix = embed_corpus(texts, embedder)
     row_format = " ".join(["%.9g"] * matrix.shape[1]) + "\n"
     _write_or_print((row_format * len(matrix)) % tuple(matrix.ravel().tolist()), cfg["out"])
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "embed": (cmd_embed, "write one unit-norm vector per input line"),
     }
     for command, (func, help_text) in commands.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="flat key = value settings file")
         for key, s in COMMAND_SETTINGS[command].items():
             p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key,

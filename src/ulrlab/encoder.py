@@ -14,8 +14,9 @@ produces the exact analytic gradient of any loss expressed as a
 cotangent of the hidden states.  Pooling, including the tanh pooler,
 lives only in :func:`pool` and :func:`pool_backward`.  Dropout follows
 the tag: it runs exactly when :func:`forward` is given ``rng_tag`` (and
-the configured rate is above 0), with draws from :func:`step_rng` keyed
-by (seed, step, site), so a training step replays bit-identically.
+the configured rate is above 0), with each mask drawn from :func:`step_rng`
+keyed by seed, step, pass name, layer and site, so no two masks share a
+stream and a training step replays bit-identically.
 """
 
 from __future__ import annotations
@@ -278,11 +279,6 @@ def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
-def _dropout_mask(shape, rate: float, seed: int, step: int, site: str, dtype) -> np.ndarray:
-    keep = step_rng(seed, step, site).random(size=shape) >= rate
-    return keep.astype(dtype) * (1.0 / (1.0 - rate))
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -321,7 +317,9 @@ def forward(
     sequence vectors.  Padded key positions receive -inf attention
     logits, so outputs at real positions do not depend on pad content.
     Dropout follows the tag: it runs exactly when ``rng_tag=(seed, step,
-    name)`` is given and ``config.dropout > 0``, and the tag keys its masks.
+    name)`` is given and ``config.dropout > 0``.  A mask's stream is keyed
+    by seed, step, name, layer and site (``"layer0.ff_out"``, or ``"emb"``),
+    and ``cache["dropout"]`` keeps the mask under that site name.
 
     ``rows=(batch_index, position)`` returns only those (M, d) rows of
     ``hidden``, bit for bit: the last layer's attention reads every
@@ -334,68 +332,63 @@ def forward(
     use_dropout = rng_tag is not None and config.dropout > 0.0
     if rows is not None and (use_dropout or want_cache):
         raise ValueError("rows= runs without dropout and returns no cache")
-    rate = config.dropout
+    masks: dict[str, np.ndarray] = {}
 
-    def drop(x: np.ndarray, site: str, store: dict):
+    def drop(x: np.ndarray, site: str):
         if not use_dropout:
             return x
         seed, step, name = rng_tag
-        m = _dropout_mask(x.shape, rate, seed, step, f"{name}/{site}", dtype)
-        store[site] = m
+        keep = step_rng(seed, step, f"{name}/{site}").random(size=x.shape) >= config.dropout
+        m = masks[site] = keep.astype(dtype) * (1.0 / (1.0 - config.dropout))
         return x * m
 
-    cache: dict = {"ids": ids, "mask": mask, "dropout": {}, "layers": []}
     x = params["tok_emb"][ids] + params["pos_emb"][:length][None, :, :]
     x, emb_ln = layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
-    cache["emb_ln"] = emb_ln
-    x = drop(x, "emb", cache["dropout"])
+    x = drop(x, "emb")
 
     n_heads, d_head = config.n_heads, config.d_head
     scale = 1.0 / float(np.sqrt(d_head))
     key_mask = mask[:, None, None, :]  # broadcast over heads and query axis
 
+    layers = []
     for i in range(config.n_layers):
         p = f"layer{i}."
-        lc: dict = {"x_in": x, "dropout": {}}
-        q = x @ params[p + "attn_q_w"] + params[p + "attn_q_b"]
-        k = x @ params[p + "attn_k_w"] + params[p + "attn_k_b"]
-        v = x @ params[p + "attn_v_w"] + params[p + "attn_v_b"]
-        q = q.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
-        k = k.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
-        v = v.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
+        x_in = x
+        q, k, v = (
+            (x @ params[f"{p}attn_{n}_w"] + params[f"{p}attn_{n}_b"])
+            .reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
+            for n in "qkv"
+        )
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         scores = np.where(key_mask, scores, -np.inf)
         scores -= scores.max(-1, keepdims=True)
         e = np.exp(scores)
         probs = e / e.sum(-1, keepdims=True)
-        lc.update(q=q, k=k, v=v, attn_probs=probs)
-        probs_d = drop(probs, "attn_probs", lc["dropout"])
-        lc["attn_probs_dropped"] = probs_d
+        probs_d = drop(probs, p + "attn_probs")
         ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
         if rows is not None and i == config.n_layers - 1:
-            n_rows = len(rows[0])
             ctx, x = _gemm_rows(ctx[rows]), _gemm_rows(x[rows])
-        lc["ctx"] = ctx
         ao = ctx @ params[p + "attn_o_w"] + params[p + "attn_o_b"]
-        ao = drop(ao, "attn_out", lc["dropout"])
-        x, attn_ln = layer_norm(
+        ao = drop(ao, p + "attn_out")
+        x_mid, attn_ln = layer_norm(
             x + ao, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
-        lc["attn_ln"] = attn_ln
-        lc["x_mid"] = x
-        t = x @ params[p + "ff_w1"] + params[p + "ff_b1"]
+        t = x_mid @ params[p + "ff_w1"] + params[p + "ff_b1"]
         a, erf_term = gelu(t)
-        lc.update(ff_pre=t, ff_erf=erf_term, ff_act=a)
         f = a @ params[p + "ff_w2"] + params[p + "ff_b2"]
-        f = drop(f, "ff_out", lc["dropout"])
-        x, ff_ln = layer_norm(x + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
-        lc["ff_ln"] = ff_ln
-        cache["layers"].append(lc)
+        f = drop(f, p + "ff_out")
+        x, ff_ln = layer_norm(x_mid + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
+        if want_cache:
+            layers.append(dict(
+                x_in=x_in, q=q, k=k, v=v, attn_probs=probs, attn_probs_dropped=probs_d,
+                ctx=ctx, attn_ln=attn_ln, x_mid=x_mid, ff_pre=t, ff_erf=erf_term,
+                ff_act=a, ff_ln=ff_ln,
+            ))
 
     if want_cache:
-        return x, cache
+        return x, {"ids": ids, "emb_ln": emb_ln, "dropout": masks, "layers": layers}
     if rows is not None:
-        return x[:n_rows]
+        return x[: len(rows[0])]
     return x
 
 
@@ -427,6 +420,11 @@ def backward(
     ids = cache["ids"]
     b, length = ids.shape
     dx = d_hidden
+    masks = cache["dropout"]
+
+    def undrop(d: np.ndarray, site: str) -> np.ndarray:
+        """The cotangent ``d`` through the dropout at ``site``, if it drew a mask."""
+        return d * masks[site] if site in masks else d
 
     n_heads, d_head = config.n_heads, config.d_head
     scale = 1.0 / float(np.sqrt(d_head))
@@ -435,23 +433,18 @@ def backward(
         p = f"layer{i}."
         lc = cache["layers"][i]
         # second sublayer: x_out = LN(x_mid + dropout(FF(x_mid)))
-        dx_mid = df = _ln_backward(dx, lc["ff_ln"], params, grads, p + "ff_ln")
-        if "ff_out" in lc["dropout"]:
-            df = df * lc["dropout"]["ff_out"]
+        dx_mid = _ln_backward(dx, lc["ff_ln"], params, grads, p + "ff_ln")
+        df = undrop(dx_mid, p + "ff_out")
         da = _linear_backward(lc["ff_act"], df, params, grads, p + "ff_w2", p + "ff_b2")
         dt = da * gelu_grad(lc["ff_pre"], lc["ff_erf"])
         dx_mid += _linear_backward(lc["x_mid"], dt, params, grads, p + "ff_w1", p + "ff_b1")
         # first sublayer: x_mid = LN(x_in + dropout(attn(x_in)))
-        dx_in = dao = _ln_backward(dx_mid, lc["attn_ln"], params, grads, p + "attn_ln")
-        if "attn_out" in lc["dropout"]:
-            dao = dao * lc["dropout"]["attn_out"]
+        dx_in = _ln_backward(dx_mid, lc["attn_ln"], params, grads, p + "attn_ln")
+        dao = undrop(dx_in, p + "attn_out")
         dctx = _linear_backward(lc["ctx"], dao, params, grads, p + "attn_o_w", p + "attn_o_b")
         dctx = dctx.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
-        probs_d = lc["attn_probs_dropped"]
-        dv = probs_d.transpose(0, 1, 3, 2) @ dctx
-        dprobs = dctx @ lc["v"].transpose(0, 1, 3, 2)
-        if "attn_probs" in lc["dropout"]:
-            dprobs = dprobs * lc["dropout"]["attn_probs"]
+        dv = lc["attn_probs_dropped"].transpose(0, 1, 3, 2) @ dctx
+        dprobs = undrop(dctx @ lc["v"].transpose(0, 1, 3, 2), p + "attn_probs")
         probs = lc["attn_probs"]
         dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
         dq = (dscores @ lc["k"]) * scale
@@ -461,9 +454,7 @@ def backward(
             dx_in += _linear_backward(lc["x_in"], dflat, params, grads, proj + "_w", proj + "_b")
         dx = dx_in
 
-    if "emb" in cache["dropout"]:
-        dx = dx * cache["dropout"]["emb"]
-    dy = _ln_backward(dx, cache["emb_ln"], params, grads, "emb_ln")
+    dy = _ln_backward(undrop(dx, "emb"), cache["emb_ln"], params, grads, "emb_ln")
     np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, config.d_model))
     grads["pos_emb"][:length] += dy.sum(0)
 
@@ -487,8 +478,7 @@ def pool(
     reduce over mask=1 positions only, so trailing padding never changes
     the result.
     """
-    out, _ = _pool_with_cache(hidden, mask, strategy, params)
-    return out
+    return _pool_with_cache(hidden, mask, strategy, params)[0]
 
 
 def _pool_with_cache(hidden, mask, strategy, params):
@@ -497,30 +487,29 @@ def _pool_with_cache(hidden, mask, strategy, params):
         raise ValueError("mask shape must be (batch, length)")
     if not mask.any(axis=1).all():
         raise ValueError("pooling over an all-zero mask")
+    meta = {"strategy": strategy, "hidden_shape": hidden.shape}
     if strategy == "cls":
         if params is None:
             raise ValueError("cls pooling requires encoder parameters")
         h0 = hidden[:, 0, :]
         pooled = np.tanh((_gemm_rows(h0) @ params["pooler_w"])[: len(h0)] + params["pooler_b"])
-        return pooled, {"h0": h0, "pooled": pooled}
+        return pooled, {**meta, "h0": h0, "pooled": pooled}
     if strategy == "mean":
         m = mask.astype(hidden.dtype)
         denom = m.sum(1, keepdims=True)
         pooled = (hidden * m[:, :, None]).sum(1) / denom
-        return pooled, {"m": m, "denom": denom}
+        return pooled, {**meta, "m": m, "denom": denom}
     if strategy == "max":
         neg = np.where(mask[:, :, None], hidden, -np.inf)
         idx = neg.argmax(axis=1)  # (B, d)
         pooled = np.take_along_axis(hidden, idx[:, None, :], axis=1)[:, 0, :]
-        return pooled, {"idx": idx}
+        return pooled, {**meta, "idx": idx}
     raise ValueError(f"unknown pooling strategy {strategy!r}; expected one of {POOLING_STRATEGIES}")
 
 
 def pool_backward(
     d_pooled: np.ndarray,
     pool_cache: dict,
-    hidden_shape: tuple[int, ...],
-    strategy: str,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
@@ -529,7 +518,8 @@ def pool_backward(
     For ``cls`` the pooler parameter gradients are accumulated into
     ``grads``.
     """
-    d_hidden = np.zeros(hidden_shape, dtype=d_pooled.dtype)
+    strategy = pool_cache["strategy"]
+    d_hidden = np.zeros(pool_cache["hidden_shape"], dtype=d_pooled.dtype)
     if strategy == "cls":
         pooled = pool_cache["pooled"]
         dz = d_pooled * (1.0 - pooled * pooled)
@@ -539,11 +529,8 @@ def pool_backward(
     elif strategy == "mean":
         m, denom = pool_cache["m"], pool_cache["denom"]
         d_hidden += (d_pooled / denom)[:, None, :] * m[:, :, None]
-    elif strategy == "max":
-        idx = pool_cache["idx"]
-        np.put_along_axis(d_hidden, idx[:, None, :], d_pooled[:, None, :], axis=1)
-    else:
-        raise ValueError(f"unknown pooling strategy {strategy!r}")
+    else:  # max
+        np.put_along_axis(d_hidden, pool_cache["idx"][:, None, :], d_pooled[:, None, :], axis=1)
     return d_hidden
 
 
@@ -564,9 +551,7 @@ def mlm_head_rows(params: dict[str, np.ndarray], rows: np.ndarray):
     logits = h @ params["tok_emb"].T + params["mlm_out_b"]
     shifted = logits - logits.max(-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(-1, keepdims=True))
-    log_probs = shifted - lse
-    cache = {"rows": rows, "t": t, "erf": erf_term, "h": h, "ln": ln, "log_probs": log_probs}
-    return log_probs, cache
+    return shifted - lse, {"rows": rows, "t": t, "erf": erf_term, "h": h, "ln": ln}
 
 
 def mlm_head_rows_backward(
@@ -581,9 +566,8 @@ def mlm_head_rows_backward(
     and again through the input lookup in :func:`backward`.  Returns the
     cotangent of the input rows.
     """
-    h = cache["h"]
     grads["mlm_out_b"] += d_logits.sum(0)
-    grads["tok_emb"] += d_logits.T @ h
+    grads["tok_emb"] += d_logits.T @ cache["h"]
     da = _ln_backward(d_logits @ params["tok_emb"], cache["ln"], params, grads, "mlm_ln")
     dt = da * gelu_grad(cache["t"], cache["erf"])
     return _linear_backward(cache["rows"], dt, params, grads, "mlm_w", "mlm_b")

@@ -368,13 +368,9 @@ def loss_and_gradients(
         e_r, cache_pr = _pool_with_cache(hidden_r, batch.r_mask, pooling, params)
         l_misad, (de_w, de_r, de_s) = _misad_with_grads(e_w, e_r, e_s, misad_weight)
         # Pooler gradients accumulate w, r, then S; the order fixes their float sums.
-        d_hw = pool_backward(de_w, cache_pw, hidden_w.shape, pooling, params, grads)
-        d_hr = pool_backward(de_r, cache_pr, hidden_r.shape, pooling, params, grads)
-        d_hidden_s[sub] += pool_backward(
-            de_s, cache_ps, (len(sub), *hidden_s.shape[1:]), pooling, params, grads
-        )
-        backward(cache_w, params, config, d_hw, grads)
-        backward(cache_r, params, config, d_hr, grads)
+        backward(cache_w, params, config, pool_backward(de_w, cache_pw, params, grads), grads)
+        backward(cache_r, params, config, pool_backward(de_r, cache_pr, params, grads), grads)
+        d_hidden_s[sub] += pool_backward(de_s, cache_ps, params, grads)
 
     backward(cache_s, params, config, d_hidden_s, grads)
     l_total = misad_weight * l_misad + mlm_weight * l_mlm

@@ -12,7 +12,14 @@ import pytest
 
 import ulrlab
 from helpers import write_analogy_file, write_word_vectors
-from ulrlab.cli import COMMAND_SETTINGS, build_parser, main, parse_config_file, resolve_config
+from ulrlab.cli import (
+    COMMAND_SETTINGS,
+    _int_or_none,
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from ulrlab.corpus import Vocabulary
 from ulrlab.encoder import load_checkpoint
 from ulrlab.evaluation import AnalogyQuestion, ModelEmbedder, embed_corpus
@@ -112,6 +119,8 @@ class TestExtractNgrams:
         stages = ["entries counted", "entries above threshold"]
         if top_k != "none":
             stages.append("entries after per-document top-K")
+        else:
+            assert "entries after per-document top-K" not in values
         counts = [int(values[stage]) for stage in stages]
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] == int(values["ngrams"])
@@ -309,11 +318,14 @@ class TestEverySetting:
         cfg.write_text("".join(f"{k} = {_file_and_flag_text(s)[0]}\n" for k, s in settings.items()))
         setting = settings[key]
         flag = setting.flag or "--" + key.replace("_", "-")
-        flag_text = _file_and_flag_text(setting)[1]
-        args = build_parser().parse_args([command, "--config", str(cfg), flag, flag_text])
-        resolved = resolve_config(command, args)
-        assert resolved[key] == setting.convert(flag_text)
-        assert f"{key} = {setting.convert(flag_text)}" in capsys.readouterr().err.splitlines()
+        flag_texts = [_file_and_flag_text(setting)[1]]
+        if setting.convert is _int_or_none:
+            flag_texts.append("none")  # a flag given as none still beats the file
+        for flag_text in flag_texts:
+            args = build_parser().parse_args([command, "--config", str(cfg), flag, flag_text])
+            resolved = resolve_config(command, args)
+            assert resolved[key] == setting.convert(flag_text)
+            assert f"{key} = {setting.convert(flag_text)}" in capsys.readouterr().err.splitlines()
 
 
 class TestSeedOnlyOnTrain:
@@ -655,6 +667,21 @@ class TestEvalRetrieval:
         assert stdout == ""
         assert f"error: {setting} " in stderr and "must be >= 1" in stderr
 
+    @pytest.mark.parametrize("backend, source", [
+        ("vectors", "--vectors"),
+        ("model", "--checkpoint (with --vocab)"),
+    ], ids=["vectors", "model"])
+    def test_missing_source_names_the_backends_flag(
+        self, capsys, retrieval_files, backend, source
+    ):
+        _, corpus_path, queries_path = retrieval_files
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", backend,
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+        ])
+        assert code == 1 and stdout == ""
+        assert stderr.splitlines()[-1] == f"error: no embedder source: pass {source}"
+
     def test_unknown_backend_lists_valid_ones(self, capsys, retrieval_files):
         vec_path, corpus_path, queries_path = retrieval_files
         with pytest.raises(SystemExit) as exc:
@@ -735,7 +762,22 @@ class TestEmbed:
             "--vocab", str(extracted["vocab"]), "--texts", str(bad),
         ])
         assert code == 1
-        assert "error:" in stderr and "index 1" in stderr
+        assert f"error: {bad}:2: text has no tokens" in stderr
+
+    @pytest.mark.parametrize("content, where", [
+        ("", ""),
+        ("red fox\n!!!\nblue bird\n", ":2"),
+    ], ids=["empty-file", "no-tokens"])
+    def test_bad_texts_file_is_named(self, capsys, trained, extracted, tmp_path, content, where):
+        texts = tmp_path / "texts.txt"
+        texts.write_text(content)
+        code, stdout, stderr = run(capsys, [
+            "embed", "--checkpoint", str(trained["ckpt"]),
+            "--vocab", str(extracted["vocab"]), "--texts", str(texts),
+        ])
+        assert code == 1 and stdout == ""
+        problem = "text has no tokens" if where else "no texts"
+        assert f"error: {texts}{where}: {problem}" in stderr
 
     def test_text_not_utf8_is_named(self, capsys, trained, extracted, tmp_path):
         texts = tmp_path / "texts.txt"

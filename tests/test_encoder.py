@@ -1,6 +1,7 @@
 """Encoder architecture: init, forward, pooling, MLM head, checkpoints."""
 
 import functools
+import itertools
 import math
 import struct
 import tempfile
@@ -274,6 +275,19 @@ class TestDropout:
         assert not np.array_equal(base, other_step)
         assert not np.array_equal(base, other_name)
 
+    def test_every_layer_draws_its_own_masks(self):
+        config = replace(self.CFG, vocab_size=20, d_model=8, d_ff=16, max_len=8,
+                         n_layers=3, dropout=0.5)
+        params = init_params(config)
+        ids, mask = tiny_batch(np.random.default_rng(7), vocab=20)
+        _, cache = forward(params, config, ids, mask, rng_tag=(0, 1, "s"), want_cache=True)
+        sites = ("attn_probs", "attn_out", "ff_out")
+        masks = cache["dropout"]
+        assert set(masks) == {"emb"} | {f"layer{i}.{s}" for i in range(3) for s in sites}
+        for site in sites:
+            for i, j in itertools.combinations(range(3), 2):
+                assert not np.array_equal(masks[f"layer{i}.{site}"], masks[f"layer{j}.{site}"])
+
     def test_eval_mode_ignores_dropout(self):
         # Without a tag no dropout runs: the output is that of rate 0.
         rng = np.random.default_rng(6)
@@ -388,7 +402,7 @@ class TestBackwardSpotCheck:
         hidden, cache = forward(params, TINY, ids, mask, want_cache=True)
         _, pool_cache = _pool_with_cache(hidden, mask, "cls", params)
         grads = zero_grads(params)
-        d_hidden = probe + pool_backward(probe_p, pool_cache, hidden.shape, "cls", params, grads)
+        d_hidden = probe + pool_backward(probe_p, pool_cache, params, grads)
         backward(cache, params, TINY, d_hidden, grads)
         eps = 1e-6
         for name in ("tok_emb", "layer0.attn_k_w", "layer1.ff_ln_g", "pooler_b"):

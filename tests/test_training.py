@@ -1,6 +1,7 @@
 """Joint training: span selection, losses, masking, Adam, and the loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,10 +439,16 @@ class TestLossAndGradients:
             assert np.abs(g).sum() > 0, name
 
 
-    @pytest.mark.parametrize("pooling", ["mean", "max"])
-    def test_matches_finite_differences(self, pooling):
+    @pytest.mark.parametrize("pooling, dropout", [
+        pytest.param(pooling, dropout, id=pooling + ("" if dropout == 0 else f"-dropout{dropout}"))
+        for dropout in (0.0, 0.3) for pooling in ("mean", "max")
+    ])
+    def test_matches_finite_differences(self, pooling, dropout):
         """The gradient suite in the acceptance tests covers cls pooling;
-        this covers the strategies that bypass the tanh pooler."""
+        this covers the strategies that bypass the tanh pooler, and the
+        dropout backward with the masks fixed by one tag."""
+        config = replace(CFG, dropout=dropout)
+        dropout_tag = (5, 2) if dropout else None
         params = {k: v.astype(np.float64) for k, v in Model.init(CFG).params.items()}
         rng = np.random.default_rng(21)
         pairs = [
@@ -457,10 +464,10 @@ class TestLossAndGradients:
         train_config = objective(pooling_for_misad=pooling, misad_weight=2.0)
 
         def loss(p):
-            report, _ = loss_and_gradients(p, CFG, batch, train_config)
+            report, _ = loss_and_gradients(p, config, batch, train_config, dropout_tag=dropout_tag)
             return report
 
-        _, grads = loss_and_gradients(params, CFG, batch, train_config)
+        _, grads = loss_and_gradients(params, config, batch, train_config, dropout_tag=dropout_tag)
         eps = 1e-5
         for name in params:
             flat = params[name].ravel()
@@ -474,7 +481,7 @@ class TestLossAndGradients:
                 fd = (up.l_total - down.l_total) / (2 * eps)
                 np.testing.assert_allclose(
                     grads[name].ravel()[idx], fd, rtol=1e-4, atol=1e-7,
-                    err_msg=f"{pooling}: tensor {name}, entry {idx}",
+                    err_msg=f"{pooling}, dropout {dropout}: tensor {name}, entry {idx}",
                 )
 
 
