@@ -306,7 +306,10 @@ def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
 def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     ids, texts = zip(*read_retrieval_corpus(cfg["corpus"]))
     queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
-    ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
+    try:
+        ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
+    except ValueError:
+        raise CliError(f"ks must be comma-separated integers, got {cfg['ks']!r}") from None
     if not ks:
         raise CliError("ks must name at least one cutoff")
     bucket = cfg["group_by_length"]
@@ -318,7 +321,7 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     if embedder is None:
         corpus_tokens = [tokenize(t) for t in texts]
         query_tokens = [tokenize(q) for q in queries]
-        rankings = [r[:depth] for r in bm25_rank(query_tokens, corpus_tokens, ids)]
+        rankings = bm25_rank(query_tokens, corpus_tokens, ids, depth)
     else:
         matrix = embed_corpus(texts, embedder)
         rankings = [

@@ -15,18 +15,21 @@ import math
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Vocabulary, encode, frame, read_lines, tokenize
-from .encoder import POOLING_STRATEGIES, Model, forward, load_checkpoint, pad_batch, pool
+from .encoder import POOLING_STRATEGIES, Model, forward, load_checkpoint, pool
 
 _EPS = 1e-12
 
-#: Texts per forward pass in :meth:`ModelEmbedder.embed_many`: peak RSS of
-#: the ``eval`` benchmark is flat up to 16 and grows by 4.4 MB at 64.
+#: Most texts per forward pass in :meth:`ModelEmbedder.embed_many`.  The
+#: ``eval`` benchmark's four stage processes peak (``VmHWM``) at 35.4-36.6 MB
+#: with 8, 35.7-36.6 MB with 16, up to 37.0 MB with 32 and 39.8 MB with 64.
 EMBED_BATCH = 16
 
 #: Categories scored on the syntactic side of the report; everything
@@ -117,8 +120,11 @@ class ModelEmbedder:
     """Embed texts with an encoder checkpoint and a pooling strategy.
 
     Texts are tokenized with the supplied vocabulary, framed with the
-    sequence delimiters, truncated to fit the model's maximum length
-    (with a warning), and pooled in chunks of :data:`EMBED_BATCH` texts.
+    sequence delimiters and truncated to fit the model's maximum length
+    (with a warning).  Each distinct framed sequence is encoded and pooled
+    once, in unpadded chunks of at most :data:`EMBED_BATCH` sequences of
+    one length, so attention, layer norm and pooling reduce over its own
+    tokens alone and its vector does not depend on the rest of the call.
     """
 
     def __init__(self, model: Model, vocab: Vocabulary, pooling: str):
@@ -155,38 +161,51 @@ class ModelEmbedder:
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
+        distinct = sorted(dict.fromkeys(framed), key=len)
+        row_of = {seq: i for i, seq in enumerate(distinct)}
         chunks = []
-        for start in range(0, len(framed), EMBED_BATCH):
-            ids, mask = pad_batch(framed[start : start + EMBED_BATCH])
-            hidden = forward(self.model.params, self.model.config, ids, mask)
-            chunks.append(pool(hidden, mask, self.pooling, self.model.params))
-        return np.concatenate(chunks)
+        for _, same_length in groupby(distinct, key=len):
+            same_length = list(same_length)
+            for start in range(0, len(same_length), EMBED_BATCH):
+                ids = np.array(same_length[start : start + EMBED_BATCH])
+                hidden = forward(self.model.params, self.model.config, ids)
+                mask = np.ones(ids.shape, dtype=bool)
+                chunks.append(pool(hidden, mask, self.pooling, self.model.params))
+        return np.concatenate(chunks)[[row_of[seq] for seq in framed]]
 
 
 # ---------------------------------------------------------------------------
 # analogy
 
 
-def answer_analogy(question: AnalogyQuestion, embedder: Embedder) -> int:
-    """Predicted candidate index: argmax cosine(c + b - a, d).
+def answer_analogies(
+    questions: Sequence[AnalogyQuestion], embedder: Embedder
+) -> list[int]:
+    """Predicted candidate index per question: argmax cosine(c + b - a, d).
 
-    Ties break to the lowest index.  A degenerate zero target vector
-    (possible when a = c + b up to normalization) makes every cosine
-    undefined; the tie rule then applies to all candidates, with a
+    The questions' distinct texts are embedded in one :func:`embed_corpus`
+    call.  Ties break to the lowest index.  A degenerate zero target
+    vector (possible when a = c + b up to normalization) makes every
+    cosine undefined; the tie rule then applies to all candidates, with a
     warning.
     """
-    va, vb, vc, *candidates = embed_corpus(
-        [question.a, question.b, question.c, *question.candidates], embedder
-    )
-    target = vc + vb - va
-    norm = float(np.linalg.norm(target))
-    if norm < _EPS:
-        warnings.warn(
-            "degenerate zero target vector; falling back to lowest candidate index"
-        )
-        return 0
-    target = target / norm
-    return int(np.argmax([float(target @ d) for d in candidates]))
+    texts = [(q.a, q.b, q.c, *q.candidates) for q in questions]
+    distinct = list(dict.fromkeys(t for row in texts for t in row))
+    vectors = dict(zip(distinct, embed_corpus(distinct, embedder))) if distinct else {}
+    picks = []
+    for row in texts:
+        va, vb, vc, *candidates = (vectors[t] for t in row)
+        target = vc + vb - va
+        norm = float(np.linalg.norm(target))
+        if norm < _EPS:
+            warnings.warn(
+                "degenerate zero target vector; falling back to lowest candidate index"
+            )
+            picks.append(0)
+            continue
+        target = target / norm
+        picks.append(int(np.argmax([float(target @ d) for d in candidates])))
+    return picks
 
 
 @dataclass(frozen=True)
@@ -241,9 +260,9 @@ def evaluate_analogy(
 ) -> AnalogyReport:
     """Accuracy per category; empty categories are absent, never 0."""
     counts: dict[str, list[int]] = {}
-    for q in questions:
+    for q, pick in zip(questions, answer_analogies(questions, embedder)):
         tally = counts.setdefault(q.category, [0, 0])
-        tally[0] += int(answer_analogy(q, embedder) == q.answer_index)
+        tally[0] += int(pick == q.answer_index)
         tally[1] += 1
     return AnalogyReport(
         per_category={c: CategoryResult(v[0], v[1]) for c, v in counts.items()}
@@ -269,10 +288,20 @@ def embed_corpus(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
     return rows / norms[:, None]
 
 
+@lru_cache(maxsize=1)
+def _id_order(ids: tuple) -> np.ndarray:
+    """Positions of ``ids`` by ascending id, equal ids by position; kept for
+    the last id list, so a run of queries over one corpus sorts it once."""
+    order = np.argsort(np.array(ids), kind="stable")
+    order.flags.writeable = False
+    return order
+
+
 def _rank(scores: np.ndarray, ids: Sequence, k: int) -> list:
     """The first k ids by descending score; ties break by ascending id."""
-    order = np.lexsort((np.array(ids), -scores))
-    return [ids[i] for i in order[:k]]
+    by_id = _id_order(tuple(ids))
+    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    return [ids[i] for i in top]
 
 
 def retrieve_topk(
@@ -385,10 +414,12 @@ def bm25_rank(
     queries: Sequence[Sequence[str]],
     corpus_tokens: Sequence[Sequence[str]],
     ids: Sequence,
+    k: int | None = None,
 ) -> list[list]:
-    """One ranking of every document per query, by BM25 score; ties break by ascending id."""
+    """Per query, the first ``k`` document ids (all of them if None) by BM25
+    score; ties break by ascending id."""
     scores = bm25_scores(queries, corpus_tokens)
-    return [_rank(row, ids, len(ids)) for row in scores]
+    return [_rank(row, ids, len(ids) if k is None else k) for row in scores]
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +433,34 @@ def _split_tsv(line: str, n: int) -> list[str]:
     return parts
 
 
+def _require_tokens(*texts: str) -> None:
+    for text in texts:
+        if not tokenize(text):
+            raise ValueError(f"text {text!r} has no tokens")
+
+
 def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
     """TSV rows: category, a, b, c, pipe-joined candidates, answer index; at least
     one row, and every text must keep a token after :func:`tokenize`."""
     def question(line: str) -> AnalogyQuestion:
         category, a, b, c, candidates, answer = _split_tsv(line, 6)
         candidates = tuple(candidates.split("|"))
-        for text in (a, b, c, *candidates):
-            if not tokenize(text):
-                raise ValueError(f"text {text!r} has no tokens")
+        _require_tokens(a, b, c, *candidates)
         return AnalogyQuestion(category, a, b, c, candidates, int(answer))
 
     return read_lines(path, question, what="questions")
 
 
 def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
-    """TSV rows: id, text; at least one row, and no id twice."""
+    """TSV rows: id, text; at least one row, no id twice, and every text must
+    keep a token after :func:`tokenize`."""
     seen = set()
 
     def document(line: str) -> tuple[str, str]:
         doc_id, text = _split_tsv(line, 2)
         if doc_id in seen:
             raise ValueError(f"duplicate corpus id {doc_id!r}")
+        _require_tokens(text)
         seen.add(doc_id)
         return doc_id, text
 
@@ -431,12 +468,14 @@ def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
 
 
 def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[str, frozenset]]:
-    """TSV rows: text, comma-joined gold ids; at least one row, and every gold
-    set non-empty and inside ``ids``."""
+    """TSV rows: text, comma-joined gold ids; at least one row, every text
+    keeping a token after :func:`tokenize`, and every gold set non-empty and
+    inside ``ids``."""
     known = set(ids)
 
     def query(line: str) -> tuple[str, frozenset[str]]:
         text, gold = _split_tsv(line, 2)
+        _require_tokens(text)
         gold = frozenset(filter(None, gold.split(",")))
         if not gold:
             raise ValueError("missing gold set")

@@ -49,7 +49,7 @@ from ulrlab.encoder import (
 from ulrlab.evaluation import (
     AnalogyQuestion,
     ModelEmbedder,
-    answer_analogy,
+    answer_analogies,
     bm25_scores,
     evaluate_analogy,
     retrieve_topk,
@@ -307,16 +307,18 @@ def test_criterion_evaluation_oracles(capsys):
     table = {w: rng.normal(size=8) for w in words}
     embedder = _TableEmbedder(table)
 
-    mismatches = 0
+    questions = []
     for _ in range(1000):
         picks = rng.choice(60, size=8, replace=False)
         a, b, c = (words[i] for i in picks[:3])
         candidates = tuple(words[i] for i in picks[3:])
-        question = AnalogyQuestion(
+        questions.append(AnalogyQuestion(
             category="t", a=a, b=b, c=c, candidates=candidates, answer_index=0
-        )
-        if answer_analogy(question, embedder) != oracle_answer(question, embedder):
-            mismatches += 1
+        ))
+    mismatches = sum(
+        pick != oracle_answer(question, embedder)
+        for question, pick in zip(questions, answer_analogies(questions, embedder))
+    )
     assert mismatches == 0
 
     matrix = rng.normal(size=(80, 8))

@@ -650,6 +650,38 @@ class TestEvalRetrieval:
         assert stdout == ""
         assert f"error: {corpus_path}:2: 'utf-8' codec can't decode byte 0xff" in stderr
 
+    @pytest.mark.parametrize("backend", ["bm25", "vectors", "model"])
+    @pytest.mark.parametrize("bad_file", ["corpus", "queries"])
+    def test_row_without_tokens_is_named(
+        self, capsys, retrieval_files, trained, extracted, backend, bad_file
+    ):
+        vec_path, corpus_path, queries_path = retrieval_files
+        bad_path = corpus_path if bad_file == "corpus" else queries_path
+        lines = bad_path.read_text().splitlines()
+        lines[1] = "d1\t!!!" if bad_file == "corpus" else "!!!\td1"
+        bad_path.write_text("\n".join(lines) + "\n")
+        sources = {
+            "bm25": [],
+            "vectors": ["--vectors", str(vec_path)],
+            "model": ["--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"])],
+        }
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", backend,
+            "--corpus", str(corpus_path), "--queries", str(queries_path), *sources[backend],
+        ])
+        assert code == 1 and stdout == ""
+        assert stderr.endswith(f"error: {bad_path}:2: text '!!!' has no tokens\n")
+
+    def test_ks_not_integers_names_the_setting(self, capsys, retrieval_files):
+        vec_path, corpus_path, queries_path = retrieval_files
+        code, stdout, stderr = run(capsys, [
+            "eval-retrieval", "--backend", "vectors",
+            "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--vectors", str(vec_path), "--ks", "1,x",
+        ])
+        assert code == 1 and stdout == ""
+        assert stderr.endswith("error: ks must be comma-separated integers, got '1,x'\n")
+
     @pytest.mark.parametrize("flags, setting", [
         (["--ks=-1"], "ks"),
         (["--ks", "0,1"], "ks"),

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 from helpers import write_analogy_file, write_word_vectors
 from oracles import oracle_bm25
-from ulrlab.corpus import build_vocabulary
-from ulrlab.encoder import EncoderConfig, Model, save_checkpoint
+from ulrlab import evaluation
+from ulrlab.corpus import PAD_ID, build_vocabulary
+from ulrlab.encoder import POOLING_STRATEGIES, EncoderConfig, Model, save_checkpoint
 from ulrlab.evaluation import (
     EMBED_BATCH,
     AnalogyQuestion,
     CategoryResult,
     ModelEmbedder,
     WordVectorEmbedder,
-    answer_analogy,
+    _rank,
+    answer_analogies,
     bm25_rank,
     bm25_scores,
     embed_corpus,
@@ -42,6 +44,12 @@ class DictEmbedder:
 
     def embed_many(self, texts):
         return np.stack([self.table[text] for text in texts])
+
+
+def answer_analogy(question, embedder):
+    """The pick for one question alone."""
+    [pick] = answer_analogies([question], embedder)
+    return pick
 
 
 def oracle_answer(question, embedder):
@@ -147,11 +155,12 @@ class TestAnswerAnalogy:
         rng = np.random.default_rng(42)
         vocab = [f"w{i}" for i in range(40)]
         emb = DictEmbedder({w: rng.normal(size=8) for w in vocab})
+        qs = []
         for _ in range(200):
             picks = rng.choice(40, size=8, replace=False)
             a, b, c, *cands = (vocab[i] for i in picks)
-            q = AnalogyQuestion("t", a, b, c, tuple(cands), 0)
-            assert answer_analogy(q, emb) == oracle_answer(q, emb)
+            qs.append(AnalogyQuestion("t", a, b, c, tuple(cands), 0))
+        assert answer_analogies(qs, emb) == [oracle_answer(q, emb) for q in qs]
 
 
 class TestEvaluateAnalogy:
@@ -284,6 +293,17 @@ def model_embedder(tmp_path_factory):
     return ModelEmbedder.from_checkpoint(path, vocab, pooling="mean"), tokens
 
 
+@pytest.fixture(scope="module")
+def wide_model():
+    """Model and vocabulary at a width and depth where padding changes rounding."""
+    vocab = build_vocabulary([["t0", "t1", "t2", "t3"]], min_count=1, max_size=10)
+    cfg = EncoderConfig(
+        vocab_size=len(vocab), d_model=64, n_heads=2, n_layers=2, d_ff=128, max_len=48,
+        seed=5,
+    )
+    return Model.init(cfg), vocab
+
+
 class TestModelEmbedder:
     def test_unit_norm_and_determinism(self, model_embedder):
         emb, tokens = model_embedder
@@ -297,7 +317,7 @@ class TestModelEmbedder:
         texts = ["t0 t1", "t2 t3 t4 t5", "t6"]
         batch = emb.embed_many(texts)
         for i, t in enumerate(texts):
-            np.testing.assert_allclose(batch[i], emb.embed_many([t])[0], atol=1e-6)
+            assert np.array_equal(batch[i], emb.embed_many([t])[0])
 
     def test_truncation_warns(self, model_embedder):
         emb, tokens = model_embedder
@@ -305,7 +325,7 @@ class TestModelEmbedder:
         with pytest.warns(UserWarning, match="truncating"):
             vec = embed_corpus([long_text], emb)[0]
         want = embed_corpus([" ".join(tokens[0:1] * 14)], emb)[0]
-        np.testing.assert_allclose(vec, want, atol=1e-6)
+        assert np.array_equal(vec, want)
 
     def test_empty_text_rejected(self, model_embedder):
         emb, _ = model_embedder
@@ -337,7 +357,50 @@ class TestModelEmbedder:
             singles = np.stack([embed_corpus([t], emb)[0] for t in texts])
         truncated = any("truncating" in str(w.message) for w in caught)
         assert truncated == (max(lengths) > limit)
-        np.testing.assert_allclose(batch, singles, atol=1e-6)
+        assert np.array_equal(batch, singles)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pooling=st.sampled_from(POOLING_STRATEGIES),
+        texts=st.lists(
+            st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), min_size=1, max_size=40)
+            .map(" ".join),
+            min_size=1, max_size=2 * EMBED_BATCH + 3,
+        ),
+        data=st.data(),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, wide_model, pooling, texts, data):
+        # Four tokens make repeated texts and many texts of one length likely.
+        emb = ModelEmbedder(*wide_model, pooling=pooling)
+        texts = data.draw(st.permutations(texts + texts[: data.draw(st.integers(0, 4))]))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(texts)), max_size=4)) - {len(texts)})
+        alone = {t: emb.embed_many([t])[0].tobytes() for t in texts}
+        for lo, hi in zip([0, *cuts], [*cuts, len(texts)]):
+            part = texts[lo:hi]
+            rows = emb.embed_many(part)
+            assert [row.tobytes() for row in rows] == [alone[t] for t in part]
+
+    def test_one_unpadded_forward_per_chunk_of_one_length(self, model_embedder, monkeypatch):
+        emb, tokens = model_embedder
+        batches = []
+        real_forward = evaluation.forward
+
+        def counting_forward(params, config, ids, mask=None, **kwargs):
+            batches.append(np.array(ids))
+            return real_forward(params, config, ids, mask, **kwargs)
+
+        monkeypatch.setattr(evaluation, "forward", counting_forward)
+        n_distinct = {2: 3, 5: EMBED_BATCH + 1, 9: 2 * EMBED_BATCH}  # tokens: texts
+        texts = [
+            " ".join(tokens[i // len(tokens) ** j % len(tokens)] for j in range(n))
+            for n, count in n_distinct.items() for i in range(count)
+        ]
+        texts += texts[::3]
+        rows = emb.embed_many(texts)
+        assert rows.shape[0] == len(texts)
+        assert len(batches) == sum(math.ceil(c / EMBED_BATCH) for c in n_distinct.values())
+        assert sum(len(ids) for ids in batches) == len(set(texts))
+        assert not any((ids == PAD_ID).any() for ids in batches)
 
 
 class TestEmbedCorpus:
@@ -413,6 +476,46 @@ class TestRetrieveTopk:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             retrieve_topk(np.ones(2), np.ones((3, 2)), 4)
+
+
+class TestTieOrder:
+    """Ranking sorts an id list once, then ranks each query's scores against it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]), min_size=1, max_size=30),
+        string_ids=st.booleans(),
+        data=st.data(),
+    )
+    def test_first_k_of_lexsort_order(self, scores, string_ids, data):
+        n = len(scores)
+        ids = data.draw(st.permutations(range(n)))
+        if string_ids:  # "d10" sorts before "d2"
+            ids = [f"d{i}" for i in ids]
+        k = data.draw(st.integers(1, n))
+        scores = np.array(scores)
+        want = [ids[i] for i in np.lexsort((np.array(ids), -scores))[:k]]
+        assert _rank(scores, ids, k) == want
+        assert _rank(scores, tuple(ids), k) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from("ab"), max_size=3), min_size=1, max_size=12),
+        queries=st.lists(st.lists(st.sampled_from("abc"), max_size=2), min_size=1, max_size=4),
+        string_ids=st.booleans(),
+        data=st.data(),
+    )
+    def test_bm25_cutoff_is_a_prefix(self, corpus, queries, string_ids, data):
+        ids = data.draw(st.permutations(range(len(corpus))))
+        if string_ids:
+            ids = [f"d{i}" for i in ids]
+        k = data.draw(st.integers(1, len(corpus)))
+        want = [
+            [ids[i] for i in np.lexsort((np.array(ids), -row))[:k]]
+            for row in bm25_scores(queries, corpus)
+        ]
+        assert bm25_rank(queries, corpus, ids, k) == want
+        assert [r[:k] for r in bm25_rank(queries, corpus, ids)] == want
 
 
 class TestTopkAccuracy:
