@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PAD_ID, atomic_open
+from .corpus import atomic_open
 
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
@@ -283,28 +283,10 @@ def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
 # forward / backward
 
 
-def _as_batch(ids, mask, config: EncoderConfig):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ValueError(f"ids must be 2-d (batch, length), got shape {ids.shape}")
-    if ids.shape[1] > config.max_len:
-        raise ValueError(
-            f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}"
-        )
-    if mask is None:
-        mask = np.ones(ids.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask).astype(bool)
-        if mask.shape != ids.shape:
-            raise ValueError("mask shape must match ids shape")
-    return ids, mask
-
-
 def forward(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     ids,
-    mask=None,
     *,
     rng_tag: tuple[int, int, str] | None = None,
     want_cache: bool = False,
@@ -312,21 +294,27 @@ def forward(
 ):
     """Run the encoder.
 
+    ``ids`` is an unpadded (B, L) batch: every position is a real token
+    and attends to all L, so without dropout a row's outputs depend on its
+    own ids alone (:func:`by_length` groups sequences into such batches).
     Returns ``hidden`` of shape (B, L, d), or ``(hidden, cache)`` with
     ``want_cache`` for :func:`backward`; :func:`pool` reduces it to
-    sequence vectors.  Padded key positions receive -inf attention
-    logits, so outputs at real positions do not depend on pad content.
-    Dropout follows the tag: it runs exactly when ``rng_tag=(seed, step,
-    name)`` is given and ``config.dropout > 0``.  A mask's stream is keyed
-    by seed, step, name, layer and site (``"layer0.ff_out"``, or ``"emb"``),
-    and ``cache["dropout"]`` keeps the mask under that site name.
+    sequence vectors.  Dropout follows the tag: it runs exactly when
+    ``rng_tag=(seed, step, name)`` is given and ``config.dropout > 0``.  A
+    mask's stream is keyed by seed, step, name, layer and site
+    (``"layer0.ff_out"``, or ``"emb"``), and ``cache["dropout"]`` keeps the
+    mask under that site name.
 
     ``rows=(batch_index, position)`` returns only those (M, d) rows of
     ``hidden``, bit for bit: the last layer's attention reads every
     position, but its output projection, feed-forward and layer norms
     run at the requested rows alone.  It excludes dropout and the cache.
     """
-    ids, mask = _as_batch(ids, mask, config)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ValueError(f"ids must be 2-d (batch, length), got shape {ids.shape}")
+    if ids.shape[1] > config.max_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
     b, length = ids.shape
     dtype = params["tok_emb"].dtype
     use_dropout = rng_tag is not None and config.dropout > 0.0
@@ -348,7 +336,6 @@ def forward(
 
     n_heads, d_head = config.n_heads, config.d_head
     scale = 1.0 / float(np.sqrt(d_head))
-    key_mask = mask[:, None, None, :]  # broadcast over heads and query axis
 
     layers = []
     for i in range(config.n_layers):
@@ -360,7 +347,6 @@ def forward(
             for n in "qkv"
         )
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        scores = np.where(key_mask, scores, -np.inf)
         scores -= scores.max(-1, keepdims=True)
         e = np.exp(scores)
         probs = e / e.sum(-1, keepdims=True)
@@ -468,25 +454,18 @@ POOLING_STRATEGIES = ("cls", "mean", "max")
 
 def pool(
     hidden: np.ndarray,
-    mask,
     strategy: str,
     params: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Reduce (B, L, d) hidden states to (B, d) sequence vectors.
+    """Reduce unpadded (B, L, d) hidden states to (B, d) sequence vectors.
 
     ``cls`` uses the tanh pooler over position 0; ``mean`` and ``max``
-    reduce over mask=1 positions only, so trailing padding never changes
-    the result.
+    reduce over all L positions.
     """
-    return _pool_with_cache(hidden, mask, strategy, params)[0]
+    return _pool_with_cache(hidden, strategy, params)[0]
 
 
-def _pool_with_cache(hidden, mask, strategy, params):
-    mask = np.asarray(mask).astype(bool)
-    if mask.ndim != 2 or mask.shape != hidden.shape[:2]:
-        raise ValueError("mask shape must be (batch, length)")
-    if not mask.any(axis=1).all():
-        raise ValueError("pooling over an all-zero mask")
+def _pool_with_cache(hidden, strategy, params):
     meta = {"strategy": strategy, "hidden_shape": hidden.shape}
     if strategy == "cls":
         if params is None:
@@ -495,13 +474,9 @@ def _pool_with_cache(hidden, mask, strategy, params):
         pooled = np.tanh((_gemm_rows(h0) @ params["pooler_w"])[: len(h0)] + params["pooler_b"])
         return pooled, {**meta, "h0": h0, "pooled": pooled}
     if strategy == "mean":
-        m = mask.astype(hidden.dtype)
-        denom = m.sum(1, keepdims=True)
-        pooled = (hidden * m[:, :, None]).sum(1) / denom
-        return pooled, {**meta, "m": m, "denom": denom}
+        return hidden.sum(1) / hidden.shape[1], meta
     if strategy == "max":
-        neg = np.where(mask[:, :, None], hidden, -np.inf)
-        idx = neg.argmax(axis=1)  # (B, d)
+        idx = hidden.argmax(axis=1)  # (B, d)
         pooled = np.take_along_axis(hidden, idx[:, None, :], axis=1)[:, 0, :]
         return pooled, {**meta, "idx": idx}
     raise ValueError(f"unknown pooling strategy {strategy!r}; expected one of {POOLING_STRATEGIES}")
@@ -527,8 +502,7 @@ def pool_backward(
             pool_cache["h0"], dz, params, grads, "pooler_w", "pooler_b"
         )
     elif strategy == "mean":
-        m, denom = pool_cache["m"], pool_cache["denom"]
-        d_hidden += (d_pooled / denom)[:, None, :] * m[:, :, None]
+        d_hidden += (d_pooled / d_hidden.shape[1])[:, None, :]
     else:  # max
         np.put_along_axis(d_hidden, pool_cache["idx"][:, None, :], d_pooled[:, None, :], axis=1)
     return d_hidden
@@ -542,13 +516,15 @@ def mlm_head_rows(params: dict[str, np.ndarray], rows: np.ndarray):
     """Log-probabilities over the vocabulary for a stack of hidden rows.
 
     head(h) = layer_norm(GELU(h @ W + b)), projected onto the tied token
-    embeddings plus an output bias, then log-softmax.
+    embeddings plus an output bias, then log-softmax.  Each row is its own
+    (1, d) product, so its bits do not depend on the other rows, as they
+    can in a many-row BLAS product.
     Returns ``(log_probs (M, V), cache)``.
     """
-    t = rows @ params["mlm_w"] + params["mlm_b"]
+    t = (rows[:, None] @ params["mlm_w"])[:, 0] + params["mlm_b"]
     a, erf_term = gelu(t)
     h, ln = layer_norm(a, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = h @ params["tok_emb"].T + params["mlm_out_b"]
+    logits = (h[:, None] @ params["tok_emb"].T)[:, 0] + params["mlm_out_b"]
     shifted = logits - logits.max(-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(-1, keepdims=True))
     return shifted - lse, {"rows": rows, "t": t, "erf": erf_term, "h": h, "ln": ln}
@@ -589,17 +565,17 @@ class Model:
         return cls(params=init_params(config, dtype=dtype), config=config)
 
 
-def pad_batch(sequences: Sequence[Sequence[int]]):
-    """Right-pad id lists with PAD_ID to a rectangle; returns (ids, mask) arrays."""
-    if not sequences:
-        raise ValueError("empty batch")
-    length = max(len(s) for s in sequences)
-    ids = np.full((len(sequences), length), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(sequences), length), dtype=bool)
-    for i, s in enumerate(sequences):
-        ids[i, : len(s)] = s
-        mask[i, : len(s)] = True
-    return ids, mask
+def by_length(seqs: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group id lists into unpadded batches of one length: ``[(rows, ids)]``,
+    shortest length first, where ``rows`` holds the input positions in
+    input order and ``ids`` is their (len(rows), L) int64 array."""
+    rows_of: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        rows_of.setdefault(len(s), []).append(i)
+    return [
+        (np.array(rows), np.array([seqs[i] for i in rows], dtype=np.int64))
+        for _, rows in sorted(rows_of.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

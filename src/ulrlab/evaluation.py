@@ -16,14 +16,13 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Vocabulary, encode, frame, read_lines, tokenize
-from .encoder import POOLING_STRATEGIES, Model, forward, load_checkpoint, pool
+from .encoder import POOLING_STRATEGIES, Model, by_length, forward, load_checkpoint, pool
 
 _EPS = 1e-12
 
@@ -161,16 +160,14 @@ class ModelEmbedder:
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
+        # Sorted by length, so the groups' rows run through ``distinct`` in order.
         distinct = sorted(dict.fromkeys(framed), key=len)
         row_of = {seq: i for i, seq in enumerate(distinct)}
-        chunks = []
-        for _, same_length in groupby(distinct, key=len):
-            same_length = list(same_length)
-            for start in range(0, len(same_length), EMBED_BATCH):
-                ids = np.array(same_length[start : start + EMBED_BATCH])
-                hidden = forward(self.model.params, self.model.config, ids)
-                mask = np.ones(ids.shape, dtype=bool)
-                chunks.append(pool(hidden, mask, self.pooling, self.model.params))
+        params, config = self.model.params, self.model.config
+        chunks = [
+            pool(forward(params, config, ids[i : i + EMBED_BATCH]), self.pooling, params)
+            for _, ids in by_length(distinct) for i in range(0, len(ids), EMBED_BATCH)
+        ]
         return np.concatenate(chunks)[[row_of[seq] for seq in framed]]
 
 

@@ -335,9 +335,10 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     """Read a table written by :func:`save_table`.
 
-    ``n_max`` is the length of the longest entry.  A repeated n-gram, or
-    a token missing from ``vocab`` (the table and vocabulary do not
-    belong together), raises :class:`NgramError`.  Entries with NaN
+    ``n_max`` is the length of the longest entry.  A repeated n-gram, a
+    row of fewer than two tokens (which no span can match), or a token
+    missing from ``vocab`` (the table and vocabulary do not belong
+    together) raises :class:`NgramError`.  Entries with NaN
     scores are restored as privileged; the format loses the privileged
     flag of entities with a finite score.  Rows keep the file's order: a
     reload never re-breaks ties between scores that the 9 written digits
@@ -354,6 +355,8 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
         if len(parts) != 3:
             raise NgramError("malformed table row")
         toks = parts[0].split(" ")
+        if len(toks) < 2:
+            raise NgramError(f"n-gram {parts[0]!r} has fewer than 2 tokens")
         unknown = [t for t in toks if t not in vocab]
         if unknown:
             raise NgramError(f"token(s) {unknown} not in the vocabulary")

@@ -38,10 +38,10 @@ from .encoder import (
     EncoderConfig,
     Model,
     backward,
+    by_length,
     forward,
     mlm_head_rows,
     mlm_head_rows_backward,
-    pad_batch,
     _pool_with_cache,
     pool_backward,
     step_rng,
@@ -109,33 +109,39 @@ def score_spans(
 ) -> list[list[float]]:
     """Average true-token probability of every annotated span under the MLM head.
 
-    Each span is masked on its own copy of its framed sequence, and the
-    copies of the whole batch share one padded forward pass without
-    dropout, whose last layer finishes only at the masked rows.  The
-    score is the mean probability the head assigns to the true tokens;
-    low scores mark spans the model does not yet treat as units.
-    Returns one list per pair, in span order.
+    Each span is masked on its own copy of its framed sequence.  The
+    copies run without dropout, as one unpadded forward per length whose
+    last layer finishes only at the masked rows, and one head call takes
+    the rows of every length, so a span's score depends on its own
+    sequence alone.  The score is the mean probability the head assigns
+    to the true tokens; low scores mark spans the model does not yet
+    treat as units.  Returns one list per pair, in span order.
     """
-    variants: list[list[int]] = []
-    row_owner, cols, targets = [], [], []
+    variants, masked = [], []
     for seq, ann in pairs:
         for span in ann.spans:
             if not (1 <= span.start <= span.end <= len(seq)):
                 raise ValueError(f"span {span} outside sequence of length {len(seq)}")
-            masked = range(span.start, span.end + 1)
-            row_owner.extend([len(variants)] * span.length)
-            cols.extend(masked)
-            targets.extend(seq[span.start - 1 : span.end])
-            variants.append([MASK_ID if i in masked else t for i, t in enumerate(frame(seq))])
+            variants.append([MASK_ID if span.start <= i <= span.end else t
+                             for i, t in enumerate(frame(seq))])
+            masked.append((seq, span))
     if not variants:
         return [[] for _ in pairs]
-    ids, mask = pad_batch(variants)
-    hidden = forward(model.params, model.config, ids, mask, rows=(row_owner, cols))
-    log_probs, _ = mlm_head_rows(model.params, hidden)
+    hidden, owner, targets = [], [], []
+    for rows, ids in by_length(variants):
+        at, cols = [], []
+        for i, v in enumerate(rows.tolist()):
+            seq, span = masked[v]
+            at.extend([i] * span.length)
+            cols.extend(range(span.start, span.end + 1))
+            owner.extend([v] * span.length)
+            targets.extend(seq[span.start - 1 : span.end])
+        hidden.append(forward(model.params, model.config, ids, rows=(at, cols)))
+    log_probs, _ = mlm_head_rows(model.params, np.concatenate(hidden))
     token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
     sums = np.zeros(len(variants))
-    np.add.at(sums, row_owner, token_probs)
-    means = iter((sums / np.bincount(row_owner)).tolist())
+    np.add.at(sums, owner, token_probs)
+    means = iter((sums / np.bincount(owner)).tolist())
     return [[next(means) for _ in ann.spans] for _, ann in pairs]
 
 
@@ -244,20 +250,17 @@ class PreparedBatch:
     are frozen here, the loss is a smooth function of the parameters.
     """
 
-    s_ids: np.ndarray
-    s_mask: np.ndarray
+    s_ids: list[list[int]]
     mlm_rows: np.ndarray
     mlm_cols: np.ndarray
     mlm_targets: np.ndarray
     misad_s_rows: np.ndarray
-    w_ids: np.ndarray | None
-    w_mask: np.ndarray | None
-    r_ids: np.ndarray | None
-    r_mask: np.ndarray | None
+    w_ids: list[tuple[int, ...]] | None
+    r_ids: list[tuple[int, ...]] | None
 
     @property
     def n_examples(self) -> int:
-        return self.s_ids.shape[0]
+        return len(self.s_ids)
 
     @property
     def n_masked(self) -> int:
@@ -274,7 +277,11 @@ def prepare_batch(
     rng: np.random.Generator,
     mask_rate: float,
 ) -> PreparedBatch:
-    """Apply MLM masking and pad every input the step will need."""
+    """Apply MLM masking and collect, unpadded, every input the step needs:
+    each example's masked S, which ``mlm_rows`` and ``mlm_cols`` index, and
+    the w and R of the ``misad_s_rows`` examples (None if there are none)."""
+    if not examples:
+        raise ValueError("empty batch")
     s_seqs, w_seqs, r_seqs = [], [], []
     mlm_rows, mlm_cols, mlm_targets = [], [], []
     misad_s_rows = []
@@ -290,23 +297,14 @@ def prepare_batch(
             misad_s_rows.append(row)
             w_seqs.append(ex.w_ids)
             r_seqs.append(ex.r_ids)
-    s_ids, s_mask = pad_batch(s_seqs)
-    if w_seqs:
-        w_ids, w_mask = pad_batch(w_seqs)
-        r_ids, r_mask = pad_batch(r_seqs)
-    else:
-        w_ids = w_mask = r_ids = r_mask = None
     return PreparedBatch(
-        s_ids=s_ids,
-        s_mask=s_mask,
+        s_ids=s_seqs,
         mlm_rows=np.asarray(mlm_rows, dtype=np.int64),
         mlm_cols=np.asarray(mlm_cols, dtype=np.int64),
         mlm_targets=np.asarray(mlm_targets, dtype=np.int64),
         misad_s_rows=np.asarray(misad_s_rows, dtype=np.int64),
-        w_ids=w_ids,
-        w_mask=w_mask,
-        r_ids=r_ids,
-        r_mask=r_mask,
+        w_ids=w_seqs or None,
+        r_ids=r_seqs or None,
     )
 
 
@@ -324,55 +322,79 @@ def loss_and_gradients(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Joint loss and its exact analytic gradient for every tensor.
 
-    The masked forward pass of S feeds both losses: its hidden rows at
-    masked positions go to the MLM head, and its pooled vector is E^S
-    for the compositional term.  ``train_config`` gives the pooling for
-    E^w, E^R and E^S and the two loss weights.  Dropout follows the tag:
-    it runs exactly when ``dropout_tag=(seed, step)`` is given and
-    ``config.dropout > 0``, and the tag fixes its streams.
+    S, w and R each run as one unpadded forward per length
+    (:func:`by_length`), and their rows are gathered back into batch
+    order.  The masked forward pass of S feeds both losses: its hidden
+    rows at masked positions go to the MLM head, and its pooled vector is
+    E^S for the compositional term.  ``train_config`` gives the pooling
+    for E^w, E^R and E^S and the two loss weights.  Dropout follows the
+    tag: it runs exactly when ``dropout_tag=(seed, step)`` is given and
+    ``config.dropout > 0``, and each forward draws from its own streams,
+    named by pass and length (``s8`` is S's group of length 8).
     """
     pooling = train_config.pooling_for_misad
     misad_weight, mlm_weight = train_config.misad_weight, train_config.mlm_weight
     grads = zero_grads(params)
 
-    def tag(name: str):
-        return None if dropout_tag is None else (*dropout_tag, name)
+    def encode(seqs, name: str):
+        """``[(rows, hidden, cache)]``, one forward per length group of ``seqs``."""
+        groups = []
+        for rows, ids in by_length(seqs):
+            tag = None if dropout_tag is None else (*dropout_tag, f"{name}{ids.shape[1]}")
+            groups.append((rows, *forward(params, config, ids, rng_tag=tag, want_cache=True)))
+        return groups
 
-    hidden_s, cache_s = forward(
-        params, config, batch.s_ids, batch.s_mask, rng_tag=tag("s"), want_cache=True
-    )
-    d_hidden_s = np.zeros_like(hidden_s)
+    def pooled(groups):
+        """The groups' pooled rows in batch order, and each group's pool cache."""
+        out = [_pool_with_cache(hidden, pooling, params) for _, hidden, _ in groups]
+        order = np.argsort(np.concatenate([rows for rows, _, _ in groups]))
+        return np.concatenate([e for e, _ in out])[order], [cache for _, cache in out]
+
+    def unpool(groups, d_e, caches):
+        """Each group's hidden-state cotangent, given the pooled rows' ``d_e``."""
+        return [pool_backward(d_e[rows], cache, params, grads)
+                for (rows, _, _), cache in zip(groups, caches)]
+
+    s_groups = encode(batch.s_ids, "s")
+    # S token by token, group after group: example r's position c is row
+    # first[r] + c, and each group's cotangent is a view of d_tokens_s.
+    hidden_s = np.concatenate([h.reshape(-1, config.d_model) for _, h, _ in s_groups])
+    d_tokens_s = np.zeros_like(hidden_s)
+    first = np.empty(batch.n_examples, dtype=np.int64)
+    d_hidden_s, start = [], 0
+    for rows, hidden, _ in s_groups:
+        end = start + hidden.shape[0] * hidden.shape[1]
+        first[rows] = np.arange(start, end, hidden.shape[1])
+        d_hidden_s.append(d_tokens_s[start:end].reshape(hidden.shape))
+        start = end
 
     l_mlm = 0.0
     if mlm_weight != 0.0 and batch.n_masked > 0:
-        rows = hidden_s[batch.mlm_rows, batch.mlm_cols]
-        log_probs, head_cache = mlm_head_rows(params, rows)
+        at = first[batch.mlm_rows] + batch.mlm_cols
+        log_probs, head_cache = mlm_head_rows(params, hidden_s[at])
         l_mlm = mlm_loss(log_probs, batch.mlm_targets)
         d_logits = np.exp(log_probs)
         d_logits[np.arange(batch.n_masked), batch.mlm_targets] -= 1.0
         d_logits *= mlm_weight / batch.n_masked
-        d_rows = mlm_head_rows_backward(head_cache, params, d_logits, grads)
-        np.add.at(d_hidden_s, (batch.mlm_rows, batch.mlm_cols), d_rows)
+        np.add.at(d_tokens_s, at, mlm_head_rows_backward(head_cache, params, d_logits, grads))
 
     l_misad = 0.0
     if misad_weight != 0.0 and batch.n_misad > 0:
-        hidden_w, cache_w = forward(
-            params, config, batch.w_ids, batch.w_mask, rng_tag=tag("w"), want_cache=True
-        )
-        hidden_r, cache_r = forward(
-            params, config, batch.r_ids, batch.r_mask, rng_tag=tag("r"), want_cache=True
-        )
+        w_groups, r_groups = encode(batch.w_ids, "w"), encode(batch.r_ids, "r")
+        (e_w, pool_w), (e_r, pool_r), (e_s, pool_s) = map(pooled, (w_groups, r_groups, s_groups))
         sub = batch.misad_s_rows
-        e_s, cache_ps = _pool_with_cache(hidden_s[sub], batch.s_mask[sub], pooling, params)
-        e_w, cache_pw = _pool_with_cache(hidden_w, batch.w_mask, pooling, params)
-        e_r, cache_pr = _pool_with_cache(hidden_r, batch.r_mask, pooling, params)
-        l_misad, (de_w, de_r, de_s) = _misad_with_grads(e_w, e_r, e_s, misad_weight)
+        l_misad, (de_w, de_r, de_s) = _misad_with_grads(e_w, e_r, e_s[sub], misad_weight)
+        d_e_s = np.zeros_like(e_s)
+        d_e_s[sub] = de_s
         # Pooler gradients accumulate w, r, then S; the order fixes their float sums.
-        backward(cache_w, params, config, pool_backward(de_w, cache_pw, params, grads), grads)
-        backward(cache_r, params, config, pool_backward(de_r, cache_pr, params, grads), grads)
-        d_hidden_s[sub] += pool_backward(de_s, cache_ps, params, grads)
+        for groups, d_e, caches in ((w_groups, de_w, pool_w), (r_groups, de_r, pool_r)):
+            for (_, _, cache), d_hidden in zip(groups, unpool(groups, d_e, caches)):
+                backward(cache, params, config, d_hidden, grads)
+        for d_hidden, d_pooled in zip(d_hidden_s, unpool(s_groups, d_e_s, pool_s)):
+            d_hidden += d_pooled
 
-    backward(cache_s, params, config, d_hidden_s, grads)
+    for (_, _, cache), d_hidden in zip(s_groups, d_hidden_s):
+        backward(cache, params, config, d_hidden, grads)
     l_total = misad_weight * l_misad + mlm_weight * l_mlm
     return LossReport(l_misad=l_misad, l_mlm=l_mlm, l_total=l_total), grads
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ulrlab.corpus import CLS_ID, MASK_ID, PAD_ID, SEP_ID
+from ulrlab.corpus import CLS_ID, MASK_ID, SEP_ID
 from ulrlab.encoder import forward, mlm_head_rows
 from ulrlab.ngram import Span
 
@@ -186,12 +186,13 @@ def oracle_bm25(query_tokens, corpus_tokens, k1=1.2, b=0.75):
 
 
 def oracle_score_spans(pairs, model):
-    """Span scores from a full forward pass: every layer at every position
-    of the padded batch of masked copies, then the MLM head at the masked
-    rows and a running mean per span.
+    """Span scores from full forward passes: every layer at every position
+    of each masked copy, run on its own and unpadded, then one MLM head
+    call over the masked rows of all copies and a running mean per span.
 
     It shares the encoder and the head with the package: what it checks
-    is that scoring only the masked rows changes no bit.
+    is that scoring only the masked rows, in one-length groups, changes no
+    bit.
     """
     variants, picks = [], []
     for seq, ann in pairs:
@@ -203,12 +204,11 @@ def oracle_score_spans(pairs, model):
             picks.append([(pos, seq[pos - 1]) for pos in range(span.start, span.end + 1)])
     if not variants:
         return [[] for _ in pairs]
-    length = max(len(v) for v in variants)
-    ids = np.array([v + [PAD_ID] * (length - len(v)) for v in variants], dtype=np.int64)
-    mask = np.array([[j < len(v) for j in range(length)] for v in variants])
-    hidden = forward(model.params, model.config, ids, mask)
-    rows = [(vi, pos) for vi, pick in enumerate(picks) for pos, _ in pick]
-    log_probs, _ = mlm_head_rows(model.params, hidden[tuple(np.array(rows).T)])
+    rows = []
+    for ids, pick in zip(variants, picks):
+        hidden = forward(model.params, model.config, np.array([ids], dtype=np.int64))[0]
+        rows.extend(hidden[pos] for pos, _ in pick)
+    log_probs, _ = mlm_head_rows(model.params, np.stack(rows))
     scores, j = [], 0
     for pick in picks:
         total = 0.0

@@ -39,10 +39,10 @@ from ulrlab.corpus import build_vocabulary, encode, frame, tokenize
 from ulrlab.encoder import (
     EncoderConfig,
     Model,
+    by_length,
     forward,
     init_params,
     load_checkpoint,
-    pad_batch,
     pool,
     save_checkpoint,
 )
@@ -508,9 +508,10 @@ def test_criterion_compositional_experiment(capsys):
         assert len(s_seqs) >= 450  # nearly every held-out sentence splits
 
         def embed(seqs):
-            ids, mask = pad_batch(seqs)
-            hidden = forward(model.params, model.config, ids, mask)
-            return pool(hidden, mask, "mean")
+            pooled = np.empty((len(seqs), model.config.d_model), dtype=np.float32)
+            for rows, ids in by_length(seqs):
+                pooled[rows] = pool(forward(model.params, model.config, ids), "mean")
+            return pooled
 
         return float(misad_loss(embed(w_seqs), embed(r_seqs), embed(s_seqs)))
 

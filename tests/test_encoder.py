@@ -25,7 +25,7 @@ from ulrlab.encoder import (
     init_params,
     load_checkpoint,
     mlm_head_rows,
-    pad_batch,
+    by_length,
     pool,
     pool_backward,
     save_checkpoint,
@@ -51,15 +51,11 @@ def checkpoint_bytes() -> tuple[bytes, int]:
 
 
 def tiny_batch(rng, b=2, length=8, vocab=50):
+    """An unpadded batch of ``b`` framed sequences of one length."""
     ids = rng.integers(5, vocab, size=(b, length))
     ids[:, 0] = 3  # CLS
-    lengths = rng.integers(3, length + 1, size=b)
-    mask = np.zeros((b, length), dtype=bool)
-    for i, n in enumerate(lengths):
-        mask[i, :n] = True
-        ids[i, n - 1] = 4  # SEP
-        ids[i, n:] = 0
-    return ids, mask
+    ids[:, -1] = 4  # SEP
+    return ids
 
 
 class TestConfig:
@@ -137,32 +133,17 @@ class TestForward:
     def test_output_shapes(self):
         rng = np.random.default_rng(0)
         params = init_params(TINY)
-        ids, mask = tiny_batch(rng)
-        hidden = forward(params, TINY, ids, mask)
+        ids = tiny_batch(rng)
+        hidden = forward(params, TINY, ids)
         assert hidden.shape == (2, 8, 16)
-        assert pool(hidden, mask, "cls", params).shape == (2, 16)
+        assert pool(hidden, "cls", params).shape == (2, 16)
         assert hidden.dtype == np.float32
-
-    def test_pad_content_cannot_leak(self):
-        """Changing token ids under pad positions leaves real outputs alone."""
-        rng = np.random.default_rng(1)
-        params = init_params(TINY)
-        ids, mask = tiny_batch(rng, b=3)
-        hidden = forward(params, TINY, ids, mask)
-        tampered = ids.copy()
-        tampered[~mask] = 37
-        hidden2 = forward(params, TINY, tampered, mask)
-        for strategy in ("cls", "mean", "max"):
-            assert np.array_equal(
-                pool(hidden, mask, strategy, params), pool(hidden2, mask, strategy, params)
-            )
-        assert np.array_equal(hidden[mask], hidden2[mask])
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         params = init_params(TINY)
-        ids, mask = tiny_batch(rng)
-        _, cache = forward(params, TINY, ids, mask, want_cache=True)
+        ids = tiny_batch(rng)
+        _, cache = forward(params, TINY, ids, want_cache=True)
         for layer in cache["layers"]:
             probs = layer["attn_probs"]  # (B, h, L, L)
             sums = probs.sum(-1)
@@ -184,31 +165,31 @@ class TestForward:
         params = init_params(cfg)
         for name in params:
             params[name] += rng.normal(0.0, 0.05, params[name].shape).astype(np.float32)
-        ids, mask = tiny_batch(rng, b=4, length=10)
+        ids = tiny_batch(rng, b=4, length=10)
         batch_index = rng.integers(0, 4, size=n_rows)
-        position = rng.integers(0, mask.sum(1)[batch_index])
-        full = forward(params, cfg, ids, mask)
-        rows = forward(params, cfg, ids, mask, rows=(batch_index, position))
+        position = rng.integers(0, 10, size=n_rows)
+        full = forward(params, cfg, ids)
+        rows = forward(params, cfg, ids, rows=(batch_index, position))
         assert np.array_equal(rows, full[batch_index, position])
 
     def test_rows_exclude_dropout_and_cache(self):
         params = init_params(TINY)
-        ids, mask = tiny_batch(np.random.default_rng(0))
+        ids = tiny_batch(np.random.default_rng(0))
         with pytest.raises(ValueError, match="rows="):
-            forward(params, TINY, ids, mask, want_cache=True, rows=([0], [1]))
+            forward(params, TINY, ids, want_cache=True, rows=([0], [1]))
         cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32,
                             max_len=32, dropout=0.1)
         with pytest.raises(ValueError, match="rows="):
-            forward(params, cfg, ids, mask, rng_tag=(0, 0, "s"), rows=([0], [1]))
+            forward(params, cfg, ids, rng_tag=(0, 0, "s"), rows=([0], [1]))
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
         params = init_params(TINY)
-        ids, mask = tiny_batch(rng)
-        h1 = forward(params, TINY, ids, mask)
-        h2 = forward(params, TINY, ids, mask)
+        ids = tiny_batch(rng)
+        h1 = forward(params, TINY, ids)
+        h2 = forward(params, TINY, ids)
         assert np.array_equal(h1, h2)
-        assert np.array_equal(pool(h1, mask, "cls", params), pool(h2, mask, "cls", params))
+        assert np.array_equal(pool(h1, "cls", params), pool(h2, "cls", params))
 
 
 class TestErf:
@@ -260,18 +241,18 @@ class TestDropout:
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(4)
         params = init_params(self.CFG)
-        ids, mask = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids, mask, rng_tag=(9, 2, "s"))
-        h2 = forward(params, self.CFG, ids, mask, rng_tag=(9, 2, "s"))
+        ids = tiny_batch(rng)
+        h1 = forward(params, self.CFG, ids, rng_tag=(9, 2, "s"))
+        h2 = forward(params, self.CFG, ids, rng_tag=(9, 2, "s"))
         assert np.array_equal(h1, h2)
 
     def test_streams_differ_across_steps_and_names(self):
         rng = np.random.default_rng(5)
         params = init_params(self.CFG)
-        ids, mask = tiny_batch(rng)
-        base = forward(params, self.CFG, ids, mask, rng_tag=(9, 0, "s"))
-        other_step = forward(params, self.CFG, ids, mask, rng_tag=(9, 1, "s"))
-        other_name = forward(params, self.CFG, ids, mask, rng_tag=(9, 0, "w"))
+        ids = tiny_batch(rng)
+        base = forward(params, self.CFG, ids, rng_tag=(9, 0, "s"))
+        other_step = forward(params, self.CFG, ids, rng_tag=(9, 1, "s"))
+        other_name = forward(params, self.CFG, ids, rng_tag=(9, 0, "w"))
         assert not np.array_equal(base, other_step)
         assert not np.array_equal(base, other_name)
 
@@ -279,8 +260,8 @@ class TestDropout:
         config = replace(self.CFG, vocab_size=20, d_model=8, d_ff=16, max_len=8,
                          n_layers=3, dropout=0.5)
         params = init_params(config)
-        ids, mask = tiny_batch(np.random.default_rng(7), vocab=20)
-        _, cache = forward(params, config, ids, mask, rng_tag=(0, 1, "s"), want_cache=True)
+        ids = tiny_batch(np.random.default_rng(7), vocab=20)
+        _, cache = forward(params, config, ids, rng_tag=(0, 1, "s"), want_cache=True)
         sites = ("attn_probs", "attn_out", "ff_out")
         masks = cache["dropout"]
         assert set(masks) == {"emb"} | {f"layer{i}.{s}" for i in range(3) for s in sites}
@@ -292,43 +273,26 @@ class TestDropout:
         # Without a tag no dropout runs: the output is that of rate 0.
         rng = np.random.default_rng(6)
         params = init_params(self.CFG)
-        ids, mask = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids, mask)
-        h2 = forward(params, replace(self.CFG, dropout=0.0), ids, mask)
+        ids = tiny_batch(rng)
+        h1 = forward(params, self.CFG, ids)
+        h2 = forward(params, replace(self.CFG, dropout=0.0), ids)
         assert np.array_equal(h1, h2)
 
 
 class TestPool:
     def test_mean_fixture(self):
         hidden = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        mask = np.ones((1, 2), dtype=bool)
-        np.testing.assert_allclose(pool(hidden, mask, "mean"), [[2.0, 2.0]])
+        np.testing.assert_allclose(pool(hidden, "mean"), [[2.0, 2.0]])
 
     def test_max_fixture(self):
         hidden = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        mask = np.ones((1, 2), dtype=bool)
-        np.testing.assert_allclose(pool(hidden, mask, "max"), [[3.0, 3.0]])
-
-    def test_mean_ignores_trailing_padding(self):
-        rng = np.random.default_rng(7)
-        hidden = rng.normal(size=(1, 6, 4))
-        mask = np.array([[1, 1, 1, 0, 0, 0]], dtype=bool)
-        short = pool(hidden[:, :3], mask[:, :3], "mean")
-        padded = pool(hidden, mask, "mean")
-        np.testing.assert_allclose(short, padded)
-
-    def test_all_zero_mask_rejected(self):
-        hidden = np.zeros((1, 3, 4))
-        mask = np.zeros((1, 3), dtype=bool)
-        with pytest.raises(ValueError, match="mask"):
-            pool(hidden, mask, "mean")
+        np.testing.assert_allclose(pool(hidden, "max"), [[3.0, 3.0]])
 
     def test_cls_matches_manual_pooler(self):
         rng = np.random.default_rng(8)
         params = init_params(TINY)
         hidden = rng.normal(size=(2, 5, 16)).astype(np.float32)
-        mask = np.ones((2, 5), dtype=bool)
-        got = pool(hidden, mask, "cls", params)
+        got = pool(hidden, "cls", params)
         want = np.tanh(hidden[:, 0] @ params["pooler_w"] + params["pooler_b"])
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
@@ -340,24 +304,22 @@ class TestPool:
         params = init_params(cfg)
         rng = np.random.default_rng(13)
         hidden = rng.normal(size=(17, 6, 64)).astype(np.float32)
-        mask = np.ones((17, 6), dtype=bool)
-        mask[::2, 4:] = False
-        batch = pool(hidden, mask, strategy, params)
+        batch = pool(hidden, strategy, params)
         for i in range(17):
-            alone = pool(hidden[i : i + 1], mask[i : i + 1], strategy, params)
+            alone = pool(hidden[i : i + 1], strategy, params)
             assert np.array_equal(alone[0], batch[i]), i
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            pool(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool), "attention")
+            pool(np.zeros((1, 2, 2)), "attention")
 
 
 class TestMlmLogProbs:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(9)
         params = init_params(TINY)
-        ids, mask = tiny_batch(rng)
-        hidden = forward(params, TINY, ids, mask)
+        ids = tiny_batch(rng)
+        hidden = forward(params, TINY, ids)
         log_probs = mlm_head_rows(params, hidden.reshape(-1, 16))[0].reshape(2, 8, -1)
         assert log_probs.shape == (2, 8, 50)
         np.testing.assert_allclose(np.exp(log_probs).sum(-1), 1.0, atol=1e-6)
@@ -367,21 +329,34 @@ class TestMlmLogProbs:
         rng = np.random.default_rng(10)
         params = init_params(TINY)
         params["mlm_w"] = np.zeros_like(params["mlm_w"])
-        ids, mask = tiny_batch(rng)
-        hidden = forward(params, TINY, ids, mask)
+        ids = tiny_batch(rng)
+        hidden = forward(params, TINY, ids)
         log_probs = mlm_head_rows(params, hidden.reshape(-1, 16))[0].reshape(2, 8, -1)
         np.testing.assert_allclose(log_probs, math.log(1.0 / 50), atol=1e-6)
 
 
-class TestPadBatch:
-    def test_pads_to_rectangle(self):
-        ids, mask = pad_batch([[3, 5, 4], [3, 4]])
-        assert ids.tolist() == [[3, 5, 4], [3, 4, 0]]
-        assert mask.tolist() == [[True, True, True], [True, True, False]]
+class TestByLength:
+    def test_shortest_first_rows_in_input_order(self):
+        groups = by_length([[3, 5, 6, 4], [3, 4], [3, 7, 8, 4], (3, 9, 4)])
+        assert [rows.tolist() for rows, _ in groups] == [[1], [3], [0, 2]]
+        assert [ids.tolist() for _, ids in groups] == [
+            [[3, 4]], [[3, 9, 4]], [[3, 5, 6, 4], [3, 7, 8, 4]],
+        ]
+        assert all(ids.dtype == np.int64 for _, ids in groups)
 
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError, match="empty"):
-            pad_batch([])
+    def test_empty_input_has_no_groups(self):
+        assert by_length([]) == []
+
+    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), max_size=12))
+    def test_every_row_once_in_one_group_of_its_length(self, seqs):
+        groups = by_length(seqs)
+        rows = np.concatenate([r for r, _ in groups]) if groups else np.array([])
+        assert sorted(rows.tolist()) == list(range(len(seqs)))
+        lengths = [ids.shape[1] for _, ids in groups]
+        assert lengths == sorted(set(lengths))
+        for group_rows, ids in groups:
+            assert group_rows.tolist() == sorted(group_rows.tolist())
+            assert [seqs[i] for i in group_rows] == ids.tolist()
 
 
 class TestBackwardSpotCheck:
@@ -390,17 +365,17 @@ class TestBackwardSpotCheck:
         acceptance suite."""
         rng = np.random.default_rng(11)
         params = init_params(TINY, dtype=np.float64)
-        ids, mask = tiny_batch(rng)
+        ids = tiny_batch(rng)
         probe = rng.normal(size=(2, 8, 16))
         probe_p = rng.normal(size=(2, 16))
 
         def loss(p):
-            hidden = forward(p, TINY, ids, mask)
-            pooled = pool(hidden, mask, "cls", p)
+            hidden = forward(p, TINY, ids)
+            pooled = pool(hidden, "cls", p)
             return float((hidden * probe).sum() + (pooled * probe_p).sum())
 
-        hidden, cache = forward(params, TINY, ids, mask, want_cache=True)
-        _, pool_cache = _pool_with_cache(hidden, mask, "cls", params)
+        hidden, cache = forward(params, TINY, ids, want_cache=True)
+        _, pool_cache = _pool_with_cache(hidden, "cls", params)
         grads = zero_grads(params)
         d_hidden = probe + pool_backward(probe_p, pool_cache, params, grads)
         backward(cache, params, TINY, d_hidden, grads)
@@ -546,6 +521,6 @@ class TestCheckpoint:
     def test_model_bundle_helpers(self, tmp_path):
         model = Model.init(TINY)
         rng = np.random.default_rng(12)
-        ids, mask = tiny_batch(rng)
-        hidden = forward(model.params, model.config, ids, mask)
-        assert pool(hidden, mask, "mean", model.params).shape == (2, 16)
+        ids = tiny_batch(rng)
+        hidden = forward(model.params, model.config, ids)
+        assert pool(hidden, "mean", model.params).shape == (2, 16)

@@ -385,9 +385,9 @@ class TestModelEmbedder:
         batches = []
         real_forward = evaluation.forward
 
-        def counting_forward(params, config, ids, mask=None, **kwargs):
+        def counting_forward(params, config, ids, **kwargs):
             batches.append(np.array(ids))
-            return real_forward(params, config, ids, mask, **kwargs)
+            return real_forward(params, config, ids, **kwargs)
 
         monkeypatch.setattr(evaluation, "forward", counting_forward)
         n_distinct = {2: 3, 5: EMBED_BATCH + 1, 9: 2 * EMBED_BATCH}  # tokens: texts

@@ -470,6 +470,13 @@ class TestTableIO:
         with pytest.raises(NgramError, match=rf"t\.tsv:{line}: duplicate n-gram 'the cat'"):
             load_table(path, vocab)
 
+    @pytest.mark.parametrize("row", ["red\t2\t1.5", "cat\t2\t1.5", "\t2\t1.5"])
+    def test_load_rejects_a_one_token_row(self, tmp_path, vocab, row):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\n{row}\n")
+        with pytest.raises(NgramError, match=r"table\.tsv:3: n-gram .* fewer than 2 tokens"):
+            load_table(path, vocab)
+
     def test_load_rejects_bad_header(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("nope\n")

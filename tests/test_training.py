@@ -1,5 +1,6 @@
 """Joint training: span selection, losses, masking, Adam, and the loop."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from ulrlab.encoder import (
     mlm_head_rows,
     save_checkpoint,
 )
+from ulrlab import training
 from ulrlab.ngram import NgramTable, Span, SpanAnnotation
 from ulrlab.training import (
     METRICS_HEADER,
@@ -237,11 +239,7 @@ class TestScoreSpans:
             one_pair((30, 31, 32), Span(2, 3)),
         ]
         singles = [score_spans([p], model)[0] for p in pairs]
-        np.testing.assert_allclose(
-            [v for row in score_spans(pairs, model) for v in row],
-            [v for row in singles for v in row],
-            rtol=1e-6,
-        )
+        assert score_spans(pairs, model) == singles
 
     def test_empty_span_list(self):
         assert score_spans([one_pair((10,))], Model.init(CFG)) == [[]]
@@ -301,6 +299,52 @@ class TestMakeExamples:
         batch = make_examples(pairs, model)
         singles = [make_examples([p], model)[0] for p in pairs]
         assert batch == singles
+
+
+@functools.cache
+def invariance_model() -> Model:
+    """d_model 64, where a one-row product rounds unlike a many-row one,
+    with weights moved off their init so the head is far from uniform."""
+    cfg = EncoderConfig(vocab_size=50, d_model=64, n_heads=2, n_layers=2, d_ff=128,
+                        max_len=32, seed=6)
+    model = Model.init(cfg)
+    rng = np.random.default_rng(6)
+    for p in model.params.values():
+        p += rng.normal(0.0, 0.05, p.shape).astype(np.float32)
+    return model
+
+
+@st.composite
+def annotated_pairs(draw):
+    """A sequence of 2-14 tokens with disjoint ascending spans of 2-4
+    tokens, as ``mark_sequence`` emits them."""
+    ids = tuple(draw(st.lists(st.integers(NUM_SPECIALS, 49), min_size=2, max_size=14)))
+    spans, start = [], 1
+    while True:
+        start += draw(st.integers(0, 2))
+        end = start + draw(st.integers(1, 3))
+        if end > len(ids) or not draw(st.booleans()):
+            return ids, SpanAnnotation(spans=tuple(spans))
+        spans.append(Span(start, end))
+        start = end + 1
+
+
+class TestBatchInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_alone_in_a_batch_and_permuted_agree_exactly(self, data):
+        model = invariance_model()
+        pairs = data.draw(st.lists(annotated_pairs(), min_size=1, max_size=6))
+        perm = data.draw(st.permutations(range(len(pairs))))
+        permuted = [pairs[i] for i in perm]
+        scores, scores_permuted = score_spans(pairs, model), score_spans(permuted, model)
+        examples = make_examples(pairs, model)
+        examples_permuted = make_examples(permuted, model)
+        for i, pair in enumerate(pairs):
+            alone = score_spans([pair], model)[0]
+            assert scores[i] == alone == scores_permuted[perm.index(i)]
+            [example] = make_examples([pair], model)
+            assert examples[i] == example == examples_permuted[perm.index(i)]
 
 
 class TestMaskForMlm:
@@ -366,10 +410,10 @@ class TestPrepareBatch:
     def test_shapes_and_indices(self):
         batch, examples = self.make_batch()
         assert batch.n_examples == 2
-        assert batch.s_ids.shape == batch.s_mask.shape
-        assert batch.s_ids.shape[0] == 2
+        assert [len(s) for s in batch.s_ids] == [len(ex.s_ids) for ex in examples]
+        assert len(batch.s_ids) == 2
         assert batch.misad_s_rows.tolist() == [0]
-        assert batch.w_ids.shape[0] == 1 and batch.r_ids.shape[0] == 1
+        assert len(batch.w_ids) == 1 and len(batch.r_ids) == 1
         assert batch.mlm_rows.shape == batch.mlm_cols.shape == batch.mlm_targets.shape
 
     def test_span_positions_never_masked(self):
@@ -438,6 +482,26 @@ class TestLossAndGradients:
                 continue
             assert np.abs(g).sum() > 0, name
 
+    def test_every_forward_draws_its_own_dropout_streams(self, monkeypatch):
+        # S spans lengths 6 and 7, w lengths 4 and 5, R lengths 4 and 5.
+        pairs = [
+            one_pair((10, 11, 12, 13), Span(1, 2)),
+            one_pair((20, 21, 22, 23, 24), Span(2, 4)),
+            one_pair((30, 31, 32, 33, 34), Span(1, 2)),
+        ]
+        batch = prepare_batch(make_examples(pairs, Model.init(CFG)), 50,
+                              np.random.default_rng(0), 0.3)
+        tags = []
+        real_forward = training.forward
+
+        def recording_forward(params, config, ids, **kwargs):
+            tags.append(kwargs["rng_tag"])
+            return real_forward(params, config, ids, **kwargs)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        loss_and_gradients(Model.init(CFG).params, replace(CFG, dropout=0.3), batch,
+                           objective(), dropout_tag=(5, 2))
+        assert sorted(tags) == [(5, 2, name) for name in ("r4", "r5", "s6", "s7", "w4", "w5")]
 
     @pytest.mark.parametrize("pooling, dropout", [
         pytest.param(pooling, dropout, id=pooling + ("" if dropout == 0 else f"-dropout{dropout}"))
