@@ -39,6 +39,7 @@ from .evaluation import (
     ModelEmbedder,
     WordVectorEmbedder,
     bm25_rank,
+    corpus_norms,
     embed_corpus,
     evaluate_analogy,
     read_analogy_file,
@@ -324,8 +325,9 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
         rankings = bm25_rank(query_tokens, corpus_tokens, ids, depth)
     else:
         matrix = embed_corpus(texts, embedder)
+        norms = corpus_norms(matrix)
         rankings = [
-            retrieve_topk(row, matrix, depth, ids=ids)
+            retrieve_topk(row, matrix, depth, ids=ids, norms=norms)
             for row in embed_corpus(queries, embedder)
         ]
     acc = topk_accuracy(rankings, gold_sets, ks)

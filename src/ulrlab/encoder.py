@@ -1,9 +1,10 @@
 """A small BERT-shaped transformer encoder with analytic gradients.
 
-Everything is plain numpy: post-layer-norm blocks, GELU feed-forward,
-learned positions, no segment embeddings (inputs are single sequences),
-an MLM head whose output projection is tied to the token embeddings, and
-a tanh pooler over the first position.
+Everything is plain numpy: post-layer-norm blocks, a feed-forward with
+the tanh GELU of Google's reference BERT, learned positions, no segment
+embeddings (inputs are single sequences), an MLM head whose output
+projection is tied to the token embeddings, and a tanh pooler over the
+first position.
 
 Two numeric modes are supported through the parameter dtype: float32 for
 training and checkpoints, float64 ("wide") for finite-difference
@@ -36,36 +37,13 @@ from .corpus import atomic_open
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
 
-_SQRT1_2 = 0.7071067811865476
-_INV_SQRT_2PI = 0.3989422804014327
-
-# Cephes ndtr.c coefficients, highest power first.  The leading 1 of U and Q
-# is implied there; 1 * x is exact, so spelling it out changes no bits.
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-# Cephes rounds erf(x) to exactly 1 from x ~ 5.92 on (erfc(x) < 2**-54), so
-# clamping |x| here changes no result and spares Cephes' x >= 8 branch.
-_ERF_SATURATES = 6.0
-# Elements per pass of erf.  Every pass reuses three float64 work buffers of
-# this size (64 KB each), which stay in cache between the encoder's larger
-# activations; whole-array passes made span scoring slower.
-_ERF_CHUNK = 8192
+# GELU in the tanh form of Google's reference BERT: 0.5 x (1 + tanh(u)),
+# u = √(2/π) (x + 0.044715 x³).  From |x| = 10 on, u > 43 and tanh(u) is
+# exactly ±1 in float32 and float64, so clamping x there changes no result
+# and keeps x³ from overflowing.
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+_GELU_CLAMP = 10.0
 
 
 class ConfigError(ValueError):
@@ -179,27 +157,39 @@ def init_params(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    """``g * xhat + b`` for ``x`` normalized over its last axis, with the
+    ``(xhat, inv)`` cache that :func:`_ln_backward` takes.
+
+    Sums over the model axis, here and in the backward passes, use
+    ``np.einsum``: faster than ``sum``/``mean`` at this width, and it sums
+    a row in the same order at any batch height, so a row keeps its bits
+    (a BLAS product with a ones vector does not).
+    """
+    d = x.shape[-1]
+    xhat = x - np.einsum("...i->...", x)[..., None] / d
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    xhat *= inv
+    y = xhat * g
+    y += b
+    return y, (xhat, inv)
 
 
 def _ln_backward(dy: np.ndarray, ln_cache, params, grads, prefix: str) -> np.ndarray:
     """Accumulate the gain and bias gradients of the layer norm whose
     parameters are ``prefix_g`` and ``prefix_b``; return the input cotangent."""
     xhat, inv = ln_cache
-    axes = tuple(range(dy.ndim - 1))
-    grads[prefix + "_g"] += (dy * xhat).sum(axis=axes)
-    grads[prefix + "_b"] += dy.sum(axis=axes)
+    d = dy.shape[-1]
+    dy2, xhat2 = dy.reshape(-1, d), xhat.reshape(-1, d)
+    grads[prefix + "_g"] += np.einsum("ij,ij->j", dy2, xhat2)
+    grads[prefix + "_b"] += np.einsum("ij->j", dy2)
     dxh = dy * params[prefix + "_g"]
-    return inv * (
-        dxh
-        - dxh.mean(-1, keepdims=True)
-        - xhat * (dxh * xhat).mean(-1, keepdims=True)
-    )
+    mean = np.einsum("...i->...", dxh)[..., None] / d
+    proj = np.einsum("...i,...i->...", dxh, xhat)[..., None] / d
+    dxh -= mean
+    dxh -= xhat * proj
+    dxh *= inv
+    return dxh
 
 
 def _linear_backward(x: np.ndarray, dy: np.ndarray, params, grads, w: str, b: str) -> np.ndarray:
@@ -208,69 +198,45 @@ def _linear_backward(x: np.ndarray, dy: np.ndarray, params, grads, w: str, b: st
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
     grads[w] += x2.T @ dy2
-    grads[b] += dy2.sum(0)
+    grads[b] += np.einsum("ij->j", dy2)
     return dy @ params[w].T
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, elementwise: a numpy port of the Cephes
-    rational approximations that ``scipy.special.erf`` evaluates.
-
-    Computed in float64 and cast back to the input dtype, so float32
-    results match scipy bit for bit; in float64 they can differ from it
-    by one ulp where |x| > 1, from numpy's ``exp``.  ±0 keeps its sign,
-    ±inf gives ±1 and NaN propagates, without floating-point warnings.
-    """
-    x = np.asarray(x)
-    flat = x.reshape(-1)
-    out = np.empty(flat.shape, dtype=np.float64)
-    work = np.empty((3, min(flat.size, _ERF_CHUNK)))
-    for lo in range(0, flat.size, _ERF_CHUNK):
-        part = flat[lo : lo + _ERF_CHUNK]
-        y = out[lo : lo + part.size]
-        a, z, den = work[:, : part.size]
-        np.minimum(np.abs(part, out=a), _ERF_SATURATES, out=a)
-        np.multiply(a, a, out=z)
-        # |x| <= 1: erf(x) = x T(x^2) / U(x^2)
-        _polevl(z, _ERF_T, y)
-        y *= a
-        y /= _polevl(z, _ERF_U, den)
-        # |x| > 1: erf(x) = 1 - exp(-x^2) P(x) / Q(x), at those elements only
-        big = np.flatnonzero(a > 1.0)
-        if big.size:
-            ab, e = a[big], np.exp(-z[big])
-            buf = np.empty_like(ab)
-            e *= _polevl(ab, _ERFC_P, buf)
-            e /= _polevl(ab, _ERFC_Q, buf)
-            y[big] = 1.0 - e
-        np.copysign(y, part, out=y)
-    return out.astype(x.dtype, copy=False).reshape(x.shape)
-
-
-def _polevl(x: np.ndarray, coefs: tuple[float, ...], out: np.ndarray) -> np.ndarray:
-    """Horner's rule into ``out`` (not ``x``), highest power first,
-    rounding as Cephes ``polevl``."""
-    np.multiply(x, coefs[0], out=out)
-    out += coefs[1]
-    for c in coefs[2:]:
-        out *= x
-        out += c
-    return out
-
-
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-erf GELU, x Φ(x).
+    """GELU in BERT's tanh form, 0.5 x (1 + tanh(√(2/π) (x + 0.044715 x³))).
 
-    Returns ``(gelu(x), erf_term)`` with ``erf_term = 1 + erf(x/√2)``,
-    which :func:`gelu_grad` reuses instead of evaluating erf again.
+    Returns ``(gelu(x), tanh_term)``, the tanh term being what
+    :func:`gelu_grad` reuses.  Finite for every finite input, without
+    floating-point warnings; NaN propagates.
     """
-    erf_term = 1.0 + erf(x * _SQRT1_2)
-    return 0.5 * x * erf_term, erf_term
+    # In place: a fresh array per op made this ~30% slower on (1536, 64) float32.
+    xc = np.clip(x, -_GELU_CLAMP, _GELU_CLAMP)
+    th = xc * xc
+    th *= _GELU_A
+    th += 1.0
+    th *= xc
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    y = np.add(th, 1.0, out=xc)
+    y *= 0.5
+    y *= x
+    return y, th
 
 
-def gelu_grad(x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
-    """d GELU / dx at ``x``, given the ``erf_term`` :func:`gelu` returned."""
-    return 0.5 * erf_term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def gelu_grad(x: np.ndarray, tanh_term: np.ndarray) -> np.ndarray:
+    """d GELU / dx at ``x``, given the ``tanh_term`` :func:`gelu` returned:
+    0.5 (1 + t) + 0.5 x (1 - t²) √(2/π) (1 + 3 · 0.044715 x²).  Where x is
+    clamped, 1 - t² is exactly 0, so the clamp changes no result."""
+    xc = np.clip(x, -_GELU_CLAMP, _GELU_CLAMP)
+    d = xc * xc
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= xc
+    d *= 0.5 * _GELU_C
+    d *= 1.0 - tanh_term * tanh_term
+    d += 0.5 * tanh_term
+    d += 0.5
+    return d
 
 
 def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
@@ -360,14 +326,14 @@ def forward(
             x + ao, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
         t = x_mid @ params[p + "ff_w1"] + params[p + "ff_b1"]
-        a, erf_term = gelu(t)
+        a, tanh_term = gelu(t)
         f = a @ params[p + "ff_w2"] + params[p + "ff_b2"]
         f = drop(f, p + "ff_out")
         x, ff_ln = layer_norm(x_mid + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
         if want_cache:
             layers.append(dict(
                 x_in=x_in, q=q, k=k, v=v, attn_probs=probs, attn_probs_dropped=probs_d,
-                ctx=ctx, attn_ln=attn_ln, x_mid=x_mid, ff_pre=t, ff_erf=erf_term,
+                ctx=ctx, attn_ln=attn_ln, x_mid=x_mid, ff_pre=t, ff_tanh=tanh_term,
                 ff_act=a, ff_ln=ff_ln,
             ))
 
@@ -422,7 +388,7 @@ def backward(
         dx_mid = _ln_backward(dx, lc["ff_ln"], params, grads, p + "ff_ln")
         df = undrop(dx_mid, p + "ff_out")
         da = _linear_backward(lc["ff_act"], df, params, grads, p + "ff_w2", p + "ff_b2")
-        dt = da * gelu_grad(lc["ff_pre"], lc["ff_erf"])
+        dt = da * gelu_grad(lc["ff_pre"], lc["ff_tanh"])
         dx_mid += _linear_backward(lc["x_mid"], dt, params, grads, p + "ff_w1", p + "ff_b1")
         # first sublayer: x_mid = LN(x_in + dropout(attn(x_in)))
         dx_in = _ln_backward(dx_mid, lc["attn_ln"], params, grads, p + "attn_ln")
@@ -522,12 +488,12 @@ def mlm_head_rows(params: dict[str, np.ndarray], rows: np.ndarray):
     Returns ``(log_probs (M, V), cache)``.
     """
     t = (rows[:, None] @ params["mlm_w"])[:, 0] + params["mlm_b"]
-    a, erf_term = gelu(t)
+    a, tanh_term = gelu(t)
     h, ln = layer_norm(a, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = (h[:, None] @ params["tok_emb"].T)[:, 0] + params["mlm_out_b"]
     shifted = logits - logits.max(-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(-1, keepdims=True))
-    return shifted - lse, {"rows": rows, "t": t, "erf": erf_term, "h": h, "ln": ln}
+    return shifted - lse, {"rows": rows, "t": t, "tanh": tanh_term, "h": h, "ln": ln}
 
 
 def mlm_head_rows_backward(
@@ -545,7 +511,7 @@ def mlm_head_rows_backward(
     grads["mlm_out_b"] += d_logits.sum(0)
     grads["tok_emb"] += d_logits.T @ cache["h"]
     da = _ln_backward(d_logits @ params["tok_emb"], cache["ln"], params, grads, "mlm_ln")
-    dt = da * gelu_grad(cache["t"], cache["erf"])
+    dt = da * gelu_grad(cache["t"], cache["tanh"])
     return _linear_backward(cache["rows"], dt, params, grads, "mlm_w", "mlm_b")
 
 

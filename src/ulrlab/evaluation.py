@@ -301,13 +301,26 @@ def _rank(scores: np.ndarray, ids: Sequence, k: int) -> list:
     return [ids[i] for i in top]
 
 
+def corpus_norms(corpus_matrix: np.ndarray) -> np.ndarray:
+    """The row norms of ``corpus_matrix``, with 1 for a near-zero row: the
+    divisors that turn :func:`retrieve_topk`'s dot products into cosines.
+    Computed once, they serve every query over the corpus."""
+    row_norms = np.linalg.norm(corpus_matrix, axis=1)
+    return np.where(row_norms < _EPS, 1.0, row_norms)
+
+
 def retrieve_topk(
     query_vec: np.ndarray,
     corpus_matrix: np.ndarray,
     k: int,
     ids: Sequence | None = None,
+    norms: np.ndarray | None = None,
 ):
-    """Top-k corpus ids by cosine similarity; ties break by ascending id."""
+    """Top-k corpus ids by cosine similarity; ties break by ascending id.
+
+    ``norms`` is :func:`corpus_norms` of ``corpus_matrix``, computed here
+    when not given.
+    """
     n = corpus_matrix.shape[0]
     if k > n:
         raise ValueError(f"k ({k}) exceeds corpus size ({n})")
@@ -319,9 +332,9 @@ def retrieve_topk(
     qnorm = float(np.linalg.norm(query_vec))
     if qnorm >= _EPS:
         query_vec = query_vec / qnorm
-    row_norms = np.linalg.norm(corpus_matrix, axis=1)
-    safe = np.where(row_norms < _EPS, 1.0, row_norms)
-    scores = (corpus_matrix @ query_vec) / safe
+    if norms is None:
+        norms = corpus_norms(corpus_matrix)
+    scores = (corpus_matrix @ query_vec) / norms
     return _rank(scores, ids, k)
 
 

@@ -148,6 +148,12 @@ def oracle_answer(question, embedder):
     return best_idx
 
 
+def oracle_gelu(x):
+    """Exact GELU, x Φ(x) = 0.5 x (1 + erf(x / √2)), element by element
+    from ``math.erf`` in float64."""
+    return np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in map(float, x)])
+
+
 def oracle_rank(query_vec, corpus_matrix):
     """Exhaustive-sort retrieval ranking by cosine, ties by ascending id."""
     cosines = []

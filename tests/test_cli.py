@@ -854,8 +854,9 @@ class TestEmbed:
 
 
 def test_no_command_imports_scipy(workspace, tmp_path):
-    # The encoder's GELU uses its own erf; importing scipy.special would
-    # cost every process ~0.3 s and ~16 MB.
+    # numpy is the only runtime dependency, and the encoder's tanh GELU
+    # needs no special functions; importing scipy.special would cost every
+    # process ~0.3 s and ~16 MB.
     corpus_path = tmp_path / "c.tsv"
     corpus_path.write_text("d0\tred fox jumps\nd1\tblue bird sings\n")
     queries_path = tmp_path / "q.tsv"

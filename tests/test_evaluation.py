@@ -23,6 +23,7 @@ from ulrlab.evaluation import (
     answer_analogies,
     bm25_rank,
     bm25_scores,
+    corpus_norms,
     embed_corpus,
     evaluate_analogy,
     is_syntactic,
@@ -467,6 +468,15 @@ class TestRetrieveTopk:
         full = retrieve_topk(q, mat, 15)
         for k in (1, 5, 10):
             assert retrieve_topk(q, mat, k) == full[:k]
+
+    def test_given_norms_change_no_ranking(self):
+        rng = np.random.default_rng(4)
+        mat = rng.normal(size=(25, 6))
+        mat[3] = 0.0  # a degenerate row divides by 1
+        norms = corpus_norms(mat)
+        for _ in range(50):
+            q = rng.normal(size=6)
+            assert retrieve_topk(q, mat, 25, norms=norms) == retrieve_topk(q, mat, 25)
 
     def test_string_ids(self):
         mat = np.array([[1.0, 0.0], [0.0, 1.0]])
