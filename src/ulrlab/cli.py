@@ -39,7 +39,6 @@ from .evaluation import (
     ModelEmbedder,
     WordVectorEmbedder,
     bm25_rank,
-    corpus_norms,
     embed_corpus,
     evaluate_analogy,
     read_analogy_file,
@@ -270,7 +269,7 @@ def cmd_train(cfg: dict[str, Any]) -> int:
 
 def _build_embedder(cfg: dict[str, Any], backend: str, used_by: str):
     """The embedder of ``backend``, "vectors", "model" or "bm25" (None); unused sources fail."""
-    for key, user in (("vectors", "vectors"), ("checkpoint", "model")):
+    for key, user in (("vectors", "vectors"), ("checkpoint", "model"), ("vocab", "model")):
         if cfg.get(key) and backend != user:
             raise CliError(f"--{key} is not used with {used_by}")
     if backend == "vectors" and cfg["vectors"]:
@@ -305,7 +304,7 @@ def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
 
 
 def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
-    ids, texts = zip(*read_retrieval_corpus(cfg["corpus"]))
+    ids, docs = zip(*read_retrieval_corpus(cfg["corpus"]))
     queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     try:
         ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
@@ -320,22 +319,16 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     depth = min(max(ks), len(ids))
     embedder = _build_embedder(cfg, cfg["backend"], f"--backend {cfg['backend']}")
     if embedder is None:
-        corpus_tokens = [tokenize(t) for t in texts]
-        query_tokens = [tokenize(q) for q in queries]
-        rankings = bm25_rank(query_tokens, corpus_tokens, ids, depth)
+        rankings = bm25_rank(queries, docs, ids, depth)
     else:
-        matrix = embed_corpus(texts, embedder)
-        norms = corpus_norms(matrix)
-        rankings = [
-            retrieve_topk(row, matrix, depth, ids=ids, norms=norms)
-            for row in embed_corpus(queries, embedder)
-        ]
+        matrix = embed_corpus(docs, embedder)
+        rankings = retrieve_topk(embed_corpus(queries, embedder), matrix, depth, ids=ids)
     acc = topk_accuracy(rankings, gold_sets, ks)
     lines = ["top_k\taccuracy"]
     for k in ks:
         lines.append(f"{k}\t{acc[k]:.4f}")
     if bucket is not None:
-        groups = [((len(tokenize(q)) - 1) // bucket + 1) * bucket for q in queries]
+        groups = [((len(q) - 1) // bucket + 1) * bucket for q in queries]
         grouped = topk_accuracy_by_group(rankings, gold_sets, groups, ks)
         lines.append("group\ttop_k\taccuracy")
         for bound, acc_by_k in grouped.items():
@@ -348,11 +341,11 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
 def cmd_embed(cfg: dict[str, Any]) -> int:
     embedder = _build_embedder(cfg, "model", "embed")
     with open_text(cfg["texts"]) as fh:
-        texts = [line.rstrip("\n") for line in fh]
+        texts = [tuple(tokenize(line)) for line in fh]
     if not texts:
         raise CliError(f"{cfg['texts']}: no texts")
-    for lineno, text in enumerate(texts, 1):
-        if not tokenize(text):
+    for lineno, tokens in enumerate(texts, 1):
+        if not tokens:
             raise CliError(f"{cfg['texts']}:{lineno}: text has no tokens")
     matrix = embed_corpus(texts, embedder)
     row_format = " ".join(["%.9g"] * matrix.shape[1]) + "\n"

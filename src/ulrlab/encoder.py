@@ -272,9 +272,12 @@ def forward(
     mask under that site name.
 
     ``rows=(batch_index, position)`` returns only those (M, d) rows of
-    ``hidden``, bit for bit: the last layer's attention reads every
-    position, but its output projection, feed-forward and layer norms
-    run at the requested rows alone.  It excludes dropout and the cache.
+    ``hidden``: the last layer's attention reads every position, but its
+    output projection, feed-forward and layer norms run at the requested
+    rows alone.  It excludes dropout and the cache.  The rows equal the full
+    pass's bit for bit only where OpenBLAS rounds a row the same way in
+    products of every height: true at the widths the tests and the bench
+    use, false at ``d_ff`` 50.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:

@@ -4,9 +4,11 @@ Analogy questions A : B :: C : ? are answered by vector arithmetic:
 the candidate maximizing cosine(c + b - a, d) wins.  The same machinery
 evaluates words, phrases, and sentences — an embedder maps texts to
 raw vectors, whether it averages static word vectors or pools
-transformer states, and :func:`embed_corpus` unit-normalizes them.
-Retrieval ranks a corpus by cosine against each query and scores Top-k
-accuracy, with an Okapi BM25 baseline for a non-embedding reference point.
+transformer states, and :func:`embed_corpus` unit-normalizes them.  A text
+is a tuple of tokens: the file readers tokenize each text once, and
+nothing after them tokenizes it again.  Retrieval ranks a corpus by cosine
+against a batch of queries and scores Top-k accuracy, with an Okapi BM25
+baseline for a non-embedding reference point.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -39,9 +40,13 @@ SYNTACTIC_CATEGORIES = frozenset(
 )
 
 
+#: A text as the readers keep it: its tokens after :func:`tokenize`, in order.
+Tokens = tuple[str, ...]
+
+
 class Embedder(Protocol):
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Raw (n, d) vectors, one row per text; :func:`embed_corpus` normalizes."""
+    def embed_many(self, texts: Sequence[Tokens]) -> np.ndarray:
+        """Raw (n, d) vectors, one row per token tuple; :func:`embed_corpus` normalizes."""
 
 
 def is_syntactic(category: str) -> bool:
@@ -50,13 +55,13 @@ def is_syntactic(category: str) -> bool:
 
 @dataclass(frozen=True)
 class AnalogyQuestion:
-    """A : B :: C : ? with a closed candidate list."""
+    """A : B :: C : ? with a closed candidate list; every text is a token tuple."""
 
     category: str
-    a: str
-    b: str
-    c: str
-    candidates: tuple[str, ...]
+    a: Tokens
+    b: Tokens
+    c: Tokens
+    candidates: tuple[Tokens, ...]
     answer_index: int
 
     def __post_init__(self):
@@ -102,15 +107,12 @@ class WordVectorEmbedder:
                 )
             self._vectors[token] = arr
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_many(self, texts: Sequence[Tokens]) -> np.ndarray:
         rows = []
-        for text in texts:
-            tokens = tokenize(text)
-            if not tokens:
-                raise ValueError(f"cannot embed empty text {text!r}")
+        for tokens in texts:
             known = [self._vectors[t] for t in sorted(tokens) if t in self._vectors]
             if not known:
-                raise ValueError(f"no known tokens in text {text!r}")
+                raise ValueError(f"no known tokens in text {' '.join(tokens)!r}")
             rows.append(np.mean(known, axis=0))
         return np.stack(rows)
 
@@ -118,7 +120,7 @@ class WordVectorEmbedder:
 class ModelEmbedder:
     """Embed texts with an encoder checkpoint and a pooling strategy.
 
-    Texts are tokenized with the supplied vocabulary, framed with the
+    Token tuples are encoded with the supplied vocabulary, framed with the
     sequence delimiters and truncated to fit the model's maximum length
     (with a warning).  Each distinct framed sequence is encoded and pooled
     once, in unpadded chunks of at most :data:`EMBED_BATCH` sequences of
@@ -144,10 +146,7 @@ class ModelEmbedder:
     def from_checkpoint(cls, path: str | Path, vocab: Vocabulary, pooling: str) -> "ModelEmbedder":
         return cls(load_checkpoint(path), vocab, pooling)
 
-    def _framed_ids(self, text: str) -> tuple[int, ...]:
-        tokens = tokenize(text)
-        if not tokens:
-            raise ValueError(f"cannot embed empty text {text!r}")
+    def _framed_ids(self, tokens: Tokens) -> tuple[int, ...]:
         ids = encode(tokens, self.vocab)
         limit = self.model.config.max_len - 2
         if len(ids) > limit:
@@ -158,7 +157,7 @@ class ModelEmbedder:
             ids = ids[:limit]
         return frame(ids)
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_many(self, texts: Sequence[Tokens]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
         # Sorted by length, so the groups' rows run through ``distinct`` in order.
         distinct = sorted(dict.fromkeys(framed), key=len)
@@ -270,12 +269,14 @@ def evaluate_analogy(
 # retrieval
 
 
-def embed_corpus(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
-    """One ``embed_many`` call, its rows unit-normalized."""
+def embed_corpus(texts: Sequence[Tokens], embedder: Embedder) -> np.ndarray:
+    """One ``embed_many`` call on token tuples, its rows unit-normalized."""
     if len(texts) == 0:
         raise ValueError("cannot embed an empty corpus")
-    for i, text in enumerate(texts):
-        if not tokenize(text):
+    for i, tokens in enumerate(texts):
+        if isinstance(tokens, str):
+            raise TypeError(f"text {i} is a string; pass a tuple of tokens")
+        if len(tokens) == 0:
             raise ValueError(f"cannot embed empty text at index {i}")
     rows = np.asarray(embedder.embed_many(texts), dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1)
@@ -285,56 +286,36 @@ def embed_corpus(texts: Sequence[str], embedder: Embedder) -> np.ndarray:
     return rows / norms[:, None]
 
 
-@lru_cache(maxsize=1)
-def _id_order(ids: tuple) -> np.ndarray:
-    """Positions of ``ids`` by ascending id, equal ids by position; kept for
-    the last id list, so a run of queries over one corpus sorts it once."""
-    order = np.argsort(np.array(ids), kind="stable")
-    order.flags.writeable = False
-    return order
+def _rank(scores: np.ndarray, ids: Sequence, k: int) -> list[list]:
+    """Per row of the (queries, documents) ``scores``, the first k ids by
+    descending score; ties break by ascending id.  The ids are sorted once,
+    then every row is ranked by one stable argsort against that order."""
+    by_id = np.argsort(np.array(ids), kind="stable")
+    top = by_id[np.argsort(-scores[:, by_id], axis=1, kind="stable")[:, :k]]
+    return [[ids[i] for i in row] for row in top.tolist()]
 
 
-def _rank(scores: np.ndarray, ids: Sequence, k: int) -> list:
-    """The first k ids by descending score; ties break by ascending id."""
-    by_id = _id_order(tuple(ids))
-    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
-    return [ids[i] for i in top]
-
-
-def corpus_norms(corpus_matrix: np.ndarray) -> np.ndarray:
-    """The row norms of ``corpus_matrix``, with 1 for a near-zero row: the
-    divisors that turn :func:`retrieve_topk`'s dot products into cosines.
-    Computed once, they serve every query over the corpus."""
-    row_norms = np.linalg.norm(corpus_matrix, axis=1)
-    return np.where(row_norms < _EPS, 1.0, row_norms)
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``'s rows divided by their norms; a near-zero row is divided by 1."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.where(norms < _EPS, 1.0, norms)
 
 
 def retrieve_topk(
-    query_vec: np.ndarray,
-    corpus_matrix: np.ndarray,
-    k: int,
-    ids: Sequence | None = None,
-    norms: np.ndarray | None = None,
-):
-    """Top-k corpus ids by cosine similarity; ties break by ascending id.
-
-    ``norms`` is :func:`corpus_norms` of ``corpus_matrix``, computed here
-    when not given.
-    """
-    n = corpus_matrix.shape[0]
+    queries: np.ndarray, corpus: np.ndarray, k: int, ids: Sequence | None = None
+) -> list[list]:
+    """Per row of the (Q, d) ``queries``, the top-k ids of the (N, d)
+    ``corpus`` by cosine similarity; ties break by ascending id.  Both sides
+    are normalized once and scored by one ``einsum``, not BLAS: OpenBLAS can
+    round two equal corpus rows differently by position, so rounding, not
+    the id, would break their tie."""
+    n = corpus.shape[0]
     if k > n:
         raise ValueError(f"k ({k}) exceeds corpus size ({n})")
-    if ids is None:
-        ids = list(range(n))
+    ids = range(n) if ids is None else ids
     if len(ids) != n:
         raise ValueError("ids length must match corpus size")
-    query_vec = np.asarray(query_vec, dtype=np.float64)
-    qnorm = float(np.linalg.norm(query_vec))
-    if qnorm >= _EPS:
-        query_vec = query_vec / qnorm
-    if norms is None:
-        norms = corpus_norms(corpus_matrix)
-    scores = (corpus_matrix @ query_vec) / norms
+    scores = np.einsum("qd,nd->qn", _unit_rows(queries), _unit_rows(corpus))
     return _rank(scores, ids, k)
 
 
@@ -428,8 +409,7 @@ def bm25_rank(
 ) -> list[list]:
     """Per query, the first ``k`` document ids (all of them if None) by BM25
     score; ties break by ascending id."""
-    scores = bm25_scores(queries, corpus_tokens)
-    return [_rank(row, ids, len(ids) if k is None else k) for row in scores]
+    return _rank(bm25_scores(queries, corpus_tokens), ids, len(ids) if k is None else k)
 
 
 # ---------------------------------------------------------------------------
@@ -443,55 +423,56 @@ def _split_tsv(line: str, n: int) -> list[str]:
     return parts
 
 
-def _require_tokens(*texts: str) -> None:
-    for text in texts:
-        if not tokenize(text):
-            raise ValueError(f"text {text!r} has no tokens")
+def _tokens(text: str) -> Tokens:
+    """``text`` tokenized; a text without tokens is rejected."""
+    tokens = tuple(tokenize(text))
+    if not tokens:
+        raise ValueError(f"text {text!r} has no tokens")
+    return tokens
 
 
 def read_analogy_file(path: str | Path) -> list[AnalogyQuestion]:
     """TSV rows: category, a, b, c, pipe-joined candidates, answer index; at least
-    one row, and every text must keep a token after :func:`tokenize`."""
+    one row, every text keeping a token after :func:`tokenize`, and the
+    candidates distinct after it.  Texts come back as token tuples."""
     def question(line: str) -> AnalogyQuestion:
-        category, a, b, c, candidates, answer = _split_tsv(line, 6)
-        candidates = tuple(candidates.split("|"))
-        _require_tokens(a, b, c, *candidates)
-        return AnalogyQuestion(category, a, b, c, candidates, int(answer))
+        category, *abc, candidates, answer = _split_tsv(line, 6)
+        return AnalogyQuestion(category, *map(_tokens, abc),
+                               tuple(map(_tokens, candidates.split("|"))), int(answer))
 
     return read_lines(path, question, what="questions")
 
 
-def read_retrieval_corpus(path: str | Path) -> list[tuple[str, str]]:
+def read_retrieval_corpus(path: str | Path) -> list[tuple[str, Tokens]]:
     """TSV rows: id, text; at least one row, no id twice, and every text must
-    keep a token after :func:`tokenize`."""
+    keep a token after :func:`tokenize`.  Rows come back as (id, tokens)."""
     seen = set()
 
-    def document(line: str) -> tuple[str, str]:
+    def document(line: str) -> tuple[str, Tokens]:
         doc_id, text = _split_tsv(line, 2)
         if doc_id in seen:
             raise ValueError(f"duplicate corpus id {doc_id!r}")
-        _require_tokens(text)
         seen.add(doc_id)
-        return doc_id, text
+        return doc_id, _tokens(text)
 
     return read_lines(path, document, what="documents")
 
 
-def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[str, frozenset]]:
+def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[Tokens, frozenset]]:
     """TSV rows: text, comma-joined gold ids; at least one row, every text
     keeping a token after :func:`tokenize`, and every gold set non-empty and
-    inside ``ids``."""
+    inside ``ids``.  Rows come back as (tokens, gold ids)."""
     known = set(ids)
 
-    def query(line: str) -> tuple[str, frozenset[str]]:
+    def query(line: str) -> tuple[Tokens, frozenset[str]]:
         text, gold = _split_tsv(line, 2)
-        _require_tokens(text)
+        tokens = _tokens(text)
         gold = frozenset(filter(None, gold.split(",")))
         if not gold:
             raise ValueError("missing gold set")
         if not gold <= known:
             raise ValueError(f"unknown gold ids {sorted(gold - known)}")
-        return text, gold
+        return tokens, gold
 
     return read_lines(path, query, what="queries")
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ulrlab.evaluation import AnalogyQuestion
 from ulrlab.training import _misad_with_grads
 
 
@@ -11,10 +12,18 @@ def misad_loss(e_w, e_r, e_s) -> float:
     return _misad_with_grads(*stacks, 1.0)[0]
 
 
+def analogy_question(category, a, b, c, candidates, answer_index) -> AnalogyQuestion:
+    """An ``AnalogyQuestion`` from whitespace-separated texts, split into token tuples."""
+    a, b, c = (tuple(text.split()) for text in (a, b, c))
+    candidates = tuple(tuple(text.split()) for text in candidates)
+    return AnalogyQuestion(category, a, b, c, candidates, answer_index)
+
+
 def write_analogy_file(questions, path) -> None:
     """TSV rows in the format ``read_analogy_file`` reads."""
     lines = [
-        "\t".join([q.category, q.a, q.b, q.c, "|".join(q.candidates), str(q.answer_index)])
+        "\t".join([q.category, *map(" ".join, (q.a, q.b, q.c)),
+                   "|".join(map(" ".join, q.candidates)), str(q.answer_index)])
         for q in questions
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -155,13 +155,14 @@ def oracle_gelu(x):
 
 
 def oracle_rank(query_vec, corpus_matrix):
-    """Exhaustive-sort retrieval ranking by cosine, ties by ascending id."""
+    """Exhaustive-sort retrieval ranking by cosine, ties by ascending id; an
+    all-zero vector has cosine 0 with everything."""
     cosines = []
     qnorm = math.sqrt(sum(float(x) * float(x) for x in query_vec))
     for row in corpus_matrix:
         dot = sum(float(q) * float(d) for q, d in zip(query_vec, row))
         dnorm = math.sqrt(sum(float(d) * float(d) for d in row))
-        cosines.append(dot / (qnorm * dnorm))
+        cosines.append(dot / (qnorm * dnorm) if qnorm and dnorm else 0.0)
     return sorted(range(len(corpus_matrix)), key=lambda i: (-cosines[i], i))
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import misad_loss
+from helpers import analogy_question, misad_loss
 from oracles import (
     oracle_answer,
     oracle_mark,
@@ -304,14 +304,14 @@ class _TableEmbedder:
 def test_criterion_evaluation_oracles(capsys):
     rng = np.random.default_rng(3)
     words = [f"w{i:02d}" for i in range(60)]
-    table = {w: rng.normal(size=8) for w in words}
+    table = {(w,): rng.normal(size=8) for w in words}
     embedder = _TableEmbedder(table)
 
     questions = []
     for _ in range(1000):
         picks = rng.choice(60, size=8, replace=False)
-        a, b, c = (words[i] for i in picks[:3])
-        candidates = tuple(words[i] for i in picks[3:])
+        a, b, c = ((words[i],) for i in picks[:3])
+        candidates = tuple((words[i],) for i in picks[3:])
         questions.append(AnalogyQuestion(
             category="t", a=a, b=b, c=c, candidates=candidates, answer_index=0
         ))
@@ -322,12 +322,9 @@ def test_criterion_evaluation_oracles(capsys):
     assert mismatches == 0
 
     matrix = rng.normal(size=(80, 8))
-    queries = [rng.normal(size=8) for _ in range(500)]
-    rankings = []
-    for q in queries:
-        ranking = retrieve_topk(q, matrix, k=80)
-        assert ranking == oracle_rank(q, matrix)
-        rankings.append(ranking)
+    queries = rng.normal(size=(500, 8))
+    rankings = retrieve_topk(queries, matrix, k=80)
+    assert rankings == [oracle_rank(q, matrix) for q in queries]
 
     gold_sets = [
         frozenset(int(g) for g in rng.choice(80, size=int(rng.integers(1, 3)),
@@ -448,7 +445,7 @@ def _scrambled_questions(qrng, n):
         order = qrng.permutation(5)
         cands = [cands[i] for i in order]
         questions.append(
-            AnalogyQuestion(
+            analogy_question(
                 category="unit-analogy",
                 a=f"{_unit_text(x)} {_unit_text(p)}",
                 b=f"{_unit_text(x)} {_unit_text(q)}",

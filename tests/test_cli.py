@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import ulrlab
-from helpers import write_analogy_file, write_word_vectors
+from ulrlab import cli, evaluation
+from helpers import analogy_question, write_analogy_file, write_word_vectors
 from ulrlab.cli import (
     COMMAND_SETTINGS,
     _int_or_none,
@@ -20,9 +21,9 @@ from ulrlab.cli import (
     parse_config_file,
     resolve_config,
 )
-from ulrlab.corpus import Vocabulary
+from ulrlab.corpus import Vocabulary, tokenize
 from ulrlab.encoder import load_checkpoint
-from ulrlab.evaluation import AnalogyQuestion, ModelEmbedder, embed_corpus
+from ulrlab.evaluation import ModelEmbedder, embed_corpus
 
 CORPUS_LINES = [
     "red fox jumps over the lazy dog",
@@ -440,10 +441,10 @@ class TestEvalAnalogy:
         vec_path = tmp_path / "vectors.txt"
         write_word_vectors(vectors, vec_path)
         questions = [
-            AnalogyQuestion("capital-common", "alpha", "beta", "gamma",
-                            ("delta", "noise1", "noise2"), 0),
-            AnalogyQuestion("gram1-adj", "alpha", "beta", "gamma",
-                            ("noise1", "delta"), 1),
+            analogy_question("capital-common", "alpha", "beta", "gamma",
+                             ("delta", "noise1", "noise2"), 0),
+            analogy_question("gram1-adj", "alpha", "beta", "gamma",
+                             ("noise1", "delta"), 1),
         ]
         q_path = tmp_path / "questions.tsv"
         write_analogy_file(questions, q_path)
@@ -486,6 +487,16 @@ class TestEvalAnalogy:
         assert code == 1
         assert stdout == ""
         assert stderr.endswith("error: --checkpoint is not used with --vectors\n")
+
+    def test_vocab_with_vectors_rejected(self, capsys, oracle_files, tmp_path):
+        vec_path, q_path = oracle_files
+        code, stdout, stderr = run(capsys, [
+            "eval-analogy", "--dataset", str(q_path), "--vectors", str(vec_path),
+            "--vocab", str(tmp_path / "missing.vocab"),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert stderr.endswith("error: --vocab is not used with --vectors\n")
 
     def test_dataset_without_questions_is_named(self, capsys, oracle_files, tmp_path):
         vec_path, _ = oracle_files
@@ -616,11 +627,11 @@ class TestEvalRetrieval:
         assert stderr.endswith(f"error: {queries_path}: no queries\n")
 
     @pytest.mark.parametrize("backend, unused", [
-        ("model", "vectors"), ("vectors", "checkpoint"),
-        ("bm25", "vectors"), ("bm25", "checkpoint"),
+        ("model", "vectors"), ("vectors", "checkpoint"), ("vectors", "vocab"),
+        ("bm25", "vectors"), ("bm25", "checkpoint"), ("bm25", "vocab"),
     ])
     def test_source_the_backend_does_not_use_rejected(
-        self, capsys, retrieval_files, trained, extracted, backend, unused
+        self, capsys, retrieval_files, trained, extracted, tmp_path, backend, unused
     ):
         vec_path, corpus_path, queries_path = retrieval_files
         sources = {
@@ -628,6 +639,7 @@ class TestEvalRetrieval:
             "checkpoint": [
                 "--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"]),
             ],
+            "vocab": ["--vocab", str(tmp_path / "missing.vocab")],
         }
         code, stdout, stderr = run(capsys, [
             "eval-retrieval", "--backend", backend,
@@ -772,7 +784,8 @@ class TestEmbed:
         )
         vocab = Vocabulary.load(extracted["vocab"])
         embedder = ModelEmbedder.from_checkpoint(trained["ckpt"], vocab, pooling="mean")
-        want = embed_corpus(texts_file.read_text().splitlines(), embedder)
+        texts = [tuple(tokenize(line)) for line in texts_file.read_text().splitlines()]
+        want = embed_corpus(texts, embedder)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_out_flag_writes_file(self, capsys, trained, extracted, texts_file, tmp_path):
@@ -853,6 +866,47 @@ class TestEmbed:
             ])
 
 
+def test_each_text_is_tokenized_once(capsys, monkeypatch, trained, extracted, tmp_path):
+    # The reader that checks a text tokenizes it, and nothing after it does.
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(evaluation, "tokenize", counting_tokenize)
+    monkeypatch.setattr(cli, "tokenize", counting_tokenize)
+    corpus_path = tmp_path / "c.tsv"
+    corpus_path.write_text("d0\tred fox jumps\n\nd1\tblue bird sings\nd2\tthe lazy dog\n")
+    queries_path = tmp_path / "q.tsv"
+    queries_path.write_text("blue bird\td1\n  \nred fox!\td0,d2\n")
+    vec_path = tmp_path / "vectors.txt"
+    words = "red fox jumps blue bird sings the lazy dog".split()
+    write_word_vectors({w: np.eye(len(words))[i] for i, w in enumerate(words)}, vec_path)
+    analogy_path = tmp_path / "analogy.tsv"
+    write_analogy_file(
+        [analogy_question("capital-common", "red", "fox", "blue", ("bird", "lazy dog"), 0)] * 2,
+        analogy_path,
+    )
+    texts_path = tmp_path / "texts.txt"
+    texts_path.write_text("red fox jumps\nblue bird sings\nred fox jumps\n")
+    model = ["--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"])]
+    retrieval = ["eval-retrieval", "--corpus", str(corpus_path), "--queries", str(queries_path)]
+    runs = [  # (argv, non-blank lines or analogy fields)
+        ([*retrieval, "--backend", "bm25"], 5),
+        ([*retrieval, "--backend", "bm25", "--group-by-length", "2"], 5),
+        ([*retrieval, "--backend", "vectors", "--vectors", str(vec_path)], 5),
+        ([*retrieval, "--backend", "model", *model], 5),
+        (["eval-analogy", "--dataset", str(analogy_path), *model], 10),
+        (["embed", *model, "--texts", str(texts_path)], 3),
+    ]
+    for argv, n_texts in runs:
+        calls.clear()
+        code, _, stderr = run(capsys, argv)
+        assert code == 0, stderr
+        assert len(calls) == n_texts, argv
+
+
 def test_no_command_imports_scipy(workspace, tmp_path):
     # numpy is the only runtime dependency, and the encoder's tanh GELU
     # needs no special functions; importing scipy.special would cost every
@@ -865,7 +919,7 @@ def test_no_command_imports_scipy(workspace, tmp_path):
     texts_path.write_text("red fox jumps\nblue bird sings\n")
     analogy_path = tmp_path / "analogy.tsv"
     write_analogy_file(
-        [AnalogyQuestion("capital-common", "red", "fox", "blue", ("bird", "dog"), 0)],
+        [analogy_question("capital-common", "red", "fox", "blue", ("bird", "dog"), 0)],
         analogy_path,
     )
     table, ckpt = tmp_path / "t.tsv", tmp_path / "m.ckpt"

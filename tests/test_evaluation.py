@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_analogy_file, write_word_vectors
-from oracles import oracle_bm25
+from helpers import analogy_question, write_analogy_file, write_word_vectors
+from oracles import oracle_bm25, oracle_rank
 from ulrlab import evaluation
 from ulrlab.corpus import PAD_ID, build_vocabulary
 from ulrlab.encoder import POOLING_STRATEGIES, EncoderConfig, Model, save_checkpoint
@@ -23,7 +23,6 @@ from ulrlab.evaluation import (
     answer_analogies,
     bm25_rank,
     bm25_scores,
-    corpus_norms,
     embed_corpus,
     evaluate_analogy,
     is_syntactic,
@@ -38,10 +37,10 @@ from ulrlab.evaluation import (
 
 
 class DictEmbedder:
-    """Test double: whole texts map straight to fixed vectors."""
+    """Test double: each text, keyed by its whitespace-split tokens, maps to a fixed vector."""
 
     def __init__(self, table):
-        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
+        self.table = {tuple(k.split()): np.asarray(v, dtype=float) for k, v in table.items()}
 
     def embed_many(self, texts):
         return np.stack([self.table[text] for text in texts])
@@ -80,15 +79,15 @@ def oracle_answer(question, embedder):
 class TestAnalogyQuestion:
     def test_rejects_duplicate_candidates(self):
         with pytest.raises(ValueError, match="distinct"):
-            AnalogyQuestion("cat", "a", "b", "c", ("x", "x"), 0)
+            analogy_question("cat", "a", "b", "c", ("x", "x"), 0)
 
     def test_rejects_bad_answer_index(self):
         with pytest.raises(ValueError, match="answer_index"):
-            AnalogyQuestion("cat", "a", "b", "c", ("x", "y"), 2)
+            analogy_question("cat", "a", "b", "c", ("x", "y"), 2)
 
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError, match="non-empty"):
-            AnalogyQuestion("cat", "a", "b", "c", (), 0)
+            analogy_question("cat", "a", "b", "c", (), 0)
 
 
 class TestIsSyntactic:
@@ -115,7 +114,7 @@ class TestAnswerAnalogy:
                 "car": (0.0, 0.0, 1.0),
             }
         )
-        q = AnalogyQuestion(
+        q = analogy_question(
             "male-female", "boy", "girl", "brother", ("sister", "dog", "car"), 0
         )
         assert answer_analogy(q, emb) == 0
@@ -126,7 +125,7 @@ class TestAnswerAnalogy:
             {"a": e[0], "b": e[1], "c": e[2], "good": e[2] + e[1] - e[0], "bad": e[3]}
         )
         # target = c + b - a exactly equals the gold candidate.
-        q = AnalogyQuestion("t", "a", "b", "c", ("bad", "good"), 1)
+        q = analogy_question("t", "a", "b", "c", ("bad", "good"), 1)
         assert answer_analogy(q, emb) == 1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -135,7 +134,7 @@ class TestAnswerAnalogy:
              "d1": (0.0, 2.0), "d2": (0.0, 3.0), "d3": (1.0, 0.0)}
         )
         # d1 and d2 normalize to the same vector: identical cosines.
-        q = AnalogyQuestion("t", "a", "b", "c", ("d3", "d1", "d2"), 1)
+        q = analogy_question("t", "a", "b", "c", ("d3", "d1", "d2"), 1)
         assert answer_analogy(q, emb) == 1
 
     def test_zero_target_warns_and_returns_zero(self):
@@ -148,7 +147,7 @@ class TestAnswerAnalogy:
                 "d2": (1.0, 1.0),
             }
         )
-        q = AnalogyQuestion("t", "a", "b", "c", ("d2", "d1"), 0)
+        q = analogy_question("t", "a", "b", "c", ("d2", "d1"), 0)
         with pytest.warns(UserWarning, match="degenerate zero target"):
             assert answer_analogy(q, emb) == 0
 
@@ -160,7 +159,7 @@ class TestAnswerAnalogy:
         for _ in range(200):
             picks = rng.choice(40, size=8, replace=False)
             a, b, c, *cands = (vocab[i] for i in picks)
-            qs.append(AnalogyQuestion("t", a, b, c, tuple(cands), 0))
+            qs.append(analogy_question("t", a, b, c, tuple(cands), 0))
         assert answer_analogies(qs, emb) == [oracle_answer(q, emb) for q in qs]
 
 
@@ -175,9 +174,9 @@ class TestEvaluateAnalogy:
             }
         )
         qs = [
-            AnalogyQuestion("capital-common", "a", "b", "c", ("gold", "x1", "x2"), 0),
-            AnalogyQuestion("capital-common", "a", "b", "c", ("x1", "gold", "x2"), 1),
-            AnalogyQuestion("gram1-adj", "a", "b", "c", ("x2", "x3", "gold"), 2),
+            analogy_question("capital-common", "a", "b", "c", ("gold", "x1", "x2"), 0),
+            analogy_question("capital-common", "a", "b", "c", ("x1", "gold", "x2"), 1),
+            analogy_question("gram1-adj", "a", "b", "c", ("x2", "x3", "gold"), 2),
         ]
         return qs, emb
 
@@ -197,7 +196,7 @@ class TestEvaluateAnalogy:
             picks = rng.choice(30, size=7, replace=False)
             a, b, c, *cands = (vocab[j] for j in picks)
             cat = ["capital-common", "male-female", "gram2-opposite"][i % 3]
-            qs.append(AnalogyQuestion(cat, a, b, c, tuple(cands), int(rng.integers(4))))
+            qs.append(analogy_question(cat, a, b, c, tuple(cands), int(rng.integers(4))))
         report = evaluate_analogy(qs, emb)
         manual = {}
         for q in qs:
@@ -216,7 +215,7 @@ class TestEvaluateAnalogy:
         for _ in range(1000):
             picks = rng.choice(50, size=8, replace=False)
             a, b, c, *cands = (vocab[j] for j in picks)
-            qs.append(AnalogyQuestion("t", a, b, c, tuple(cands), int(rng.integers(5))))
+            qs.append(analogy_question("t", a, b, c, tuple(cands), int(rng.integers(5))))
         acc = evaluate_analogy(qs, emb).per_category["t"].accuracy
         sigma = math.sqrt(0.2 * 0.8 / 1000)
         assert abs(acc - 0.2) < 4 * sigma
@@ -245,7 +244,7 @@ class TestEvaluateAnalogy:
 class TestWordVectorEmbedder:
     def test_averages_known_tokens(self):
         emb = WordVectorEmbedder({"red": (1.0, 0.0), "fox": (0.0, 1.0)})
-        got = embed_corpus(["the red fox"], emb)[0]  # "the" unknown, skipped
+        got = embed_corpus([("the", "red", "fox")], emb)[0]  # "the" unknown, skipped
         np.testing.assert_allclose(got, np.array([1.0, 1.0]) / math.sqrt(2))
 
     def test_word_order_does_not_change_bits(self):
@@ -255,25 +254,25 @@ class TestWordVectorEmbedder:
             "big": (1e16, 0.0), "neg": (-1e16, 0.0), "one": (1.0, 1.0),
             "x": (1.0, 0.0), "x2": (1.0, 0.0), "y": (0.0, 1.0),
         })
-        rows = emb.embed_many(["big neg one", "big one neg", "one neg big"])
+        rows = emb.embed_many([("big", "neg", "one"), ("big", "one", "neg"), ("one", "neg", "big")])
         assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
         # The same bag gives the same cosine, so the tie goes to the lowest index.
-        q = AnalogyQuestion("t", "x", "y", "x2", ("big neg one", "big one neg"), 0)
+        q = analogy_question("t", "x", "y", "x2", ("big neg one", "big one neg"), 0)
         assert answer_analogy(q, emb) == 0
 
     def test_unit_norm_output(self):
         emb = WordVectorEmbedder({"a": (3.0, 4.0)})
-        assert np.linalg.norm(embed_corpus(["a"], emb)[0]) == pytest.approx(1.0)
+        assert np.linalg.norm(embed_corpus([("a",)], emb)[0]) == pytest.approx(1.0)
 
     def test_empty_text_rejected(self):
         emb = WordVectorEmbedder({"a": (1.0, 0.0)})
-        with pytest.raises(ValueError, match="empty text"):
-            emb.embed_many(["   "])
+        with pytest.raises(ValueError, match="no known tokens"):
+            emb.embed_many([()])
 
     def test_no_known_tokens_rejected(self):
         emb = WordVectorEmbedder({"a": (1.0, 0.0)})
         with pytest.raises(ValueError, match="no known tokens"):
-            emb.embed_many(["b c d"])
+            emb.embed_many([("b", "c", "d")])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -308,30 +307,25 @@ def wide_model():
 class TestModelEmbedder:
     def test_unit_norm_and_determinism(self, model_embedder):
         emb, tokens = model_embedder
-        v1 = embed_corpus(["t0 t1 t2"], emb)[0]
-        v2 = embed_corpus(["t0 t1 t2"], emb)[0]
+        v1 = embed_corpus([("t0", "t1", "t2")], emb)[0]
+        v2 = embed_corpus([("t0", "t1", "t2")], emb)[0]
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
         assert np.array_equal(v1, v2)
 
     def test_batch_matches_singletons(self, model_embedder):
         emb, tokens = model_embedder
-        texts = ["t0 t1", "t2 t3 t4 t5", "t6"]
+        texts = [("t0", "t1"), ("t2", "t3", "t4", "t5"), ("t6",)]
         batch = emb.embed_many(texts)
         for i, t in enumerate(texts):
             assert np.array_equal(batch[i], emb.embed_many([t])[0])
 
     def test_truncation_warns(self, model_embedder):
         emb, tokens = model_embedder
-        long_text = " ".join(tokens[0:1] * 40)
+        long_text = tuple(tokens[0:1] * 40)
         with pytest.warns(UserWarning, match="truncating"):
             vec = embed_corpus([long_text], emb)[0]
-        want = embed_corpus([" ".join(tokens[0:1] * 14)], emb)[0]
+        want = embed_corpus([tuple(tokens[0:1] * 14)], emb)[0]
         assert np.array_equal(vec, want)
-
-    def test_empty_text_rejected(self, model_embedder):
-        emb, _ = model_embedder
-        with pytest.raises(ValueError, match="empty text"):
-            emb.embed_many([""])
 
     def test_unknown_pooling_rejected(self, model_embedder):
         emb, _ = model_embedder
@@ -350,7 +344,7 @@ class TestModelEmbedder:
         base, tokens = model_embedder
         emb = ModelEmbedder(base.model, base.vocab, pooling=pooling)
         rng = np.random.default_rng(seed)
-        texts = [" ".join(rng.choice(tokens, size=n)) for n in lengths]
+        texts = [tuple(rng.choice(tokens, size=n).tolist()) for n in lengths]
         limit = emb.model.config.max_len - 2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -365,7 +359,7 @@ class TestModelEmbedder:
         pooling=st.sampled_from(POOLING_STRATEGIES),
         texts=st.lists(
             st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), min_size=1, max_size=40)
-            .map(" ".join),
+            .map(tuple),
             min_size=1, max_size=2 * EMBED_BATCH + 3,
         ),
         data=st.data(),
@@ -393,7 +387,7 @@ class TestModelEmbedder:
         monkeypatch.setattr(evaluation, "forward", counting_forward)
         n_distinct = {2: 3, 5: EMBED_BATCH + 1, 9: 2 * EMBED_BATCH}  # tokens: texts
         texts = [
-            " ".join(tokens[i // len(tokens) ** j % len(tokens)] for j in range(n))
+            tuple(tokens[i // len(tokens) ** j % len(tokens)] for j in range(n))
             for n, count in n_distinct.items() for i in range(count)
         ]
         texts += texts[::3]
@@ -407,21 +401,27 @@ class TestModelEmbedder:
 class TestEmbedCorpus:
     def test_rows_match_embedder(self):
         emb = WordVectorEmbedder({"a": (1.0, 2.0), "b": (0.0, 1.0)})
-        mat = embed_corpus(["a", "b", "a b"], emb)
+        mat = embed_corpus([("a",), ("b",), ("a", "b")], emb)
         assert mat.shape == (3, 2)
-        raw = emb.embed_many(["a"])[0]
+        raw = emb.embed_many([("a",)])[0]
         np.testing.assert_allclose(mat[0], raw / np.linalg.norm(raw))
         np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
 
     def test_identical_texts_identical_rows(self):
         emb = WordVectorEmbedder({"a": (1.0, 2.0)})
-        mat = embed_corpus(["a", "a"], emb)
+        mat = embed_corpus([("a",), ("a",)], emb)
         assert np.array_equal(mat[0], mat[1])
 
     def test_empty_text_names_index(self):
         emb = WordVectorEmbedder({"a": (1.0, 2.0)})
         with pytest.raises(ValueError, match="index 1"):
-            embed_corpus(["a", "  ", "a"], emb)
+            embed_corpus([("a",), (), ("a",)], emb)
+
+    def test_string_text_rejected(self):
+        # A string is a sequence of one-letter tokens: "ab" would embed as "a", "b".
+        emb = WordVectorEmbedder({"a": (1.0, 2.0), "b": (0.0, 1.0)})
+        with pytest.raises(TypeError, match="text 1 is a string"):
+            embed_corpus([("a",), "ab"], emb)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -430,7 +430,7 @@ class TestEmbedCorpus:
     def test_degenerate_row_names_index(self):
         emb = WordVectorEmbedder({"a": (1.0, 2.0), "z": (0.0, 0.0)})
         with pytest.raises(ValueError, match="degenerate embedding .*index 1"):
-            embed_corpus(["a", "z"], emb)
+            embed_corpus([("a",), ("z",)], emb)
 
 
 class TestRetrieveTopk:
@@ -438,73 +438,91 @@ class TestRetrieveTopk:
         rng = np.random.default_rng(1)
         mat = rng.normal(size=(20, 8))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-        for i in range(20):
-            assert retrieve_topk(mat[i], mat, 1) == [i]
+        assert retrieve_topk(mat, mat, 1) == [[i] for i in range(20)]
 
     def test_zero_scores_fall_back_to_id_order(self):
         corpus = np.eye(4)[:3]  # three orthogonal docs
-        query = np.array([0.0, 0.0, 0.0, 1.0])  # orthogonal to all
-        assert retrieve_topk(query, corpus, 3) == [0, 1, 2]
+        query = np.array([[0.0, 0.0, 0.0, 1.0]])  # orthogonal to all
+        assert retrieve_topk(query, corpus, 3) == [[0, 1, 2]]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(30, 6))
-        for _ in range(100):
-            q = rng.normal(size=6)
-            got = retrieve_topk(q, mat, 30)
+        queries = rng.normal(size=(100, 6))
+        got = retrieve_topk(queries, mat, 30)
+        want = []
+        for q in queries:
             # Independent oracle via per-document cosine and stable sort.
             cosines = []
             for i in range(30):
                 dot = float(np.dot(q, mat[i]))
                 cos = dot / (np.linalg.norm(q) * np.linalg.norm(mat[i]))
                 cosines.append(cos)
-            want = sorted(range(30), key=lambda i: (-cosines[i], i))
-            assert got == pytest.approx(want)
+            want.append(sorted(range(30), key=lambda i: (-cosines[i], i)))
+        assert got == want
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(15, 4))
-        q = rng.normal(size=4)
-        full = retrieve_topk(q, mat, 15)
+        queries = rng.normal(size=(3, 4))
+        full = retrieve_topk(queries, mat, 15)
         for k in (1, 5, 10):
-            assert retrieve_topk(q, mat, k) == full[:k]
-
-    def test_given_norms_change_no_ranking(self):
-        rng = np.random.default_rng(4)
-        mat = rng.normal(size=(25, 6))
-        mat[3] = 0.0  # a degenerate row divides by 1
-        norms = corpus_norms(mat)
-        for _ in range(50):
-            q = rng.normal(size=6)
-            assert retrieve_topk(q, mat, 25, norms=norms) == retrieve_topk(q, mat, 25)
-
-    def test_string_ids(self):
-        mat = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = retrieve_topk(np.array([1.0, 0.1]), mat, 2, ids=["doc-a", "doc-b"])
-        assert got == ["doc-a", "doc-b"]
-
-    def test_k_too_large_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            retrieve_topk(np.ones(2), np.ones((3, 2)), 4)
-
-
-class TestTieOrder:
-    """Ranking sorts an id list once, then ranks each query's scores against it."""
+            assert retrieve_topk(queries, mat, k) == [row[:k] for row in full]
 
     @settings(max_examples=200, deadline=None)
     @given(
-        scores=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]), min_size=1, max_size=30),
+        n_queries=st.integers(1, 5),
+        n_rows=st.integers(1, 12),
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
         string_ids=st.booleans(),
         data=st.data(),
     )
-    def test_first_k_of_lexsort_order(self, scores, string_ids, data):
-        n = len(scores)
+    def test_matches_oracle_rank(self, n_queries, n_rows, d, seed, string_ids, data):
+        # Rows are drawn with repeats from n_rows random rows and one all-zero row.
+        rng = np.random.default_rng(seed)
+        rows = np.vstack([rng.normal(size=(n_rows, d)), np.zeros((1, d))])
+
+        def draw_matrix(height):
+            picks = st.lists(st.integers(0, n_rows), min_size=height, max_size=height)
+            return rows[data.draw(picks)]
+
+        queries = draw_matrix(n_queries)
+        corpus = draw_matrix(data.draw(st.integers(1, 3 * n_rows)))
+        n = len(corpus)
+        ids = [f"d{i:02d}" for i in range(n)] if string_ids else list(range(n))
+        k = data.draw(st.integers(1, n))
+        want = [[ids[i] for i in oracle_rank(q, corpus)[:k]] for q in queries]
+        assert retrieve_topk(queries, corpus, k, ids=ids) == want
+
+    def test_string_ids(self):
+        mat = np.array([[1.0, 0.0], [0.0, 1.0]])
+        got = retrieve_topk(np.array([[1.0, 0.1]]), mat, 2, ids=["doc-a", "doc-b"])
+        assert got == [["doc-a", "doc-b"]]
+
+    def test_k_too_large_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            retrieve_topk(np.ones((1, 2)), np.ones((3, 2)), 4)
+
+
+class TestTieOrder:
+    """Ranking sorts an id list once, then ranks every query's scores against it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        n_queries=st.integers(1, 4),
+        string_ids=st.booleans(),
+        data=st.data(),
+    )
+    def test_first_k_of_lexsort_order(self, n, n_queries, string_ids, data):
+        row = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]), min_size=n, max_size=n)
+        scores = np.array(data.draw(st.lists(row, min_size=n_queries, max_size=n_queries)))
         ids = data.draw(st.permutations(range(n)))
         if string_ids:  # "d10" sorts before "d2"
             ids = [f"d{i}" for i in ids]
         k = data.draw(st.integers(1, n))
-        scores = np.array(scores)
-        want = [ids[i] for i in np.lexsort((np.array(ids), -scores))[:k]]
+        want = [[ids[i] for i in np.lexsort((np.array(ids), -row))[:k]] for row in scores]
         assert _rank(scores, ids, k) == want
         assert _rank(scores, tuple(ids), k) == want
 
@@ -637,7 +655,7 @@ class TestRetrievalSet:
         ids = [doc_id for doc_id, _ in read_retrieval_corpus(cpath)]
         qpath = tmp_path / "queries.tsv"
         qpath.write_text("alpha?\td0\n")
-        assert read_retrieval_queries(qpath, ids) == [("alpha?", frozenset({"d0"}))]
+        assert read_retrieval_queries(qpath, ids) == [(("alpha",), frozenset({"d0"}))]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "docs.tsv"
@@ -671,8 +689,8 @@ class TestRetrievalSet:
 class TestFileFormats:
     def test_analogy_roundtrip(self, tmp_path):
         qs = [
-            AnalogyQuestion("cap", "athens greece", "b", "c", ("x", "y z"), 1),
-            AnalogyQuestion("gram1", "a", "b", "c", ("p", "q", "r"), 0),
+            analogy_question("cap", "athens greece", "b", "c", ("x", "y z"), 1),
+            analogy_question("gram1", "a", "b", "c", ("p", "q", "r"), 0),
         ]
         path = tmp_path / "qs.tsv"
         write_analogy_file(qs, path)
@@ -698,14 +716,23 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=r"an\.tsv:1: text .* has no tokens"):
             read_analogy_file(path)
 
+    def test_analogy_candidates_equal_after_tokenizing_rejected(self, tmp_path):
+        # Such candidates embed identically, so the tie rule would decide the question.
+        path = tmp_path / "an.tsv"
+        path.write_text("cat\ta\tb\tc\tx|y\t0\ncat\tred\tfox\tblue\tRed fox|red fox!\t0\n")
+        with pytest.raises(ValueError, match=r"an\.tsv:2: candidates must be distinct"):
+            read_analogy_file(path)
+
     def test_retrieval_files(self, tmp_path):
         cpath = tmp_path / "corpus.tsv"
         cpath.write_text("d0\talpha beta\n\nd1\tgamma\n")
-        assert read_retrieval_corpus(cpath) == [("d0", "alpha beta"), ("d1", "gamma")]
+        assert read_retrieval_corpus(cpath) == [("d0", ("alpha", "beta")), ("d1", ("gamma",))]
         qpath = tmp_path / "queries.tsv"
         qpath.write_text("alpha?\td0,d1\ngamma?\td1\n")
         got = read_retrieval_queries(qpath, ["d0", "d1"])
-        assert got == [("alpha?", frozenset({"d0", "d1"})), ("gamma?", frozenset({"d1"}))]
+        assert got == [
+            (("alpha",), frozenset({"d0", "d1"})), (("gamma",), frozenset({"d1"})),
+        ]
 
     def test_word_vectors_roundtrip(self, tmp_path):
         vecs = {"red": np.array([0.5, -0.25]), "fox": np.array([1.0, 2.0])}

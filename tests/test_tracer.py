@@ -70,3 +70,17 @@ def test_traced_train_and_embed(tmp_path):
     embed = traced_spans(tmp_path, "embed", "--checkpoint", ckpt, "--vocab", vocab,
                               "--texts", texts, "--out", tmp_path / "e.txt")
     assert "evaluation.embed" in [name for name, *_ in embed]
+    docs, queries = tmp_path / "docs.tsv", tmp_path / "queries.tsv"
+    docs.write_text("d0\tred fox jumps\nd1\tblue bird sings\nd2\tthe lazy dog\n")
+    queries.write_text("red fox\td0\nold tree\td1,d2\n")
+    retrieval = traced_spans(tmp_path, "eval-retrieval", "--backend", "model",
+                             "--checkpoint", ckpt, "--vocab", vocab, "--corpus", docs,
+                             "--queries", queries, "--ks", "1,2")
+    names = [name for name, *_ in retrieval]
+    assert names.count("evaluation.dense_rank") == 1
+    # The tracer wraps ``ulrlab.corpus.tokenize`` before ``ulrlab.evaluation``
+    # imports it, and then wraps that import again: each call records a
+    # span inside a second one.  Count the outer spans.
+    tokenized = [name for name, _, _, parent, _ in retrieval
+                 if name == "corpus.tokenize" and retrieval[parent][0] != name]
+    assert len(tokenized) == 5  # one per corpus and query line
