@@ -14,12 +14,14 @@ artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 from .corpus import (
+    NUM_SPECIALS,
     Vocabulary,
     atomic_open,
     build_vocabulary,
@@ -224,6 +226,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
+    for flag, key, least in (("--n-max", "n_max", 2), ("--top-k", "per_doc_top_k", 1),
+                             ("--min-count", "min_count", 1),
+                             ("--max-size", "max_size", NUM_SPECIALS + 1)):
+        if cfg[key] is not None and cfg[key] < least:
+            raise CliError(f"{flag} must be >= {least}, got {cfg[key]}")
+    if math.isnan(cfg["pmi_threshold"]):
+        raise CliError("--threshold must be a number, got nan")
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(tokens, vocab) for tokens in docs]

@@ -8,6 +8,7 @@ and evaluation items stay interpretable.
 
 from __future__ import annotations
 
+import itertools
 import os
 import string
 from collections import Counter
@@ -198,4 +199,4 @@ def build_vocabulary(
 
 def encode(tokens: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:
     """Map tokens to ids; unknown tokens map to UNK.  Length-preserving."""
-    return tuple(vocab.id_of(t) for t in tokens)
+    return tuple(map(vocab._token_to_id.get, tokens, itertools.repeat(UNK_ID)))

@@ -77,14 +77,19 @@ def _tuples(grams: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(row[:n]) for row, n in zip(grams.tolist(), _lengths(grams).tolist())]
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of an int array and each value's index among them,
+    found by a bincount unless it would outgrow the input."""
+    if values.min(initial=0) < 0 or values.max(initial=0) > 4 * len(values):
+        return np.unique(values, return_inverse=True)
+    seen = np.bincount(values) > 0
+    return np.flatnonzero(seen), np.cumsum(seen)[values] - 1
+
+
 def _exact_log(values: np.ndarray) -> np.ndarray:
     """``math.log`` of each positive integer (``np.log`` may differ in the last bit),
-    once per distinct value, found by a bincount unless it would outgrow the input."""
-    if values.max(initial=0) > 4 * len(values):
-        distinct, inverse = np.unique(values, return_inverse=True)
-    else:
-        seen = np.bincount(values) > 0
-        distinct, inverse = np.flatnonzero(seen), np.cumsum(seen)[values] - 1
+    once per distinct value."""
+    distinct, inverse = _distinct(values)
     return np.array([math.log(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
@@ -145,9 +150,12 @@ def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCoun
 
 @dataclass(frozen=True, eq=False)
 class NgramTable:
-    """Scored n-gram inventory, one row per entry, in the canonical order:
-    NaN scores (entities unseen in the corpus) first, then pmi descending,
-    count descending, ids ascending.  :meth:`from_entries` keeps the order
+    """Scored n-gram inventory, one row per entry.  The table's order is
+    ``order``, indices of the stored rows, or their stored order if it is None.
+    Mining keeps the canonical order: NaN scores (entities unseen in the
+    corpus) first, then pmi descending, count descending, ids ascending.
+    Scoring and entity injection only set ``order``; pruning stores the kept
+    rows in it, so the rows move once.  :meth:`from_entries` keeps the order
     it is given, so a loaded table keeps its file's.
 
     ``is_privileged`` marks injected entities, which pruning keeps.  The
@@ -162,6 +170,7 @@ class NgramTable:
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
+    order: np.ndarray | None = None
 
     @classmethod
     def from_entries(cls, entries: Mapping, n_max: int) -> NgramTable:
@@ -172,23 +181,37 @@ class NgramTable:
         return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max)
 
     def _sorted(self) -> NgramTable:
-        """These rows in the canonical order, by one lexsort.  PAD is below
-        every id, so a prefix sorts first, as Python orders tuples."""
+        """This table in the canonical order; no stored row moves.  One argsort
+        orders the scores; one lexsort then orders the rows whose score another
+        row shares.  PAD is below every id, so a prefix sorts first, as Python
+        orders tuples."""
         nan = np.isnan(self.pmi)
+        score = np.where(nan, -np.inf, -self.pmi)  # NaN ties pmi +inf; ~nan puts it first
+        order = np.argsort(score)
+        score = score[order]
+        shared = np.zeros(len(order) + 1, dtype=bool)
+        shared[1:-1] = score[1:] == score[:-1]
+        shared = shared[1:] | shared[:-1]
+        rows = order[shared]
         # ids + 1 (PAD is 0) in the narrowest unsigned type, which lexsort
         # sorts by radix when it has 16 bits or fewer
-        ids = (self.grams + 1).astype(np.min_scalar_type(int(self.grams.max(initial=0)) + 1))
-        order = np.lexsort((*ids.T[::-1], -self.counts, np.where(nan, 0.0, -self.pmi), ~nan))
-        if self.occurrences is None:
-            return self._rows(order, None)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        return self._rows(order, (self.occurrences[0], rank[self.occurrences[1]]))
+        ids = np.take(self.grams, rows, axis=0) + 1
+        ids = ids.astype(np.min_scalar_type(int(ids.max(initial=0))))
+        keys = (*ids.T[::-1], -self.counts[rows], ~nan[rows], score[shared])
+        order[shared] = rows[np.lexsort(keys)]
+        return replace(self, order=order)
 
-    def _rows(self, index: np.ndarray, occurrences, **changes) -> NgramTable:
+    def _in_order(self) -> NgramTable:
+        """This table with its rows stored in its order."""
+        return self if self.order is None else self._rows(self.order)
+
+    def _rows(self, index: np.ndarray, **changes) -> NgramTable:
+        """These rows stored in ``index``'s order, without occurrences.  ``np.take``
+        copies whole rows, several times faster than fancy indexing on 2-d grams."""
         return replace(
-            self, grams=self.grams[index], counts=self.counts[index], pmi=self.pmi[index],
-            is_privileged=self.is_privileged[index], occurrences=occurrences, **changes,
+            self, grams=np.take(self.grams, index, axis=0), counts=self.counts[index],
+            pmi=self.pmi[index], is_privileged=self.is_privileged[index], occurrences=None,
+            order=None, **changes,
         )
 
     def __len__(self) -> int:
@@ -196,7 +219,7 @@ class NgramTable:
 
     @cached_property
     def entries(self) -> dict[tuple[int, ...], tuple[int, float]]:
-        """``{id tuple: (count, pmi)}``, for lookups."""
+        """``{id tuple: (count, pmi)}`` in stored order, for lookups."""
         return dict(zip(_tuples(self.grams), zip(self.counts.tolist(), self.pmi.tolist())))
 
 
@@ -206,12 +229,12 @@ def build_table(counts: RawNgramCounts) -> NgramTable:
     The float operations are those of the scalar formula, in its order.
     """
     log_t = math.log(counts.total_tokens)
-    log_uni = np.zeros(max(counts.unigrams) + 1)
+    log_uni = np.zeros(max(counts.unigrams) + 2)  # PAD (-1) finds the 0 at the end
     log_uni[list(counts.unigrams)] = [math.log(c) for c in counts.unigrams.values()]
     lengths = _lengths(counts.grams)
     acc = _exact_log(counts.counts) + (lengths - 1) * log_t
     for col in counts.grams.T:
-        acc -= np.where(col == PAD, 0.0, log_uni[col])
+        acc -= log_uni[col]
     return NgramTable(
         counts.grams, counts.counts, acc / lengths, np.zeros(len(acc), dtype=bool),
         counts.n_max, counts.occurrences, (("counted", len(acc)),),
@@ -264,6 +287,7 @@ def prune_table(
     """
     keep = table.is_privileged | (table.pmi > pmi_threshold)
     stage_counts = table.stage_counts + (("above threshold", int(keep.sum())),)
+    order = np.arange(len(table)) if table.order is None else table.order
     if per_doc_top_k is not None:
         if per_doc_top_k < 1:
             raise NgramError(f"per_doc_top_k must be >= 1, got {per_doc_top_k}")
@@ -271,20 +295,23 @@ def prune_table(
             raise NgramError("table has no document information for per-document pruning")
         docs, rows = table.occurrences
         hit = keep[rows]
-        # Distinct (document, row) pairs, by document and then by row: the
-        # rows are in the canonical order, so each document's first K are
-        # its best K.
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # Distinct (document, rank) pairs, by document and then by rank, so
+        # each document's first K are its best K.
         stride = len(table) + 1
-        pairs = np.sort(docs[hit].astype(np.int64) * stride + rows[hit])
+        pairs = np.sort(docs[hit].astype(np.int64) * stride + rank[rows[hit]])
         pairs = pairs[np.diff(pairs, prepend=-1) > 0]
         pair_doc = pairs // stride
-        nth = np.arange(len(pairs)) - np.searchsorted(pair_doc, pair_doc)
+        # a pair is in its document's first K unless the pair K places back shares it
+        top = np.ones(len(pairs), dtype=bool)
+        top[per_doc_top_k:] = pair_doc[per_doc_top_k:] != pair_doc[:-per_doc_top_k]
         keep = table.is_privileged.copy()
-        keep[pairs[nth < per_doc_top_k] % stride] = True
+        keep[order[pairs[top] % stride]] = True
         stage_counts += (("after per-document top-K", int(keep.sum())),)
     if not keep.any():
         warnings.warn("pruning produced an empty n-gram table", stacklevel=2)
-    return table._rows(keep, None, stage_counts=stage_counts)
+    return table._rows(order[keep[order]], stage_counts=stage_counts)
 
 
 def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
@@ -309,27 +336,48 @@ def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
 
 
 _TABLE_HEADER = "tokens\tcount\tpmi"
-_SAVE_CHUNK = 1 << 16  # rows formatted per write
+_SAVE_CHUNK = 1 << 13  # rows per write; their byte index takes 8 bytes per output byte
 
 
 def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
     Scores are written with 9 significant digits; a NaN score marks a
-    privileged entity that never occurred in the corpus.  A chunk of rows
-    is one ``%`` of their formats, picked by length, over their non-PAD fields.
+    privileged entity that never occurred in the corpus.  Each chunk of rows
+    is one bytes format string, which numpy copies together from the UTF-8
+    pieces ``" token"`` (``%`` doubled) and ``"\tcount\t%.9g\n"``, and a
+    single ``%`` formats the chunk's scores into it.  A token id outside
+    ``vocab`` raises IndexError.
     """
-    names = np.array(vocab.tokens(), dtype=object)
-    formats = [" ".join(["%s"] * n) + "\t%d\t%.9g\n" for n in range(table.n_max + 1)]
-    with atomic_open(path) as fh:
-        fh.write(_TABLE_HEADER + "\n")
+    table = table._in_order()
+    distinct, count_piece = _distinct(table.counts)
+    count_piece += len(vocab)
+    pieces = [f" {token.replace('%', '%%')}".encode() for token in vocab.tokens()]
+    pieces += [f"\t{count}\t%.9g\n".encode() for count in distinct.tolist()]
+    pieces.append(b"")  # PAD (-1) picks this empty piece
+    size = np.array([len(piece) for piece in pieces], dtype=np.int64)
+    start = np.cumsum(size) - size
+    blob = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+    with atomic_open(path, "wb") as fh:
+        fh.write(_TABLE_HEADER.encode() + b"\n")
         for lo in range(0, len(table), _SAVE_CHUNK):
             rows = slice(lo, lo + _SAVE_CHUNK)
-            grams, counts, pmi = table.grams[rows], table.counts[rows], table.pmi[rows]
-            fields = np.column_stack([names[grams], counts.astype(object), pmi.astype(object)])
-            present = np.pad(grams != PAD, ((0, 0), (0, 2)), constant_values=True)
-            row_format = "".join([formats[n] for n in _lengths(grams).tolist()])
-            fh.write(row_format % tuple(fields[present]))
+            grams = table.grams[rows]
+            if grams.max() >= len(vocab):
+                raise IndexError(f"token id {grams.max()} outside a vocabulary of {len(vocab)}")
+            cells = np.hstack([grams, count_piece[rows, None]])
+            first, length = start[cells], size[cells]
+            first[:, 0] += 1  # no space before a row's first token
+            length[:, 0] -= 1
+            nonempty = length > 0  # drops PAD cells
+            first, length = first[nonempty], length[nonempty]
+            # Each output byte's index into blob: consecutive within a piece,
+            # a jump from one piece's last byte to the next piece's first.
+            ends = np.cumsum(length)
+            index = np.ones(ends[-1], dtype=np.int64)
+            index[0] = first[0]
+            index[ends[:-1]] = first[1:] - (first[:-1] + length[:-1] - 1)
+            fh.write(blob[np.cumsum(index, out=index)].tobytes() % tuple(table.pmi[rows].tolist()))
 
 
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
@@ -389,5 +437,5 @@ def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:
     """Histogram of n-gram lengths over the ``top_n`` best-scored entries (the first rows)."""
-    hist = np.bincount(_lengths(table.grams[:top_n]))
+    hist = np.bincount(_lengths(table._in_order().grams[:top_n]))
     return {n: int(c) for n, c in enumerate(hist.tolist()) if c}

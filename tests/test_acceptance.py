@@ -457,6 +457,7 @@ def _scrambled_questions(qrng, n):
     return questions
 
 
+@pytest.mark.slow
 def test_criterion_compositional_experiment(capsys):
     t0 = time.monotonic()
     train_texts = _make_sentences(5000, np.random.default_rng(2024))
@@ -589,6 +590,7 @@ def _harvest_docstrings(min_tokens):
     return texts, total
 
 
+@pytest.mark.slow
 def test_criterion_scale_sanity(capsys):
     t0 = time.monotonic()
     texts, total = _harvest_docstrings(min_tokens=1_050_000)

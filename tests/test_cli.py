@@ -163,6 +163,37 @@ class TestExtractNgrams:
         assert code == 1
         assert stderr.splitlines()[-1].startswith("error:")
 
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--n-max", "1", 2), ("--top-k", "0", 1), ("--min-count", "0", 1),
+        ("--max-size", "5", 6), ("--threshold", "nan", None),
+    ])
+    def test_bad_setting_rejected_before_reading_the_corpus(
+        self, capsys, tmp_path, flag, value, least
+    ):
+        out = tmp_path / "t.tsv"
+        code, _, stderr = run(capsys, [
+            "extract-ngrams", "--corpus", str(tmp_path / "absent"), flag, value,
+            "--out", str(out),
+        ])
+        assert code == 1
+        [error] = [line for line in stderr.splitlines() if line.startswith("error:")]
+        if least is None:
+            assert error == f"error: {flag} must be a number, got {value}"
+        else:
+            assert error == f"error: {flag} must be >= {least}, got {value}"
+        assert not out.exists()
+
+    def test_nan_threshold_in_a_config_file_rejected(self, capsys, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus = {workspace / 'corpus.txt'}\npmi_threshold = nan\n")
+        out = tmp_path / "t.tsv"
+        code, _, stderr = run(capsys, [
+            "extract-ngrams", "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 1
+        assert "error: --threshold must be a number, got nan" in stderr
+        assert not out.exists()
+
     def test_missing_required_setting(self, capsys, tmp_path):
         code, _, stderr = run(capsys, ["extract-ngrams", "--out", str(tmp_path / "t")])
         assert code == 1

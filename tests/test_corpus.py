@@ -195,6 +195,12 @@ class TestEncode:
         vocab = build_vocabulary(make_documents("a b c a b a"), min_count=1, max_size=20)
         assert len(encode(tokens, vocab)) == len(tokens)
 
+    @given(st.lists(st.sampled_from(["a", "b", "c", "oov", "", SPECIAL_TOKENS[1]]) | st.text(),
+                    max_size=30))
+    def test_equals_id_of_per_token(self, tokens):
+        vocab = build_vocabulary(make_documents("a b c a b a"), min_count=1, max_size=20)
+        assert encode(tokens, vocab) == tuple(vocab.id_of(t) for t in tokens)
+
 
 class TestReadCorpus:
     def test_one_document_per_line_blank_skipped(self, tmp_path):

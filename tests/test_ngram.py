@@ -1,7 +1,9 @@
 """N-gram counting, extended PMI, pruning, and greedy span marking."""
 
+import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -234,6 +236,26 @@ def toy_table(entries, n_max=3):
     return NgramTable.from_entries(dict(entries), n_max=n_max)._sorted()
 
 
+class TestCanonicalOrder:
+    @given(st.dictionaries(
+        st.lists(st.integers(0, 3), min_size=2, max_size=4).map(tuple),
+        st.tuples(st.integers(0, 3),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0])),
+        max_size=30,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_sort(self, entries):
+        """NaN first, then pmi descending, count descending, ids ascending,
+        also where a NaN score ties pmi +inf and -0.0 ties 0.0."""
+        table = toy_table(entries, n_max=4)._in_order()
+
+        def rank(g):
+            count, pmi = entries[g]
+            return (0, 0.0, -count, g) if math.isnan(pmi) else (1, -pmi, -count, g)
+
+        assert list(table.entries) == sorted(entries, key=rank)
+
+
 class TestPruneTable:
     def test_infinite_threshold_empties_table(self):
         (seq,) = seqs_from_texts(["a b a b c d"], IDS)
@@ -431,6 +453,11 @@ class TestTableIO:
         with pytest.raises(NgramError, match=r"table\.tsv:3: bad count or pmi"):
             load_table(path, vocab)
 
+    @pytest.mark.parametrize("count", [-3, 2**62])
+    def test_negative_or_huge_count_round_trips(self, vocab, count):
+        text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t0\tnan\n"
+        assert reloaded_text(text, vocab) == text
+
     def test_load_accepts_saved_unk(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
         path.write_text("tokens\tcount\tpmi\n[UNK] cat\t2\t0.5\n")
@@ -531,6 +558,38 @@ class TestTableWriter:
         ]
         assert text == oracle_table_text(table, ODD_VOCAB)
         assert reloaded_text(text, ODD_VOCAB) == text
+
+    @pytest.mark.parametrize("token", ["nul\x00byte", "%" + "x" * 100_000])
+    def test_unusual_token_round_trips(self, token):
+        vocab = Vocabulary([*SPECIAL_TOKENS, token, "a"], [0] * NUM_SPECIALS + [1, 1])
+        long_id, a = NUM_SPECIALS, NUM_SPECIALS + 1
+        table = NgramTable.from_entries(
+            {(a, long_id): (2, 0.5), (long_id, a, long_id): (1, -1.25), (a, a): (3, 2.0)}, 3
+        )
+        text = saved_text(table, vocab)
+        assert text == oracle_table_text(table, vocab)
+        assert reloaded_text(text, vocab) == text
+
+    def test_memory_follows_output_bytes_not_the_longest_token(self):
+        # One row holds a 100 kB token; a writer that padded every token of a
+        # chunk to the longest one's width would take rows x 100 kB.
+        short = list("abcdef")
+        vocab = Vocabulary([*SPECIAL_TOKENS, "x" * 100_000, *short],
+                           [0] * NUM_SPECIALS + [1] * (1 + len(short)))
+        ids = range(NUM_SPECIALS + 1, len(vocab))
+        grams = list(itertools.product(ids, repeat=3))[:200] + [(NUM_SPECIALS, ids[0])]
+        table = NgramTable.from_entries({w: (k, k / 7) for k, w in enumerate(grams)}, 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.tsv"
+            tracemalloc.start()
+            try:
+                save_table(table, vocab, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = path.stat().st_size
+        assert len(table) < _SAVE_CHUNK and size < 200_000
+        assert peak < 32 * size
 
     @given(st.integers(0, 40), st.integers(2, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
