@@ -8,9 +8,11 @@ with every probability estimated as ``count / total_tokens`` (one shared
 denominator for all lengths) and natural logarithms.  The ``1/n`` factor
 keeps long n-grams from being drowned by their many marginal terms.
 
-Pruning runs in two stages: a global score threshold, then a per-document
-top-K cut; the union over documents is the final table.  Entity n-grams
-can be injected as privileged entries that are exempt from pruning.
+Counting keeps only the n-grams that occur at least ``min_count`` times
+and hold no ``[UNK]``.  Pruning runs in two stages: a global score
+threshold, then a per-document top-K cut; the union over documents is the
+final table.  Entity n-grams can be injected as privileged entries that
+are exempt from pruning.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_open, read_lines
+from .corpus import SPECIAL_TOKENS, UNK_ID, Vocabulary, atomic_open, read_lines
 
 PAD = -1  # fills a row after the last id of an n-gram shorter than n_max
 
@@ -95,10 +97,11 @@ def _exact_log(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RawNgramCounts:
-    """Exact counts of all n-grams (lengths 2..n_max) and unigrams.
+    """Exact counts of the n-grams (lengths 2..n_max) at the count floor, and
+    of all unigrams.
 
     One row of ``grams`` per distinct n-gram, ``counts`` its count, and the
-    (document, row) pairs of all n-gram ``occurrences`` for pruning.
+    (document, row) pairs of all its ``occurrences`` for pruning.
     """
 
     grams: np.ndarray
@@ -109,15 +112,25 @@ class RawNgramCounts:
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCounts:
-    """Count every contiguous n-gram of length 2..n_max plus all unigrams.
+def count_ngrams(
+    documents: Iterable[Sequence[int]], n_max: int, min_count: int = 1
+) -> RawNgramCounts:
+    """Count the contiguous n-grams of length 2..n_max that occur at least
+    ``min_count`` times, plus all unigrams.
 
-    Returns exact counts and the total token count T.  Length n extends
-    the lexicographic rank of each (n-1)-gram occurrence by the next token
-    into one int64 key; one ``np.unique`` counts the keys and ranks them.
+    No n-gram starts at or extends over ``UNK_ID``: an unknown token ends a
+    run of tokens as a document end does.  Counting runs as apriori mining
+    does: length n extends only the occurrences of kept (n-1)-grams.  An
+    n-gram never occurs more often than its prefix, so every kept count is
+    exact.  Each extension appends the next token to the (n-1)-gram's
+    lexicographic rank in one int64 key; one ``np.unique`` counts the keys
+    and ranks them.  Every unigram is kept, and the unigram counts and the
+    total token count T cover every token.
     """
     if n_max < 2:
         raise NgramError(f"n_max must be >= 2, got {n_max}")
+    if min_count < 1:
+        raise NgramError(f"min_count must be >= 1, got {min_count}")
     seqs = list(documents)
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     total = int(lengths.sum())
@@ -125,11 +138,14 @@ def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCoun
         raise NgramError("empty corpus")
     tokens = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=total)
     doc_of = np.repeat(np.arange(len(seqs), dtype=np.int32), lengths)
-    # tokens from each position to the end of its document, itself included
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)
+    # tokens from each position to the end of its run, itself included; a
+    # run ends before an [UNK] and at the end of its document
+    at = np.arange(total)
+    stop = np.where(tokens == UNK_ID, at, np.repeat(np.cumsum(lengths), lengths))
+    room = np.minimum.accumulate(stop[::-1])[::-1] - at
     uni_ids, uni_counts = np.unique(tokens, return_counts=True)
     base = int(uni_ids[-1]) + 1
-    pos, rank, prefix = np.arange(total), tokens, np.arange(base, dtype=np.int32)[:, None]
+    pos, rank, prefix = at, tokens, np.arange(base, dtype=np.int32)[:, None]
     blocks, counts, docs, rows = [], [], [], []
     for n in range(2, n_max + 1):
         fits = room[pos] >= n
@@ -137,12 +153,15 @@ def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCoun
         keys, inverse, freq = np.unique(
             rank * base + tokens[pos + n - 1], return_inverse=True, return_counts=True
         )
+        kept = freq >= min_count
+        row = np.cumsum(kept) - 1  # each key's row among the kept keys
+        hit = kept[inverse]
+        pos, rank, keys = pos[hit], row[inverse[hit]], keys[kept]
         prefix = np.hstack([prefix[keys // base], (keys % base).astype(np.int32)[:, None]])
         blocks.append(np.pad(prefix, ((0, 0), (0, n_max - n)), constant_values=PAD))
-        rows.append(inverse + sum(map(len, counts)))
-        counts.append(freq)
+        rows.append(rank + sum(map(len, counts)))
+        counts.append(freq[kept])
         docs.append(doc_of[pos])
-        rank = inverse
     unigrams = dict(zip(uni_ids.tolist(), uni_counts.tolist()))
     grams, occurrences = np.vstack(blocks), (np.concatenate(docs), np.concatenate(rows))
     return RawNgramCounts(grams, np.concatenate(counts), unigrams, total, n_max, occurrences)
@@ -152,8 +171,8 @@ def count_ngrams(documents: Iterable[Sequence[int]], n_max: int) -> RawNgramCoun
 class NgramTable:
     """Scored n-gram inventory, one row per entry.  The table's order is
     ``order``, indices of the stored rows, or their stored order if it is None.
-    Mining keeps the canonical order: NaN scores (entities unseen in the
-    corpus) first, then pmi descending, count descending, ids ascending.
+    Mining keeps the canonical order: NaN scores (entities not counted)
+    first, then pmi descending, count descending, ids ascending.
     Scoring and entity injection only set ``order``; pruning stores the kept
     rows in it, so the rows move once.  :meth:`from_entries` keeps the order
     it is given, so a loaded table keeps its file's.
@@ -245,9 +264,10 @@ def inject_entities(table: NgramTable, entity_ngrams: Iterable[Sequence[int]]) -
     """Mark entity n-grams as privileged, adding them if absent.
 
     Entities outside lengths 2..n_max are skipped with a warning.  An
-    entity not present in the corpus is stored with count 0 and a NaN
-    score.  Returns a new table, or ``table`` itself when every entity
-    already is a privileged entry, so injection is idempotent.
+    entity the table did not count (absent from the corpus, or below the
+    count floor) is stored with count 0 and a NaN score.  Returns a new
+    table, or ``table`` itself when every entity already is a privileged
+    entry, so injection is idempotent.
     """
     rows = {w: i for i, w in enumerate(_tuples(table.grams))}
     marked = []
@@ -384,9 +404,10 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     """Read a table written by :func:`save_table`.
 
     ``n_max`` is the length of the longest entry.  A repeated n-gram, a
-    row of fewer than two tokens (which no span can match), or a token
+    row of fewer than two tokens (which no span can match), a token
     missing from ``vocab`` (the table and vocabulary do not belong
-    together) raises :class:`NgramError`.  Entries with NaN
+    together), or a reserved token such as ``[UNK]`` (which would match
+    unrelated spans) raises :class:`NgramError`.  Entries with NaN
     scores are restored as privileged; the format loses the privileged
     flag of entities with a finite score.  Rows keep the file's order: a
     reload never re-breaks ties between scores that the 9 written digits
@@ -408,6 +429,9 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
         unknown = [t for t in toks if t not in vocab]
         if unknown:
             raise NgramError(f"token(s) {unknown} not in the vocabulary")
+        reserved = [t for t in toks if t in SPECIAL_TOKENS]
+        if reserved:
+            raise NgramError(f"n-gram {parts[0]!r} holds reserved token(s) {reserved}")
         gram = tuple(vocab.id_of(t) for t in toks)
         if gram in entries:
             raise NgramError(f"duplicate n-gram {parts[0]!r}")

@@ -23,6 +23,7 @@ holds the Adam moments and the step, and :meth:`Trainer.run` the batch order.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -530,6 +531,8 @@ class Trainer:
     Spans are annotated once (the table is static); span *selection* is
     re-scored each time an example is visited, since the model's
     judgment of which span it explains worst changes as it learns.
+    Empty sequences are dropped, and those longer than ``max_len - 2`` are
+    cut to that length, with one warning that counts them.
     """
 
     def __init__(
@@ -540,6 +543,11 @@ class Trainer:
         config: TrainingConfig,
     ):
         limit = model.config.max_len - 2
+        cut = sum(len(s) > limit for s in sequences)
+        if cut:
+            warnings.warn(
+                f"truncating {cut} sequence(s) longer than max_len-2 = {limit}", stacklevel=2
+            )
         sequences = [s[:limit] for s in sequences if s]
         if not sequences:
             raise ValueError("empty corpus")

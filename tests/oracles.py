@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ulrlab.corpus import CLS_ID, MASK_ID, SEP_ID
+from ulrlab.corpus import CLS_ID, MASK_ID, SEP_ID, UNK_ID
 from ulrlab.encoder import forward, mlm_head_rows
 from ulrlab.ngram import Span
 
@@ -39,8 +39,10 @@ def oracle_mark(ids, table):
     return tuple(spans)
 
 
-def oracle_ngram_counts(sequences, n_max):
-    """Brute-force joint and per-token counts via nested loops."""
+def oracle_ngram_counts(sequences, n_max, min_count=1):
+    """Brute-force joint and per-token counts via nested loops: every window
+    without UNK_ID is counted, then joint counts below ``min_count`` are
+    dropped; per-token counts and the total cover every token."""
     joint = {}
     single = {}
     total = 0
@@ -51,7 +53,9 @@ def oracle_ngram_counts(sequences, n_max):
         for n in range(2, n_max + 1):
             for i in range(len(seq) - n + 1):
                 gram = tuple(seq[i : i + n])
-                joint[gram] = joint.get(gram, 0) + 1
+                if UNK_ID not in gram:
+                    joint[gram] = joint.get(gram, 0) + 1
+    joint = {gram: count for gram, count in joint.items() if count >= min_count}
     return joint, single, total
 
 
@@ -64,16 +68,19 @@ def oracle_pmi(gram, joint, single, total):
     return value / n
 
 
-def oracle_mined_table(sequences, n_max, pmi_threshold, per_doc_top_k, entities, names, top_n):
+def oracle_mined_table(
+    sequences, n_max, pmi_threshold, per_doc_top_k, entities, min_count, names, top_n
+):
     """Brute-force mining: the saved table text and the top-n length histogram.
 
     Counts and scores come from the oracles above; entities of length
-    2..n_max are injected (count 0 and a NaN score when unseen); entries
-    above the threshold, then each document's top-K, are kept with every
-    entity; rows are written NaN scores first, then by pmi descending,
-    count descending and ids ascending, by one Python sort.
+    2..n_max are injected (count 0 and a NaN score when not counted);
+    entries above the threshold, then each document's top-K among its
+    counted n-grams, are kept with every entity; rows are written NaN
+    scores first, then by pmi descending, count descending and ids
+    ascending, by one Python sort.
     """
-    joint, single, total = oracle_ngram_counts(sequences, n_max)
+    joint, single, total = oracle_ngram_counts(sequences, n_max, min_count)
     scored = {g: (c, oracle_pmi(g, joint, single, total)) for g, c in joint.items()}
     privileged = set()
     for ent in entities:
@@ -94,8 +101,9 @@ def oracle_mined_table(sequences, n_max, pmi_threshold, per_doc_top_k, entities,
             present = set()
             for n in range(2, n_max + 1):
                 for i in range(len(seq) - n + 1):
-                    if tuple(seq[i : i + n]) in above:
-                        present.add(tuple(seq[i : i + n]))
+                    gram = tuple(seq[i : i + n])
+                    if gram in joint and gram in above:
+                        present.add(gram)
             kept.update(sorted(present, key=rank)[:per_doc_top_k])
     rows = sorted(kept, key=rank)
     lines = ["tokens\tcount\tpmi\n"]

@@ -154,6 +154,37 @@ class TestExtractNgrams:
         assert "ngrams = 0" in stdout
         assert out.read_text() == "tokens\tcount\tpmi\n"
 
+    def test_min_count_floors_ngrams_and_no_ngram_holds_unk(self, capsys, tmp_path):
+        # Only `a` and `b` reach the floor; every other word encodes to [UNK].
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d\na b x y\na b z w\nq a b\n")
+        out = tmp_path / "t.tsv"
+        code, stdout, _ = run(capsys, [
+            "extract-ngrams", "--corpus", str(corpus), "--min-count", "2", "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line.split("\t")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["a b", "4"]]
+        assert "entries counted = 1" in stdout
+
+    @pytest.mark.parametrize("lines", [
+        ["a b c", "d e f"],  # every token falls below the floor: all [UNK]
+        ["a b", "b a"],  # both words reach the floor, neither bigram does
+    ])
+    def test_nothing_at_the_floor_leaves_header_only(self, capsys, tmp_path, lines):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.tsv"
+        with pytest.warns(UserWarning, match="empty n-gram table"):
+            code, stdout, _ = run(capsys, [
+                "extract-ngrams", "--corpus", str(corpus), "--min-count", "2",
+                "--out", str(out),
+            ])
+        assert code == 0
+        assert out.read_text() == "tokens\tcount\tpmi\n"
+        assert "entries counted = 0" in stdout and "ngrams = 0" in stdout
+        assert "top-2000 length histogram = (empty)" in stdout
+
     def test_empty_corpus_fails_cleanly(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n")

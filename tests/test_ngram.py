@@ -65,25 +65,34 @@ MINING_VOCAB = build_vocabulary(
 )
 
 
+def corpus_ids(size):
+    """Token ids of an alphabet of ``size`` words, with UNK_ID as likely as each word."""
+    return st.integers(NUM_SPECIALS - 1, NUM_SPECIALS + size - 1).map(
+        lambda i: UNK_ID if i == NUM_SPECIALS - 1 else i
+    )
+
+
 @st.composite
 def mining_inputs(draw):
-    """Corpus, n_max, threshold, per-document K and entities for one mining run."""
+    """Corpus, n_max, threshold, per-document K, entities and count floor
+    for one mining run."""
     size = draw(st.integers(min_value=2, max_value=MAX_ALPHABET))
     ids = st.integers(min_value=NUM_SPECIALS, max_value=NUM_SPECIALS + size - 1)
     n_max = draw(st.integers(min_value=2, max_value=4))
     docs = draw(
-        st.lists(st.lists(ids, max_size=9), min_size=1, max_size=6).filter(
+        st.lists(st.lists(corpus_ids(size), max_size=9), min_size=1, max_size=6).filter(
             lambda d: any(d)
         )
     )
     entities = draw(st.lists(st.lists(ids, min_size=2, max_size=n_max), max_size=3))
     threshold = draw(st.sampled_from([-math.inf, -0.3, 0.0, 0.2, math.inf]))
     per_doc_top_k = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
-    return docs, n_max, threshold, per_doc_top_k, [tuple(e) for e in entities]
+    min_count = draw(st.integers(min_value=1, max_value=3))
+    return docs, n_max, threshold, per_doc_top_k, [tuple(e) for e in entities], min_count
 
 
-def mine(docs, n_max, threshold, per_doc_top_k, entities):
-    table = build_table(count_ngrams([tuple(d) for d in docs], n_max))
+def mine(docs, n_max, threshold, per_doc_top_k, entities, min_count):
+    table = build_table(count_ngrams([tuple(d) for d in docs], n_max, min_count))
     table = inject_entities(table, entities)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty result warns
@@ -156,6 +165,60 @@ class TestCountNgrams:
     def test_empty_corpus_raises(self):
         with pytest.raises(NgramError, match="empty corpus"):
             count_ngrams([()], n_max=2)
+
+    def test_min_count_must_be_positive(self):
+        (seq,) = seqs_from_texts(["a b"], IDS)
+        with pytest.raises(NgramError, match="min_count must be >= 1, got 0"):
+            count_ngrams([seq], n_max=2, min_count=0)
+
+    @given(
+        st.integers(2, MAX_ALPHABET).flatmap(
+            lambda size: st.lists(st.lists(corpus_ids(size), max_size=12), min_size=1,
+                                  max_size=6).filter(any)
+        ),
+        st.integers(2, 5),
+        st.integers(1, 4),
+    )
+    @example([[5, 6, 5, 6, UNK_ID, 5, 6]], 3, 2)
+    @settings(max_examples=300, deadline=None)
+    def test_floor_equals_floor_one_filtered(self, docs, n_max, floor):
+        """Floor f keeps exactly the floor-1 rows of count >= f: the same grams,
+        counts, scores to the bit, canonical order, and occurrences; no row
+        holds UNK_ID and no marked span covers one."""
+        docs = [tuple(d) for d in docs]
+        full = count_ngrams(docs, n_max)
+        cut = count_ngrams(docs, n_max, min_count=floor)
+        keep = full.counts >= floor
+        assert (cut.unigrams, cut.total_tokens) == (full.unigrams, full.total_tokens)
+        assert cut.grams.tolist() == full.grams[keep].tolist()
+        assert cut.counts.tolist() == full.counts[keep].tolist()
+        row = np.cumsum(keep) - 1  # a floor-1 row's index among the kept rows
+        full_docs, full_rows = full.occurrences
+        hit = keep[full_rows]
+        assert cut.occurrences[0].tolist() == full_docs[hit].tolist()
+        assert cut.occurrences[1].tolist() == row[full_rows[hit]].tolist()
+        full_table, table = build_table(full)._in_order(), build_table(cut)._in_order()
+        at_floor = full_table.counts >= floor
+        assert table.grams.tolist() == full_table.grams[at_floor].tolist()
+        assert table.pmi.view(np.int64).tolist() == full_table.pmi[at_floor].view(np.int64).tolist()
+        assert not (cut.grams == UNK_ID).any()
+        for seq in docs:
+            for span in mark_sequence(seq, table).spans:
+                assert UNK_ID not in seq[span.start - 1 : span.end]
+
+    @pytest.mark.parametrize("docs, floor", [
+        ([(UNK_ID,) * 4, (UNK_ID,)], 1),  # every token unknown
+        ([(5, 6, 7), (7, 6, 5)], 2),  # no n-gram occurs twice
+        ([(5, 6, 5, 6), (UNK_ID, 5)], 3),  # tokens reach the floor, n-grams do not
+    ])
+    def test_nothing_at_the_floor_gives_an_empty_count(self, docs, floor):
+        counts = count_ngrams(docs, n_max=3, min_count=floor)
+        assert counts.grams.shape == (0, 3) and len(counts.counts) == 0
+        assert counts.total_tokens == sum(map(len, docs))
+        assert [len(a) for a in counts.occurrences] == [0, 0]
+        with pytest.warns(UserWarning, match="empty n-gram table"):
+            table = prune_table(build_table(counts), pmi_threshold=-math.inf, per_doc_top_k=3)
+        assert len(table) == 0 and length_histogram(table, top_n=2000) == {}
 
     def test_n_max_must_cover_bigrams(self):
         (seq,) = seqs_from_texts(["a b"], IDS)
@@ -458,11 +521,13 @@ class TestTableIO:
         text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t0\tnan\n"
         assert reloaded_text(text, vocab) == text
 
-    def test_load_accepts_saved_unk(self, tmp_path, vocab):
+    @pytest.mark.parametrize("gram", ["b [UNK]", "[PAD] a", "a [MASK] b", "[CLS] a", "a [SEP]"])
+    def test_load_rejects_a_reserved_token(self, tmp_path, vocab, gram):
+        # An old table's `b [UNK]` would mark `b` before any unknown word.
         path = tmp_path / "table.tsv"
-        path.write_text("tokens\tcount\tpmi\n[UNK] cat\t2\t0.5\n")
-        loaded = load_table(path, vocab)
-        assert set(loaded.entries) == {(UNK_ID, vocab.id_of("cat"))}
+        path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\n{gram}\t3\t0.25\n")
+        with pytest.raises(NgramError, match=r"table\.tsv:3: n-gram .* reserved token"):
+            load_table(path, vocab)
 
     def test_loaded_n_max_is_longest_entry(self, tmp_path, vocab):
         rng = np.random.default_rng(5)

@@ -768,12 +768,13 @@ class TestTrainer:
 
     def test_truncates_overlong_sequences(self):
         long_seq = tuple(range(10, 10 + CFG.max_len + 10))
-        trainer = Trainer(
-            Model.init(CFG), toy_table(), [long_seq],
-            TrainingConfig(total_steps=1, batch_size=4),
-        )
-        (seq, _ann) = trainer.pairs[0]
-        assert len(seq) == CFG.max_len - 2
+        limit = CFG.max_len - 2
+        with pytest.warns(UserWarning, match=rf"truncating 2 sequence\(s\) .* = {limit}$"):
+            trainer = Trainer(
+                Model.init(CFG), toy_table(), [long_seq, long_seq[:limit], long_seq[1:]],
+                TrainingConfig(total_steps=1, batch_size=4),
+            )
+        assert [len(seq) for seq, _ann in trainer.pairs] == [limit] * 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
