@@ -521,7 +521,11 @@ class TestTableIO:
         text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t0\tnan\n"
         assert reloaded_text(text, vocab) == text
 
-    @pytest.mark.parametrize("gram", ["b [UNK]", "[PAD] a", "a [MASK] b", "[CLS] a", "a [SEP]"])
+    @pytest.mark.parametrize(
+        "gram",
+        ["b [UNK]", "[PAD] a", "a [MASK] b", "[CLS] a", "a [SEP]"],
+        ids=["unk", "pad", "mask", "cls", "sep"],
+    )
     def test_load_rejects_a_reserved_token(self, tmp_path, vocab, gram):
         # An old table's `b [UNK]` would mark `b` before any unknown word.
         path = tmp_path / "table.tsv"
