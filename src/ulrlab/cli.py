@@ -236,6 +236,7 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(tokens, vocab) for tokens in docs]
+    del docs  # nothing below reads the token tuples
     table = build_table(count_ngrams(encoded, n_max=cfg["n_max"], min_count=cfg["min_count"]))
     if cfg["entities"]:
         table = inject_entities(table, read_entity_file(cfg["entities"], vocab))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import string
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -168,8 +169,9 @@ class Vocabulary:
 
 
 def read_corpus(path: str | Path) -> list[tuple[str, ...]]:
-    """The tokens of each non-blank line of a UTF-8 text file."""
-    return read_lines(path, lambda line: tuple(tokenize(line)))
+    """The tokens of each non-blank line of a UTF-8 text file; equal tokens
+    share one interned string, so the corpus costs a pointer per token."""
+    return read_lines(path, lambda line: tuple(map(sys.intern, tokenize(line))))
 
 
 def build_vocabulary(

@@ -36,6 +36,7 @@ from .corpus import atomic_open
 
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
+_BLOCK_ROWS = 16  # the height of every product in :func:`_dense`
 
 # GELU in the tanh form of Google's reference BERT: 0.5 x (1 + tanh(u)),
 # u = √(2/π) (x + 0.044715 x³).  From |x| = 10 on, u > 43 and tanh(u) is
@@ -175,6 +176,16 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return y, (xhat, inv)
 
 
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the last axis, as one product per zero-padded block
+    of :data:`_BLOCK_ROWS` rows.  BLAS can round a row differently at another
+    product height; here every row meets one shape, whatever shares the call."""
+    n, d = math.prod(x.shape[:-1]), x.shape[-1]
+    blocks = np.zeros((-(-n // _BLOCK_ROWS), _BLOCK_ROWS, d), dtype=x.dtype)
+    blocks.reshape(-1, d)[:n] = x.reshape(n, d)
+    return ((blocks @ w).reshape(-1, w.shape[1])[:n] + b).reshape(*x.shape[:-1], -1)
+
+
 def _ln_backward(dy: np.ndarray, ln_cache, params, grads, prefix: str) -> np.ndarray:
     """Accumulate the gain and bias gradients of the layer norm whose
     parameters are ``prefix_g`` and ``prefix_b``; return the input cotangent."""
@@ -272,12 +283,9 @@ def forward(
     mask under that site name.
 
     ``rows=(batch_index, position)`` returns only those (M, d) rows of
-    ``hidden``: the last layer's attention reads every position, but its
-    output projection, feed-forward and layer norms run at the requested
-    rows alone.  It excludes dropout and the cache.  The rows equal the full
-    pass's bit for bit only where OpenBLAS rounds a row the same way in
-    products of every height: true at the widths the tests and the bench
-    use, false at ``d_ff`` 50.
+    ``hidden``, bit for bit: the last layer's attention reads every
+    position, but its output projection, feed-forward and layer norms run
+    at the requested rows alone.  It excludes dropout and the cache.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -311,7 +319,7 @@ def forward(
         p = f"layer{i}."
         x_in = x
         q, k, v = (
-            (x @ params[f"{p}attn_{n}_w"] + params[f"{p}attn_{n}_b"])
+            _dense(x, params[f"{p}attn_{n}_w"], params[f"{p}attn_{n}_b"])
             .reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
             for n in "qkv"
         )
@@ -322,15 +330,15 @@ def forward(
         probs_d = drop(probs, p + "attn_probs")
         ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
         if rows is not None and i == config.n_layers - 1:
-            ctx, x = _gemm_rows(ctx[rows]), _gemm_rows(x[rows])
-        ao = ctx @ params[p + "attn_o_w"] + params[p + "attn_o_b"]
+            ctx, x = ctx[rows], x[rows]
+        ao = _dense(ctx, params[p + "attn_o_w"], params[p + "attn_o_b"])
         ao = drop(ao, p + "attn_out")
         x_mid, attn_ln = layer_norm(
             x + ao, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
-        t = x_mid @ params[p + "ff_w1"] + params[p + "ff_b1"]
+        t = _dense(x_mid, params[p + "ff_w1"], params[p + "ff_b1"])
         a, tanh_term = gelu(t)
-        f = a @ params[p + "ff_w2"] + params[p + "ff_b2"]
+        f = _dense(a, params[p + "ff_w2"], params[p + "ff_b2"])
         f = drop(f, p + "ff_out")
         x, ff_ln = layer_norm(x_mid + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
         if want_cache:
@@ -342,16 +350,7 @@ def forward(
 
     if want_cache:
         return x, {"ids": ids, "emb_ln": emb_ln, "dropout": masks, "layers": layers}
-    if rows is not None:
-        return x[: len(rows[0])]
     return x
-
-
-def _gemm_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` with a lone row repeated, for products whose rows must keep
-    the bits they have inside a batch: numpy sends a one-row product to
-    gemv, whose sums round unlike gemm.  Callers keep the first row."""
-    return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -440,7 +439,7 @@ def _pool_with_cache(hidden, strategy, params):
         if params is None:
             raise ValueError("cls pooling requires encoder parameters")
         h0 = hidden[:, 0, :]
-        pooled = np.tanh((_gemm_rows(h0) @ params["pooler_w"])[: len(h0)] + params["pooler_b"])
+        pooled = np.tanh(_dense(h0, params["pooler_w"], params["pooler_b"]))
         return pooled, {**meta, "h0": h0, "pooled": pooled}
     if strategy == "mean":
         return hidden.sum(1) / hidden.shape[1], meta
@@ -485,15 +484,13 @@ def mlm_head_rows(params: dict[str, np.ndarray], rows: np.ndarray):
     """Log-probabilities over the vocabulary for a stack of hidden rows.
 
     head(h) = layer_norm(GELU(h @ W + b)), projected onto the tied token
-    embeddings plus an output bias, then log-softmax.  Each row is its own
-    (1, d) product, so its bits do not depend on the other rows, as they
-    can in a many-row BLAS product.
-    Returns ``(log_probs (M, V), cache)``.
+    embeddings plus an output bias, then log-softmax; a row's bits do not
+    depend on the other rows.  Returns ``(log_probs (M, V), cache)``.
     """
-    t = (rows[:, None] @ params["mlm_w"])[:, 0] + params["mlm_b"]
+    t = _dense(rows, params["mlm_w"], params["mlm_b"])
     a, tanh_term = gelu(t)
     h, ln = layer_norm(a, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = (h[:, None] @ params["tok_emb"].T)[:, 0] + params["mlm_out_b"]
+    logits = _dense(h, params["tok_emb"].T, params["mlm_out_b"])
     shifted = logits - logits.max(-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(-1, keepdims=True))
     return shifted - lse, {"rows": rows, "t": t, "tanh": tanh_term, "h": h, "ln": ln}

@@ -114,8 +114,7 @@ def score_spans(
     copies run without dropout, as one unpadded forward per length whose
     last layer finishes only at the masked rows, and one head call takes
     the rows of every length, so a span's score depends on its own
-    sequence alone wherever ``forward(rows=)`` is exact (see there; not
-    at ``d_ff`` 50).  The score is the mean probability the head assigns
+    sequence alone.  The score is the mean probability the head assigns
     to the true tokens; low scores mark spans the model does not yet
     treat as units.  Returns one list per pair, in span order.
     """

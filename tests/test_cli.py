@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from ulrlab.cli import (
     parse_config_file,
     resolve_config,
 )
-from ulrlab.corpus import Vocabulary, tokenize
+from ulrlab.corpus import Vocabulary, read_corpus, tokenize
 from ulrlab.encoder import load_checkpoint
 from ulrlab.evaluation import ModelEmbedder, embed_corpus
+from ulrlab.ngram import count_ngrams
 
 CORPUS_LINES = [
     "red fox jumps over the lazy dog",
@@ -139,6 +141,36 @@ class TestExtractNgrams:
         assert run(capsys, args + ["--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.with_name("a.tsv.vocab").read_bytes() == b.with_name("b.tsv.vocab").read_bytes()
+
+    def test_corpus_tokens_are_freed_before_counting(self, capsys, monkeypatch, workspace,
+                                                      tmp_path):
+        # Counting sets the process peak; the token tuples must be gone by then.
+        class Doc:
+            def __init__(self, tokens):
+                self.tokens = tokens
+
+            def __iter__(self):
+                return iter(self.tokens)
+
+        refs, alive = [], []
+
+        def read(path):
+            docs = [Doc(tokens) for tokens in read_corpus(path)]
+            refs.extend(map(weakref.ref, docs))
+            return docs
+
+        def count(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return count_ngrams(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_corpus", read)
+        monkeypatch.setattr(cli, "count_ngrams", count)
+        code, _, _ = run(capsys, [
+            "extract-ngrams", "--corpus", str(workspace / "corpus.txt"), "--min-count", "1",
+            "--out", str(tmp_path / "t.tsv"),
+        ])
+        assert code == 0
+        assert len(refs) == len(CORPUS_LINES) and alive == [0]
 
     def test_infinite_threshold_leaves_header_only(self, capsys, workspace, tmp_path):
         out = tmp_path / "empty.tsv"

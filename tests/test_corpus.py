@@ -212,6 +212,12 @@ class TestReadCorpus:
             ["second", "doc"],
         ]
 
+    def test_equal_tokens_share_one_string(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("red fox\nthe red dog\n", encoding="utf-8")
+        first, second = read_corpus(path)
+        assert first[0] is second[1]
+
     def test_tokens_contain_no_punctuation_characters(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("a,b.c  (d) e!\n", encoding="utf-8")

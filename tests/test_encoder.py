@@ -34,6 +34,7 @@ from ulrlab.encoder import (
     pool_backward,
     save_checkpoint,
     zero_grads,
+    _dense,
     _ln_backward,
     _pool_with_cache,
 )
@@ -160,11 +161,15 @@ class TestForward:
         with pytest.raises(ValueError, match="max_len"):
             forward(params, TINY, ids)
 
-    @pytest.mark.parametrize("n_rows", [1, 2, 9])
-    def test_rows_match_full_pass_bit_for_bit(self, n_rows):
-        # At d_model 64 a one-row product (gemv) rounds unlike the gemm of
-        # the full pass, so a single requested row is the sharpest case.
-        cfg = EncoderConfig(vocab_size=50, d_model=64, n_heads=2, n_layers=2, d_ff=128,
+    @pytest.mark.parametrize(
+        "d_ff, n_rows", [(128, 1), (128, 2), (128, 9), (50, 1), (50, 2), (50, 9)],
+        ids=["1", "2", "9", "d_ff50-1", "d_ff50-2", "d_ff50-9"],
+    )
+    def test_rows_match_full_pass_bit_for_bit(self, d_ff, n_rows):
+        # The requested rows run through products of another height than the
+        # full pass's 40 rows; a lone row is the sharpest case.  At d_ff 50 a
+        # plain product gives a row other bits at other heights.
+        cfg = EncoderConfig(vocab_size=50, d_model=64, n_heads=2, n_layers=2, d_ff=d_ff,
                             max_len=32, seed=4)
         rng = np.random.default_rng(n_rows)
         params = init_params(cfg)
@@ -337,14 +342,18 @@ class TestPool:
         want = np.tanh(hidden[:, 0] @ params["pooler_w"] + params["pooler_b"])
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
-    @pytest.mark.parametrize("strategy", ["cls", "mean", "max"])
-    def test_row_alone_matches_its_batch_row(self, strategy):
-        # At d_model 64 a one-row pooler product used to go to gemv and
-        # round differently from the batch's gemm.
-        cfg = EncoderConfig(vocab_size=50, d_model=64, n_heads=2, n_layers=1, d_ff=128)
+    @pytest.mark.parametrize(
+        "strategy, d_model",
+        [(s, d) for d in (64, 50) for s in ("cls", "mean", "max")],
+        ids=["cls", "mean", "max", "cls-d_model50", "mean-d_model50", "max-d_model50"],
+    )
+    def test_row_alone_matches_its_batch_row(self, strategy, d_model):
+        # The cls pooler multiplies one row alone and 17 in the batch; at
+        # d_model 50 a plain product gives a row other bits at other heights.
+        cfg = EncoderConfig(vocab_size=50, d_model=d_model, n_heads=2, n_layers=1, d_ff=128)
         params = init_params(cfg)
         rng = np.random.default_rng(13)
-        hidden = rng.normal(size=(17, 6, 64)).astype(np.float32)
+        hidden = rng.normal(size=(17, 6, d_model)).astype(np.float32)
         batch = pool(hidden, strategy, params)
         for i in range(17):
             alone = pool(hidden[i : i + 1], strategy, params)
@@ -353,6 +362,28 @@ class TestPool:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             pool(np.zeros((1, 2, 2)), "attention")
+
+
+class TestDense:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(1, 100),
+        d_in=st.sampled_from([32, 50, 54, 64, 128, 1000]),
+        d_out=st.sampled_from([32, 50, 54, 64, 128, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_alone_matches_its_stack_row(self, height, d_in, d_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(height, d_in)).astype(np.float32)
+        w = rng.normal(0.0, 0.1, size=(d_in, d_out)).astype(np.float32)
+        b = rng.normal(size=d_out).astype(np.float32)
+        got = _dense(x, w, b)
+        for i in range(height):
+            assert np.array_equal(_dense(x[i : i + 1], w, b)[0], got[i]), i
+        # Two float32 sums of d_in products and a bias, rounded in any order,
+        # differ by at most 2 (d_in + 1) eps times the sum of magnitudes.
+        bound = 2 * (d_in + 1) * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w) + np.abs(b))
+        assert np.all(np.abs(got - (x @ w + b)) <= bound)
 
 
 class TestMlmLogProbs:

@@ -375,6 +375,20 @@ class TestModelEmbedder:
             rows = emb.embed_many(part)
             assert [row.tobytes() for row in rows] == [alone[t] for t in part]
 
+    def test_cls_rows_do_not_depend_on_the_batch_at_d_model_50(self):
+        # The pooler multiplies 16 rows together and one alone; at d_model 50
+        # a plain product gives a row other bits at other heights.
+        tokens = [f"t{i}" for i in range(20)]
+        vocab = build_vocabulary([tokens], min_count=1, max_size=30)
+        cfg = EncoderConfig(vocab_size=len(vocab), d_model=50, n_heads=2, n_layers=2,
+                            d_ff=128, max_len=16, seed=5)
+        emb = ModelEmbedder(Model.init(cfg), vocab, pooling="cls")
+        rng = np.random.default_rng(0)
+        texts = [tuple(rng.choice(tokens, size=6).tolist()) for _ in range(EMBED_BATCH)]
+        together = emb.embed_many(texts)
+        for i, text in enumerate(texts):
+            assert np.array_equal(emb.embed_many([text])[0], together[i]), i
+
     def test_one_unpadded_forward_per_chunk_of_one_length(self, model_embedder, monkeypatch):
         emb, tokens = model_embedder
         batches = []
