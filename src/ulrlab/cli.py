@@ -14,6 +14,7 @@ artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -256,7 +257,28 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     return 0
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> bool:
+    """Have glibc's malloc keep freed heap memory in the process: blocks
+    under 32 MiB come from the heap, not from mmap, and the heap is given
+    back to the system only once 64 MiB of its top is free.  A training
+    step frees and reallocates the same arrays; without this every step
+    faults their pages in afresh.  Returns whether it was applied: False,
+    and nothing changes, where there is no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    )
+
+
 def cmd_train(cfg: dict[str, Any]) -> int:
+    keep_freed_memory()
     train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     vocab = Vocabulary.load(cfg["vocab"])
     sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]

@@ -10,7 +10,8 @@ Two numeric modes are supported through the parameter dtype: float32 for
 training and checkpoints, float64 ("wide") for finite-difference
 gradient checks, where float32 rounding would swamp the comparison.
 
-:func:`forward` can return a cache; :func:`backward` consumes it and
+:func:`forward` runs one packed pass over groups of unpadded sequences
+(:func:`pack`) and can return a cache; :func:`backward` consumes it and
 produces the exact analytic gradient of any loss expressed as a
 cotangent of the hidden states.  Pooling, including the tanh pooler,
 lives only in :func:`pool` and :func:`pool_backward`.  Dropout follows
@@ -139,7 +140,7 @@ def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: flo
 
 def init_params(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray]:
     """Deterministic initialization: truncated normal weights, zero biases,
-    unit layer-norm gains."""
+    unit layer-norm gains, as views into one flat buffer (:func:`tile`)."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params: dict[str, np.ndarray] = {}
     for name, shape in expected_shapes(config).items():
@@ -150,7 +151,7 @@ def init_params(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = _truncated_normal(rng, shape, INIT_STD).astype(dtype)
-    return params
+    return tile(params)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +180,15 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w + b`` over the last axis, as one product per zero-padded block
     of :data:`_BLOCK_ROWS` rows.  BLAS can round a row differently at another
-    product height; here every row meets one shape, whatever shares the call."""
+    product height; here every row meets one shape, whatever shares the call.
+    A strided ``w`` (the MLM head's ``tok_emb.T``) is copied once, not
+    repacked by every block's product."""
     n, d = math.prod(x.shape[:-1]), x.shape[-1]
     blocks = np.zeros((-(-n // _BLOCK_ROWS), _BLOCK_ROWS, d), dtype=x.dtype)
     blocks.reshape(-1, d)[:n] = x.reshape(n, d)
-    return ((blocks @ w).reshape(-1, w.shape[1])[:n] + b).reshape(*x.shape[:-1], -1)
+    y = (blocks @ np.ascontiguousarray(w)).reshape(-1, w.shape[1])[:n]
+    y += b
+    return y.reshape(*x.shape[:-1], -1)
 
 
 def _ln_backward(dy: np.ndarray, ln_cache, params, grads, prefix: str) -> np.ndarray:
@@ -260,39 +265,75 @@ def step_rng(seed: int, step: int, name: str) -> np.random.Generator:
 # forward / backward
 
 
+def _heads(x: np.ndarray, b: int, length: int, n_heads: int) -> np.ndarray:
+    """A group's (B·L, d) rows as a (B, heads, L, d_head) view."""
+    return x.reshape(b, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _group_layout(shapes, n_heads: int):
+    """Per group: its rows of the packed pass, B, L, and its stretch of the
+    flat buffer that holds every group's attention probabilities."""
+    layout, row, prob = [], 0, 0
+    for b, length in shapes:
+        n_probs = length * b * n_heads * length
+        layout.append((slice(row, row + b * length), b, length, slice(prob, prob + n_probs)))
+        row, prob = row + b * length, prob + n_probs
+    return layout, prob
+
+
 def forward(
     params: dict[str, np.ndarray],
     config: EncoderConfig,
     ids,
     *,
+    shapes: Sequence[tuple[int, int]] | None = None,
     rng_tag: tuple[int, int, str] | None = None,
     want_cache: bool = False,
-    rows: tuple[Sequence[int], Sequence[int]] | None = None,
+    rows: Sequence[int] | tuple[Sequence[int], Sequence[int]] | None = None,
 ):
-    """Run the encoder.
+    """Run the encoder over one packed pass of unpadded groups.
 
-    ``ids`` is an unpadded (B, L) batch: every position is a real token
-    and attends to all L, so without dropout a row's outputs depend on its
-    own ids alone (:func:`by_length` groups sequences into such batches).
-    Returns ``hidden`` of shape (B, L, d), or ``(hidden, cache)`` with
-    ``want_cache`` for :func:`backward`; :func:`pool` reduces it to
-    sequence vectors.  Dropout follows the tag: it runs exactly when
-    ``rng_tag=(seed, step, name)`` is given and ``config.dropout > 0``.  A
-    mask's stream is keyed by seed, step, name, layer and site
-    (``"layer0.ff_out"``, or ``"emb"``), and ``cache["dropout"]`` keeps the
-    mask under that site name.
+    ``ids`` is an unpadded (B, L) batch, or, with ``shapes=[(B, L), ...]``,
+    the ids of several such groups flattened and laid back to back
+    (:func:`pack` builds them from id lists).  Every position is a real
+    token and attends to the L positions of its own sequence, so without
+    dropout a sequence's outputs depend on its own ids alone, bit for bit.
+    The position-wise sublayers run once over the rows of every group;
+    attention runs per group.  Returns ``hidden`` — (B, L, d) for a 2-d
+    batch, one (N, d) row per id when packed — or ``(hidden, cache)`` with
+    ``want_cache`` for :func:`backward`; :func:`pool` reduces a group's
+    (B, L, d) hidden states to sequence vectors.
 
-    ``rows=(batch_index, position)`` returns only those (M, d) rows of
-    ``hidden``, bit for bit: the last layer's attention reads every
-    position, but its output projection, feed-forward and layer norms run
-    at the requested rows alone.  It excludes dropout and the cache.
+    Dropout follows the tag: it runs exactly when ``rng_tag=(seed, step,
+    name)`` is given and ``config.dropout > 0``.  A mask covers the whole
+    pass; its stream is keyed by seed, step, name, layer and site
+    (``"layer0.ff_out"``, or ``"emb"``), and ``cache["dropout"]`` keeps it
+    under that site name.  Each layer's ``cache["layers"][i]["attn_probs"]``
+    holds one (L, B, heads, L) array per group, key axis first: ``[k, b, h,
+    q]`` is the weight that query q of sequence b gives key k in head h, so
+    it sums to 1 over axis 0.  The ``attn_probs`` dropout mask is flat, over
+    those arrays in group order.
+
+    ``rows=`` returns only ``hidden[rows]``, (M, d), bit for bit: a
+    ``(batch_index, position)`` pair for a 2-d batch, row indices when
+    packed.  The last layer's attention reads every position, but its
+    output projection, feed-forward and layer norms run at the requested
+    rows alone.  It excludes dropout and the cache.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ValueError(f"ids must be 2-d (batch, length), got shape {ids.shape}")
-    if ids.shape[1] > config.max_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
-    b, length = ids.shape
+    if shapes is None:
+        if ids.ndim != 2:
+            raise ValueError(f"ids must be 2-d (batch, length), got shape {ids.shape}")
+        shapes = [ids.shape]
+        if rows is not None:
+            rows = np.ravel_multi_index(rows, ids.shape)
+    out_shape = (*ids.shape, config.d_model) if ids.ndim == 2 else (ids.size, config.d_model)
+    ids = ids.reshape(-1)
+    if sum(b * length for b, length in shapes) != ids.size:
+        raise ValueError(f"shapes {list(shapes)} do not cover the {ids.size} ids")
+    longest = max(length for _, length in shapes)
+    if longest > config.max_len:
+        raise ValueError(f"sequence length {longest} exceeds max_len {config.max_len}")
     dtype = params["tok_emb"].dtype
     use_dropout = rng_tag is not None and config.dropout > 0.0
     if rows is not None and (use_dropout or want_cache):
@@ -307,28 +348,43 @@ def forward(
         m = masks[site] = keep.astype(dtype) * (1.0 / (1.0 - config.dropout))
         return x * m
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:length][None, :, :]
+    n_heads, d_model = config.n_heads, config.d_model
+    scale = 1.0 / float(np.sqrt(config.d_head))
+    groups, n_probs = _group_layout(shapes, n_heads)
+
+    x = params["tok_emb"][ids]
+    for r, b, length, _ in groups:
+        xg = x[r].reshape(b, length, d_model)
+        xg += params["pos_emb"][:length]
     x, emb_ln = layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
     x = drop(x, "emb")
-
-    n_heads, d_head = config.n_heads, config.d_head
-    scale = 1.0 / float(np.sqrt(d_head))
 
     layers = []
     for i in range(config.n_layers):
         p = f"layer{i}."
         x_in = x
-        q, k, v = (
-            _dense(x, params[f"{p}attn_{n}_w"], params[f"{p}attn_{n}_b"])
-            .reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
-            for n in "qkv"
-        )
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        scores -= scores.max(-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(-1, keepdims=True)
-        probs_d = drop(probs, p + "attn_probs")
-        ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
+        # Q, K and V in one product; q comes out scaled by 1/√d_head.
+        w_q, b_q = params[p + "attn_q_w"] * scale, params[p + "attn_q_b"] * scale
+        q, k, v = np.split(_dense(
+            x,
+            np.concatenate([w_q, params[p + "attn_k_w"], params[p + "attn_v_w"]], axis=1),
+            np.concatenate([b_q, params[p + "attn_k_b"], params[p + "attn_v_b"]]),
+        ), 3, axis=1)
+        flat = np.empty(n_probs, dtype=dtype)  # every group's scores, then probabilities
+        probs = [flat[pr].reshape(length, b, n_heads, length) for _, b, length, pr in groups]
+        for (r, b, length, _), s in zip(groups, probs):
+            np.matmul(_heads(k[r], b, length, n_heads),
+                      _heads(q[r], b, length, n_heads).swapaxes(2, 3),
+                      out=s.transpose(1, 2, 0, 3))
+            s -= s.max(0)
+        np.exp(flat, out=flat)
+        for s in probs:
+            s /= s.sum(0)
+        flat_d = drop(flat, p + "attn_probs")
+        ctx = np.empty_like(x)
+        for r, b, length, pr in groups:
+            np.matmul(flat_d[pr].reshape(length, b, n_heads, length).transpose(1, 2, 3, 0),
+                      _heads(v[r], b, length, n_heads), out=_heads(ctx[r], b, length, n_heads))
         if rows is not None and i == config.n_layers - 1:
             ctx, x = ctx[rows], x[rows]
         ao = _dense(ctx, params[p + "attn_o_w"], params[p + "attn_o_b"])
@@ -343,18 +399,56 @@ def forward(
         x, ff_ln = layer_norm(x_mid + f, params[p + "ff_ln_g"], params[p + "ff_ln_b"])
         if want_cache:
             layers.append(dict(
-                x_in=x_in, q=q, k=k, v=v, attn_probs=probs, attn_probs_dropped=probs_d,
+                x_in=x_in, q=q, k=k, v=v, attn_probs=probs, attn_flat=flat, attn_dropped=flat_d,
                 ctx=ctx, attn_ln=attn_ln, x_mid=x_mid, ff_pre=t, ff_tanh=tanh_term,
                 ff_act=a, ff_ln=ff_ln,
             ))
 
+    if rows is not None:
+        return x
+    x = x.reshape(out_shape)
     if want_cache:
-        return x, {"ids": ids, "emb_ln": emb_ln, "dropout": masks, "layers": layers}
+        return x, {"ids": ids, "shapes": list(shapes), "emb_ln": emb_ln, "dropout": masks,
+                   "layers": layers}
     return x
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
+    """Zeros shaped like ``params``, as views into one flat buffer in dict order."""
+    dtype = next(iter(params.values())).dtype if params else np.float64
+    return _views(np.zeros(sum(a.size for a in params.values()), dtype=dtype), params)
+
+
+def tile(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of ``tensors`` as views into one new flat buffer, in dict
+    order, which :func:`tiled` returns."""
+    arrays = list(tensors.values())
+    return _views(np.concatenate([a.reshape(-1) for a in arrays]) if arrays else np.empty(0),
+                  tensors)
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``flat`` cut into consecutive views shaped as ``like``'s arrays."""
+    views, start = {}, 0
+    for name, a in like.items():
+        views[name] = flat[start : start + a.size].reshape(a.shape)
+        start += a.size
+    return views
+
+
+def tiled(tensors: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The flat buffer whose consecutive pieces are ``tensors``' arrays in
+    dict order, as :func:`tile` makes them, or None if there is none."""
+    arrays = list(tensors.values())
+    base = arrays[0].base if arrays else None
+    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
+        return None
+    at = base.__array_interface__["data"][0]
+    for a in arrays:
+        if a.base is not base or a.__array_interface__["data"][0] != at:
+            return None
+        at += a.nbytes
+    return base if at == base.__array_interface__["data"][0] + base.nbytes else None
 
 
 def backward(
@@ -364,28 +458,28 @@ def backward(
     d_hidden: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Backpropagate the hidden-state cotangent (B, L, d) through a
-    cached forward pass.
+    """Backpropagate the hidden-state cotangent, shaped as the forward's
+    ``hidden``, through a cached forward pass.
 
     Gradients are accumulated into ``grads``, so several forward passes
     can contribute to one update.  A pooled cotangent reaches
-    ``d_hidden`` through :func:`pool_backward`.
+    ``d_hidden`` through :func:`pool_backward`.  The cache is consumed:
+    each layer's record is dropped once its backward has run.
     """
-    ids = cache["ids"]
-    b, length = ids.shape
-    dx = d_hidden
+    ids, d_model, n_heads = cache["ids"], config.d_model, config.n_heads
+    groups, _ = _group_layout(cache["shapes"], n_heads)
+    dx = d_hidden.reshape(-1, d_model)
     masks = cache["dropout"]
 
     def undrop(d: np.ndarray, site: str) -> np.ndarray:
         """The cotangent ``d`` through the dropout at ``site``, if it drew a mask."""
         return d * masks[site] if site in masks else d
 
-    n_heads, d_head = config.n_heads, config.d_head
-    scale = 1.0 / float(np.sqrt(d_head))
-
+    scale = 1.0 / float(np.sqrt(config.d_head))
+    layers = cache["layers"]
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
-        lc = cache["layers"][i]
+        lc = layers.pop()
         # second sublayer: x_out = LN(x_mid + dropout(FF(x_mid)))
         dx_mid = _ln_backward(dx, lc["ff_ln"], params, grads, p + "ff_ln")
         df = undrop(dx_mid, p + "ff_out")
@@ -396,21 +490,34 @@ def backward(
         dx_in = _ln_backward(dx_mid, lc["attn_ln"], params, grads, p + "attn_ln")
         dao = undrop(dx_in, p + "attn_out")
         dctx = _linear_backward(lc["ctx"], dao, params, grads, p + "attn_o_w", p + "attn_o_b")
-        dctx = dctx.reshape(b, length, n_heads, d_head).transpose(0, 2, 1, 3)
-        dv = lc["attn_probs_dropped"].transpose(0, 1, 3, 2) @ dctx
-        dprobs = undrop(dctx @ lc["v"].transpose(0, 1, 3, 2), p + "attn_probs")
-        probs = lc["attn_probs"]
-        dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-        dq = (dscores @ lc["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
+        dq, dk, dv = (np.empty_like(dctx) for _ in "qkv")
+        d_att = np.empty_like(lc["attn_flat"])  # laid out as the probabilities
+        for r, b, length, pr in groups:
+            dc = _heads(dctx[r], b, length, n_heads)
+            shape = (length, b, n_heads, length)
+            np.matmul(lc["attn_dropped"][pr].reshape(shape).transpose(1, 2, 0, 3), dc,
+                      out=_heads(dv[r], b, length, n_heads))
+            np.matmul(_heads(lc["v"][r], b, length, n_heads), dc.swapaxes(2, 3),
+                      out=d_att[pr].reshape(shape).transpose(1, 2, 0, 3))
+        d_att = undrop(d_att, p + "attn_probs")
+        d_att *= lc["attn_flat"]
+        for (r, b, length, pr), probs in zip(groups, lc["attn_probs"]):
+            # The softmax backward, P dP - P sum_k(P dP), over the key axis.
+            ds = d_att[pr].reshape(probs.shape)
+            ds -= probs * ds.sum(0)
+            np.matmul(ds.transpose(1, 2, 3, 0), _heads(lc["k"][r], b, length, n_heads),
+                      out=_heads(dq[r], b, length, n_heads))
+            np.matmul(ds.transpose(1, 2, 0, 3), _heads(lc["q"][r], b, length, n_heads),
+                      out=_heads(dk[r], b, length, n_heads))
+        dq *= scale
         for dproj, proj in ((dq, p + "attn_q"), (dk, p + "attn_k"), (dv, p + "attn_v")):
-            dflat = dproj.transpose(0, 2, 1, 3).reshape(b, length, config.d_model)
-            dx_in += _linear_backward(lc["x_in"], dflat, params, grads, proj + "_w", proj + "_b")
+            dx_in += _linear_backward(lc["x_in"], dproj, params, grads, proj + "_w", proj + "_b")
         dx = dx_in
 
     dy = _ln_backward(undrop(dx, "emb"), cache["emb_ln"], params, grads, "emb_ln")
-    np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, config.d_model))
-    grads["pos_emb"][:length] += dy.sum(0)
+    np.add.at(grads["tok_emb"], ids, dy)
+    for r, b, length, _ in groups:
+        grads["pos_emb"][:length] += dy[r].reshape(b, length, d_model).sum(0)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +651,21 @@ def by_length(seqs: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarra
     ]
 
 
+def pack(seqs: Sequence[Sequence[int]]):
+    """One packed pass over id lists: ``(groups, ids, starts)``, where
+    ``groups`` is :func:`by_length`'s, ``ids`` their ids flattened and laid
+    back to back, and ``starts[i]`` the row of the pass at which sequence i
+    starts.  ``forward(params, config, ids, shapes=[g.shape for _, g in
+    groups])`` runs the pass."""
+    groups = by_length(seqs)
+    starts = np.empty(len(seqs), dtype=np.int64)
+    at = 0
+    for rows, ids in groups:
+        starts[rows] = np.arange(at, at + ids.size, ids.shape[1])
+        at += ids.size
+    return groups, np.concatenate([ids.reshape(-1) for _, ids in groups]), starts
+
+
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
@@ -632,6 +754,6 @@ def load_checkpoint(path: str | Path) -> Model:
     flat = np.frombuffer(take(size, "tensor payload"), dtype="<f4")
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} stray bytes after the checkpoint payload")
-    chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    params = {name: c.reshape(shapes[name]).copy() for name, c in zip(names, chunks)}
+    chunks = np.split(flat.astype(np.float32), np.cumsum(sizes)[:-1])
+    params = {name: c.reshape(shapes[name]) for name, c in zip(names, chunks)}
     return Model(params=params, config=config)

@@ -39,13 +39,15 @@ from .encoder import (
     EncoderConfig,
     Model,
     backward,
-    by_length,
     forward,
     mlm_head_rows,
     mlm_head_rows_backward,
+    pack,
     _pool_with_cache,
     pool_backward,
     step_rng,
+    tile,
+    tiled,
     zero_grads,
 )
 from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
@@ -86,7 +88,7 @@ def select_span(scores: Sequence[float]) -> int | None:
     """
     if len(scores) == 0:
         return None
-    return int(np.argmin(np.asarray(scores)))
+    return min(range(len(scores)), key=scores.__getitem__)
 
 
 def split_sequence(tokens: Sequence[int], span: Span):
@@ -111,38 +113,34 @@ def score_spans(
     """Average true-token probability of every annotated span under the MLM head.
 
     Each span is masked on its own copy of its framed sequence.  The
-    copies run without dropout, as one unpadded forward per length whose
+    copies run without dropout, as one packed forward (:func:`pack`) whose
     last layer finishes only at the masked rows, and one head call takes
-    the rows of every length, so a span's score depends on its own
-    sequence alone.  The score is the mean probability the head assigns
-    to the true tokens; low scores mark spans the model does not yet
-    treat as units.  Returns one list per pair, in span order.
+    those rows, so a span's score depends on its own sequence alone.  The
+    score is the mean probability the head assigns to the true tokens; low
+    scores mark spans the model does not yet treat as units.  Returns one
+    list per pair, in span order.
     """
-    variants, masked = [], []
+    copies, spans = [], []
     for seq, ann in pairs:
         for span in ann.spans:
             if not (1 <= span.start <= span.end <= len(seq)):
                 raise ValueError(f"span {span} outside sequence of length {len(seq)}")
-            variants.append([MASK_ID if span.start <= i <= span.end else t
-                             for i, t in enumerate(frame(seq))])
-            masked.append((seq, span))
-    if not variants:
+        copies.extend([frame(seq)] * len(ann.spans))
+        spans.extend(ann.spans)
+    if not spans:
         return [[] for _ in pairs]
-    hidden, owner, targets = [], [], []
-    for rows, ids in by_length(variants):
-        at, cols = [], []
-        for i, v in enumerate(rows.tolist()):
-            seq, span = masked[v]
-            at.extend([i] * span.length)
-            cols.extend(range(span.start, span.end + 1))
-            owner.extend([v] * span.length)
-            targets.extend(seq[span.start - 1 : span.end])
-        hidden.append(forward(model.params, model.config, ids, rows=(at, cols)))
-    log_probs, _ = mlm_head_rows(model.params, np.concatenate(hidden))
-    token_probs = np.exp(log_probs[np.arange(len(targets)), targets])
-    sums = np.zeros(len(variants))
-    np.add.at(sums, owner, token_probs)
-    means = iter((sums / np.bincount(owner)).tolist())
+    groups, ids, starts = pack(copies)
+    first = np.array([span.start for span in spans])
+    n = np.array([span.length for span in spans])
+    # Copy v's masked rows of the pass: starts[v] + first[v], and the n[v] - 1 after it.
+    at = np.repeat(starts + first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    targets = ids[at]
+    ids[at] = MASK_ID
+    hidden = forward(model.params, model.config, ids, shapes=[g.shape for _, g in groups], rows=at)
+    log_probs, _ = mlm_head_rows(model.params, hidden)
+    token_probs = np.exp(log_probs[np.arange(targets.size), targets])
+    sums = np.bincount(np.repeat(np.arange(len(spans)), n), weights=token_probs)
+    means = iter((sums / n).tolist())
     return [[next(means) for _ in ann.spans] for _, ann in pairs]
 
 
@@ -323,79 +321,61 @@ def loss_and_gradients(
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Joint loss and its exact analytic gradient for every tensor.
 
-    S, w and R each run as one unpadded forward per length
-    (:func:`by_length`), and their rows are gathered back into batch
-    order.  The masked forward pass of S feeds both losses: its hidden
-    rows at masked positions go to the MLM head, and its pooled vector is
-    E^S for the compositional term.  ``train_config`` gives the pooling
-    for E^w, E^R and E^S and the two loss weights.  Dropout follows the
-    tag: it runs exactly when ``dropout_tag=(seed, step)`` is given and
-    ``config.dropout > 0``, and each forward draws from its own streams,
-    named by pass and length (``s8`` is S's group of length 8).
+    S, and the w and R of the compositional term, run as one packed forward
+    (:func:`pack`) and one backward.  The masked pass of S feeds both
+    losses: its hidden rows at masked positions go to the MLM head, and its
+    pooled vector is E^S for the compositional term.  ``train_config``
+    gives the pooling for E^w, E^R and E^S and the two loss weights.
+    Dropout follows the tag: it runs exactly when ``dropout_tag=(seed,
+    step)`` is given and ``config.dropout > 0``, with the pass named
+    ``swr``.
     """
     pooling = train_config.pooling_for_misad
     misad_weight, mlm_weight = train_config.misad_weight, train_config.mlm_weight
+    use_misad = misad_weight != 0.0 and batch.n_misad > 0
+    n, k = batch.n_examples, batch.n_misad
+    # S, then w, then R: sequence i of the pass starts at row starts[i].
+    seqs = batch.s_ids + batch.w_ids + batch.r_ids if use_misad else batch.s_ids
+    groups, ids, starts = pack(seqs)
+    tag = None if dropout_tag is None else (*dropout_tag, "swr")
+    hidden, cache = forward(params, config, ids, shapes=[g.shape for _, g in groups],
+                            rng_tag=tag, want_cache=True)
     grads = zero_grads(params)
-
-    def encode(seqs, name: str):
-        """``[(rows, hidden, cache)]``, one forward per length group of ``seqs``."""
-        groups = []
-        for rows, ids in by_length(seqs):
-            tag = None if dropout_tag is None else (*dropout_tag, f"{name}{ids.shape[1]}")
-            groups.append((rows, *forward(params, config, ids, rng_tag=tag, want_cache=True)))
-        return groups
-
-    def pooled(groups):
-        """The groups' pooled rows in batch order, and each group's pool cache."""
-        out = [_pool_with_cache(hidden, pooling, params) for _, hidden, _ in groups]
-        order = np.argsort(np.concatenate([rows for rows, _, _ in groups]))
-        return np.concatenate([e for e, _ in out])[order], [cache for _, cache in out]
-
-    def unpool(groups, d_e, caches):
-        """Each group's hidden-state cotangent, given the pooled rows' ``d_e``."""
-        return [pool_backward(d_e[rows], cache, params, grads)
-                for (rows, _, _), cache in zip(groups, caches)]
-
-    s_groups = encode(batch.s_ids, "s")
-    # S token by token, group after group: example r's position c is row
-    # first[r] + c, and each group's cotangent is a view of d_tokens_s.
-    hidden_s = np.concatenate([h.reshape(-1, config.d_model) for _, h, _ in s_groups])
-    d_tokens_s = np.zeros_like(hidden_s)
-    first = np.empty(batch.n_examples, dtype=np.int64)
-    d_hidden_s, start = [], 0
-    for rows, hidden, _ in s_groups:
-        end = start + hidden.shape[0] * hidden.shape[1]
-        first[rows] = np.arange(start, end, hidden.shape[1])
-        d_hidden_s.append(d_tokens_s[start:end].reshape(hidden.shape))
-        start = end
+    d_hidden = np.zeros_like(hidden)
 
     l_mlm = 0.0
     if mlm_weight != 0.0 and batch.n_masked > 0:
-        at = first[batch.mlm_rows] + batch.mlm_cols
-        log_probs, head_cache = mlm_head_rows(params, hidden_s[at])
+        at = starts[batch.mlm_rows] + batch.mlm_cols
+        log_probs, head_cache = mlm_head_rows(params, hidden[at])
         l_mlm = mlm_loss(log_probs, batch.mlm_targets)
         d_logits = np.exp(log_probs)
         d_logits[np.arange(batch.n_masked), batch.mlm_targets] -= 1.0
         d_logits *= mlm_weight / batch.n_masked
-        np.add.at(d_tokens_s, at, mlm_head_rows_backward(head_cache, params, d_logits, grads))
+        d_hidden[at] += mlm_head_rows_backward(head_cache, params, d_logits, grads)  # no repeats
 
     l_misad = 0.0
-    if misad_weight != 0.0 and batch.n_misad > 0:
-        w_groups, r_groups = encode(batch.w_ids, "w"), encode(batch.r_ids, "r")
-        (e_w, pool_w), (e_r, pool_r), (e_s, pool_s) = map(pooled, (w_groups, r_groups, s_groups))
+    if use_misad:
+        # Each group's rows of the pass, as (B, L, d) views of hidden and d_hidden.
+        views, start = [], 0
+        for rows, g in groups:
+            end = start + g.size
+            views.append((rows, hidden[start:end].reshape(*g.shape, -1),
+                          d_hidden[start:end].reshape(*g.shape, -1)))
+            start = end
+        pooled = [_pool_with_cache(h, pooling, params) for _, h, _ in views]
+        e = np.empty((len(seqs), config.d_model), dtype=hidden.dtype)
+        e[np.concatenate([rows for rows, _ in groups])] = np.concatenate([p for p, _ in pooled])
         sub = batch.misad_s_rows
-        l_misad, (de_w, de_r, de_s) = _misad_with_grads(e_w, e_r, e_s[sub], misad_weight)
-        d_e_s = np.zeros_like(e_s)
-        d_e_s[sub] = de_s
-        # Pooler gradients accumulate w, r, then S; the order fixes their float sums.
-        for groups, d_e, caches in ((w_groups, de_w, pool_w), (r_groups, de_r, pool_r)):
-            for (_, _, cache), d_hidden in zip(groups, unpool(groups, d_e, caches)):
-                backward(cache, params, config, d_hidden, grads)
-        for d_hidden, d_pooled in zip(d_hidden_s, unpool(s_groups, d_e_s, pool_s)):
-            d_hidden += d_pooled
-
-    for (_, _, cache), d_hidden in zip(s_groups, d_hidden_s):
-        backward(cache, params, config, d_hidden, grads)
+        l_misad, (de_w, de_r, de_s) = _misad_with_grads(
+            e[n : n + k], e[n + k :], e[sub], misad_weight
+        )
+        d_e = np.zeros_like(e)
+        d_e[sub], d_e[n : n + k], d_e[n + k :] = de_s, de_w, de_r
+        for (rows, _, d_h), (_, pool_cache) in zip(views, pooled):
+            d_h += pool_backward(d_e[rows], pool_cache, params, grads)
+        del views, pooled
+    del hidden
+    backward(cache, params, config, d_hidden, grads)
     l_total = misad_weight * l_misad + mlm_weight * l_mlm
     return LossReport(l_misad=l_misad, l_mlm=l_mlm, l_total=l_total), grads
 
@@ -474,27 +454,40 @@ def adam_step(
 ) -> float:
     """One in-place Adam update with bias correction; returns the lr used.
 
-    Every gradient is checked before anything changes, so a non-finite
-    value leaves parameters, moments and the step count untouched.
+    The update runs once over every tensor, on flat buffers: parameters
+    and moments that are not yet views into one buffer (:func:`tile`) are
+    made so, in place in their dicts; ``init_params``, ``load_checkpoint``
+    and :meth:`OptimizerState.zeros` already make them so.  Every gradient
+    is checked before anything changes, so a non-finite value leaves
+    parameters, moments and the step count untouched.
     """
     t = state.step + 1
     lr = lr_at(t, config)
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise FloatingPointError(f"non-finite gradient for tensor {name}")
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    g = np.concatenate([grads[name].reshape(-1) for name in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise FloatingPointError(f"non-finite gradient for tensor {bad}")
+    p, m, v = _flat(params), _flat(state.m), _flat(state.v)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    g *= g
+    v += (1.0 - ADAM_BETA2) * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     state.step = t
     return lr
+
+
+def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
+    """The flat buffer that ``tensors``' arrays are views into, in dict
+    order; first rebuilt as such views if they are not."""
+    flat = tiled(tensors)
+    if flat is None:
+        tensors.update(tile(tensors))
+        flat = tiled(tensors)
+    return flat
 
 
 # ---------------------------------------------------------------------------

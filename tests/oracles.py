@@ -233,3 +233,13 @@ def oracle_score_spans(pairs, model):
         scores.append(total / len(pick))
     flat = iter(scores)
     return [[next(flat) for _ in ann.spans] for _, ann in pairs]
+
+
+def oracle_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with bias correction, one tensor at a time, as written in
+    Kingma & Ba; ``step`` is the 1-based step of this update."""
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / (1.0 - beta1**step)) / (np.sqrt(v[name] / (1.0 - beta2**step)) + eps)

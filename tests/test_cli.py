@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -1044,3 +1045,21 @@ def test_no_command_imports_scipy(workspace, tmp_path):
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestKeepFreedMemory:
+    def test_applied_on_glibc_linux(self):
+        if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt's settings are glibc's")
+        assert cli.keep_freed_memory()
+
+    def test_train_applies_it(self, monkeypatch, capsys, workspace, extracted, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1) or True)
+        out = tmp_path / "kept.ckpt"
+        assert main(["train", "--corpus", str(workspace / "corpus.txt"),
+                     "--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
+                     "--total-steps", "1", "--batch-size", "2",
+                     "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "16",
+                     "--out", str(out)]) == 0
+        assert calls == [1]

@@ -30,6 +30,7 @@ from ulrlab.encoder import (
     load_checkpoint,
     mlm_head_rows,
     by_length,
+    pack,
     pool,
     pool_backward,
     save_checkpoint,
@@ -151,8 +152,9 @@ class TestForward:
         ids = tiny_batch(rng)
         _, cache = forward(params, TINY, ids, want_cache=True)
         for layer in cache["layers"]:
-            probs = layer["attn_probs"]  # (B, h, L, L)
-            sums = probs.sum(-1)
+            [probs] = layer["attn_probs"]  # one group: (L keys, B, h, L queries)
+            assert probs.shape == (8, 2, TINY.n_heads, 8)
+            sums = probs.sum(0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_rejects_overlong_sequence(self):
@@ -429,6 +431,89 @@ class TestByLength:
         for group_rows, ids in groups:
             assert group_rows.tolist() == sorted(group_rows.tolist())
             assert [seqs[i] for i in group_rows] == ids.tolist()
+
+
+@functools.cache
+def packing_params(dtype=np.float32) -> dict[str, np.ndarray]:
+    """TINY's parameters moved off their init, so that attention is far
+    from uniform."""
+    params = init_params(TINY, dtype=dtype)
+    rng = np.random.default_rng(8)
+    for p in params.values():
+        p += rng.normal(0.0, 0.1, p.shape).astype(dtype)
+    return params
+
+
+# 1-5 groups of mixed (B, L); lengths may repeat.
+group_shapes = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 12)), min_size=1, max_size=5)
+
+
+def packed_groups(shapes, seed):
+    rng = np.random.default_rng(seed)
+    groups = [rng.integers(0, TINY.vocab_size, size=shape) for shape in shapes]
+    return groups, np.concatenate([g.reshape(-1) for g in groups])
+
+
+class TestPackedPass:
+    @settings(max_examples=60, deadline=None)
+    @given(group_shapes, st.integers(0, 2**32 - 1))
+    def test_each_group_gets_its_own_rows_bit_for_bit(self, shapes, seed):
+        params = packing_params()
+        groups, ids = packed_groups(shapes, seed)
+        hidden = forward(params, TINY, ids, shapes=shapes)
+        assert hidden.shape == (ids.size, TINY.d_model)
+        at = 0
+        for g in groups:
+            alone = forward(params, TINY, g).reshape(-1, TINY.d_model)
+            assert np.array_equal(hidden[at : at + g.size], alone)
+            at += g.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(group_shapes, st.integers(0, 2**32 - 1), st.data())
+    def test_rows_match_the_full_pass_bit_for_bit(self, shapes, seed, data):
+        params = packing_params()
+        _, ids = packed_groups(shapes, seed)
+        rows = data.draw(st.lists(st.integers(0, ids.size - 1), min_size=1, max_size=20))
+        full = forward(params, TINY, ids, shapes=shapes)
+        assert np.array_equal(forward(params, TINY, ids, shapes=shapes, rows=rows), full[rows])
+
+    @settings(max_examples=30, deadline=None)
+    @given(group_shapes, st.integers(0, 2**32 - 1))
+    def test_backward_is_the_sum_of_the_groups(self, shapes, seed):
+        params = packing_params(np.float64)
+        groups, ids = packed_groups(shapes, seed)
+        d_hidden = np.random.default_rng(seed).normal(size=(ids.size, TINY.d_model))
+        _, cache = forward(params, TINY, ids, shapes=shapes, want_cache=True)
+        packed = zero_grads(params)
+        backward(cache, params, TINY, d_hidden, packed)
+        summed, at = zero_grads(params), 0
+        for g in groups:
+            _, cache = forward(params, TINY, g, want_cache=True)
+            d_group = d_hidden[at : at + g.size].reshape(*g.shape, -1)
+            backward(cache, params, TINY, d_group, summed)
+            at += g.size
+        for name in params:
+            np.testing.assert_allclose(packed[name], summed[name], rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
+
+    def test_backward_drops_each_layer_record(self):
+        params = init_params(TINY)
+        hidden, cache = forward(params, TINY, tiny_batch(np.random.default_rng(0)),
+                                want_cache=True)
+        backward(cache, params, TINY, np.ones_like(hidden), zero_grads(params))
+        assert cache["layers"] == []
+
+    def test_rejects_shapes_that_do_not_cover_the_ids(self):
+        with pytest.raises(ValueError, match="cover"):
+            forward(init_params(TINY), TINY, np.arange(10), shapes=[(2, 4)])
+
+    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), min_size=1,
+                    max_size=12))
+    def test_pack_starts_each_sequence_at_its_row(self, seqs):
+        groups, ids, starts = pack(seqs)
+        assert [g.shape for _, g in groups] == [g.shape for _, g in by_length(seqs)]
+        for seq, start in zip(seqs, starts):
+            assert ids[start : start + len(seq)].tolist() == list(seq)
 
 
 class TestBackwardSpotCheck:

@@ -1,6 +1,7 @@
 """Joint training: span selection, losses, masking, Adam, and the loop."""
 
 import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import misad_loss
-from oracles import oracle_score_spans
+from oracles import oracle_adam_step, oracle_score_spans
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, frame
 from ulrlab.encoder import (
@@ -484,7 +485,8 @@ class TestLossAndGradients:
             assert np.abs(g).sum() > 0, name
 
     def test_every_forward_draws_its_own_dropout_streams(self, monkeypatch):
-        # S spans lengths 6 and 7, w lengths 4 and 5, R lengths 4 and 5.
+        # S spans lengths 6 and 7, w lengths 4 and 5, R lengths 4 and 5: one
+        # packed pass, whose every site draws one mask over all its rows.
         pairs = [
             one_pair((10, 11, 12, 13), Span(1, 2)),
             one_pair((20, 21, 22, 23, 24), Span(2, 4)),
@@ -492,17 +494,27 @@ class TestLossAndGradients:
         ]
         batch = prepare_batch(make_examples(pairs, Model.init(CFG)), 50,
                               np.random.default_rng(0), 0.3)
-        tags = []
+        calls = []
         real_forward = training.forward
 
         def recording_forward(params, config, ids, **kwargs):
-            tags.append(kwargs["rng_tag"])
-            return real_forward(params, config, ids, **kwargs)
+            hidden, cache = real_forward(params, config, ids, **kwargs)
+            calls.append((kwargs["rng_tag"], kwargs["shapes"], hidden.shape, cache["dropout"]))
+            return hidden, cache
 
         monkeypatch.setattr(training, "forward", recording_forward)
         loss_and_gradients(Model.init(CFG).params, replace(CFG, dropout=0.3), batch,
                            objective(), dropout_tag=(5, 2))
-        assert sorted(tags) == [(5, 2, name) for name in ("r4", "r5", "s6", "s7", "w4", "w5")]
+        [(tag, shapes, hidden_shape, masks)] = calls
+        assert tag == (5, 2, "swr")
+        assert sorted(length for _, length in shapes) == [4, 5, 6, 7]
+        sites = ("attn_probs", "attn_out", "ff_out")
+        assert set(masks) == {"emb"} | {f"layer{i}.{s}" for i in range(2) for s in sites}
+        n_probs = sum(b * length * length for b, length in shapes) * CFG.n_heads
+        for site, mask in masks.items():
+            assert mask.shape == ((n_probs,) if site.endswith("attn_probs") else hidden_shape)
+        for a, b in itertools.combinations(masks.values(), 2):
+            assert a.shape != b.shape or not np.array_equal(a, b)
 
     @pytest.mark.parametrize("pooling, dropout", [
         pytest.param(pooling, dropout, id=pooling + ("" if dropout == 0 else f"-dropout{dropout}"))
@@ -636,6 +648,33 @@ class TestAdamStep:
             assert np.array_equal(state.m[name], m_before[name]), name
             assert np.array_equal(state.v[name], v_before[name]), name
 
+    def test_matches_the_per_tensor_update_bit_for_bit(self):
+        # One pass over the flat buffers does the per-tensor update's float
+        # operations in the same order, so every bit agrees.
+        model = Model.init(CFG)
+        params = {k: v.copy() for k, v in model.params.items()}
+        m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in "mv")
+        state, config = OptimizerState.zeros(model.params), schedule(10, 0.2, peak=0.01)
+        rng = np.random.default_rng(3)
+        for step in range(1, 5):
+            grads = {k: rng.normal(0.0, 1.0, p.shape).astype(np.float32)
+                     for k, p in params.items()}
+            lr = adam_step(model.params, grads, state, config)
+            oracle_adam_step(params, grads, m, v, step, lr)
+            for name in params:
+                assert np.array_equal(model.params[name], params[name]), name
+                assert np.array_equal(state.m[name], m[name]), name
+                assert np.array_equal(state.v[name], v[name]), name
+
+    def test_params_that_share_no_buffer_are_updated_in_their_dict(self):
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+        state = OptimizerState.zeros(params)
+        adam_step(params, {"a": np.array([1.0, -1.0]), "b": np.array([[1.0]])}, state,
+                  schedule(10, 0.0, peak=0.1))
+        assert params["b"].shape == (1, 1)
+        np.testing.assert_allclose(params["a"], [0.91, 2.09])
+        np.testing.assert_allclose(params["b"], [[2.91]])
+
     def test_descends_on_quadratic(self):
         params = {"w": np.array([5.0])}
         state = OptimizerState.zeros(params)
@@ -712,6 +751,27 @@ class TestTrainStep:
         assert reports_a == reports_b
         for name in params_a:
             assert np.array_equal(params_a[name], params_b[name]), name
+
+
+class TestPassesPerStep:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(annotated_pairs(), min_size=1, max_size=8))
+    def test_a_step_makes_two_forwards_and_one_backward(self, pairs):
+        # Whatever the mix of lengths: one packed pass scores every span,
+        # and one pass with one backward serves S, w and R.
+        pairs = [((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),)))] + pairs
+        model = Model.init(CFG)
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("forward", "backward"):
+                mp.setattr(training, name, counted(name, getattr(training, name)))
+            examples = make_examples(pairs, model)
+            train_step(examples, model, OptimizerState.zeros(model.params), schedule(10))
+        assert sorted(calls) == ["backward", "forward", "forward"]
 
 
 class TestTrainer:
