@@ -79,20 +79,9 @@ def _tuples(grams: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(row[:n]) for row, n in zip(grams.tolist(), _lengths(grams).tolist())]
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of an int array and each value's index among them,
-    found by a bincount unless it would outgrow the input."""
-    if values.min(initial=0) < 0 or values.max(initial=0) > 4 * len(values):
-        return np.unique(values, return_inverse=True)
-    seen = np.bincount(values) > 0
-    return np.flatnonzero(seen), np.cumsum(seen)[values] - 1
-
-
 def _exact_log(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of each positive integer (``np.log`` may differ in the last bit),
-    once per distinct value."""
-    distinct, inverse = _distinct(values)
-    return np.array([math.log(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+    """``math.log`` of each positive integer (``np.log`` may differ in the last bit)."""
+    return np.array([math.log(v) for v in values.tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +158,11 @@ def count_ngrams(
 
 @dataclass(frozen=True, eq=False)
 class NgramTable:
-    """Scored n-gram inventory, one row per entry.  The table's order is
-    ``order``, indices of the stored rows, or their stored order if it is None.
-    Mining keeps the canonical order: NaN scores (entities not counted)
-    first, then pmi descending, count descending, ids ascending.
-    Scoring and entity injection only set ``order``; pruning stores the kept
-    rows in it, so the rows move once.  :meth:`from_entries` keeps the order
-    it is given, so a loaded table keeps its file's.
+    """Scored n-gram inventory, one row per entry, stored in the table's order.
+    Mining stores the canonical order: NaN scores (entities not counted)
+    first, then pmi descending, count descending, ids ascending.  Pruning
+    keeps the order of the rows it keeps.  :meth:`from_entries` keeps the
+    order it is given, so a loaded table keeps its file's.
 
     ``is_privileged`` marks injected entities, which pruning keeps.  The
     (document, row) pairs of all n-gram ``occurrences`` are carried only
@@ -189,7 +176,6 @@ class NgramTable:
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
-    order: np.ndarray | None = None
 
     @classmethod
     def from_entries(cls, entries: Mapping, n_max: int) -> NgramTable:
@@ -200,37 +186,25 @@ class NgramTable:
         return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max)
 
     def _sorted(self) -> NgramTable:
-        """This table in the canonical order; no stored row moves.  One argsort
-        orders the scores; one lexsort then orders the rows whose score another
-        row shares.  PAD is below every id, so a prefix sorts first, as Python
+        """This table with its rows and occurrences moved into the canonical
+        order.  PAD is below every id, so a prefix sorts first, as Python
         orders tuples."""
         nan = np.isnan(self.pmi)
         score = np.where(nan, -np.inf, -self.pmi)  # NaN ties pmi +inf; ~nan puts it first
-        order = np.argsort(score)
-        score = score[order]
-        shared = np.zeros(len(order) + 1, dtype=bool)
-        shared[1:-1] = score[1:] == score[:-1]
-        shared = shared[1:] | shared[:-1]
-        rows = order[shared]
-        # ids + 1 (PAD is 0) in the narrowest unsigned type, which lexsort
-        # sorts by radix when it has 16 bits or fewer
-        ids = np.take(self.grams, rows, axis=0) + 1
-        ids = ids.astype(np.min_scalar_type(int(ids.max(initial=0))))
-        keys = (*ids.T[::-1], -self.counts[rows], ~nan[rows], score[shared])
-        order[shared] = rows[np.lexsort(keys)]
-        return replace(self, order=order)
+        order = np.lexsort((*self.grams.T[::-1], -self.counts, ~nan, score))
+        if self.occurrences is None:
+            return self._rows(order)
+        docs, rows = self.occurrences
+        return self._rows(order, occurrences=(docs, np.argsort(order)[rows]))
 
-    def _in_order(self) -> NgramTable:
-        """This table with its rows stored in its order."""
-        return self if self.order is None else self._rows(self.order)
-
-    def _rows(self, index: np.ndarray, **changes) -> NgramTable:
-        """These rows stored in ``index``'s order, without occurrences.  ``np.take``
-        copies whole rows, several times faster than fancy indexing on 2-d grams."""
+    def _rows(
+        self, index: np.ndarray, occurrences: tuple[np.ndarray, np.ndarray] | None = None,
+        **changes,
+    ) -> NgramTable:
+        """These rows stored in ``index``'s order, with ``occurrences``."""
         return replace(
-            self, grams=np.take(self.grams, index, axis=0), counts=self.counts[index],
-            pmi=self.pmi[index], is_privileged=self.is_privileged[index], occurrences=None,
-            order=None, **changes,
+            self, grams=self.grams[index], counts=self.counts[index], pmi=self.pmi[index],
+            is_privileged=self.is_privileged[index], occurrences=occurrences, **changes,
         )
 
     def __len__(self) -> int:
@@ -307,7 +281,6 @@ def prune_table(
     """
     keep = table.is_privileged | (table.pmi > pmi_threshold)
     stage_counts = table.stage_counts + (("above threshold", int(keep.sum())),)
-    order = np.arange(len(table)) if table.order is None else table.order
     if per_doc_top_k is not None:
         if per_doc_top_k < 1:
             raise NgramError(f"per_doc_top_k must be >= 1, got {per_doc_top_k}")
@@ -315,23 +288,21 @@ def prune_table(
             raise NgramError("table has no document information for per-document pruning")
         docs, rows = table.occurrences
         hit = keep[rows]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        # Distinct (document, rank) pairs, by document and then by rank, so
+        # Distinct (document, row) pairs, by document and then by row, so
         # each document's first K are its best K.
         stride = len(table) + 1
-        pairs = np.sort(docs[hit].astype(np.int64) * stride + rank[rows[hit]])
+        pairs = np.sort(docs[hit].astype(np.int64) * stride + rows[hit])
         pairs = pairs[np.diff(pairs, prepend=-1) > 0]
         pair_doc = pairs // stride
         # a pair is in its document's first K unless the pair K places back shares it
         top = np.ones(len(pairs), dtype=bool)
         top[per_doc_top_k:] = pair_doc[per_doc_top_k:] != pair_doc[:-per_doc_top_k]
         keep = table.is_privileged.copy()
-        keep[order[pairs[top] % stride]] = True
+        keep[pairs[top] % stride] = True
         stage_counts += (("after per-document top-K", int(keep.sum())),)
     if not keep.any():
         warnings.warn("pruning produced an empty n-gram table", stacklevel=2)
-    return table._rows(order[keep[order]], stage_counts=stage_counts)
+    return table._rows(np.flatnonzero(keep), stage_counts=stage_counts)
 
 
 def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
@@ -356,48 +327,22 @@ def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
 
 
 _TABLE_HEADER = "tokens\tcount\tpmi"
-_SAVE_CHUNK = 1 << 13  # rows per write; their byte index takes 8 bytes per output byte
 
 
 def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
     Scores are written with 9 significant digits; a NaN score marks a
-    privileged entity that never occurred in the corpus.  Each chunk of rows
-    is one bytes format string, which numpy copies together from the UTF-8
-    pieces ``" token"`` (``%`` doubled) and ``"\tcount\t%.9g\n"``, and a
-    single ``%`` formats the chunk's scores into it.  A token id outside
+    privileged entity that never occurred in the corpus.  A token id outside
     ``vocab`` raises IndexError.
     """
-    table = table._in_order()
-    distinct, count_piece = _distinct(table.counts)
-    count_piece += len(vocab)
-    pieces = [f" {token.replace('%', '%%')}".encode() for token in vocab.tokens()]
-    pieces += [f"\t{count}\t%.9g\n".encode() for count in distinct.tolist()]
-    pieces.append(b"")  # PAD (-1) picks this empty piece
-    size = np.array([len(piece) for piece in pieces], dtype=np.int64)
-    start = np.cumsum(size) - size
-    blob = np.frombuffer(b"".join(pieces), dtype=np.uint8)
-    with atomic_open(path, "wb") as fh:
-        fh.write(_TABLE_HEADER.encode() + b"\n")
-        for lo in range(0, len(table), _SAVE_CHUNK):
-            rows = slice(lo, lo + _SAVE_CHUNK)
-            grams = table.grams[rows]
-            if grams.max() >= len(vocab):
-                raise IndexError(f"token id {grams.max()} outside a vocabulary of {len(vocab)}")
-            cells = np.hstack([grams, count_piece[rows, None]])
-            first, length = start[cells], size[cells]
-            first[:, 0] += 1  # no space before a row's first token
-            length[:, 0] -= 1
-            nonempty = length > 0  # drops PAD cells
-            first, length = first[nonempty], length[nonempty]
-            # Each output byte's index into blob: consecutive within a piece,
-            # a jump from one piece's last byte to the next piece's first.
-            ends = np.cumsum(length)
-            index = np.ones(ends[-1], dtype=np.int64)
-            index[0] = first[0]
-            index[ends[:-1]] = first[1:] - (first[:-1] + length[:-1] - 1)
-            fh.write(blob[np.cumsum(index, out=index)].tobytes() % tuple(table.pmi[rows].tolist()))
+    tokens = vocab.tokens()
+    with atomic_open(path) as fh:
+        fh.write(_TABLE_HEADER + "\n")
+        if table.grams.max(initial=0) >= len(tokens):
+            raise IndexError(f"token id {table.grams.max()} outside a vocabulary of {len(tokens)}")
+        for gram, count, pmi in zip(_tuples(table.grams), table.counts.tolist(), table.pmi.tolist()):
+            fh.write(f"{' '.join([tokens[i] for i in gram])}\t{count}\t{pmi:.9g}\n")
 
 
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
@@ -461,5 +406,5 @@ def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:
     """Histogram of n-gram lengths over the ``top_n`` best-scored entries (the first rows)."""
-    hist = np.bincount(_lengths(table._in_order().grams[:top_n]))
+    hist = np.bincount(_lengths(table.grams[:top_n]))
     return {n: int(c) for n, c in enumerate(hist.tolist()) if c}

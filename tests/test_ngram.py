@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_mark, oracle_mined_table, oracle_table_text
 from ulrlab.corpus import UNK_ID, NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, build_vocabulary
 from ulrlab.ngram import (
-    _SAVE_CHUNK,
     NgramError,
     NgramTable,
     Span,
@@ -197,7 +196,7 @@ class TestCountNgrams:
         hit = keep[full_rows]
         assert cut.occurrences[0].tolist() == full_docs[hit].tolist()
         assert cut.occurrences[1].tolist() == row[full_rows[hit]].tolist()
-        full_table, table = build_table(full)._in_order(), build_table(cut)._in_order()
+        full_table, table = build_table(full), build_table(cut)
         at_floor = full_table.counts >= floor
         assert table.grams.tolist() == full_table.grams[at_floor].tolist()
         assert table.pmi.view(np.int64).tolist() == full_table.pmi[at_floor].view(np.int64).tolist()
@@ -310,7 +309,7 @@ class TestCanonicalOrder:
     def test_matches_python_sort(self, entries):
         """NaN first, then pmi descending, count descending, ids ascending,
         also where a NaN score ties pmi +inf and -0.0 ties 0.0."""
-        table = toy_table(entries, n_max=4)._in_order()
+        table = toy_table(entries, n_max=4)
 
         def rank(g):
             count, pmi = entries[g]
@@ -473,7 +472,8 @@ class TestTableIO:
         save_table(toy_table({tuple(ids): (5, 1.25)}), vocab, path)
         before = path.read_bytes()
         # An id past the vocabulary fails after the header is written.
-        with pytest.raises(IndexError):
+        message = f"token id {len(vocab)} outside a vocabulary of {len(vocab)}"
+        with pytest.raises(IndexError, match=message):
             save_table(toy_table({(len(vocab), ids[0]): (1, 0.5)}), vocab, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
@@ -606,9 +606,9 @@ class TestTableWriter:
     """save_table's bytes against the per-row reference writer."""
 
     def test_chunk_boundary(self):
-        table = edge_table(_SAVE_CHUNK + 3, n_max=6, seed=0)
+        table = edge_table(8195, n_max=6, seed=0)
         text = saved_text(table, ODD_VOCAB)
-        assert text.count("\n") == _SAVE_CHUNK + 4
+        assert text.count("\n") == 8196
         assert text == oracle_table_text(table, ODD_VOCAB)
 
     def test_edge_scores_counts_and_tokens(self):
@@ -657,7 +657,7 @@ class TestTableWriter:
             finally:
                 tracemalloc.stop()
             size = path.stat().st_size
-        assert len(table) < _SAVE_CHUNK and size < 200_000
+        assert size < 200_000
         assert peak < 32 * size
 
     @given(st.integers(0, 40), st.integers(2, 6), st.integers(0, 2**32 - 1))
