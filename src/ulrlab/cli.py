@@ -55,11 +55,9 @@ from .evaluation import (
 from .ngram import (
     build_table,
     count_ngrams,
-    inject_entities,
     length_histogram,
     load_table,
     prune_table,
-    read_entity_file,
     save_table,
 )
 from .training import Trainer, TrainingConfig
@@ -123,7 +121,6 @@ COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
                                  help="per-document top-K cap, or 'none'"),
         "min_count": Setting(int, 5),
         "max_size": Setting(int, 50_000),
-        "entities": Setting(str, help="privileged entity n-grams, one per line"),
         "vocab_out": Setting(str, help="vocabulary output path"),
     },
     "train": {
@@ -239,8 +236,6 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     encoded = [encode(tokens, vocab) for tokens in docs]
     del docs  # nothing below reads the token tuples
     table = build_table(count_ngrams(encoded, n_max=cfg["n_max"], min_count=cfg["min_count"]))
-    if cfg["entities"]:
-        table = inject_entities(table, read_entity_file(cfg["entities"], vocab))
     table = prune_table(
         table, pmi_threshold=cfg["pmi_threshold"], per_doc_top_k=cfg["per_doc_top_k"]
     )

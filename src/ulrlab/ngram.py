@@ -11,8 +11,7 @@ keeps long n-grams from being drowned by their many marginal terms.
 Counting keeps only the n-grams that occur at least ``min_count`` times
 and hold no ``[UNK]``.  Pruning runs in two stages: a global score
 threshold, then a per-document top-K cut; the union over documents is the
-final table.  Entity n-grams can be injected as privileged entries that
-are exempt from pruning.
+final table.
 """
 
 from __future__ import annotations
@@ -159,39 +158,34 @@ def count_ngrams(
 @dataclass(frozen=True, eq=False)
 class NgramTable:
     """Scored n-gram inventory, one row per entry, stored in the table's order.
-    Mining stores the canonical order: NaN scores (entities not counted)
-    first, then pmi descending, count descending, ids ascending.  Pruning
-    keeps the order of the rows it keeps.  :meth:`from_entries` keeps the
-    order it is given, so a loaded table keeps its file's.
+    Mining stores the canonical order: pmi descending, count descending,
+    ids ascending.  Pruning keeps the order of the rows it keeps.
+    :meth:`from_entries` keeps the order it is given, so a loaded table
+    keeps its file's.
 
-    ``is_privileged`` marks injected entities, which pruning keeps.  The
-    (document, row) pairs of all n-gram ``occurrences`` are carried only
-    until pruning.  ``stage_counts`` is the entry count after each stage.
+    The (document, row) pairs of all n-gram ``occurrences`` are carried
+    only until pruning.  ``stage_counts`` is the entry count after each
+    stage.
     """
 
     grams: np.ndarray
     counts: np.ndarray
     pmi: np.ndarray
-    is_privileged: np.ndarray
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def from_entries(cls, entries: Mapping, n_max: int) -> NgramTable:
-        """A table of ``{id tuple: (count, pmi)}`` in the mapping's order;
-        NaN scores mark unseen entities."""
+        """A table of ``{id tuple: (count, pmi)}`` in the mapping's order."""
         values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2)
-        counts, pmi = values[:, 0].astype(np.int64), values[:, 1]
-        return cls(_pad(entries, n_max), counts, pmi, np.isnan(pmi), n_max)
+        return cls(_pad(entries, n_max), values[:, 0].astype(np.int64), values[:, 1], n_max)
 
     def _sorted(self) -> NgramTable:
         """This table with its rows and occurrences moved into the canonical
         order.  PAD is below every id, so a prefix sorts first, as Python
         orders tuples."""
-        nan = np.isnan(self.pmi)
-        score = np.where(nan, -np.inf, -self.pmi)  # NaN ties pmi +inf; ~nan puts it first
-        order = np.lexsort((*self.grams.T[::-1], -self.counts, ~nan, score))
+        order = np.lexsort((*self.grams.T[::-1], -self.counts, -self.pmi))
         if self.occurrences is None:
             return self._rows(order)
         docs, rows = self.occurrences
@@ -204,7 +198,7 @@ class NgramTable:
         """These rows stored in ``index``'s order, with ``occurrences``."""
         return replace(
             self, grams=self.grams[index], counts=self.counts[index], pmi=self.pmi[index],
-            is_privileged=self.is_privileged[index], occurrences=occurrences, **changes,
+            occurrences=occurrences, **changes,
         )
 
     def __len__(self) -> int:
@@ -229,42 +223,8 @@ def build_table(counts: RawNgramCounts) -> NgramTable:
     for col in counts.grams.T:
         acc -= log_uni[col]
     return NgramTable(
-        counts.grams, counts.counts, acc / lengths, np.zeros(len(acc), dtype=bool),
-        counts.n_max, counts.occurrences, (("counted", len(acc)),),
-    )._sorted()
-
-
-def inject_entities(table: NgramTable, entity_ngrams: Iterable[Sequence[int]]) -> NgramTable:
-    """Mark entity n-grams as privileged, adding them if absent.
-
-    Entities outside lengths 2..n_max are skipped with a warning.  An
-    entity the table did not count (absent from the corpus, or below the
-    count floor) is stored with count 0 and a NaN score.  Returns a new
-    table, or ``table`` itself when every entity already is a privileged
-    entry, so injection is idempotent.
-    """
-    rows = {w: i for i, w in enumerate(_tuples(table.grams))}
-    marked = []
-    for w in map(tuple, entity_ngrams):
-        if 2 <= len(w) <= table.n_max:
-            marked.append(rows.setdefault(w, len(rows)))
-        else:
-            warnings.warn(
-                f"entity n-gram {w} has length {len(w)}, outside 2..{table.n_max}; skipped",
-                stacklevel=2,
-            )
-    added = list(rows)[len(table) :]
-    if not added and table.is_privileged[marked].all():
-        return table
-    is_privileged = np.pad(table.is_privileged, (0, len(added)))
-    is_privileged[marked] = True
-    return replace(
-        table,
-        grams=np.vstack([table.grams, _pad(added, table.n_max)]),
-        counts=np.pad(table.counts, (0, len(added))),
-        pmi=np.pad(table.pmi, (0, len(added)), constant_values=math.nan),
-        is_privileged=is_privileged,
-        stage_counts=table.stage_counts + (("with entities", len(rows)),),
+        counts.grams, counts.counts, acc / lengths, counts.n_max, counts.occurrences,
+        (("counted", len(acc)),),
     )._sorted()
 
 
@@ -276,10 +236,9 @@ def prune_table(
     Entries with ``pmi > pmi_threshold`` survive the first stage; the
     second keeps, for every document, the ``per_doc_top_k`` best
     surviving entries (pmi desc, count desc, id-tuple asc) and unions the
-    result.  Privileged entries always survive.  Pass
-    ``per_doc_top_k=None`` to skip the per-document stage.
+    result.  Pass ``per_doc_top_k=None`` to skip the per-document stage.
     """
-    keep = table.is_privileged | (table.pmi > pmi_threshold)
+    keep = table.pmi > pmi_threshold
     stage_counts = table.stage_counts + (("above threshold", int(keep.sum())),)
     if per_doc_top_k is not None:
         if per_doc_top_k < 1:
@@ -297,7 +256,7 @@ def prune_table(
         # a pair is in its document's first K unless the pair K places back shares it
         top = np.ones(len(pairs), dtype=bool)
         top[per_doc_top_k:] = pair_doc[per_doc_top_k:] != pair_doc[:-per_doc_top_k]
-        keep = table.is_privileged.copy()
+        keep = np.zeros(len(table), dtype=bool)
         keep[pairs[top] % stride] = True
         stage_counts += (("after per-document top-K", int(keep.sum())),)
     if not keep.any():
@@ -332,8 +291,7 @@ _TABLE_HEADER = "tokens\tcount\tpmi"
 def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
-    Scores are written with 9 significant digits; a NaN score marks a
-    privileged entity that never occurred in the corpus.  A token id outside
+    Scores are written with 9 significant digits.  A token id outside
     ``vocab`` raises IndexError.
     """
     tokens = vocab.tokens()
@@ -341,8 +299,10 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
         fh.write(_TABLE_HEADER + "\n")
         if table.grams.max(initial=0) >= len(tokens):
             raise IndexError(f"token id {table.grams.max()} outside a vocabulary of {len(tokens)}")
-        for gram, count, pmi in zip(_tuples(table.grams), table.counts.tolist(), table.pmi.tolist()):
-            fh.write(f"{' '.join([tokens[i] for i in gram])}\t{count}\t{pmi:.9g}\n")
+        rows = zip(table.grams.tolist(), _lengths(table.grams).tolist(),
+                   table.counts.tolist(), table.pmi.tolist())
+        for gram, n, count, pmi in rows:
+            fh.write(f"{' '.join([tokens[i] for i in gram[:n]])}\t{count}\t{pmi:.9g}\n")
 
 
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
@@ -352,11 +312,9 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     row of fewer than two tokens (which no span can match), a token
     missing from ``vocab`` (the table and vocabulary do not belong
     together), or a reserved token such as ``[UNK]`` (which would match
-    unrelated spans) raises :class:`NgramError`.  Entries with NaN
-    scores are restored as privileged; the format loses the privileged
-    flag of entities with a finite score.  Rows keep the file's order: a
-    reload never re-breaks ties between scores that the 9 written digits
-    made equal, so save, load and save again writes the same bytes.
+    unrelated spans) raises :class:`NgramError`.  Rows keep the file's
+    order: a reload never re-breaks ties between scores that the 9 written
+    digits made equal, so save, load and save again writes the same bytes.
     """
     entries: dict[tuple[int, ...], tuple[int, float]] = {}
 
@@ -387,21 +345,6 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
 
     read_lines(path, entry, header=check_header)
     return NgramTable.from_entries(entries, max([2, *map(len, entries)]))
-
-
-def read_entity_file(path: str | Path, vocab: Vocabulary) -> list[tuple[int, ...]]:
-    """Read one space-joined entity n-gram per line.
-
-    Entities containing out-of-vocabulary tokens are skipped with a
-    warning; matching them through UNK would mark unrelated spans.
-    """
-    out: list[tuple[int, ...]] = []
-    for toks in read_lines(path, str.split):
-        if any(t not in vocab for t in toks):
-            warnings.warn(f"entity {' '.join(toks)!r} has OOV tokens; skipped", stacklevel=2)
-        else:
-            out.append(tuple(vocab.id_of(t) for t in toks))
-    return out
 
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:

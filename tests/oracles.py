@@ -69,40 +69,32 @@ def oracle_pmi(gram, joint, single, total):
 
 
 def oracle_mined_table(
-    sequences, n_max, pmi_threshold, per_doc_top_k, entities, min_count, names, top_n
+    sequences, n_max, pmi_threshold, per_doc_top_k, min_count, names, top_n
 ):
     """Brute-force mining: the saved table text and the top-n length histogram.
 
-    Counts and scores come from the oracles above; entities of length
-    2..n_max are injected (count 0 and a NaN score when not counted);
-    entries above the threshold, then each document's top-K among its
-    counted n-grams, are kept with every entity; rows are written NaN
-    scores first, then by pmi descending, count descending and ids
+    Counts and scores come from the oracles above; entries above the
+    threshold, then each document's top-K among its counted n-grams, are
+    kept; rows are written by pmi descending, count descending and ids
     ascending, by one Python sort.
     """
     joint, single, total = oracle_ngram_counts(sequences, n_max, min_count)
     scored = {g: (c, oracle_pmi(g, joint, single, total)) for g, c in joint.items()}
-    privileged = set()
-    for ent in entities:
-        ent = tuple(ent)
-        if 2 <= len(ent) <= n_max:
-            scored.setdefault(ent, (0, math.nan))
-            privileged.add(ent)
 
     def rank(g):
         count, pmi = scored[g]
-        return (0, 0.0, -count, g) if math.isnan(pmi) else (1, -pmi, -count, g)
+        return (-pmi, -count, g)
 
-    above = {g for g, (_, pmi) in scored.items() if g in privileged or pmi > pmi_threshold}
+    above = {g for g, (_, pmi) in scored.items() if pmi > pmi_threshold}
     kept = above
     if per_doc_top_k is not None:
-        kept = set(privileged)
+        kept = set()
         for seq in sequences:
             present = set()
             for n in range(2, n_max + 1):
                 for i in range(len(seq) - n + 1):
                     gram = tuple(seq[i : i + n])
-                    if gram in joint and gram in above:
+                    if gram in above:
                         present.add(gram)
             kept.update(sorted(present, key=rank)[:per_doc_top_k])
     rows = sorted(kept, key=rank)

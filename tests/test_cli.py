@@ -294,14 +294,17 @@ class TestConfigResolution:
         assert code == 0
         assert "n_max = 4" in stderr
 
-    def test_unknown_config_key_rejected(self, capsys, workspace, tmp_path):
+    # `entities` was a setting once; a config that names it must not mine without them.
+    @pytest.mark.parametrize("key", ["mystery_knob", "entities"])
+    def test_unknown_config_key_rejected(self, capsys, workspace, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"corpus = {workspace / 'corpus.txt'}\nmystery_knob = 3\n")
+        cfg.write_text(f"corpus = {workspace / 'corpus.txt'}\n{key} = 3\n")
         code, _, stderr = run(capsys, [
             "extract-ngrams", "--config", str(cfg), "--out", str(tmp_path / "t.tsv"),
         ])
         assert code == 1
-        assert "unknown config key" in stderr and "mystery_knob" in stderr
+        assert "unknown config key" in stderr and key in stderr
+        assert not (tmp_path / "t.tsv").exists()
 
     @pytest.mark.parametrize("weight", ["0", "1"])
     def test_config_file_value_outside_choices_rejected(
@@ -373,7 +376,7 @@ class TestConfigResolution:
 
 
 PARENT_FLAGS = {
-    "extract-ngrams": "--corpus --entities --max-size --min-count --n-max --out "
+    "extract-ngrams": "--corpus --max-size --min-count --n-max --out "
                       "--threshold --top-k --vocab-out",
     "train": "--batch-size --corpus --d-ff --d-model --dropout --mask-rate --max-len "
              "--metrics-out --misad-weight --mlm-weight --n-heads --n-layers --out "

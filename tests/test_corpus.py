@@ -30,7 +30,7 @@ from ulrlab.evaluation import (
     read_retrieval_queries,
     read_word_vectors,
 )
-from ulrlab.ngram import NgramError, load_table, read_entity_file
+from ulrlab.ngram import NgramError, load_table
 
 
 def make_documents(*texts):
@@ -242,7 +242,6 @@ READERS = {
         lambda path: load_table(path, READ_VOCAB), ["tokens\tcount\tpmi", "red fox\t2\t1.5"],
         "fox red\t2\tx", NgramError, lambda table: table.entries,
     ),
-    "entities": (lambda path: read_entity_file(path, READ_VOCAB), ["red fox"], None, None, None),
     "word vectors": (
         read_word_vectors, ["red 1 2", "fox 3 4"], "blue 1", ValueError,
         lambda vectors: {t: v.tolist() for t, v in vectors.items()},

@@ -21,7 +21,6 @@ from ulrlab.ngram import (
     SpanAnnotation,
     build_table,
     count_ngrams,
-    inject_entities,
     length_histogram,
     load_table,
     mark_sequence,
@@ -52,8 +51,6 @@ def compute_pmi(w, counts):
     return build_table(counts).entries[tuple(w)][1]
 
 
-def privileged(table):
-    return {w for w, flag in zip(table.entries, table.is_privileged.tolist()) if flag}
 IDS.update({t: i + NUM_SPECIALS + 10 for i, t in enumerate(["the", "cat", "sat", "ran"])})
 
 # Small alphabets give n-grams repeated inside one document and exact pmi
@@ -73,26 +70,23 @@ def corpus_ids(size):
 
 @st.composite
 def mining_inputs(draw):
-    """Corpus, n_max, threshold, per-document K, entities and count floor
-    for one mining run."""
+    """Corpus, n_max, threshold, per-document K and count floor for one
+    mining run."""
     size = draw(st.integers(min_value=2, max_value=MAX_ALPHABET))
-    ids = st.integers(min_value=NUM_SPECIALS, max_value=NUM_SPECIALS + size - 1)
     n_max = draw(st.integers(min_value=2, max_value=4))
     docs = draw(
         st.lists(st.lists(corpus_ids(size), max_size=9), min_size=1, max_size=6).filter(
             lambda d: any(d)
         )
     )
-    entities = draw(st.lists(st.lists(ids, min_size=2, max_size=n_max), max_size=3))
     threshold = draw(st.sampled_from([-math.inf, -0.3, 0.0, 0.2, math.inf]))
     per_doc_top_k = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
     min_count = draw(st.integers(min_value=1, max_value=3))
-    return docs, n_max, threshold, per_doc_top_k, [tuple(e) for e in entities], min_count
+    return docs, n_max, threshold, per_doc_top_k, min_count
 
 
-def mine(docs, n_max, threshold, per_doc_top_k, entities, min_count):
+def mine(docs, n_max, threshold, per_doc_top_k, min_count):
     table = build_table(count_ngrams([tuple(d) for d in docs], n_max, min_count))
-    table = inject_entities(table, entities)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty result warns
         return prune_table(table, pmi_threshold=threshold, per_doc_top_k=per_doc_top_k)
@@ -302,18 +296,18 @@ class TestCanonicalOrder:
     @given(st.dictionaries(
         st.lists(st.integers(0, 3), min_size=2, max_size=4).map(tuple),
         st.tuples(st.integers(0, 3),
-                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0])),
+                  st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0])),
         max_size=30,
     ))
     @settings(max_examples=300, deadline=None)
     def test_matches_python_sort(self, entries):
-        """NaN first, then pmi descending, count descending, ids ascending,
-        also where a NaN score ties pmi +inf and -0.0 ties 0.0."""
+        """Pmi descending, count descending, ids ascending, also where
+        -0.0 ties 0.0."""
         table = toy_table(entries, n_max=4)
 
         def rank(g):
             count, pmi = entries[g]
-            return (0, 0.0, -count, g) if math.isnan(pmi) else (1, -pmi, -count, g)
+            return (-pmi, -count, g)
 
         assert list(table.entries) == sorted(entries, key=rank)
 
@@ -362,32 +356,6 @@ class TestPruneTable:
         pruned = prune_table(table, pmi_threshold=0.0, per_doc_top_k=3)
         for gram, entry in pruned.entries.items():
             assert table.entries[gram] == entry
-
-
-class TestInjectEntities:
-    def test_inject_into_empty_table(self):
-        table = inject_entities(toy_table({}), [(7, 8)])
-        assert (7, 8) in table.entries
-        assert (7, 8) in privileged(table)
-
-    def test_duplicate_injection_is_idempotent(self):
-        table = inject_entities(toy_table({}), [(7, 8)])
-        snapshot = dict(table.entries)
-        table = inject_entities(table, [(7, 8)])
-        assert table.entries == snapshot
-
-    def test_entity_survives_infinite_threshold(self):
-        (seq,) = seqs_from_texts(["a b a b"], IDS)
-        table = build_table(count_ngrams([seq], n_max=2))
-        table = inject_entities(table, [(IDS["a"], IDS["b"])])
-        pruned = prune_table(table, pmi_threshold=math.inf, per_doc_top_k=None)
-        assert (IDS["a"], IDS["b"]) in pruned.entries
-
-    def test_bad_length_skipped_with_warning(self):
-        table = toy_table({}, n_max=3)
-        with pytest.warns(UserWarning):
-            inject_entities(table, [(5,), (5, 6, 7, 8)])
-        assert len(table) == 0
 
 
 class TestMarkSequence:
@@ -461,7 +429,6 @@ class TestTableIO:
         first = path.read_bytes()
         loaded = load_table(path, vocab)
         assert set(loaded.entries) == set(entries)
-        assert privileged(loaded) == {(ids[2], ids[3])}
         assert loaded.entries[(ids[0], ids[1])][0] == 5
         save_table(loaded, vocab, path)
         assert path.read_bytes() == first
@@ -591,7 +558,7 @@ EDGE_SCORES = [math.nan, -0.0, 0.0, 1e-5, -1e-5, 1 / 3, 123456789.5, 5e-324, mat
 
 def edge_table(n_rows, n_max, seed):
     """``n_rows`` n-grams of lengths 2..n_max over ODD_VOCAB, a fifth of them
-    with an edge score; NaN rows are entities with count 0."""
+    with an edge score; a NaN row has count 0."""
     rng = np.random.default_rng(seed)
     grams = rng.integers(0, len(ODD_VOCAB), size=(n_rows, n_max)).astype(np.int32)
     grams[np.arange(n_max) >= rng.integers(2, n_max + 1, size=(n_rows, 1))] = -1
@@ -599,7 +566,7 @@ def edge_table(n_rows, n_max, seed):
     edge = rng.random(n_rows) < 0.2
     pmi[edge] = rng.choice(EDGE_SCORES, size=int(edge.sum()))
     counts = np.where(np.isnan(pmi), 0, rng.integers(1, 2**40, size=n_rows))
-    return NgramTable(grams, counts, pmi, np.isnan(pmi), n_max)
+    return NgramTable(grams, counts, pmi, n_max)
 
 
 class TestTableWriter:
@@ -688,11 +655,6 @@ class TestMinedTableOracle:
         for w, (count, pmi) in table.entries.items():
             assert loaded.entries[w][0] == count
             assert f"{loaded.entries[w][1]:.9g}" == f"{pmi:.9g}"
-        unseen = {w for w in privileged(table) if math.isnan(table.entries[w][1])}
-        assert unseen <= privileged(loaded)
-        # The one loss of the file format, by name.
-        lost_flags = privileged(table) - privileged(loaded)
-        assert lost_flags == {w for w in privileged(table) if not math.isnan(table.entries[w][1])}
 
 
 class TestLengthHistogram:
