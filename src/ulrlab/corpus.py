@@ -169,9 +169,11 @@ class Vocabulary:
 
 
 def read_corpus(path: str | Path) -> list[tuple[str, ...]]:
-    """The tokens of each non-blank line of a UTF-8 text file; equal tokens
-    share one interned string, so the corpus costs a pointer per token."""
-    return read_lines(path, lambda line: tuple(map(sys.intern, tokenize(line))))
+    """The tokens of each non-blank line of a UTF-8 text file, of which there
+    must be one; equal tokens share one interned string, so the corpus costs a
+    pointer per token."""
+    return read_lines(path, lambda line: tuple(map(sys.intern, tokenize(line))),
+                      what="documents")
 
 
 def build_vocabulary(

@@ -11,14 +11,15 @@ training and checkpoints, float64 ("wide") for finite-difference
 gradient checks, where float32 rounding would swamp the comparison.
 
 :func:`forward` runs one packed pass over groups of unpadded sequences
-(:func:`pack`) and can return a cache; :func:`backward` consumes it and
-produces the exact analytic gradient of any loss expressed as a
-cotangent of the hidden states.  Pooling, including the tanh pooler,
-lives only in :func:`pool` and :func:`pool_backward`.  Dropout follows
-the tag: it runs exactly when :func:`forward` is given ``rng_tag`` (and
-the configured rate is above 0), with each mask drawn from :func:`step_rng`
-keyed by seed, step, pass name, layer and site, so no two masks share a
-stream and a training step replays bit-identically.
+(:func:`pack`), inference and training alike, and can return a cache;
+:func:`backward` consumes it and produces the exact analytic gradient of
+any loss expressed as a cotangent of the hidden states.  Pooling,
+including the tanh pooler, lives only in :func:`pool` and
+:func:`pool_backward`, over a group's (B, L, d) view (:func:`group_views`).
+Dropout follows the tag: it runs exactly when :func:`forward` is given
+``rng_tag`` (and the configured rate is above 0), with each mask drawn from
+:func:`step_rng` keyed by seed, step, pass name, layer and site, so no two
+masks share a stream and a training step replays bit-identically.
 """
 
 from __future__ import annotations
@@ -286,23 +287,23 @@ def forward(
     config: EncoderConfig,
     ids,
     *,
-    shapes: Sequence[tuple[int, int]] | None = None,
+    shapes: Sequence[tuple[int, int]],
     rng_tag: tuple[int, int, str] | None = None,
     want_cache: bool = False,
-    rows: Sequence[int] | tuple[Sequence[int], Sequence[int]] | None = None,
+    rows: Sequence[int] | None = None,
 ):
     """Run the encoder over one packed pass of unpadded groups.
 
-    ``ids`` is an unpadded (B, L) batch, or, with ``shapes=[(B, L), ...]``,
-    the ids of several such groups flattened and laid back to back
-    (:func:`pack` builds them from id lists).  Every position is a real
-    token and attends to the L positions of its own sequence, so without
-    dropout a sequence's outputs depend on its own ids alone, bit for bit.
-    The position-wise sublayers run once over the rows of every group;
-    attention runs per group.  Returns ``hidden`` — (B, L, d) for a 2-d
-    batch, one (N, d) row per id when packed — or ``(hidden, cache)`` with
-    ``want_cache`` for :func:`backward`; :func:`pool` reduces a group's
-    (B, L, d) hidden states to sequence vectors.
+    ``ids`` holds the ids of the unpadded groups ``shapes=[(B, L), ...]``,
+    each flattened, laid back to back (:func:`pack` builds them from id
+    lists).  Every position is a real token and attends to the L positions
+    of its own sequence, so without dropout a sequence's outputs depend on
+    its own ids alone, bit for bit.  The position-wise sublayers run once
+    over the rows of every group; attention runs per group.  Returns
+    ``hidden``, one (N, d) row per id, or ``(hidden, cache)`` with
+    ``want_cache`` for :func:`backward`; :func:`group_views` cuts it into
+    each group's (B, L, d) states, which :func:`pool` reduces to sequence
+    vectors.
 
     Dropout follows the tag: it runs exactly when ``rng_tag=(seed, step,
     name)`` is given and ``config.dropout > 0``.  A mask covers the whole
@@ -314,23 +315,14 @@ def forward(
     it sums to 1 over axis 0.  The ``attn_probs`` dropout mask is flat, over
     those arrays in group order.
 
-    ``rows=`` returns only ``hidden[rows]``, (M, d), bit for bit: a
-    ``(batch_index, position)`` pair for a 2-d batch, row indices when
-    packed.  The last layer's attention reads every position, but its
-    output projection, feed-forward and layer norms run at the requested
-    rows alone.  It excludes dropout and the cache.
+    ``rows=`` returns only ``hidden[rows]``, (M, d), bit for bit, for row
+    indices of the pass.  The last layer's attention reads every position,
+    but its output projection, feed-forward and layer norms run at the
+    requested rows alone.  It excludes dropout and the cache.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if shapes is None:
-        if ids.ndim != 2:
-            raise ValueError(f"ids must be 2-d (batch, length), got shape {ids.shape}")
-        shapes = [ids.shape]
-        if rows is not None:
-            rows = np.ravel_multi_index(rows, ids.shape)
-    out_shape = (*ids.shape, config.d_model) if ids.ndim == 2 else (ids.size, config.d_model)
-    ids = ids.reshape(-1)
-    if sum(b * length for b, length in shapes) != ids.size:
-        raise ValueError(f"shapes {list(shapes)} do not cover the {ids.size} ids")
+    if ids.ndim != 1 or sum(b * length for b, length in shapes) != ids.size:
+        raise ValueError(f"shapes {list(shapes)} must cover 1-d packed ids, not shape {ids.shape}")
     longest = max(length for _, length in shapes)
     if longest > config.max_len:
         raise ValueError(f"sequence length {longest} exceeds max_len {config.max_len}")
@@ -404,9 +396,6 @@ def forward(
                 ff_act=a, ff_ln=ff_ln,
             ))
 
-    if rows is not None:
-        return x
-    x = x.reshape(out_shape)
     if want_cache:
         return x, {"ids": ids, "shapes": list(shapes), "emb_ln": emb_ln, "dropout": masks,
                    "layers": layers}
@@ -664,6 +653,13 @@ def pack(seqs: Sequence[Sequence[int]]):
         starts[rows] = np.arange(at, at + ids.size, ids.shape[1])
         at += ids.size
     return groups, np.concatenate([ids.reshape(-1) for _, ids in groups]), starts
+
+
+def group_views(x: np.ndarray, groups) -> list[np.ndarray]:
+    """Each of :func:`pack`'s ``groups``' rows of a pass's (N, d) ``x``, its
+    hidden states or their cotangent, as a (B, L, d) view."""
+    cuts = np.cumsum([ids.size for _, ids in groups])[:-1]
+    return [part.reshape(*ids.shape, -1) for part, (_, ids) in zip(np.split(x, cuts), groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ from typing import Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus import Vocabulary, encode, frame, read_lines, tokenize
-from .encoder import POOLING_STRATEGIES, Model, by_length, forward, load_checkpoint, pool
+from .encoder import POOLING_STRATEGIES, Model, forward, group_views, load_checkpoint, pack, pool
 
 _EPS = 1e-12
 
-#: Most texts per forward pass in :meth:`ModelEmbedder.embed_many`.  The
-#: ``eval`` benchmark's four stage processes peak (``VmHWM``) at 35.4-36.6 MB
-#: with 8, 35.7-36.6 MB with 16, up to 37.0 MB with 32 and 39.8 MB with 64.
+#: Most texts per packed forward pass in :meth:`ModelEmbedder.embed_many`, so
+#: a pass holds at most 16 x ``max_len`` rows.  The ``eval`` benchmark's four
+#: stage processes peak (``VmHWM``) at 35.9-39.4 MB with it, and at 64-67 MB
+#: with one pass over all their texts.
 EMBED_BATCH = 16
 
 #: Categories scored on the syntactic side of the report; everything
@@ -123,9 +124,10 @@ class ModelEmbedder:
     Token tuples are encoded with the supplied vocabulary, framed with the
     sequence delimiters and truncated to fit the model's maximum length
     (with a warning).  Each distinct framed sequence is encoded and pooled
-    once, in unpadded chunks of at most :data:`EMBED_BATCH` sequences of
-    one length, so attention, layer norm and pooling reduce over its own
-    tokens alone and its vector does not depend on the rest of the call.
+    once: sorted by length, :data:`EMBED_BATCH` at a time go through one
+    packed pass (:func:`pack`) of unpadded groups of one length each, so
+    attention, layer norm and pooling reduce over its own tokens alone and
+    its vector does not depend on the rest of the call.
     """
 
     def __init__(self, model: Model, vocab: Vocabulary, pooling: str):
@@ -159,15 +161,16 @@ class ModelEmbedder:
 
     def embed_many(self, texts: Sequence[Tokens]) -> np.ndarray:
         framed = [self._framed_ids(t) for t in texts]
-        # Sorted by length, so the groups' rows run through ``distinct`` in order.
+        # Sorted by length, so each pass's groups' rows run through ``distinct`` in order.
         distinct = sorted(dict.fromkeys(framed), key=len)
         row_of = {seq: i for i, seq in enumerate(distinct)}
         params, config = self.model.params, self.model.config
-        chunks = [
-            pool(forward(params, config, ids[i : i + EMBED_BATCH]), self.pooling, params)
-            for _, ids in by_length(distinct) for i in range(0, len(ids), EMBED_BATCH)
-        ]
-        return np.concatenate(chunks)[[row_of[seq] for seq in framed]]
+        pooled = []
+        for i in range(0, len(distinct), EMBED_BATCH):
+            groups, ids, _ = pack(distinct[i : i + EMBED_BATCH])
+            hidden = forward(params, config, ids, shapes=[g.shape for _, g in groups])
+            pooled += [pool(h, self.pooling, params) for h in group_views(hidden, groups)]
+        return np.concatenate(pooled)[[row_of[seq] for seq in framed]]
 
 
 # ---------------------------------------------------------------------------

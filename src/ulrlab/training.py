@@ -40,6 +40,7 @@ from .encoder import (
     Model,
     backward,
     forward,
+    group_views,
     mlm_head_rows,
     mlm_head_rows_backward,
     pack,
@@ -355,14 +356,7 @@ def loss_and_gradients(
 
     l_misad = 0.0
     if use_misad:
-        # Each group's rows of the pass, as (B, L, d) views of hidden and d_hidden.
-        views, start = [], 0
-        for rows, g in groups:
-            end = start + g.size
-            views.append((rows, hidden[start:end].reshape(*g.shape, -1),
-                          d_hidden[start:end].reshape(*g.shape, -1)))
-            start = end
-        pooled = [_pool_with_cache(h, pooling, params) for _, h, _ in views]
+        pooled = [_pool_with_cache(h, pooling, params) for h in group_views(hidden, groups)]
         e = np.empty((len(seqs), config.d_model), dtype=hidden.dtype)
         e[np.concatenate([rows for rows, _ in groups])] = np.concatenate([p for p, _ in pooled])
         sub = batch.misad_s_rows
@@ -371,9 +365,9 @@ def loss_and_gradients(
         )
         d_e = np.zeros_like(e)
         d_e[sub], d_e[n : n + k], d_e[n + k :] = de_s, de_w, de_r
-        for (rows, _, d_h), (_, pool_cache) in zip(views, pooled):
+        for (rows, _), d_h, (_, pool_cache) in zip(groups, group_views(d_hidden, groups), pooled):
             d_h += pool_backward(d_e[rows], pool_cache, params, grads)
-        del views, pooled
+        del pooled
     del hidden
     backward(cache, params, config, d_hidden, grads)
     l_total = misad_weight * l_misad + mlm_weight * l_mlm

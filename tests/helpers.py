@@ -1,7 +1,9 @@
-"""Small test helpers: fixture-file writers and a scalar MiSAD loss."""
+"""Small test helpers: fixture-file writers, a scalar MiSAD loss and a
+one-group encoder pass."""
 
 import numpy as np
 
+from ulrlab.encoder import forward
 from ulrlab.evaluation import AnalogyQuestion
 from ulrlab.training import _misad_with_grads
 
@@ -10,6 +12,16 @@ def misad_loss(e_w, e_r, e_s) -> float:
     """MiSAD loss of single vectors or (n, d) stacks, as training computes it."""
     stacks = (np.atleast_2d(np.asarray(e, dtype=float)) for e in (e_w, e_r, e_s))
     return _misad_with_grads(*stacks, 1.0)[0]
+
+
+def forward_batch(params, config, ids, **kwargs):
+    """``forward`` over one unpadded (B, L) batch, a packed pass of one group,
+    with its hidden states as (B, L, d); ``(hidden, cache)`` with ``want_cache``."""
+    ids = np.asarray(ids)
+    out = forward(params, config, ids.reshape(-1), shapes=[ids.shape], **kwargs)
+    if kwargs.get("want_cache"):
+        return out[0].reshape(*ids.shape, -1), out[1]
+    return out.reshape(*ids.shape, -1)
 
 
 def analogy_question(category, a, b, c, candidates, answer_index) -> AnalogyQuestion:

@@ -213,7 +213,7 @@ def oracle_score_spans(pairs, model):
         return [[] for _ in pairs]
     rows = []
     for ids, pick in zip(variants, picks):
-        hidden = forward(model.params, model.config, np.array([ids], dtype=np.int64))[0]
+        hidden = forward(model.params, model.config, np.array(ids), shapes=[(1, len(ids))])
         rows.extend(hidden[pos] for pos, _ in pick)
     log_probs, _ = mlm_head_rows(model.params, np.stack(rows))
     scores, j = [], 0

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import analogy_question, misad_loss
+from helpers import analogy_question, forward_batch, misad_loss
 from oracles import (
     oracle_answer,
     oracle_mark,
@@ -40,7 +40,6 @@ from ulrlab.encoder import (
     EncoderConfig,
     Model,
     by_length,
-    forward,
     init_params,
     load_checkpoint,
     pool,
@@ -508,7 +507,7 @@ def test_criterion_compositional_experiment(capsys):
         def embed(seqs):
             pooled = np.empty((len(seqs), model.config.d_model), dtype=np.float32)
             for rows, ids in by_length(seqs):
-                pooled[rows] = pool(forward(model.params, model.config, ids), "mean")
+                pooled[rows] = pool(forward_batch(model.params, model.config, ids), "mean")
             return pooled
 
         return float(misad_loss(embed(w_seqs), embed(r_seqs), embed(s_seqs)))

@@ -445,6 +445,22 @@ class TestSeedOnlyOnTrain:
         assert "unknown config key" in stderr and "seed" in stderr
 
 
+@pytest.mark.parametrize("content", ["", "\n \t\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", ["extract-ngrams", "train"])
+def test_corpus_without_documents_is_named(capsys, extracted, tmp_path, command, content):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(content)
+    inputs = ["--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
+              "--total-steps", "1"]
+    code, stdout, stderr = run(capsys, [
+        command, "--corpus", str(corpus), *(inputs if command == "train" else []),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.endswith(f"error: {corpus}: no documents\n")
+
+
 class TestTrain:
     def test_metrics_row_per_step(self, trained):
         lines = trained["metrics"].read_text().splitlines()

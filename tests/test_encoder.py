@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import forward_batch
 from oracles import oracle_gelu
 from ulrlab.encoder import (
     CheckpointError,
@@ -141,7 +142,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = init_params(TINY)
         ids = tiny_batch(rng)
-        hidden = forward(params, TINY, ids)
+        hidden = forward_batch(params, TINY, ids)
         assert hidden.shape == (2, 8, 16)
         assert pool(hidden, "cls", params).shape == (2, 16)
         assert hidden.dtype == np.float32
@@ -150,7 +151,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = init_params(TINY)
         ids = tiny_batch(rng)
-        _, cache = forward(params, TINY, ids, want_cache=True)
+        _, cache = forward_batch(params, TINY, ids, want_cache=True)
         for layer in cache["layers"]:
             [probs] = layer["attn_probs"]  # one group: (L keys, B, h, L queries)
             assert probs.shape == (8, 2, TINY.n_heads, 8)
@@ -161,7 +162,7 @@ class TestForward:
         params = init_params(TINY)
         ids = np.zeros((1, TINY.max_len + 1), dtype=np.int64)
         with pytest.raises(ValueError, match="max_len"):
-            forward(params, TINY, ids)
+            forward_batch(params, TINY, ids)
 
     @pytest.mark.parametrize(
         "d_ff, n_rows", [(128, 1), (128, 2), (128, 9), (50, 1), (50, 2), (50, 9)],
@@ -177,29 +178,28 @@ class TestForward:
         params = init_params(cfg)
         for name in params:
             params[name] += rng.normal(0.0, 0.05, params[name].shape).astype(np.float32)
-        ids = tiny_batch(rng, b=4, length=10)
-        batch_index = rng.integers(0, 4, size=n_rows)
-        position = rng.integers(0, 10, size=n_rows)
-        full = forward(params, cfg, ids)
-        rows = forward(params, cfg, ids, rows=(batch_index, position))
-        assert np.array_equal(rows, full[batch_index, position])
+        ids = tiny_batch(rng, b=4, length=10).reshape(-1)
+        at = rng.integers(0, ids.size, size=n_rows)
+        full = forward(params, cfg, ids, shapes=[(4, 10)])
+        rows = forward(params, cfg, ids, shapes=[(4, 10)], rows=at)
+        assert np.array_equal(rows, full[at])
 
     def test_rows_exclude_dropout_and_cache(self):
         params = init_params(TINY)
-        ids = tiny_batch(np.random.default_rng(0))
+        ids = tiny_batch(np.random.default_rng(0)).reshape(-1)
         with pytest.raises(ValueError, match="rows="):
-            forward(params, TINY, ids, want_cache=True, rows=([0], [1]))
+            forward(params, TINY, ids, shapes=[(2, 8)], want_cache=True, rows=[1])
         cfg = EncoderConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32,
                             max_len=32, dropout=0.1)
         with pytest.raises(ValueError, match="rows="):
-            forward(params, cfg, ids, rng_tag=(0, 0, "s"), rows=([0], [1]))
+            forward(params, cfg, ids, shapes=[(2, 8)], rng_tag=(0, 0, "s"), rows=[1])
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
         params = init_params(TINY)
         ids = tiny_batch(rng)
-        h1 = forward(params, TINY, ids)
-        h2 = forward(params, TINY, ids)
+        h1 = forward_batch(params, TINY, ids)
+        h2 = forward_batch(params, TINY, ids)
         assert np.array_equal(h1, h2)
         assert np.array_equal(pool(h1, "cls", params), pool(h2, "cls", params))
 
@@ -290,17 +290,17 @@ class TestDropout:
         rng = np.random.default_rng(4)
         params = init_params(self.CFG)
         ids = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids, rng_tag=(9, 2, "s"))
-        h2 = forward(params, self.CFG, ids, rng_tag=(9, 2, "s"))
+        h1 = forward_batch(params, self.CFG, ids, rng_tag=(9, 2, "s"))
+        h2 = forward_batch(params, self.CFG, ids, rng_tag=(9, 2, "s"))
         assert np.array_equal(h1, h2)
 
     def test_streams_differ_across_steps_and_names(self):
         rng = np.random.default_rng(5)
         params = init_params(self.CFG)
         ids = tiny_batch(rng)
-        base = forward(params, self.CFG, ids, rng_tag=(9, 0, "s"))
-        other_step = forward(params, self.CFG, ids, rng_tag=(9, 1, "s"))
-        other_name = forward(params, self.CFG, ids, rng_tag=(9, 0, "w"))
+        base = forward_batch(params, self.CFG, ids, rng_tag=(9, 0, "s"))
+        other_step = forward_batch(params, self.CFG, ids, rng_tag=(9, 1, "s"))
+        other_name = forward_batch(params, self.CFG, ids, rng_tag=(9, 0, "w"))
         assert not np.array_equal(base, other_step)
         assert not np.array_equal(base, other_name)
 
@@ -309,7 +309,7 @@ class TestDropout:
                          n_layers=3, dropout=0.5)
         params = init_params(config)
         ids = tiny_batch(np.random.default_rng(7), vocab=20)
-        _, cache = forward(params, config, ids, rng_tag=(0, 1, "s"), want_cache=True)
+        _, cache = forward_batch(params, config, ids, rng_tag=(0, 1, "s"), want_cache=True)
         sites = ("attn_probs", "attn_out", "ff_out")
         masks = cache["dropout"]
         assert set(masks) == {"emb"} | {f"layer{i}.{s}" for i in range(3) for s in sites}
@@ -322,8 +322,8 @@ class TestDropout:
         rng = np.random.default_rng(6)
         params = init_params(self.CFG)
         ids = tiny_batch(rng)
-        h1 = forward(params, self.CFG, ids)
-        h2 = forward(params, replace(self.CFG, dropout=0.0), ids)
+        h1 = forward_batch(params, self.CFG, ids)
+        h2 = forward_batch(params, replace(self.CFG, dropout=0.0), ids)
         assert np.array_equal(h1, h2)
 
 
@@ -393,7 +393,7 @@ class TestMlmLogProbs:
         rng = np.random.default_rng(9)
         params = init_params(TINY)
         ids = tiny_batch(rng)
-        hidden = forward(params, TINY, ids)
+        hidden = forward_batch(params, TINY, ids)
         log_probs = mlm_head_rows(params, hidden.reshape(-1, 16))[0].reshape(2, 8, -1)
         assert log_probs.shape == (2, 8, 50)
         np.testing.assert_allclose(np.exp(log_probs).sum(-1), 1.0, atol=1e-6)
@@ -404,7 +404,7 @@ class TestMlmLogProbs:
         params = init_params(TINY)
         params["mlm_w"] = np.zeros_like(params["mlm_w"])
         ids = tiny_batch(rng)
-        hidden = forward(params, TINY, ids)
+        hidden = forward_batch(params, TINY, ids)
         log_probs = mlm_head_rows(params, hidden.reshape(-1, 16))[0].reshape(2, 8, -1)
         np.testing.assert_allclose(log_probs, math.log(1.0 / 50), atol=1e-6)
 
@@ -464,7 +464,7 @@ class TestPackedPass:
         assert hidden.shape == (ids.size, TINY.d_model)
         at = 0
         for g in groups:
-            alone = forward(params, TINY, g).reshape(-1, TINY.d_model)
+            alone = forward_batch(params, TINY, g).reshape(-1, TINY.d_model)
             assert np.array_equal(hidden[at : at + g.size], alone)
             at += g.size
 
@@ -488,7 +488,7 @@ class TestPackedPass:
         backward(cache, params, TINY, d_hidden, packed)
         summed, at = zero_grads(params), 0
         for g in groups:
-            _, cache = forward(params, TINY, g, want_cache=True)
+            _, cache = forward_batch(params, TINY, g, want_cache=True)
             d_group = d_hidden[at : at + g.size].reshape(*g.shape, -1)
             backward(cache, params, TINY, d_group, summed)
             at += g.size
@@ -498,7 +498,7 @@ class TestPackedPass:
 
     def test_backward_drops_each_layer_record(self):
         params = init_params(TINY)
-        hidden, cache = forward(params, TINY, tiny_batch(np.random.default_rng(0)),
+        hidden, cache = forward_batch(params, TINY, tiny_batch(np.random.default_rng(0)),
                                 want_cache=True)
         backward(cache, params, TINY, np.ones_like(hidden), zero_grads(params))
         assert cache["layers"] == []
@@ -506,6 +506,11 @@ class TestPackedPass:
     def test_rejects_shapes_that_do_not_cover_the_ids(self):
         with pytest.raises(ValueError, match="cover"):
             forward(init_params(TINY), TINY, np.arange(10), shapes=[(2, 4)])
+
+    def test_rejects_ids_that_are_not_packed(self):
+        ids = tiny_batch(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="1-d packed ids"):
+            forward(init_params(TINY), TINY, ids, shapes=[ids.shape])
 
     @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), min_size=1,
                     max_size=12))
@@ -527,11 +532,11 @@ class TestBackwardSpotCheck:
         probe_p = rng.normal(size=(2, 16))
 
         def loss(p):
-            hidden = forward(p, TINY, ids)
+            hidden = forward_batch(p, TINY, ids)
             pooled = pool(hidden, "cls", p)
             return float((hidden * probe).sum() + (pooled * probe_p).sum())
 
-        hidden, cache = forward(params, TINY, ids, want_cache=True)
+        hidden, cache = forward_batch(params, TINY, ids, want_cache=True)
         _, pool_cache = _pool_with_cache(hidden, "cls", params)
         grads = zero_grads(params)
         d_hidden = probe + pool_backward(probe_p, pool_cache, params, grads)
@@ -679,5 +684,5 @@ class TestCheckpoint:
         model = Model.init(TINY)
         rng = np.random.default_rng(12)
         ids = tiny_batch(rng)
-        hidden = forward(model.params, model.config, ids)
+        hidden = forward_batch(model.params, model.config, ids)
         assert pool(hidden, "mean", model.params).shape == (2, 16)

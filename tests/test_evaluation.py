@@ -376,26 +376,29 @@ class TestModelEmbedder:
             assert [row.tobytes() for row in rows] == [alone[t] for t in part]
 
     def test_cls_rows_do_not_depend_on_the_batch_at_d_model_50(self):
-        # The pooler multiplies 16 rows together and one alone; at d_model 50
-        # a plain product gives a row other bits at other heights.
+        # The pooler multiplies a group's rows together and one alone; at
+        # d_model 50 a plain product gives a row other bits at other heights.
+        # The texts have mixed lengths and fill more than one packed pass.
         tokens = [f"t{i}" for i in range(20)]
         vocab = build_vocabulary([tokens], min_count=1, max_size=30)
         cfg = EncoderConfig(vocab_size=len(vocab), d_model=50, n_heads=2, n_layers=2,
                             d_ff=128, max_len=16, seed=5)
         emb = ModelEmbedder(Model.init(cfg), vocab, pooling="cls")
         rng = np.random.default_rng(0)
-        texts = [tuple(rng.choice(tokens, size=6).tolist()) for _ in range(EMBED_BATCH)]
+        texts = [tuple(rng.choice(tokens, size=n).tolist())
+                 for n in rng.integers(2, 15, size=2 * EMBED_BATCH + 5)]
+        assert len(set(texts)) > EMBED_BATCH and len(set(map(len, texts))) > 1
         together = emb.embed_many(texts)
         for i, text in enumerate(texts):
             assert np.array_equal(emb.embed_many([text])[0], together[i]), i
 
-    def test_one_unpadded_forward_per_chunk_of_one_length(self, model_embedder, monkeypatch):
+    def test_one_packed_forward_per_embed_batch_distinct_texts(self, model_embedder, monkeypatch):
         emb, tokens = model_embedder
-        batches = []
+        passes = []
         real_forward = evaluation.forward
 
         def counting_forward(params, config, ids, **kwargs):
-            batches.append(np.array(ids))
+            passes.append((np.array(ids), kwargs["shapes"]))
             return real_forward(params, config, ids, **kwargs)
 
         monkeypatch.setattr(evaluation, "forward", counting_forward)
@@ -407,9 +410,16 @@ class TestModelEmbedder:
         texts += texts[::3]
         rows = emb.embed_many(texts)
         assert rows.shape[0] == len(texts)
-        assert len(batches) == sum(math.ceil(c / EMBED_BATCH) for c in n_distinct.values())
-        assert sum(len(ids) for ids in batches) == len(set(texts))
-        assert not any((ids == PAD_ID).any() for ids in batches)
+        assert len(passes) == math.ceil(sum(n_distinct.values()) / EMBED_BATCH)
+        embedded = []
+        for ids, shapes in passes:
+            assert sum(b for b, _ in shapes) <= EMBED_BATCH
+            assert not (ids == PAD_ID).any()
+            cuts = np.cumsum([b * length for b, length in shapes])
+            assert cuts[-1] == ids.size
+            for part, shape in zip(np.split(ids, cuts[:-1]), shapes):
+                embedded += map(tuple, part.reshape(shape).tolist())
+        assert sorted(embedded) == sorted({emb._framed_ids(t) for t in texts})
 
 
 class TestEmbedCorpus:

@@ -216,8 +216,8 @@ class TestScoreSpans:
         ids = list(frame(s))
         for pos in range(span.start, span.end + 1):
             ids[pos] = MASK_ID
-        hidden = forward(model.params, model.config, np.array([ids]))
-        log_probs = mlm_head_rows(model.params, hidden[0])[0][None]
+        hidden = forward(model.params, model.config, np.array(ids), shapes=[(1, len(ids))])
+        log_probs = mlm_head_rows(model.params, hidden)[0][None]
         probs = [
             math.exp(log_probs[0, pos, s[pos - 1]])
             for pos in range(span.start, span.end + 1)
