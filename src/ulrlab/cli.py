@@ -211,6 +211,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
+def _require_out_dirs(*paths: str) -> None:
+    """Fail, naming the path, if an output's directory does not exist, so a
+    command that writes several files stops before it writes any."""
+    for path in paths:
+        if not Path(path).resolve().parent.is_dir():
+            raise CliError(f"cannot write {path}: its directory does not exist")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -231,6 +239,8 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
             raise CliError(f"{flag} must be >= {least}, got {cfg[key]}")
     if math.isnan(cfg["pmi_threshold"]):
         raise CliError("--threshold must be a number, got nan")
+    vocab_out = cfg["vocab_out"] or f"{cfg['out']}.vocab"
+    _require_out_dirs(cfg["out"], vocab_out)
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(tokens, vocab) for tokens in docs]
@@ -239,7 +249,6 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     table = prune_table(
         table, pmi_threshold=cfg["pmi_threshold"], per_doc_top_k=cfg["per_doc_top_k"]
     )
-    vocab_out = cfg["vocab_out"] or f"{cfg['out']}.vocab"
     vocab.save(vocab_out)
     save_table(table, vocab, cfg["out"])
     hist = length_histogram(table, top_n=2000)
@@ -275,6 +284,8 @@ def keep_freed_memory() -> bool:
 def cmd_train(cfg: dict[str, Any]) -> int:
     keep_freed_memory()
     train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
+    metrics_path = cfg["metrics_out"] or f"{cfg['out']}.metrics.tsv"
+    _require_out_dirs(cfg["out"], metrics_path)
     vocab = Vocabulary.load(cfg["vocab"])
     sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]
     table = load_table(cfg["table"], vocab)
@@ -284,7 +295,6 @@ def cmd_train(cfg: dict[str, Any]) -> int:
     )
     model = Model.init(enc_config)
     trainer = Trainer(model, table, sequences, train_config)
-    metrics_path = cfg["metrics_out"] or f"{cfg['out']}.metrics.tsv"
     rows = trainer.run(metrics_path=metrics_path)
     save_checkpoint(model.params, enc_config, cfg["out"])
     first, last = rows[0], rows[-1]

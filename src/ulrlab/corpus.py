@@ -169,11 +169,14 @@ class Vocabulary:
 
 
 def read_corpus(path: str | Path) -> list[tuple[str, ...]]:
-    """The tokens of each non-blank line of a UTF-8 text file, of which there
+    """The tokens of each line of a UTF-8 text file that has any, of which there
     must be one; equal tokens share one interned string, so the corpus costs a
     pointer per token."""
-    return read_lines(path, lambda line: tuple(map(sys.intern, tokenize(line))),
-                      what="documents")
+    docs = [doc for doc in read_lines(path, lambda line: tuple(map(sys.intern, tokenize(line))))
+            if doc]
+    if not docs:
+        raise ValueError(f"{path}: no documents")
+    return docs
 
 
 def build_vocabulary(

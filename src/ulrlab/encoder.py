@@ -141,18 +141,18 @@ def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: flo
 
 def init_params(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray]:
     """Deterministic initialization: truncated normal weights, zero biases,
-    unit layer-norm gains, as views into one flat buffer (:func:`tile`)."""
+    unit layer-norm gains."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params: dict[str, np.ndarray] = {}
     for name, shape in expected_shapes(config).items():
         base = name.rsplit(".", 1)[-1]
-        if base.endswith("_g") or base == "ln_g":
+        if base.endswith("_g"):
             params[name] = np.ones(shape, dtype=dtype)
         elif base.endswith("_b") or base.endswith("_b1") or base.endswith("_b2"):
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = _truncated_normal(rng, shape, INIT_STD).astype(dtype)
-    return tile(params)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -403,41 +403,8 @@ def forward(
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Zeros shaped like ``params``, as views into one flat buffer in dict order."""
-    dtype = next(iter(params.values())).dtype if params else np.float64
-    return _views(np.zeros(sum(a.size for a in params.values()), dtype=dtype), params)
-
-
-def tile(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Copies of ``tensors`` as views into one new flat buffer, in dict
-    order, which :func:`tiled` returns."""
-    arrays = list(tensors.values())
-    return _views(np.concatenate([a.reshape(-1) for a in arrays]) if arrays else np.empty(0),
-                  tensors)
-
-
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``flat`` cut into consecutive views shaped as ``like``'s arrays."""
-    views, start = {}, 0
-    for name, a in like.items():
-        views[name] = flat[start : start + a.size].reshape(a.shape)
-        start += a.size
-    return views
-
-
-def tiled(tensors: dict[str, np.ndarray]) -> np.ndarray | None:
-    """The flat buffer whose consecutive pieces are ``tensors``' arrays in
-    dict order, as :func:`tile` makes them, or None if there is none."""
-    arrays = list(tensors.values())
-    base = arrays[0].base if arrays else None
-    if base is None or base.ndim != 1 or not base.flags.c_contiguous:
-        return None
-    at = base.__array_interface__["data"][0]
-    for a in arrays:
-        if a.base is not base or a.__array_interface__["data"][0] != at:
-            return None
-        at += a.nbytes
-    return base if at == base.__array_interface__["data"][0] + base.nbytes else None
+    """Zeros shaped like ``params``."""
+    return {name: np.zeros_like(a) for name, a in params.items()}
 
 
 def backward(

@@ -481,7 +481,8 @@ def read_retrieval_queries(path: str | Path, ids: Sequence[str]) -> list[tuple[T
 
 
 def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Space-separated rows: token v1 v2 ... vd; at least one row, insertion order kept."""
+    """Space-separated rows: token v1 v2 ... vd, every component finite; at least
+    one row, insertion order kept."""
     vectors: dict[str, np.ndarray] = {}
 
     def row(line: str) -> None:
@@ -493,7 +494,10 @@ def read_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
             raise ValueError(f"dimension {len(values)} != {len(first)}")
         if token in vectors:
             raise ValueError(f"duplicate token {token!r}")
-        vectors[token] = np.array([float(v) for v in values])
+        vector = np.array([float(v) for v in values])
+        if not np.isfinite(vector).all():
+            raise ValueError(f"non-finite component in the vector of {token!r}")
+        vectors[token] = vector
 
     read_lines(path, row, what="vectors")
     return vectors

@@ -47,8 +47,6 @@ from .encoder import (
     _pool_with_cache,
     pool_backward,
     step_rng,
-    tile,
-    tiled,
     zero_grads,
 )
 from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
@@ -416,15 +414,19 @@ class TrainingConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments and the number of steps taken; a resume also needs the batch order."""
+    """Adam moments and the number of steps taken; a resume also needs the
+    batch order.  ``m`` and ``v`` are 1-d, flat over the parameters in dict
+    order."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
 
     @classmethod
     def zeros(cls, params: dict[str, np.ndarray]) -> OptimizerState:
-        return cls(zero_grads(params), zero_grads(params), 0)
+        size = sum(a.size for a in params.values())
+        dtype = next(iter(params.values())).dtype if params else np.float64
+        return cls(np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype), 0)
 
 
 def lr_at(step: int, config: TrainingConfig) -> float:
@@ -446,14 +448,13 @@ def adam_step(
     state: OptimizerState,
     config: TrainingConfig,
 ) -> float:
-    """One in-place Adam update with bias correction; returns the lr used.
+    """One Adam update with bias correction; returns the lr used.
 
-    The update runs once over every tensor, on flat buffers: parameters
-    and moments that are not yet views into one buffer (:func:`tile`) are
-    made so, in place in their dicts; ``init_params``, ``load_checkpoint``
-    and :meth:`OptimizerState.zeros` already make them so.  Every gradient
-    is checked before anything changes, so a non-finite value leaves
-    parameters, moments and the step count untouched.
+    The update runs once over every tensor: the gradients and parameters
+    are laid end to end in dict order, as the moments are, and each
+    parameter's new values are then written into its own array in place.
+    Every gradient is checked before anything changes, so a non-finite
+    value leaves parameters, moments and the step count untouched.
     """
     t = state.step + 1
     lr = lr_at(t, config)
@@ -463,25 +464,20 @@ def adam_step(
     if not np.isfinite(g).all():
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
         raise FloatingPointError(f"non-finite gradient for tensor {bad}")
-    p, m, v = _flat(params), _flat(state.m), _flat(state.v)
+    p = np.concatenate([a.reshape(-1) for a in params.values()])
+    m, v = state.m, state.v
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     g *= g
     v += (1.0 - ADAM_BETA2) * g
     p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    start = 0
+    for a in params.values():
+        a[...] = p[start : start + a.size].reshape(a.shape)
+        start += a.size
     state.step = t
     return lr
-
-
-def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
-    """The flat buffer that ``tensors``' arrays are views into, in dict
-    order; first rebuilt as such views if they are not."""
-    flat = tiled(tensors)
-    if flat is None:
-        tensors.update(tile(tensors))
-        flat = tiled(tensors)
-    return flat
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,8 @@ class TestSeedOnlyOnTrain:
         assert "unknown config key" in stderr and "seed" in stderr
 
 
-@pytest.mark.parametrize("content", ["", "\n \t\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("content", ["", "\n \t\n\n", "!!!\n...\n"],
+                         ids=["empty", "blank-lines", "punctuation-only"])
 @pytest.mark.parametrize("command", ["extract-ngrams", "train"])
 def test_corpus_without_documents_is_named(capsys, extracted, tmp_path, command, content):
     corpus = tmp_path / "empty.txt"
@@ -459,6 +460,25 @@ def test_corpus_without_documents_is_named(capsys, extracted, tmp_path, command,
     assert code == 1
     assert stdout == ""
     assert stderr.endswith(f"error: {corpus}: no documents\n")
+
+
+@pytest.mark.parametrize("command", ["extract-ngrams", "train"])
+def test_missing_output_directory_fails_before_writing(
+    capsys, workspace, extracted, tmp_path, command
+):
+    out, other = tmp_path / "missing" / "out", tmp_path / "other.tsv"
+    flags = {
+        "extract-ngrams": ["--vocab-out", str(other)],
+        "train": ["--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
+                  "--total-steps", "1", "--metrics-out", str(other)],
+    }[command]
+    code, stdout, stderr = run(capsys, [
+        command, "--corpus", str(workspace / "corpus.txt"), *flags, "--out", str(out),
+    ])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.endswith(f"error: cannot write {out}: its directory does not exist\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:

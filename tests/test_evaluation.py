@@ -778,6 +778,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=r"vecs\.txt:2: could not convert string to float"):
             read_word_vectors(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_word_vectors_nonfinite_component_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"a 1.0 2.0\nb {value} 3.0\n")
+        with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite component .* 'b'"):
+            read_word_vectors(path)
+
     def test_word_vectors_ragged_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 2.0\nb 1.0\n")

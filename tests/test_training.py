@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import misad_loss
 from oracles import oracle_adam_step, oracle_score_spans
@@ -637,43 +637,72 @@ class TestAdamStep:
         config = schedule(10, 0.0, peak=0.1)
         adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([1.0])}, state, config)
         before = {k: v.copy() for k, v in params.items()}
-        m_before = {k: v.copy() for k, v in state.m.items()}
-        v_before = {k: v.copy() for k, v in state.v.items()}
+        m_before, v_before = state.m.copy(), state.v.copy()
         grads = {"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}
         with pytest.raises(FloatingPointError, match="tensor b"):
             adam_step(params, grads, state, config)
         assert state.step == 1
         for name in params:
             assert np.array_equal(params[name], before[name]), name
-            assert np.array_equal(state.m[name], m_before[name]), name
-            assert np.array_equal(state.v[name], v_before[name]), name
+        assert np.array_equal(state.m, m_before)
+        assert np.array_equal(state.v, v_before)
+
+    @staticmethod
+    def assert_matches_oracle(params, grads_per_step, config):
+        """``adam_step`` on ``params`` against :func:`oracle_adam_step` on a
+        copy: parameters and the flat moments agree bit for bit every step."""
+        oracle = {k: p.copy() for k, p in params.items()}
+        m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in "mv")
+        state = OptimizerState.zeros(params)
+        for step, grads in enumerate(grads_per_step, 1):
+            lr = adam_step(params, grads, state, config)
+            oracle_adam_step(oracle, grads, m, v, step, lr)
+            for name in params:
+                assert params[name].tobytes() == oracle[name].tobytes(), name
+            for flat, per_tensor in ((state.m, m), (state.v, v)):
+                assert flat.shape == (sum(p.size for p in params.values()),)
+                assert flat.tobytes() == b"".join(per_tensor[k].tobytes() for k in params)
 
     def test_matches_the_per_tensor_update_bit_for_bit(self):
-        # One pass over the flat buffers does the per-tensor update's float
-        # operations in the same order, so every bit agrees.
-        model = Model.init(CFG)
-        params = {k: v.copy() for k, v in model.params.items()}
-        m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in "mv")
-        state, config = OptimizerState.zeros(model.params), schedule(10, 0.2, peak=0.01)
+        # One pass over the tensors laid end to end does the per-tensor
+        # update's float operations in the same order, so every bit agrees.
+        params = Model.init(CFG).params
         rng = np.random.default_rng(3)
-        for step in range(1, 5):
-            grads = {k: rng.normal(0.0, 1.0, p.shape).astype(np.float32)
-                     for k, p in params.items()}
-            lr = adam_step(model.params, grads, state, config)
-            oracle_adam_step(params, grads, m, v, step, lr)
-            for name in params:
-                assert np.array_equal(model.params[name], params[name]), name
-                assert np.array_equal(state.m[name], m[name]), name
-                assert np.array_equal(state.v[name], v[name]), name
+        grads_per_step = [
+            {k: rng.normal(0.0, 1.0, p.shape).astype(np.float32) for k, p in params.items()}
+            for _ in range(4)
+        ]
+        self.assert_matches_oracle(params, grads_per_step, schedule(10, 0.2, peak=0.01))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple),
+                        min_size=1, max_size=5),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shapes=[(3, 2), (0,), (4,)], dtype=np.float32, seed=0)
+    @example(shapes=[(0, 2), ()], dtype=np.float64, seed=1)
+    def test_matches_the_oracle_on_any_shapes(self, shapes, dtype, seed):
+        rng = np.random.default_rng(seed)
+        params = {f"t{i}": rng.normal(size=shape).astype(dtype) for i, shape in enumerate(shapes)}
+        grads_per_step = [
+            {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
+            for _ in range(3)
+        ]
+        self.assert_matches_oracle(params, grads_per_step, schedule(10, 0.2, peak=0.01))
 
     def test_params_that_share_no_buffer_are_updated_in_their_dict(self):
         params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+        held = dict(params)
         state = OptimizerState.zeros(params)
         adam_step(params, {"a": np.array([1.0, -1.0]), "b": np.array([[1.0]])}, state,
                   schedule(10, 0.0, peak=0.1))
+        # The caller's own arrays take the update; none is swapped out.
+        assert all(params[name] is held[name] for name in held)
         assert params["b"].shape == (1, 1)
-        np.testing.assert_allclose(params["a"], [0.91, 2.09])
-        np.testing.assert_allclose(params["b"], [[2.91]])
+        np.testing.assert_allclose(held["a"], [0.91, 2.09])
+        np.testing.assert_allclose(held["b"], [[2.91]])
 
     def test_descends_on_quadratic(self):
         params = {"w": np.array([5.0])}
