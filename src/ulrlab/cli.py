@@ -211,11 +211,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
-def _require_out_dirs(*paths: str) -> None:
-    """Fail, naming the path, if an output's directory does not exist, so a
-    command that writes several files stops before it writes any."""
-    for path in paths:
-        if not Path(path).resolve().parent.is_dir():
+def _require_out_dirs(cfg: dict[str, Any]) -> None:
+    """Fail, naming the path, if an output's directory does not exist, so a command stops
+    before it reads input; the default vocabulary and metrics paths share ``out``'s."""
+    for path in (cfg.get(key) for key in ("out", "vocab_out", "metrics_out")):
+        if path and not Path(path).resolve().parent.is_dir():
             raise CliError(f"cannot write {path}: its directory does not exist")
 
 
@@ -240,7 +240,6 @@ def cmd_extract_ngrams(cfg: dict[str, Any]) -> int:
     if math.isnan(cfg["pmi_threshold"]):
         raise CliError("--threshold must be a number, got nan")
     vocab_out = cfg["vocab_out"] or f"{cfg['out']}.vocab"
-    _require_out_dirs(cfg["out"], vocab_out)
     docs = list(read_corpus(cfg["corpus"]))
     vocab = build_vocabulary(docs, min_count=cfg["min_count"], max_size=cfg["max_size"])
     encoded = [encode(tokens, vocab) for tokens in docs]
@@ -285,14 +284,13 @@ def cmd_train(cfg: dict[str, Any]) -> int:
     keep_freed_memory()
     train_config = TrainingConfig(**{f.name: cfg[f.name] for f in fields(TrainingConfig)})
     metrics_path = cfg["metrics_out"] or f"{cfg['out']}.metrics.tsv"
-    _require_out_dirs(cfg["out"], metrics_path)
     vocab = Vocabulary.load(cfg["vocab"])
-    sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]
-    table = load_table(cfg["table"], vocab)
     enc_config = EncoderConfig(
         vocab_size=len(vocab),
         **{f.name: cfg[f.name] for f in fields(EncoderConfig) if f.name != "vocab_size"},
     )
+    sequences = [encode(tokens, vocab) for tokens in read_corpus(cfg["corpus"])]
+    table = load_table(cfg["table"], vocab)
     model = Model.init(enc_config)
     trainer = Trainer(model, table, sequences, train_config)
     rows = trainer.run(metrics_path=metrics_path)
@@ -322,9 +320,9 @@ def _build_embedder(cfg: dict[str, Any], backend: str, used_by: str):
 
 
 def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
-    questions = read_analogy_file(cfg["dataset"])
     if not cfg["vectors"] and not cfg["checkpoint"]:
         raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
+    questions = read_analogy_file(cfg["dataset"])
     embedder = _build_embedder(cfg, "vectors" if cfg["vectors"] else "model", "--vectors")
     report = evaluate_analogy(questions, embedder)
     lines = ["category\tcorrect\ttotal\taccuracy"]
@@ -341,8 +339,6 @@ def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
 
 
 def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
-    ids, docs = zip(*read_retrieval_corpus(cfg["corpus"]))
-    queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     try:
         ks = sorted({int(k) for k in cfg["ks"].split(",") if k.strip()})
     except ValueError:
@@ -353,6 +349,8 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     for name, value in (("ks", ks[0]), ("group_by_length", bucket)):
         if value is not None and value < 1:
             raise CliError(f"{name} must be >= 1, got {value}")
+    ids, docs = zip(*read_retrieval_corpus(cfg["corpus"]))
+    queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     depth = min(max(ks), len(ids))
     embedder = _build_embedder(cfg, cfg["backend"], f"--backend {cfg['backend']}")
     if embedder is None:
@@ -422,7 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(resolve_config(args.command, args))
+        cfg = resolve_config(args.command, args)
+        _require_out_dirs(cfg)
+        return args.func(cfg)
     except (CliError, CheckpointError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

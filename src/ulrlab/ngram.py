@@ -4,9 +4,9 @@ The association score of an n-gram ``w = (x_1, .., x_n)`` is
 
     pmi(w) = (1/n) * (ln P(w) - sum_k ln P(x_k))
 
-with every probability estimated as ``count / total_tokens`` (one shared
-denominator for all lengths) and natural logarithms.  The ``1/n`` factor
-keeps long n-grams from being drowned by their many marginal terms.
+with every probability estimated as ``count / T``, T the number of tokens (one
+shared denominator for all lengths), and natural logarithms.  The ``1/n``
+factor keeps long n-grams from being drowned by their many marginal terms.
 
 Counting keeps only the n-grams that occur at least ``min_count`` times
 and hold no ``[UNK]``.  Pruning runs in two stages: a global score
@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,9 +65,8 @@ class SpanAnnotation:
         return len(self.spans)
 
 
-def _pad(grams: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
-    rows = [(*w, *[PAD] * (width - len(w))) for w in grams]
-    return np.array(rows, dtype=np.int32).reshape(len(rows), width)
+def _pad(grams: list[tuple[int, ...]], width: int) -> np.ndarray:
+    return np.array([(*w, *[PAD] * (width - len(w))) for w in grams], np.int32).reshape(-1, width)
 
 
 def _lengths(grams: np.ndarray) -> np.ndarray:
@@ -90,12 +89,12 @@ class RawNgramCounts:
 
     One row of ``grams`` per distinct n-gram, ``counts`` its count, and the
     (document, row) pairs of all its ``occurrences`` for pruning.
+    ``unigrams[i]`` counts token id ``i``; their sum is the token count T.
     """
 
     grams: np.ndarray
     counts: np.ndarray
-    unigrams: dict[int, int]
-    total_tokens: int
+    unigrams: np.ndarray
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -112,8 +111,8 @@ def count_ngrams(
     n-gram never occurs more often than its prefix, so every kept count is
     exact.  Each extension appends the next token to the (n-1)-gram's
     lexicographic rank in one int64 key; one ``np.unique`` counts the keys
-    and ranks them.  Every unigram is kept, and the unigram counts and the
-    total token count T cover every token.
+    and ranks them.  Every unigram is kept: the unigram counts cover every
+    token.
     """
     if n_max < 2:
         raise NgramError(f"n_max must be >= 2, got {n_max}")
@@ -131,8 +130,8 @@ def count_ngrams(
     at = np.arange(total)
     stop = np.where(tokens == UNK_ID, at, np.repeat(np.cumsum(lengths), lengths))
     room = np.minimum.accumulate(stop[::-1])[::-1] - at
-    uni_ids, uni_counts = np.unique(tokens, return_counts=True)
-    base = int(uni_ids[-1]) + 1
+    unigrams = np.bincount(tokens)
+    base = len(unigrams)
     pos, rank, prefix = at, tokens, np.arange(base, dtype=np.int32)[:, None]
     blocks, counts, docs, rows = [], [], [], []
     for n in range(2, n_max + 1):
@@ -150,18 +149,16 @@ def count_ngrams(
         rows.append(rank + sum(map(len, counts)))
         counts.append(freq[kept])
         docs.append(doc_of[pos])
-    unigrams = dict(zip(uni_ids.tolist(), uni_counts.tolist()))
     grams, occurrences = np.vstack(blocks), (np.concatenate(docs), np.concatenate(rows))
-    return RawNgramCounts(grams, np.concatenate(counts), unigrams, total, n_max, occurrences)
+    return RawNgramCounts(grams, np.concatenate(counts), unigrams, n_max, occurrences)
 
 
 @dataclass(frozen=True, eq=False)
 class NgramTable:
     """Scored n-gram inventory, one row per entry, stored in the table's order.
     Mining stores the canonical order: pmi descending, count descending,
-    ids ascending.  Pruning keeps the order of the rows it keeps.
-    :meth:`from_entries` keeps the order it is given, so a loaded table
-    keeps its file's.
+    ids ascending.  Pruning keeps the order of the rows it keeps, and
+    loading the file's.
 
     The (document, row) pairs of all n-gram ``occurrences`` are carried
     only until pruning.  ``stage_counts`` is the entry count after each
@@ -174,12 +171,6 @@ class NgramTable:
     n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
-
-    @classmethod
-    def from_entries(cls, entries: Mapping, n_max: int) -> NgramTable:
-        """A table of ``{id tuple: (count, pmi)}`` in the mapping's order."""
-        values = np.array(list(entries.values()), dtype=np.float64).reshape(-1, 2)
-        return cls(_pad(entries, n_max), values[:, 0].astype(np.int64), values[:, 1], n_max)
 
     def _sorted(self) -> NgramTable:
         """This table with its rows and occurrences moved into the canonical
@@ -205,9 +196,9 @@ class NgramTable:
         return len(self.counts)
 
     @cached_property
-    def entries(self) -> dict[tuple[int, ...], tuple[int, float]]:
-        """``{id tuple: (count, pmi)}`` in stored order, for lookups."""
-        return dict(zip(_tuples(self.grams), zip(self.counts.tolist(), self.pmi.tolist())))
+    def gram_set(self) -> frozenset[tuple[int, ...]]:
+        """The id tuple of every row, for marking."""
+        return frozenset(_tuples(self.grams))
 
 
 def build_table(counts: RawNgramCounts) -> NgramTable:
@@ -215,9 +206,9 @@ def build_table(counts: RawNgramCounts) -> NgramTable:
 
     The float operations are those of the scalar formula, in its order.
     """
-    log_t = math.log(counts.total_tokens)
-    log_uni = np.zeros(max(counts.unigrams) + 2)  # PAD (-1) finds the 0 at the end
-    log_uni[list(counts.unigrams)] = [math.log(c) for c in counts.unigrams.values()]
+    log_t = math.log(counts.unigrams.sum())
+    # an absent token's log is 0, and PAD (-1) finds the 0 appended at the end
+    log_uni = np.append(_exact_log(np.maximum(counts.unigrams, 1)), 0.0)
     lengths = _lengths(counts.grams)
     acc = _exact_log(counts.counts) + (lengths - 1) * log_t
     for col in counts.grams.T:
@@ -276,7 +267,7 @@ def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
     i = 0
     while i < m - 1:
         for n in range(min(table.n_max, m - i), 1, -1):
-            if toks[i : i + n] in table.entries:
+            if toks[i : i + n] in table.gram_set:
                 spans.append(Span(start=i + 1, end=i + n))
                 i += n
                 break
@@ -311,18 +302,19 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     ``n_max`` is the length of the longest entry.  A repeated n-gram, a
     row of fewer than two tokens (which no span can match), a token
     missing from ``vocab`` (the table and vocabulary do not belong
-    together), or a reserved token such as ``[UNK]`` (which would match
-    unrelated spans) raises :class:`NgramError`.  Rows keep the file's
-    order: a reload never re-breaks ties between scores that the 9 written
-    digits made equal, so save, load and save again writes the same bytes.
+    together), a reserved token such as ``[UNK]`` (which would match
+    unrelated spans), or a count that is not an integer in [1, 2^63)
+    raises :class:`NgramError`.  Rows keep the file's order: a reload
+    never re-breaks ties between scores that the 9 written digits made
+    equal, so save, load and save again writes the same bytes.
     """
-    entries: dict[tuple[int, ...], tuple[int, float]] = {}
+    seen: set[tuple[int, ...]] = set()
 
     def check_header(line: str) -> None:
         if line != _TABLE_HEADER:
             raise NgramError("missing table header")
 
-    def entry(line: str) -> None:
+    def entry(line: str) -> tuple[tuple[int, ...], int, float]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise NgramError("malformed table row")
@@ -336,15 +328,22 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
         if reserved:
             raise NgramError(f"n-gram {parts[0]!r} holds reserved token(s) {reserved}")
         gram = tuple(vocab.id_of(t) for t in toks)
-        if gram in entries:
+        if gram in seen:
             raise NgramError(f"duplicate n-gram {parts[0]!r}")
+        seen.add(gram)
         try:
-            entries[gram] = int(parts[1]), float(parts[2])
+            count, score = int(parts[1]), float(parts[2])
         except ValueError:
             raise NgramError(f"bad count or pmi in {parts[1:]}") from None
+        if not 1 <= count < 2**63:
+            raise NgramError(f"count {count} is not an integer in [1, 2^63)")
+        return gram, count, score
 
-    read_lines(path, entry, header=check_header)
-    return NgramTable.from_entries(entries, max([2, *map(len, entries)]))
+    rows = read_lines(path, entry, header=check_header)
+    n_max = max([2, *(len(gram) for gram, _, _ in rows)])
+    return NgramTable(_pad([gram for gram, _, _ in rows], n_max),
+                      np.array([c for _, c, _ in rows], dtype=np.int64),
+                      np.array([pmi for _, _, pmi in rows], dtype=np.float64), n_max)
 
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:

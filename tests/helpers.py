@@ -1,10 +1,12 @@
-"""Small test helpers: fixture-file writers, a scalar MiSAD loss and a
-one-group encoder pass."""
+"""Small test helpers: fixture-file writers, a scalar MiSAD loss, a
+one-group encoder pass, and n-gram tables to and from ``{id tuple: (count,
+pmi)}`` dicts."""
 
 import numpy as np
 
 from ulrlab.encoder import forward
 from ulrlab.evaluation import AnalogyQuestion
+from ulrlab.ngram import PAD, NgramTable
 from ulrlab.training import _misad_with_grads
 
 
@@ -45,3 +47,21 @@ def write_word_vectors(vectors, path) -> None:
     """``token v1 .. vd`` rows in the format ``read_word_vectors`` reads."""
     lines = [f"{t} {' '.join(f'{float(x):.8g}' for x in np.ravel(v))}" for t, v in vectors.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def table_of(entries, n_max) -> NgramTable:
+    """A table of the ``{id tuple: (count, pmi)}`` rows in the mapping's order."""
+    grams = np.full((len(entries), n_max), PAD, dtype=np.int32)
+    for row, gram in zip(grams, entries):
+        row[: len(gram)] = gram
+    counts = np.array([count for count, _ in entries.values()], dtype=np.int64)
+    pmi = np.array([pmi for _, pmi in entries.values()], dtype=np.float64)
+    return NgramTable(grams, counts, pmi, n_max)
+
+
+def table_entries(table) -> dict:
+    """``{id tuple: (count, pmi)}`` of the table's rows, in stored order."""
+    return {
+        tuple(i for i in row if i != PAD): (count, pmi)
+        for row, count, pmi in zip(table.grams.tolist(), table.counts.tolist(), table.pmi.tolist())
+    }

@@ -18,13 +18,21 @@ def oracle_mark(ids, table):
     """Independent greedy marker: enumerate all matching intervals first,
     then repeatedly take the longest interval at the leftmost available
     start position."""
+    grams = set()
+    for row in table.grams.tolist():
+        gram = []
+        for i in row:
+            if i == -1:  # padding after the last id
+                break
+            gram.append(i)
+        grams.add(tuple(gram))
     m = len(ids)
     intervals = []
     for i in range(m):
         for j in range(i + 1, m):
             if j - i + 1 > table.n_max:
                 break
-            if tuple(ids[i : j + 1]) in table.entries:
+            if tuple(ids[i : j + 1]) in grams:
                 intervals.append((i + 1, j + 1))  # 1-based inclusive
     spans = []
     cursor = 1

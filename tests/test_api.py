@@ -9,8 +9,8 @@ they read, belong in the tests.
 Blind spot: names are matched by spelling alone, so a definition looks
 used whenever anything of the same name is loaded: a method of numpy
 arrays or bytes (``decode``, ``astype``), or a field of another class (a
-dataclass field ``total_tokens`` looks used while ``RawNgramCounts`` has
-a ``total_tokens`` that is read).
+dataclass field looks used while another class has a field of its name
+that is read).
 """
 
 import ast

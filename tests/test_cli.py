@@ -462,19 +462,31 @@ def test_corpus_without_documents_is_named(capsys, extracted, tmp_path, command,
     assert stderr.endswith(f"error: {corpus}: no documents\n")
 
 
-@pytest.mark.parametrize("command", ["extract-ngrams", "train"])
+@pytest.mark.parametrize(
+    "command", ["extract-ngrams", "train", "embed", "eval-analogy", "eval-retrieval"]
+)
 def test_missing_output_directory_fails_before_writing(
-    capsys, workspace, extracted, tmp_path, command
+    capsys, tmp_path_factory, workspace, extracted, trained, tmp_path, command
 ):
     out, other = tmp_path / "missing" / "out", tmp_path / "other.tsv"
+    inputs = tmp_path_factory.mktemp("inputs")
+    corpus = str(workspace / "corpus.txt")
+    model = ["--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"])]
+    write_analogy_file([analogy_question("cat", "red fox", "blue bird", "old tree",
+                                         ("lazy dog", "red fox"), 0)], inputs / "analogy.tsv")
+    (inputs / "docs.tsv").write_text("d0\tred fox jumps\nd1\tblue bird sings\n")
+    (inputs / "queries.tsv").write_text("red fox\td0\n")
     flags = {
-        "extract-ngrams": ["--vocab-out", str(other)],
-        "train": ["--table", str(extracted["table"]), "--vocab", str(extracted["vocab"]),
-                  "--total-steps", "1", "--metrics-out", str(other)],
+        "extract-ngrams": ["--corpus", corpus, "--vocab-out", str(other)],
+        "train": ["--corpus", corpus, "--table", str(extracted["table"]),
+                  "--vocab", str(extracted["vocab"]), "--total-steps", "1",
+                  "--metrics-out", str(other)],
+        "embed": [*model, "--texts", corpus],
+        "eval-analogy": [*model, "--dataset", str(inputs / "analogy.tsv")],
+        "eval-retrieval": ["--backend", "bm25", "--corpus", str(inputs / "docs.tsv"),
+                           "--queries", str(inputs / "queries.tsv")],
     }[command]
-    code, stdout, stderr = run(capsys, [
-        command, "--corpus", str(workspace / "corpus.txt"), *flags, "--out", str(out),
-    ])
+    code, stdout, stderr = run(capsys, [command, *flags, "--out", str(out)])
     assert code == 1
     assert stdout == ""
     assert stderr.endswith(f"error: cannot write {out}: its directory does not exist\n")
@@ -561,6 +573,16 @@ class TestTrain:
         ])
         assert code == 1
         assert "error:" in stderr
+        # The architecture is checked once the vocabulary gives its size,
+        # before the corpus and the table are read.
+        code, stdout, stderr = run(capsys, [
+            "train", "--corpus", str(tmp_path / "absent.txt"),
+            "--table", str(tmp_path / "absent.tsv"), "--vocab", str(extracted["vocab"]),
+            "--n-heads", "0", "--total-steps", "2", "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 1 and stdout == ""
+        assert stderr.endswith("error: d_model (64) must be divisible by n_heads (0), both >= 1\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvalAnalogy:
@@ -611,6 +633,14 @@ class TestEvalAnalogy:
         code, _, stderr = run(capsys, ["eval-analogy", "--dataset", str(q_path)])
         assert code == 1
         assert "no embedder source" in stderr
+        # checked before the dataset is read
+        code, stdout, stderr = run(capsys, [
+            "eval-analogy", "--dataset", str(q_path.with_name("absent.tsv")),
+        ])
+        assert code == 1 and stdout == ""
+        assert stderr.endswith(
+            "error: no embedder source: pass --checkpoint (with --vocab) or --vectors\n"
+        )
 
     def test_vectors_and_checkpoint_together_rejected(self, capsys, oracle_files, tmp_path):
         vec_path, q_path = oracle_files
@@ -836,14 +866,17 @@ class TestEvalRetrieval:
     ], ids=["ks-negative", "ks-zero", "group-negative", "group-zero"])
     def test_cutoffs_below_one_rejected(self, capsys, retrieval_files, flags, setting):
         vec_path, corpus_path, queries_path = retrieval_files
-        code, stdout, stderr = run(capsys, [
-            "eval-retrieval", "--backend", "vectors",
-            "--corpus", str(corpus_path), "--queries", str(queries_path),
-            "--vectors", str(vec_path), *flags,
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert f"error: {setting} " in stderr and "must be >= 1" in stderr
+        absent = corpus_path.with_name("absent.tsv")
+        # rejected alike when the corpus and queries are absent: before they are read
+        for corpus, queries in ((corpus_path, queries_path), (absent, absent)):
+            code, stdout, stderr = run(capsys, [
+                "eval-retrieval", "--backend", "vectors",
+                "--corpus", str(corpus), "--queries", str(queries),
+                "--vectors", str(vec_path), *flags,
+            ])
+            assert code == 1
+            assert stdout == ""
+            assert f"error: {setting} " in stderr and "must be >= 1" in stderr
 
     @pytest.mark.parametrize("backend, source", [
         ("vectors", "--vectors"),

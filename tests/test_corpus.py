@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import table_entries
 from ulrlab.corpus import (
     CLS_ID,
     MASK_ID,
@@ -240,7 +241,7 @@ READERS = {
     "corpus": (read_corpus, ["Red fox.", "fox"], None, None, None),
     "table": (
         lambda path: load_table(path, READ_VOCAB), ["tokens\tcount\tpmi", "red fox\t2\t1.5"],
-        "fox red\t2\tx", NgramError, lambda table: table.entries,
+        "fox red\t2\tx", NgramError, table_entries,
     ),
     "word vectors": (
         read_word_vectors, ["red 1 2", "fox 3 4"], "blue 1", ValueError,

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import table_entries, table_of
 from oracles import oracle_mark, oracle_mined_table, oracle_table_text
 from ulrlab.corpus import UNK_ID, NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, build_vocabulary
 from ulrlab.ngram import (
     NgramError,
     NgramTable,
+    RawNgramCounts,
     Span,
     SpanAnnotation,
     build_table,
@@ -43,12 +45,20 @@ IDS = {t: i + NUM_SPECIALS for i, t in enumerate("abcdefghij")}
 
 def ngram_counts(counts):
     """``{id tuple: count}`` of every counted n-gram, from the unpruned table."""
-    return {w: c for w, (c, _) in build_table(counts).entries.items()}
+    return {w: c for w, (c, _) in table_entries(build_table(counts)).items()}
 
 
 def compute_pmi(w, counts):
     """The score of n-gram ``w`` in the unpruned table."""
-    return build_table(counts).entries[tuple(w)][1]
+    return table_entries(build_table(counts))[tuple(w)][1]
+
+
+def raw_counts(ngrams, unigrams, n_max):
+    """Counts of the ``{id tuple: count}`` n-grams and ``{id: count}`` unigrams."""
+    table = table_of({w: (c, 0.0) for w, c in ngrams.items()}, n_max)
+    uni = np.zeros(max(unigrams) + 1, dtype=np.int64)
+    uni[list(unigrams)] = list(unigrams.values())
+    return RawNgramCounts(table.grams, table.counts, uni, n_max)
 
 
 IDS.update({t: i + NUM_SPECIALS + 10 for i, t in enumerate(["the", "cat", "sat", "ran"])})
@@ -85,6 +95,24 @@ def mining_inputs(draw):
     return docs, n_max, threshold, per_doc_top_k, min_count
 
 
+@st.composite
+def marking_inputs(draw):
+    """Rows of lengths 2..n_max over a four-token alphabet, with every shorter
+    prefix of the drawn full-length rows left out, and a sequence built of
+    rows and loose tokens."""
+    n_max = draw(st.integers(min_value=2, max_value=6))
+    alphabet = st.integers(NUM_SPECIALS, NUM_SPECIALS + 3)
+    grams = draw(st.sets(st.lists(alphabet, min_size=2, max_size=n_max).map(tuple), max_size=20))
+    full = draw(st.sets(st.lists(alphabet, min_size=n_max, max_size=n_max).map(tuple),
+                        max_size=3))
+    grams = {g for g in grams if not any(f[: len(g)] == g for f in full)} | full
+    pieces = st.lists(alphabet, max_size=3).map(tuple)
+    if grams:
+        pieces = pieces | st.sampled_from(sorted(grams))
+    ids = draw(st.lists(pieces, max_size=12).map(lambda ps: sum(ps, ())))
+    return {g: (1, 1.0) for g in sorted(grams)}, n_max, ids
+
+
 def mine(docs, n_max, threshold, per_doc_top_k, min_count):
     table = build_table(count_ngrams([tuple(d) for d in docs], n_max, min_count))
     with warnings.catch_warnings():
@@ -116,7 +144,7 @@ class TestCountNgrams:
         assert counts.unigrams[b] == 2
         assert ngram_counts(counts)[(a, b)] == 2
         assert ngram_counts(counts)[(b, a)] == 1
-        assert counts.total_tokens == 4
+        assert counts.unigrams.sum() == 4
 
     def test_unigram_counts_sum_to_total(self):
         rng = np.random.default_rng(7)
@@ -125,7 +153,7 @@ class TestCountNgrams:
             for _ in range(20)
         ]
         counts = count_ngrams(seqs, n_max=4)
-        assert sum(counts.unigrams.values()) == counts.total_tokens
+        assert counts.unigrams.sum() == sum(map(len, seqs))
 
     def test_matches_nested_loop_counter(self):
         """Counts equal a brute-force sliding-window recount."""
@@ -144,7 +172,7 @@ class TestCountNgrams:
                 for i in range(len(ids) - n + 1):
                     gram = ids[i : i + n]
                     expected[gram] = expected.get(gram, 0) + 1
-        assert counts.total_tokens == total
+        assert counts.unigrams.sum() == total
         ngrams = ngram_counts(counts)
         for gram, count in expected.items():
             if len(gram) == 1:
@@ -182,7 +210,7 @@ class TestCountNgrams:
         full = count_ngrams(docs, n_max)
         cut = count_ngrams(docs, n_max, min_count=floor)
         keep = full.counts >= floor
-        assert (cut.unigrams, cut.total_tokens) == (full.unigrams, full.total_tokens)
+        assert cut.unigrams.tolist() == full.unigrams.tolist()
         assert cut.grams.tolist() == full.grams[keep].tolist()
         assert cut.counts.tolist() == full.counts[keep].tolist()
         row = np.cumsum(keep) - 1  # a floor-1 row's index among the kept rows
@@ -207,7 +235,7 @@ class TestCountNgrams:
     def test_nothing_at_the_floor_gives_an_empty_count(self, docs, floor):
         counts = count_ngrams(docs, n_max=3, min_count=floor)
         assert counts.grams.shape == (0, 3) and len(counts.counts) == 0
-        assert counts.total_tokens == sum(map(len, docs))
+        assert counts.unigrams.sum() == sum(map(len, docs))
         assert [len(a) for a in counts.occurrences] == [0, 0]
         with pytest.warns(UserWarning, match="empty n-gram table"):
             table = prune_table(build_table(counts), pmi_threshold=-math.inf, per_doc_top_k=3)
@@ -222,16 +250,10 @@ class TestCountNgrams:
 class TestComputePmi:
     def test_independence_gives_zero(self):
         """When P(w) factorizes exactly, the score vanishes."""
-        (seq,) = seqs_from_texts(["a b a c a b a c"], IDS)
-        counts = count_ngrams([seq], n_max=2)
+        e, f = IDS["e"], IDS["f"]
         # Craft counts where P(ef) = P(e)P(f) exactly: 2/8 = (4/8)(4/8).
-        counts = replace(
-            counts,
-            grams=np.vstack([counts.grams, [(IDS["e"], IDS["f"])]]),
-            counts=np.append(counts.counts, 2),
-            unigrams={**counts.unigrams, IDS["e"]: 4, IDS["f"]: 4},
-        )
-        pmi = compute_pmi((IDS["e"], IDS["f"]), counts)
+        counts = raw_counts({(e, f): 2}, {e: 4, f: 4}, n_max=2)
+        pmi = compute_pmi((e, f), counts)
         assert pmi == pytest.approx(0.0, abs=1e-12)
 
     def test_half_ln_two_fixture(self):
@@ -248,17 +270,12 @@ class TestComputePmi:
 
     @given(st.integers(min_value=2, max_value=50))
     def test_invariant_under_count_scaling(self, k):
-        """Multiplying every count and T by k leaves PMI unchanged."""
+        """Multiplying every count, and so T, by k leaves PMI unchanged."""
         (seq,) = seqs_from_texts(["a b c a b"], IDS)
         counts = count_ngrams([seq], n_max=3)
         w = (IDS["a"], IDS["b"])
         base = compute_pmi(w, counts)
-        counts = replace(
-            counts,
-            counts=counts.counts * k,
-            unigrams={gram: c * k for gram, c in counts.unigrams.items()},
-            total_tokens=counts.total_tokens * k,
-        )
+        counts = replace(counts, counts=counts.counts * k, unigrams=counts.unigrams * k)
         assert compute_pmi(w, counts) == pytest.approx(base, abs=1e-12)
 
     def test_strictly_increasing_in_joint_count(self):
@@ -289,7 +306,7 @@ class TestExactLog:
 
 def toy_table(entries, n_max=3):
     """A table of ``entries`` in the canonical order."""
-    return NgramTable.from_entries(dict(entries), n_max=n_max)._sorted()
+    return table_of(dict(entries), n_max=n_max)._sorted()
 
 
 class TestCanonicalOrder:
@@ -309,7 +326,7 @@ class TestCanonicalOrder:
             count, pmi = entries[g]
             return (-pmi, -count, g)
 
-        assert list(table.entries) == sorted(entries, key=rank)
+        assert list(table_entries(table)) == sorted(entries, key=rank)
 
 
 class TestPruneTable:
@@ -323,7 +340,7 @@ class TestPruneTable:
     def test_threshold_is_strict(self):
         entries = {(5, 6): (3, 0.5), (6, 7): (2, 0.0)}
         pruned = prune_table(toy_table(entries), pmi_threshold=0.0, per_doc_top_k=None)
-        assert (5, 6) in pruned.entries and (6, 7) not in pruned.entries
+        assert list(table_entries(pruned)) == [(5, 6)]
 
     def test_per_document_top_k_matches_sort_oracle(self):
         """Per-doc retention keeps exactly the k best by the stated order."""
@@ -333,6 +350,7 @@ class TestPruneTable:
         ]
         counts = count_ngrams(seqs, n_max=3)
         table = build_table(counts)
+        entries = table_entries(table)
         k = 5
         pruned = prune_table(table, pmi_threshold=-math.inf, per_doc_top_k=k)
         kept = set()
@@ -341,21 +359,22 @@ class TestPruneTable:
             for n in range(2, 4):
                 for i in range(len(seq) - n + 1):
                     gram = seq[i : i + n]
-                    if gram in table.entries:
+                    if gram in entries:
                         present.add(gram)
             ranked = sorted(
                 present,
-                key=lambda g: (-table.entries[g][1], -table.entries[g][0], g),
+                key=lambda g: (-entries[g][1], -entries[g][0], g),
             )
             kept.update(ranked[:k])
-        assert set(pruned.entries) == kept
+        assert set(table_entries(pruned)) == kept
 
     def test_output_is_subset_with_unchanged_entries(self):
         (seq,) = seqs_from_texts(["a b c a b c d e"], IDS)
         table = build_table(count_ngrams([seq], n_max=3))
         pruned = prune_table(table, pmi_threshold=0.0, per_doc_top_k=3)
-        for gram, entry in pruned.entries.items():
-            assert table.entries[gram] == entry
+        entries = table_entries(table)
+        for gram, entry in table_entries(pruned).items():
+            assert entries[gram] == entry
 
 
 class TestMarkSequence:
@@ -388,6 +407,14 @@ class TestMarkSequence:
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 13, size=50))
             assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
+
+    @given(marking_inputs())
+    @example(({(5, 6, 7, 8, 5, 6): (1, 1.0), (6, 7): (1, 1.0)}, 6, (5, 6, 7, 8, 5, 6, 7)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle_on_any_table(self, inputs):
+        entries, n_max, ids = inputs
+        table = table_of(entries, n_max)
+        assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
 
 
 class TestSpanTypes:
@@ -428,8 +455,8 @@ class TestTableIO:
         save_table(table, vocab, path)
         first = path.read_bytes()
         loaded = load_table(path, vocab)
-        assert set(loaded.entries) == set(entries)
-        assert loaded.entries[(ids[0], ids[1])][0] == 5
+        assert set(table_entries(loaded)) == set(entries)
+        assert table_entries(loaded)[(ids[0], ids[1])][0] == 5
         save_table(loaded, vocab, path)
         assert path.read_bytes() == first
 
@@ -448,7 +475,7 @@ class TestTableIO:
     @given(st.dictionaries(
         st.lists(st.integers(NUM_SPECIALS, NUM_SPECIALS + MAX_ALPHABET - 1), min_size=2,
                  max_size=4).map(tuple),
-        st.tuples(st.integers(0, 5), st.sampled_from([-2.0, 0.5, 1.0, math.nan]),
+        st.tuples(st.integers(1, 5), st.sampled_from([-2.0, 0.5, 1.0, math.nan]),
                   st.integers(0, 50)),
         max_size=12,
     ))
@@ -483,10 +510,17 @@ class TestTableIO:
         with pytest.raises(NgramError, match=r"table\.tsv:3: bad count or pmi"):
             load_table(path, vocab)
 
-    @pytest.mark.parametrize("count", [-3, 2**62])
-    def test_negative_or_huge_count_round_trips(self, vocab, count):
-        text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t0\tnan\n"
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**62, 2**63 - 1])
+    def test_huge_count_round_trips(self, vocab, count):
+        text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t1\tnan\n"
         assert reloaded_text(text, vocab) == text
+
+    @pytest.mark.parametrize("count", ["0", "-3", "100000000000000000000", "1.5"])
+    def test_load_rejects_a_count_outside_one_to_two_to_the_63(self, tmp_path, vocab, count):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\na b\t{count}\t1.5\n")
+        with pytest.raises(NgramError, match=r"table\.tsv:3: (count|bad count)"):
+            load_table(path, vocab)
 
     @pytest.mark.parametrize(
         "gram",
@@ -513,7 +547,7 @@ class TestTableIO:
             )
             save_table(table, vocab, path)
             loaded = load_table(path, vocab)
-            assert loaded.n_max == max(map(len, loaded.entries)) == n_max
+            assert loaded.n_max == max(map(len, table_entries(loaded))) == n_max
             for _ in range(50):
                 ids = tuple(int(x) for x in rng.integers(5, 9, size=20))
                 assert mark_sequence(ids, loaded).spans == oracle_mark(ids, loaded)
@@ -539,6 +573,25 @@ class TestTableIO:
         path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\n{row}\n")
         with pytest.raises(NgramError, match=r"table\.tsv:3: n-gram .* fewer than 2 tokens"):
             load_table(path, vocab)
+
+    @given(st.dictionaries(
+        st.lists(st.integers(NUM_SPECIALS, NUM_SPECIALS + MAX_ALPHABET - 1), min_size=2,
+                 max_size=4).map(tuple),
+        st.tuples(st.integers(1, 2**63 - 1), st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=12,
+    ))
+    @example({(5, 6): (2**53 + 1, 0.5), (6, 7): (2**63 - 1, -1.0), (7, 5): (1, 0.0)})
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_bytes_survive_save_load_save(self, entries):
+        table = table_of(entries, n_max=4)
+        text = saved_text(table, MINING_VOCAB)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.tsv"
+            path.write_text(text, encoding="utf-8")
+            loaded = load_table(path, MINING_VOCAB)
+        assert loaded.counts.dtype == np.int64
+        assert loaded.counts.tolist() == [count for count, _ in entries.values()]
+        assert saved_text(loaded, MINING_VOCAB) == text
 
     def test_load_rejects_bad_header(self, tmp_path, vocab):
         path = tmp_path / "table.tsv"
@@ -581,15 +634,15 @@ class TestTableWriter:
     def test_edge_scores_counts_and_tokens(self):
         tok = {t: ODD_VOCAB.id_of(t) for t in ODD_TOKENS}
         entries = {
-            (tok["100%"], tok["%s"]): (0, math.nan),
+            (tok["100%"], tok["%s"]): (1, math.nan),
             (tok["%d%%"], tok["{"], tok["}"]): (3, -0.0),
             (tok["{0}"], tok["naïve"]): (7, 1e-5),
             (tok["東京"], tok["%(x)s"], tok["a"], tok["a"]): (2, -1e-5),
         }
-        table = NgramTable.from_entries(entries, n_max=4)
+        table = table_of(entries, n_max=4)
         text = saved_text(table, ODD_VOCAB)
         assert text.splitlines()[1:] == [
-            "100% %s\t0\tnan", "%d%% { }\t3\t-0", "{0} naïve\t7\t1e-05",
+            "100% %s\t1\tnan", "%d%% { }\t3\t-0", "{0} naïve\t7\t1e-05",
             "東京 %(x)s a a\t2\t-1e-05",
         ]
         assert text == oracle_table_text(table, ODD_VOCAB)
@@ -599,7 +652,7 @@ class TestTableWriter:
     def test_unusual_token_round_trips(self, token):
         vocab = Vocabulary([*SPECIAL_TOKENS, token, "a"], [0] * NUM_SPECIALS + [1, 1])
         long_id, a = NUM_SPECIALS, NUM_SPECIALS + 1
-        table = NgramTable.from_entries(
+        table = table_of(
             {(a, long_id): (2, 0.5), (long_id, a, long_id): (1, -1.25), (a, a): (3, 2.0)}, 3
         )
         text = saved_text(table, vocab)
@@ -614,7 +667,7 @@ class TestTableWriter:
                            [0] * NUM_SPECIALS + [1] * (1 + len(short)))
         ids = range(NUM_SPECIALS + 1, len(vocab))
         grams = list(itertools.product(ids, repeat=3))[:200] + [(NUM_SPECIALS, ids[0])]
-        table = NgramTable.from_entries({w: (k, k / 7) for k, w in enumerate(grams)}, 3)
+        table = table_of({w: (k, k / 7) for k, w in enumerate(grams)}, 3)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.tsv"
             tracemalloc.start()
@@ -650,11 +703,12 @@ class TestMinedTableOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.tsv"
             save_table(table, MINING_VOCAB, path)
-            loaded = load_table(path, MINING_VOCAB)
-        assert set(loaded.entries) == set(table.entries)
-        for w, (count, pmi) in table.entries.items():
-            assert loaded.entries[w][0] == count
-            assert f"{loaded.entries[w][1]:.9g}" == f"{pmi:.9g}"
+            loaded = table_entries(load_table(path, MINING_VOCAB))
+        entries = table_entries(table)
+        assert set(loaded) == set(entries)
+        for w, (count, pmi) in entries.items():
+            assert loaded[w][0] == count
+            assert f"{loaded[w][1]:.9g}" == f"{pmi:.9g}"
 
 
 class TestLengthHistogram:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import misad_loss
+from helpers import misad_loss, table_of
 from oracles import oracle_adam_step, oracle_score_spans
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, frame
@@ -715,7 +715,7 @@ class TestAdamStep:
 
 def toy_table() -> NgramTable:
     """Table marking (10, 11) as a unit."""
-    return NgramTable.from_entries({(10, 11): (5, 1.0)}, n_max=2)
+    return table_of({(10, 11): (5, 1.0)}, n_max=2)
 
 
 class TestTrainStep:
