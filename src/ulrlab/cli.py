@@ -322,8 +322,8 @@ def _build_embedder(cfg: dict[str, Any], backend: str, used_by: str):
 def cmd_eval_analogy(cfg: dict[str, Any]) -> int:
     if not cfg["vectors"] and not cfg["checkpoint"]:
         raise CliError("no embedder source: pass --checkpoint (with --vocab) or --vectors")
-    questions = read_analogy_file(cfg["dataset"])
     embedder = _build_embedder(cfg, "vectors" if cfg["vectors"] else "model", "--vectors")
+    questions = read_analogy_file(cfg["dataset"])
     report = evaluate_analogy(questions, embedder)
     lines = ["category\tcorrect\ttotal\taccuracy"]
     for name in sorted(report.per_category):
@@ -349,10 +349,10 @@ def cmd_eval_retrieval(cfg: dict[str, Any]) -> int:
     for name, value in (("ks", ks[0]), ("group_by_length", bucket)):
         if value is not None and value < 1:
             raise CliError(f"{name} must be >= 1, got {value}")
+    embedder = _build_embedder(cfg, cfg["backend"], f"--backend {cfg['backend']}")
     ids, docs = zip(*read_retrieval_corpus(cfg["corpus"]))
     queries, gold_sets = zip(*read_retrieval_queries(cfg["queries"], ids))
     depth = min(max(ks), len(ids))
-    embedder = _build_embedder(cfg, cfg["backend"], f"--backend {cfg['backend']}")
     if embedder is None:
         rankings = bm25_rank(queries, docs, ids, depth)
     else:

@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -620,6 +621,16 @@ def pack(seqs: Sequence[Sequence[int]]):
         starts[rows] = np.arange(at, at + ids.size, ids.shape[1])
         at += ids.size
     return groups, np.concatenate([ids.reshape(-1) for _, ids in groups]), starts
+
+
+def truncate(seqs: Sequence[Sequence[int]], max_len: int) -> list[Sequence[int]]:
+    """Each id sequence cut to ``max_len - 2`` ids, which leaves room for its
+    frame, with one warning that counts the sequences cut."""
+    limit = max_len - 2
+    cut = sum(len(s) > limit for s in seqs)
+    if cut:
+        warnings.warn(f"truncating {cut} sequence(s) longer than max_len-2 = {limit}", stacklevel=3)
+    return [s[:limit] for s in seqs]
 
 
 def group_views(x: np.ndarray, groups) -> list[np.ndarray]:

@@ -23,7 +23,9 @@ from typing import Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus import Vocabulary, encode, frame, read_lines, tokenize
-from .encoder import POOLING_STRATEGIES, Model, forward, group_views, load_checkpoint, pack, pool
+from .encoder import (
+    POOLING_STRATEGIES, Model, forward, group_views, load_checkpoint, pack, pool, truncate,
+)
 
 _EPS = 1e-12
 
@@ -121,13 +123,13 @@ class WordVectorEmbedder:
 class ModelEmbedder:
     """Embed texts with an encoder checkpoint and a pooling strategy.
 
-    Token tuples are encoded with the supplied vocabulary, framed with the
-    sequence delimiters and truncated to fit the model's maximum length
-    (with a warning).  Each distinct framed sequence is encoded and pooled
-    once: sorted by length, :data:`EMBED_BATCH` at a time go through one
-    packed pass (:func:`pack`) of unpadded groups of one length each, so
-    attention, layer norm and pooling reduce over its own tokens alone and
-    its vector does not depend on the rest of the call.
+    Token tuples are encoded with the supplied vocabulary, cut to fit the
+    model's maximum length (:func:`truncate`) and framed.  Each distinct
+    framed sequence is encoded and pooled once: sorted by length,
+    :data:`EMBED_BATCH` at a time go through one packed pass (:func:`pack`)
+    of unpadded groups of one length each, so attention, layer norm and
+    pooling reduce over its own tokens alone and its vector does not depend
+    on the rest of the call.
     """
 
     def __init__(self, model: Model, vocab: Vocabulary, pooling: str):
@@ -148,19 +150,9 @@ class ModelEmbedder:
     def from_checkpoint(cls, path: str | Path, vocab: Vocabulary, pooling: str) -> "ModelEmbedder":
         return cls(load_checkpoint(path), vocab, pooling)
 
-    def _framed_ids(self, tokens: Tokens) -> tuple[int, ...]:
-        ids = encode(tokens, self.vocab)
-        limit = self.model.config.max_len - 2
-        if len(ids) > limit:
-            warnings.warn(
-                f"truncating sequence of {len(ids)} tokens to max_len-2 = {limit}",
-                stacklevel=3,
-            )
-            ids = ids[:limit]
-        return frame(ids)
-
     def embed_many(self, texts: Sequence[Tokens]) -> np.ndarray:
-        framed = [self._framed_ids(t) for t in texts]
+        ids = [encode(t, self.vocab) for t in texts]
+        framed = [frame(seq) for seq in truncate(ids, self.model.config.max_len)]
         # Sorted by length, so each pass's groups' rows run through ``distinct`` in order.
         distinct = sorted(dict.fromkeys(framed), key=len)
         row_of = {seq: i for i, seq in enumerate(distinct)}

@@ -10,8 +10,8 @@ mean squared error).  In parallel, standard masked-token prediction
 runs on S with positions inside w protected from masking, so the same
 masked forward pass of S serves both losses.
 
-Span scoring and selection happen in :func:`make_examples` and masking
-in :func:`prepare_batch`; :func:`loss_and_gradients` is then a smooth,
+Span scoring and selection happen in :func:`make_examples`, framing and
+masking in :func:`prepare_batch`; :func:`loss_and_gradients` is then a smooth,
 deterministic function of the parameters, which is what makes
 finite-difference verification of the analytic gradients meaningful.
 Dropout follows the step tag: it runs exactly when a ``dropout_tag`` is
@@ -23,7 +23,6 @@ holds the Adam moments and the step, and :meth:`Trainer.run` the batch order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +46,7 @@ from .encoder import (
     _pool_with_cache,
     pool_backward,
     step_rng,
+    truncate,
     zero_grads,
 )
 from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
@@ -59,17 +59,23 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One sequence's selected span and its framed model inputs.
+    """One sequence's unframed ids and its selected span.
 
-    ``span`` is None for MLM-only examples (no annotated spans, or the
-    only spans cover the whole sequence so the remainder would be
-    empty); then ``w_ids`` and ``r_ids`` are None as well.
+    ``span`` is None for an MLM-only example: standard masked-token
+    prediction with nothing protected and no compositional term.  A span
+    lies in ``1..len(tokens)`` and leaves a remainder.
     """
 
+    tokens: tuple[int, ...]
     span: Span | None
-    w_ids: tuple[int, ...] | None
-    r_ids: tuple[int, ...] | None
-    s_ids: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        span, n = self.span, len(self.tokens)
+        if span is not None and not 1 <= span.start <= span.end <= n:
+            raise ValueError(f"span {span} outside sequence of length {n}")
+        if span is not None and span.length == n:
+            raise ValueError(f"span {span} covers the whole sequence, leaving no remainder")
 
 
 @dataclass(frozen=True)
@@ -77,33 +83,6 @@ class LossReport:
     l_misad: float
     l_mlm: float
     l_total: float
-
-
-def select_span(scores: Sequence[float]) -> int | None:
-    """Index of the worst-explained span: argmin, first on ties.
-
-    Scores arrive in span order (ascending start), so the first minimum
-    is the leftmost.  Empty input signals an MLM-only example.
-    """
-    if len(scores) == 0:
-        return None
-    return min(range(len(scores)), key=scores.__getitem__)
-
-
-def split_sequence(tokens: Sequence[int], span: Span):
-    """Split S around a span into framed (w, R, S) inputs.
-
-    R is the remainder concatenated in order with no placeholder at the
-    removal point.  Returns None when R would be empty, demoting the
-    example to MLM-only.
-    """
-    if not (1 <= span.start <= span.end <= len(tokens)):
-        raise ValueError(f"span {span} outside sequence of length {len(tokens)}")
-    w = tokens[span.start - 1 : span.end]
-    r = tokens[: span.start - 1] + tokens[span.end :]
-    if not r:
-        return None
-    return frame(w), frame(r), frame(tokens)
 
 
 def score_spans(
@@ -146,15 +125,15 @@ def score_spans(
 def make_examples(
     pairs: Sequence[tuple[Sequence[int], SpanAnnotation]], model: Model
 ) -> list[TrainingExample]:
-    """Score, select, and split a batch of annotated sequences."""
+    """Score each annotated sequence's spans and select the lowest score, the
+    leftmost on ties.  A sequence with no span, or whose selected span covers
+    all of it and so leaves no remainder R, becomes MLM-only."""
     examples = []
     for (seq, ann), scores in zip(pairs, score_spans(pairs, model)):
-        idx = select_span(scores)
-        split = None if idx is None else split_sequence(seq, ann.spans[idx])
-        if split is None:
-            examples.append(TrainingExample(None, None, None, frame(seq)))
-        else:
-            examples.append(TrainingExample(ann.spans[idx], *split))
+        span = ann.spans[scores.index(min(scores))] if scores else None
+        if span is not None and span.length == len(seq):
+            span = None
+        examples.append(TrainingExample(seq, span))
     return examples
 
 
@@ -253,8 +232,8 @@ class PreparedBatch:
     mlm_cols: np.ndarray
     mlm_targets: np.ndarray
     misad_s_rows: np.ndarray
-    w_ids: list[tuple[int, ...]] | None
-    r_ids: list[tuple[int, ...]] | None
+    w_ids: list[tuple[int, ...]]
+    r_ids: list[tuple[int, ...]]
 
     @property
     def n_examples(self) -> int:
@@ -275,9 +254,10 @@ def prepare_batch(
     rng: np.random.Generator,
     mask_rate: float,
 ) -> PreparedBatch:
-    """Apply MLM masking and collect, unpadded, every input the step needs:
-    each example's masked S, which ``mlm_rows`` and ``mlm_cols`` index, and
-    the w and R of the ``misad_s_rows`` examples (None if there are none)."""
+    """Frame S, w and R, mask S for MLM, and collect, unpadded, every input the
+    step needs: each example's masked S, which ``mlm_rows`` and ``mlm_cols``
+    index, and the w and R of the ``misad_s_rows`` examples.  R is the
+    remainder in order, with no placeholder where w was."""
     if not examples:
         raise ValueError("empty batch")
     s_seqs, w_seqs, r_seqs = [], [], []
@@ -285,7 +265,7 @@ def prepare_batch(
     misad_s_rows = []
     for row, ex in enumerate(examples):
         masked, positions, targets = mask_for_mlm(
-            ex.s_ids, ex.span, vocab_size, rng, mask_rate
+            frame(ex.tokens), ex.span, vocab_size, rng, mask_rate
         )
         s_seqs.append(masked)
         mlm_rows.extend([row] * len(positions))
@@ -293,16 +273,17 @@ def prepare_batch(
         mlm_targets.extend(targets)
         if ex.span is not None:
             misad_s_rows.append(row)
-            w_seqs.append(ex.w_ids)
-            r_seqs.append(ex.r_ids)
+            first, last = ex.span.start - 1, ex.span.end
+            w_seqs.append(frame(ex.tokens[first:last]))
+            r_seqs.append(frame(ex.tokens[:first] + ex.tokens[last:]))
     return PreparedBatch(
         s_ids=s_seqs,
         mlm_rows=np.asarray(mlm_rows, dtype=np.int64),
         mlm_cols=np.asarray(mlm_cols, dtype=np.int64),
         mlm_targets=np.asarray(mlm_targets, dtype=np.int64),
         misad_s_rows=np.asarray(misad_s_rows, dtype=np.int64),
-        w_ids=w_seqs or None,
-        r_ids=r_seqs or None,
+        w_ids=w_seqs,
+        r_ids=r_seqs,
     )
 
 
@@ -524,13 +505,7 @@ class Trainer:
         sequences: Sequence[Sequence[int]],
         config: TrainingConfig,
     ):
-        limit = model.config.max_len - 2
-        cut = sum(len(s) > limit for s in sequences)
-        if cut:
-            warnings.warn(
-                f"truncating {cut} sequence(s) longer than max_len-2 = {limit}", stacklevel=2
-            )
-        sequences = [s[:limit] for s in sequences if s]
+        sequences = [s for s in truncate(sequences, model.config.max_len) if s]
         if not sequences:
             raise ValueError("empty corpus")
         self.model = model

@@ -200,6 +200,19 @@ def oracle_bm25(query_tokens, corpus_tokens, k1=1.2, b=0.75):
     return scores
 
 
+def oracle_split(tokens, span):
+    """Framed (w, R, S) of a sequence around a 1-based inclusive span, by a
+    walk over the positions: w takes the span's tokens, R every other
+    token in order, and S all of them."""
+    w, r = [], []
+    for pos, tok in enumerate(tokens, start=1):
+        if span.start <= pos <= span.end:
+            w.append(tok)
+        else:
+            r.append(tok)
+    return (CLS_ID, *w, SEP_ID), (CLS_ID, *r, SEP_ID), (CLS_ID, *tokens, SEP_ID)
+
+
 def oracle_score_spans(pairs, model):
     """Span scores from full forward passes: every layer at every position
     of each masked copy, run on its own and unpadded, then one MLM head

@@ -33,6 +33,7 @@ from oracles import (
     oracle_ngram_counts,
     oracle_pmi,
     oracle_rank,
+    oracle_split,
 )
 from ulrlab.cli import main
 from ulrlab.corpus import build_vocabulary, encode, frame, tokenize
@@ -69,7 +70,6 @@ from ulrlab.training import (
     loss_and_gradients,
     mask_for_mlm,
     prepare_batch,
-    split_sequence,
 )
 
 
@@ -192,20 +192,23 @@ def test_criterion_misad_mechanics(capsys):
     assert violations == 0
 
     # Multiset conservation: tokens of w plus tokens of R equal tokens of S.
-    conserved = 0
-    while conserved < 1000:
+    examples = []
+    while len(examples) < 1000:
         m = int(rng.integers(3, 20))
         ids = tuple(int(x) for x in rng.integers(5, 50, size=m))
         start = int(rng.integers(1, m + 1))
         end = int(rng.integers(start, m + 1))
         if start == 1 and end == m:
             continue  # whole-sequence spans have no remainder to test
-        split = split_sequence(ids, Span(start, end))
-        assert split is not None
-        w_f, r_f, s_f = split
-        assert s_f == frame(ids)
-        assert Counter(w_f[1:-1]) + Counter(r_f[1:-1]) == Counter(ids)
+        examples.append(TrainingExample(ids, Span(start, end)))
+    batch = prepare_batch(examples, 50, rng, mask_rate=0.0)
+    assert batch.misad_s_rows.tolist() == list(range(1000))
+    conserved = 0
+    for ex, w_f, r_f, s_f in zip(examples, batch.w_ids, batch.r_ids, batch.s_ids):
+        assert tuple(s_f) == frame(ex.tokens)
+        assert Counter(w_f[1:-1]) + Counter(r_f[1:-1]) == Counter(ex.tokens)
         conserved += 1
+    assert conserved == 1000
     report(capsys, "PASS compositional mechanics: exact-composition loss == 0.0; "
                    "0 masking violations in 10000 draws; w + R = S multiset "
                    "conservation on 1000 random splits")
@@ -233,11 +236,9 @@ def test_criterion_gradient_suite(capsys):
         for k in range(3):
             m = int(rng.integers(8, 14))
             ids = tuple(int(x) for x in rng.integers(5, 50, size=m))
-            span = Span(2, 3 + k)
-            w_f, r_f, s_f = split_sequence(ids, span)
-            examples.append(TrainingExample(span=span, w_ids=w_f, r_ids=r_f, s_ids=s_f))
+            examples.append(TrainingExample(ids, Span(2, 3 + k)))
         ids = tuple(int(x) for x in rng.integers(5, 50, size=9))
-        examples.append(TrainingExample(span=None, w_ids=None, r_ids=None, s_ids=frame(ids)))
+        examples.append(TrainingExample(ids, None))
         batch = prepare_batch(examples, config.vocab_size, rng, mask_rate=0.3)
         assert batch.n_masked > 0 and batch.n_misad > 0
 
@@ -493,12 +494,9 @@ def test_criterion_compositional_experiment(capsys):
         w_seqs, r_seqs, s_seqs = [], [], []
         for seq in held:
             annotation = mark_sequence(seq, table)
-            if not annotation.spans:
-                continue
-            split = split_sequence(seq, annotation.spans[0])
-            if split is None:
-                continue
-            w_f, r_f, s_f = split
+            if not annotation.spans or annotation.spans[0].length == len(seq):
+                continue  # no span, or no remainder
+            w_f, r_f, s_f = oracle_split(seq, annotation.spans[0])
             w_seqs.append(w_f)
             r_seqs.append(r_f)
             s_seqs.append(s_f)

@@ -644,23 +644,27 @@ class TestEvalAnalogy:
 
     def test_vectors_and_checkpoint_together_rejected(self, capsys, oracle_files, tmp_path):
         vec_path, q_path = oracle_files
-        code, stdout, stderr = run(capsys, [
-            "eval-analogy", "--dataset", str(q_path), "--vectors", str(vec_path),
-            "--checkpoint", str(tmp_path / "missing.ckpt"), "--vocab", str(tmp_path / "nov"),
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert stderr.endswith("error: --checkpoint is not used with --vectors\n")
+        # rejected alike when the dataset is absent: before it is read
+        for dataset in (q_path, tmp_path / "absent.tsv"):
+            code, stdout, stderr = run(capsys, [
+                "eval-analogy", "--dataset", str(dataset), "--vectors", str(vec_path),
+                "--checkpoint", str(tmp_path / "missing.ckpt"), "--vocab", str(tmp_path / "nov"),
+            ])
+            assert code == 1
+            assert stdout == ""
+            assert stderr.endswith("error: --checkpoint is not used with --vectors\n")
 
     def test_vocab_with_vectors_rejected(self, capsys, oracle_files, tmp_path):
         vec_path, q_path = oracle_files
-        code, stdout, stderr = run(capsys, [
-            "eval-analogy", "--dataset", str(q_path), "--vectors", str(vec_path),
-            "--vocab", str(tmp_path / "missing.vocab"),
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert stderr.endswith("error: --vocab is not used with --vectors\n")
+        # rejected alike when the dataset is absent: before it is read
+        for dataset in (q_path, tmp_path / "absent.tsv"):
+            code, stdout, stderr = run(capsys, [
+                "eval-analogy", "--dataset", str(dataset), "--vectors", str(vec_path),
+                "--vocab", str(tmp_path / "missing.vocab"),
+            ])
+            assert code == 1
+            assert stdout == ""
+            assert stderr.endswith("error: --vocab is not used with --vectors\n")
 
     def test_dataset_without_questions_is_named(self, capsys, oracle_files, tmp_path):
         vec_path, _ = oracle_files
@@ -777,14 +781,20 @@ class TestEvalRetrieval:
         assert [row.split("\t")[0] for row in groups] == ["len<=5", "len<=15"]
 
     @pytest.mark.parametrize("backend", ["bm25", "vectors", "model"])
-    def test_empty_queries_file_is_named(self, capsys, retrieval_files, tmp_path, backend):
+    def test_empty_queries_file_is_named(
+        self, capsys, retrieval_files, trained, extracted, tmp_path, backend
+    ):
         vec_path, corpus_path, _ = retrieval_files
         queries_path = tmp_path / "queries.tsv"
         queries_path.write_text("")
+        sources = {
+            "bm25": [],
+            "vectors": ["--vectors", str(vec_path)],
+            "model": ["--checkpoint", str(trained["ckpt"]), "--vocab", str(extracted["vocab"])],
+        }
         code, stdout, stderr = run(capsys, [
             "eval-retrieval", "--backend", backend,
-            "--corpus", str(corpus_path), "--queries", str(queries_path),
-            "--vectors", str(vec_path),
+            "--corpus", str(corpus_path), "--queries", str(queries_path), *sources[backend],
         ])
         assert code == 1
         assert stdout == ""
@@ -805,13 +815,16 @@ class TestEvalRetrieval:
             ],
             "vocab": ["--vocab", str(tmp_path / "missing.vocab")],
         }
-        code, stdout, stderr = run(capsys, [
-            "eval-retrieval", "--backend", backend,
-            "--corpus", str(corpus_path), "--queries", str(queries_path), *sources[unused],
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert stderr.endswith(f"error: --{unused} is not used with --backend {backend}\n")
+        absent = tmp_path / "absent.tsv"
+        # rejected alike when the corpus and queries are absent: before they are read
+        for corpus, queries in ((corpus_path, queries_path), (absent, absent)):
+            code, stdout, stderr = run(capsys, [
+                "eval-retrieval", "--backend", backend,
+                "--corpus", str(corpus), "--queries", str(queries), *sources[unused],
+            ])
+            assert code == 1
+            assert stdout == ""
+            assert stderr.endswith(f"error: --{unused} is not used with --backend {backend}\n")
 
     def test_corpus_row_not_utf8_is_named(self, capsys, retrieval_files):
         _, corpus_path, queries_path = retrieval_files
@@ -886,12 +899,27 @@ class TestEvalRetrieval:
         self, capsys, retrieval_files, backend, source
     ):
         _, corpus_path, queries_path = retrieval_files
-        code, stdout, stderr = run(capsys, [
-            "eval-retrieval", "--backend", backend,
-            "--corpus", str(corpus_path), "--queries", str(queries_path),
-        ])
-        assert code == 1 and stdout == ""
-        assert stderr.splitlines()[-1] == f"error: no embedder source: pass {source}"
+        absent = corpus_path.with_name("absent.tsv")
+        # named alike when the corpus and queries are absent: before they are read
+        for corpus, queries in ((corpus_path, queries_path), (absent, absent)):
+            code, stdout, stderr = run(capsys, [
+                "eval-retrieval", "--backend", backend,
+                "--corpus", str(corpus), "--queries", str(queries),
+            ])
+            assert code == 1 and stdout == ""
+            assert stderr.splitlines()[-1] == f"error: no embedder source: pass {source}"
+
+    def test_checkpoint_without_vocab_rejected(self, capsys, retrieval_files, trained):
+        _, corpus_path, queries_path = retrieval_files
+        absent = corpus_path.with_name("absent.tsv")
+        # rejected alike when the corpus and queries are absent: before they are read
+        for corpus, queries in ((corpus_path, queries_path), (absent, absent)):
+            code, stdout, stderr = run(capsys, [
+                "eval-retrieval", "--backend", "model", "--checkpoint", str(trained["ckpt"]),
+                "--corpus", str(corpus), "--queries", str(queries),
+            ])
+            assert code == 1 and stdout == ""
+            assert stderr.endswith("error: a checkpoint embedder needs a vocab file (--vocab)\n")
 
     def test_unknown_backend_lists_valid_ones(self, capsys, retrieval_files):
         vec_path, corpus_path, queries_path = retrieval_files

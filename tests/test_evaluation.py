@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import analogy_question, write_analogy_file, write_word_vectors
 from oracles import oracle_bm25, oracle_rank
 from ulrlab import evaluation
-from ulrlab.corpus import PAD_ID, build_vocabulary
+from ulrlab.corpus import PAD_ID, build_vocabulary, encode, frame
 from ulrlab.encoder import POOLING_STRATEGIES, EncoderConfig, Model, save_checkpoint
 from ulrlab.evaluation import (
     EMBED_BATCH,
@@ -327,6 +327,17 @@ class TestModelEmbedder:
         want = embed_corpus([tuple(tokens[0:1] * 14)], emb)[0]
         assert np.array_equal(vec, want)
 
+    def test_truncation_warns_once_with_the_count(self, model_embedder):
+        emb, tokens = model_embedder
+        limit = emb.model.config.max_len - 2
+        texts = [tuple(tokens[:1] * n) for n in (limit + 1, 3, limit + 5, limit + 9, limit)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            emb.embed_many(texts)
+        assert [str(w.message) for w in caught] == [
+            f"truncating 3 sequence(s) longer than max_len-2 = {limit}"
+        ]
+
     def test_unknown_pooling_rejected(self, model_embedder):
         emb, _ = model_embedder
         with pytest.raises(ValueError, match="pooling"):
@@ -419,7 +430,7 @@ class TestModelEmbedder:
             assert cuts[-1] == ids.size
             for part, shape in zip(np.split(ids, cuts[:-1]), shapes):
                 embedded += map(tuple, part.reshape(shape).tolist())
-        assert sorted(embedded) == sorted({emb._framed_ids(t) for t in texts})
+        assert sorted(embedded) == sorted({frame(encode(t, emb.vocab)) for t in texts})
 
 
 class TestEmbedCorpus:

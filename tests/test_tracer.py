@@ -60,8 +60,19 @@ def test_traced_train_and_embed(tmp_path):
         "--max-len", "16", "--total-steps", "3", "--batch-size", "4", "--out", ckpt,
     )
     names = [name for name, *_ in train]
-    for span in ("training.update", "training.adam", "training.prepare", "encoder.backward"):
-        assert names.count(span) >= 3, span
+    # Every training-side name the tracer patches is still called by that
+    # name: a pinned name that stops being called fails here, not only as a
+    # per-layer metric that reads zero.
+    for owner, attr, span, _ in tracer.PATCHES:
+        if owner.startswith("ulrlab.training"):
+            assert span in names, f"{owner}.{attr}"
+    assert names.count("ngram.mark") == 16  # once per corpus line
+    for span in ("training.select", "training.prepare", "training.update", "training.adam"):
+        assert names.count(span) == 3, span  # once per step
+    assert names.count("encoder.backward") >= 3
+    forward_parents = {train[parent][0] for name, _, _, parent, _ in train
+                       if name == "encoder.forward"}
+    assert {"training.select", "training.loss_grad"} <= forward_parents
     prepared = [attrs for name, _, _, _, attrs in train if name == "training.prepare"]
     assert all(attrs["examples"] == 4 and attrs["masked"] >= 0 and 0 <= attrs["misad"] <= 4
                for attrs in prepared)

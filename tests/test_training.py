@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import misad_loss, table_of
-from oracles import oracle_adam_step, oracle_score_spans
+from oracles import oracle_adam_step, oracle_score_spans, oracle_split
 
 from ulrlab.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, frame
 from ulrlab.encoder import (
@@ -30,6 +31,7 @@ from ulrlab.training import (
     OptimizerState,
     Trainer,
     TrainingConfig,
+    TrainingExample,
     adam_step,
     loss_and_gradients,
     lr_at,
@@ -38,8 +40,6 @@ from ulrlab.training import (
     mlm_loss,
     prepare_batch,
     score_spans,
-    select_span,
-    split_sequence,
     step_rng,
     train_step,
     write_metrics,
@@ -84,46 +84,80 @@ class TestStepRng:
         assert not np.array_equal(base, step_rng(6, 2, "mlm").random(4))
 
 
+def selected(scores):
+    """Index of the span :func:`make_examples` selects when the spans of a
+    sequence score ``scores`` (one two-token span per score, None if it
+    selects none)."""
+    spans = tuple(Span(i, i + 1) for i in range(1, 2 * len(scores), 2))
+    pair = (tuple(range(10, 11 + 2 * len(scores))), SpanAnnotation(spans=spans))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "score_spans", lambda pairs, model: [list(scores)])
+        [ex] = make_examples([pair], None)
+    return None if ex.span is None else spans.index(ex.span)
+
+
 class TestSelectSpan:
+    """The selection rule, as :func:`make_examples` applies it."""
+
     def test_picks_minimum(self):
-        assert select_span([0.3, 0.1, 0.2]) == 1
+        assert selected([0.3, 0.1, 0.2]) == 1
 
     def test_tie_goes_to_leftmost(self):
-        assert select_span([0.2, 0.1, 0.1]) == 1
-        assert select_span([0.5, 0.5, 0.5]) == 0
+        assert selected([0.2, 0.1, 0.1]) == 1
+        assert selected([0.5, 0.5, 0.5]) == 0
 
     def test_single_and_empty(self):
-        assert select_span([0.9]) == 0
-        assert select_span([]) is None
+        assert selected([0.9]) == 0
+        assert selected([]) is None
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
     def test_invariant_under_monotone_transform(self, scores):
         # Scaling by a power of two is exact, so it keeps every order and tie.
-        assert select_span(scores) == select_span([s * 4.0 for s in scores])
+        assert selected(scores) == selected([s * 4.0 for s in scores])
+
+
+def unmasked(*examples):
+    """``prepare_batch`` at mask rate 0: S, w and R as framed, unchanged."""
+    return prepare_batch(examples, 50, np.random.default_rng(0), 0.0)
+
+
+@st.composite
+def split_examples(draw):
+    """A training example of 1-12 tokens whose span, if any, is anywhere
+    that leaves a remainder."""
+    tokens = tuple(draw(st.lists(st.integers(NUM_SPECIALS, 49), min_size=1, max_size=12)))
+    start = draw(st.integers(1, len(tokens)))
+    end = draw(st.integers(start, len(tokens)))
+    whole = end - start + 1 == len(tokens)
+    return TrainingExample(tokens, None if whole or draw(st.booleans()) else Span(start, end))
 
 
 class TestSplitSequence:
+    """The (w, R, S) split: :class:`TrainingExample` checks the span and
+    :func:`prepare_batch` frames the three inputs."""
+
     def test_middle_span(self):
-        s = (10, 11, 12, 13, 14)
-        w, r, full = split_sequence(s, Span(2, 3))
-        assert w == frame((11, 12))
-        assert r == frame((10, 13, 14))
-        assert full == frame((10, 11, 12, 13, 14))
+        batch = unmasked(TrainingExample((10, 11, 12, 13, 14), Span(2, 3)))
+        assert batch.w_ids == [frame((11, 12))]
+        assert batch.r_ids == [frame((10, 13, 14))]
+        assert batch.s_ids == [list(frame((10, 11, 12, 13, 14)))]
 
     def test_prefix_span(self):
-        s = (10, 11, 12)
-        w, r, _ = split_sequence(s, Span(1, 2))
-        assert w == frame((10, 11))
-        assert r == frame((12,))
+        batch = unmasked(TrainingExample((10, 11, 12), Span(1, 2)))
+        assert batch.w_ids == [frame((10, 11))]
+        assert batch.r_ids == [frame((12,))]
 
     def test_whole_sequence_span_returns_none(self):
-        s = (10, 11)
-        assert split_sequence(s, Span(1, 2)) is None
+        # make_examples demotes the span; an example cannot hold it.
+        [ex] = make_examples([one_pair((10, 11), Span(1, 2))], Model.init(CFG))
+        assert ex == TrainingExample((10, 11), None)
+        with pytest.raises(ValueError, match=r"span Span\(start=1, end=2\) covers the whole"):
+            TrainingExample((10, 11), Span(1, 2))
 
     def test_out_of_range_rejected(self):
-        s = (10, 11)
-        with pytest.raises(ValueError, match="outside"):
-            split_sequence(s, Span(2, 3))
+        for span in (Span(2, 3), Span(0, 1), Span(3, 3)):
+            with pytest.raises(ValueError, match=rf"span {re.escape(str(span))} outside"):
+                TrainingExample((10, 11), span)
 
     @given(
         st.lists(st.integers(5, 49), min_size=3, max_size=12),
@@ -133,18 +167,29 @@ class TestSplitSequence:
     def test_conserves_tokens(self, ids, data):
         start = data.draw(st.integers(1, len(ids) - 1))
         end = data.draw(st.integers(start + 1, len(ids)))
-        s = tuple(ids)
-        result = split_sequence(s, Span(start, end))
-        if result is None:
-            assert end - start + 1 == len(ids)
+        if end - start + 1 == len(ids):
+            with pytest.raises(ValueError, match="whole"):
+                TrainingExample(ids, Span(start, end))
             return
-        w, r, full = result
+        batch = unmasked(TrainingExample(ids, Span(start, end)))
+        [w], [r], [full] = batch.w_ids, batch.r_ids, batch.s_ids
         # Strip frames; w tokens followed by r tokens is a permutation
         # (in fact a rotation-free reordering) of the original sequence.
         inner = lambda t: list(t[1:-1])
         assert sorted(inner(w) + inner(r)) == sorted(ids)
         assert inner(full) == ids
         assert inner(w) == ids[start - 1 : end]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(split_examples(), min_size=1, max_size=6))
+    def test_unmasked_batch_equals_oracle_split(self, examples):
+        batch = unmasked(*examples)
+        splits = [oracle_split(ex.tokens, ex.span) for ex in examples if ex.span is not None]
+        assert batch.n_masked == 0
+        assert [tuple(s) for s in batch.s_ids] == [frame(ex.tokens) for ex in examples]
+        assert batch.w_ids == [w for w, _, _ in splits]
+        assert batch.r_ids == [r for _, r, _ in splits]
+        assert [tuple(batch.s_ids[i]) for i in batch.misad_s_rows] == [s for _, _, s in splits]
 
 
 class TestMisadLoss:
@@ -276,19 +321,15 @@ class TestMakeExamples:
     def test_uniform_scores_select_leftmost(self):
         model = uniform_model()
         [ex] = make_examples([one_pair((10, 11, 12, 13, 14), Span(1, 2), Span(4, 5))], model)
-        assert ex.span == Span(1, 2)
-        assert ex.w_ids == frame((10, 11))
-        assert ex.r_ids == frame((12, 13, 14))
-        assert ex.s_ids == frame((10, 11, 12, 13, 14))
+        assert ex == TrainingExample((10, 11, 12, 13, 14), Span(1, 2))
 
     def test_no_spans_gives_mlm_only(self):
         [ex] = make_examples([one_pair((10, 11))], Model.init(CFG))
-        assert ex.span is None and ex.w_ids is None and ex.r_ids is None
-        assert ex.s_ids == frame((10, 11))
+        assert ex == TrainingExample((10, 11), None)
 
     def test_whole_sequence_span_demoted_to_mlm_only(self):
         [ex] = make_examples([one_pair((10, 11), Span(1, 2))], Model.init(CFG))
-        assert ex.span is None
+        assert ex == TrainingExample((10, 11), None)
 
     def test_batch_matches_singletons(self):
         model = Model.init(CFG)
@@ -412,7 +453,7 @@ class TestPrepareBatch:
     def test_shapes_and_indices(self):
         batch, examples = self.make_batch()
         assert batch.n_examples == 2
-        assert [len(s) for s in batch.s_ids] == [len(ex.s_ids) for ex in examples]
+        assert [len(s) for s in batch.s_ids] == [len(ex.tokens) + 2 for ex in examples]
         assert len(batch.s_ids) == 2
         assert batch.misad_s_rows.tolist() == [0]
         assert len(batch.w_ids) == 1 and len(batch.r_ids) == 1
@@ -431,7 +472,7 @@ class TestPrepareBatch:
             [((10, 11), SpanAnnotation(spans=()))], model
         )
         batch = prepare_batch(examples, 50, np.random.default_rng(0), 0.5)
-        assert batch.n_misad == 0 and batch.w_ids is None and batch.r_ids is None
+        assert batch.n_misad == 0 and batch.w_ids == [] and batch.r_ids == []
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
