@@ -5,6 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import table_entries, table_of
-from oracles import oracle_mark, oracle_mined_table, oracle_table_text
+from oracles import oracle_mark, oracle_mined_table, oracle_ngram_counts, oracle_table_text
 from ulrlab.corpus import UNK_ID, NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, build_vocabulary
 from ulrlab.ngram import (
+    PAD,
     NgramError,
     NgramTable,
     RawNgramCounts,
@@ -118,6 +120,17 @@ def mine(docs, n_max, threshold, per_doc_top_k, min_count):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty result warns
         return prune_table(table, pmi_threshold=threshold, per_doc_top_k=per_doc_top_k)
+
+
+def zipf_documents(n_tokens, seed):
+    """Seeded documents of 8..40 ids, Zipf-distributed (exponent 1.05) over
+    2000 words."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(np.arange(1, 2001, dtype=np.float64) ** -1.05)
+    ids = (np.searchsorted(cdf / cdf[-1], rng.random(n_tokens)) + NUM_SPECIALS).tolist()
+    ends = np.cumsum(rng.integers(8, 41, size=n_tokens // 8))
+    ends = [0, *ends[ends < n_tokens].tolist(), n_tokens]
+    return [tuple(ids[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def saved_text(table, vocab):
@@ -240,6 +253,79 @@ class TestCountNgrams:
         with pytest.warns(UserWarning, match="empty n-gram table"):
             table = prune_table(build_table(counts), pmi_threshold=-math.inf, per_doc_top_k=3)
         assert len(table) == 0 and length_histogram(table, top_n=2000) == {}
+
+    @given(
+        st.integers(2, MAX_ALPHABET).flatmap(
+            lambda size: st.lists(st.lists(corpus_ids(size), max_size=12), min_size=1,
+                                  max_size=6).filter(any)
+        ),
+        st.integers(2, 14),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle(self, docs, n_max, floor):
+        """Grams, counts and unigrams equal the brute-force counter's, and the
+        occurrences are the multiset of (document, n-gram) windows at the floor."""
+        docs = [tuple(d) for d in docs]
+        counts = count_ngrams(docs, n_max, min_count=floor)
+        joint, single, total = oracle_ngram_counts(docs, n_max, floor)
+        grams = [tuple(i for i in row if i != PAD) for row in counts.grams.tolist()]
+        assert len(grams) == len(joint)
+        assert dict(zip(grams, counts.counts.tolist())) == joint
+        assert {i: c for i, c in enumerate(counts.unigrams.tolist()) if c} == single
+        assert counts.unigrams.sum() == total
+        assert counts.grams.shape[1] == min(n_max, max(2, *map(len, docs)))
+        windows = Counter(
+            (d, seq[i : i + n]) for d, seq in enumerate(docs) for n in range(2, n_max + 1)
+            for i in range(len(seq) - n + 1) if seq[i : i + n] in joint
+        )
+        doc_ids, rows = counts.occurrences
+        assert doc_ids.dtype == rows.dtype == np.int32
+        assert Counter(zip(doc_ids.tolist(), [grams[r] for r in rows.tolist()])) == windows
+
+    @pytest.mark.parametrize("floor", [1, 2])
+    def test_n_max_past_the_longest_document(self, floor):
+        """An n_max beyond the longest document counts as that length does:
+        grams as wide as that document, the same occurrences and table bytes."""
+        docs = [(5, 6, 7, 5, 6, 7, 5, 6), (6, 7, 5, 6, UNK_ID, 5, 6), (7, 5, 6, 7)]
+        at_longest, past = count_ngrams(docs, 8, floor), count_ngrams(docs, 20000, floor)
+        assert past.grams.shape == at_longest.grams.shape and past.grams.shape[1] == 8
+        assert [a.tolist() for a in past.occurrences] == [
+            a.tolist() for a in at_longest.occurrences
+        ]
+        assert (saved_text(build_table(past), MINING_VOCAB)
+                == saved_text(build_table(at_longest), MINING_VOCAB))
+
+    def test_peak_memory_per_token(self):
+        """Counting 200k Zipf tokens at floor 5 peaks at 64 traced bytes per
+        token or fewer: positions are int32 and no corpus-length int64 array
+        outlives its length."""
+        docs = zipf_documents(200_000, seed=3)
+        tracemalloc.start()
+        try:
+            count_ngrams(docs, n_max=6, min_count=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 200_000 <= 64
+
+    def test_two_to_the_31_positions_rejected(self):
+        """Tokens plus one end per document must stay below 2^31, checked
+        before any token is read."""
+
+        class Unread:
+            def __init__(self, length):
+                self.length = length
+
+            def __len__(self):
+                return self.length
+
+            def __iter__(self):
+                raise AssertionError("tokens read before the size check")
+
+        for docs in ([Unread(2**31 - 1)], [Unread(2**30), Unread(2**30 - 2)]):
+            with pytest.raises(NgramError, match=r"reach 2\^31"):
+                count_ngrams(docs, n_max=2)
 
     def test_n_max_must_cover_bigrams(self):
         (seq,) = seqs_from_texts(["a b"], IDS)
