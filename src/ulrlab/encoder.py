@@ -25,6 +25,7 @@ masks share a stream and a training step replays bit-identically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -595,32 +596,20 @@ class Model:
         return cls(params=init_params(config, dtype=dtype), config=config)
 
 
-def by_length(seqs: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group id lists into unpadded batches of one length: ``[(rows, ids)]``,
-    shortest length first, where ``rows`` holds the input positions in
-    input order and ``ids`` is their (len(rows), L) int64 array."""
-    rows_of: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        rows_of.setdefault(len(s), []).append(i)
-    return [
-        (np.array(rows), np.array([seqs[i] for i in rows], dtype=np.int64))
-        for _, rows in sorted(rows_of.items())
-    ]
-
-
 def pack(seqs: Sequence[Sequence[int]]):
-    """One packed pass over id lists: ``(groups, ids, starts)``, where
-    ``groups`` is :func:`by_length`'s, ``ids`` their ids flattened and laid
-    back to back, and ``starts[i]`` the row of the pass at which sequence i
-    starts.  ``forward(params, config, ids, shapes=[g.shape for _, g in
-    groups])`` runs the pass."""
-    groups = by_length(seqs)
+    """One packed pass over id lists: ``(ids, shapes, starts)``.  The
+    sequences run in groups of one length, shortest first and in input order
+    within a length; ``shapes`` is each group's (B, L), ``ids`` every id in
+    that order, back to back, and ``starts[i]`` the row of the pass at which
+    sequence i starts.  ``forward(params, config, ids, shapes=shapes)`` runs
+    the pass."""
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    lengths = [len(seqs[i]) for i in order]
+    ids = np.fromiter(itertools.chain.from_iterable(seqs[i] for i in order),
+                      dtype=np.int64, count=sum(lengths))
     starts = np.empty(len(seqs), dtype=np.int64)
-    at = 0
-    for rows, ids in groups:
-        starts[rows] = np.arange(at, at + ids.size, ids.shape[1])
-        at += ids.size
-    return groups, np.concatenate([ids.reshape(-1) for _, ids in groups]), starts
+    starts[order] = np.cumsum([0, *lengths])[:-1]
+    return ids, [(len(list(g)), n) for n, g in itertools.groupby(lengths)], starts
 
 
 def truncate(seqs: Sequence[Sequence[int]], max_len: int) -> list[Sequence[int]]:
@@ -633,11 +622,11 @@ def truncate(seqs: Sequence[Sequence[int]], max_len: int) -> list[Sequence[int]]
     return [s[:limit] for s in seqs]
 
 
-def group_views(x: np.ndarray, groups) -> list[np.ndarray]:
-    """Each of :func:`pack`'s ``groups``' rows of a pass's (N, d) ``x``, its
-    hidden states or their cotangent, as a (B, L, d) view."""
-    cuts = np.cumsum([ids.size for _, ids in groups])[:-1]
-    return [part.reshape(*ids.shape, -1) for part, (_, ids) in zip(np.split(x, cuts), groups)]
+def group_views(x: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """Each group's rows of a pass's (N, d) ``x``, its hidden states or their
+    cotangent, as a (B, L, d) view, for :func:`pack`'s ``shapes``."""
+    cuts = np.cumsum([b * length for b, length in shapes])[:-1]
+    return [part.reshape(b, length, -1) for part, (b, length) in zip(np.split(x, cuts), shapes)]
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +677,8 @@ def load_checkpoint(path: str | Path) -> Model:
     Fails closed: every length field is checked against the bytes left
     in the file before it is used, the tensor directory must be the one
     the config implies, byte for byte, nothing may follow the payload,
-    and a foreign, truncated, malformed or mismatched file raises
+    and a foreign, truncated, malformed or mismatched file, or one that
+    holds a non-finite weight (training never writes one), raises
     :class:`CheckpointError`; no partial state is ever returned.
     """
     data = memoryview(Path(path).read_bytes())
@@ -730,4 +720,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointError(f"{len(data) - pos} stray bytes after the checkpoint payload")
     chunks = np.split(flat.astype(np.float32), np.cumsum(sizes)[:-1])
     params = {name: c.reshape(shapes[name]) for name, c in zip(names, chunks)}
+    if not np.isfinite(flat).all():
+        bad = next(name for name in names if not np.isfinite(params[name]).all())
+        raise CheckpointError(f"non-finite weight in tensor {bad}")
     return Model(params=params, config=config)

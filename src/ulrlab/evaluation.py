@@ -159,9 +159,9 @@ class ModelEmbedder:
         params, config = self.model.params, self.model.config
         pooled = []
         for i in range(0, len(distinct), EMBED_BATCH):
-            groups, ids, _ = pack(distinct[i : i + EMBED_BATCH])
-            hidden = forward(params, config, ids, shapes=[g.shape for _, g in groups])
-            pooled += [pool(h, self.pooling, params) for h in group_views(hidden, groups)]
+            ids, shapes, _ = pack(distinct[i : i + EMBED_BATCH])
+            hidden = forward(params, config, ids, shapes=shapes)
+            pooled += [pool(h, self.pooling, params) for h in group_views(hidden, shapes)]
         return np.concatenate(pooled)[[row_of[seq] for seq in framed]]
 
 

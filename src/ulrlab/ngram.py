@@ -96,8 +96,11 @@ class RawNgramCounts:
     grams: np.ndarray
     counts: np.ndarray
     unigrams: np.ndarray
-    n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def n_max(self) -> int:
+        return self.grams.shape[1]
 
 
 def count_ngrams(
@@ -180,7 +183,7 @@ def count_ngrams(
         if not len(pos):
             break
     grams, occurrences = np.vstack(blocks), (np.concatenate(docs), np.concatenate(rows))
-    return RawNgramCounts(grams, np.concatenate(counts), unigrams, width, occurrences)
+    return RawNgramCounts(grams, np.concatenate(counts), unigrams, occurrences)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,15 +195,18 @@ class NgramTable:
 
     The (document, row) pairs of all n-gram ``occurrences`` are carried
     only until pruning.  ``stage_counts`` is the entry count after each
-    stage.
+    stage.  ``n_max`` is the width of ``grams``.
     """
 
     grams: np.ndarray
     counts: np.ndarray
     pmi: np.ndarray
-    n_max: int
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
     stage_counts: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def n_max(self) -> int:
+        return self.grams.shape[1]
 
     def _sorted(self) -> NgramTable:
         """This table with its rows and occurrences moved into the canonical
@@ -244,7 +250,7 @@ def build_table(counts: RawNgramCounts) -> NgramTable:
     for col in counts.grams.T:
         acc -= log_uni[col]
     return NgramTable(
-        counts.grams, counts.counts, acc / lengths, counts.n_max, counts.occurrences,
+        counts.grams, counts.counts, acc / lengths, counts.occurrences,
         (("counted", len(acc)),),
     )._sorted()
 
@@ -333,10 +339,11 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
     row of fewer than two tokens (which no span can match), a token
     missing from ``vocab`` (the table and vocabulary do not belong
     together), a reserved token such as ``[UNK]`` (which would match
-    unrelated spans), or a count that is not an integer in [1, 2^63)
-    raises :class:`NgramError`.  Rows keep the file's order: a reload
-    never re-breaks ties between scores that the 9 written digits made
-    equal, so save, load and save again writes the same bytes.
+    unrelated spans), a count that is not an integer in [1, 2^63), or a pmi
+    that is not finite (mining computes none) raises :class:`NgramError`.
+    Rows keep the file's order: a reload never re-breaks ties between
+    scores that the 9 written digits made equal, so save, load and save
+    again writes the same bytes.
     """
     seen: set[tuple[int, ...]] = set()
 
@@ -367,13 +374,15 @@ def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:
             raise NgramError(f"bad count or pmi in {parts[1:]}") from None
         if not 1 <= count < 2**63:
             raise NgramError(f"count {count} is not an integer in [1, 2^63)")
+        if not math.isfinite(score):
+            raise NgramError(f"pmi {parts[2]!r} is not finite")
         return gram, count, score
 
     rows = read_lines(path, entry, header=check_header)
     n_max = max([2, *(len(gram) for gram, _, _ in rows)])
     return NgramTable(_pad([gram for gram, _, _ in rows], n_max),
                       np.array([c for _, c, _ in rows], dtype=np.int64),
-                      np.array([pmi for _, _, pmi in rows], dtype=np.float64), n_max)
+                      np.array([pmi for _, _, pmi in rows], dtype=np.float64))
 
 
 def length_histogram(table: NgramTable, top_n: int | None = None) -> dict[int, int]:

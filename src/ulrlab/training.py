@@ -107,14 +107,14 @@ def score_spans(
         spans.extend(ann.spans)
     if not spans:
         return [[] for _ in pairs]
-    groups, ids, starts = pack(copies)
+    ids, shapes, starts = pack(copies)
     first = np.array([span.start for span in spans])
     n = np.array([span.length for span in spans])
     # Copy v's masked rows of the pass: starts[v] + first[v], and the n[v] - 1 after it.
     at = np.repeat(starts + first - (np.cumsum(n) - n), n) + np.arange(n.sum())
     targets = ids[at]
     ids[at] = MASK_ID
-    hidden = forward(model.params, model.config, ids, shapes=[g.shape for _, g in groups], rows=at)
+    hidden = forward(model.params, model.config, ids, shapes=shapes, rows=at)
     log_probs, _ = mlm_head_rows(model.params, hidden)
     token_probs = np.exp(log_probs[np.arange(targets.size), targets])
     sums = np.bincount(np.repeat(np.arange(len(spans)), n), weights=token_probs)
@@ -316,10 +316,9 @@ def loss_and_gradients(
     n, k = batch.n_examples, batch.n_misad
     # S, then w, then R: sequence i of the pass starts at row starts[i].
     seqs = batch.s_ids + batch.w_ids + batch.r_ids if use_misad else batch.s_ids
-    groups, ids, starts = pack(seqs)
+    ids, shapes, starts = pack(seqs)
     tag = None if dropout_tag is None else (*dropout_tag, "swr")
-    hidden, cache = forward(params, config, ids, shapes=[g.shape for _, g in groups],
-                            rng_tag=tag, want_cache=True)
+    hidden, cache = forward(params, config, ids, shapes=shapes, rng_tag=tag, want_cache=True)
     grads = zero_grads(params)
     d_hidden = np.zeros_like(hidden)
 
@@ -335,17 +334,19 @@ def loss_and_gradients(
 
     l_misad = 0.0
     if use_misad:
-        pooled = [_pool_with_cache(h, pooling, params) for h in group_views(hidden, groups)]
+        pooled = [_pool_with_cache(h, pooling, params) for h in group_views(hidden, shapes)]
+        order = sorted(range(len(seqs)), key=starts.__getitem__)  # the sequences in pass order
         e = np.empty((len(seqs), config.d_model), dtype=hidden.dtype)
-        e[np.concatenate([rows for rows, _ in groups])] = np.concatenate([p for p, _ in pooled])
+        e[order] = np.concatenate([p for p, _ in pooled])
         sub = batch.misad_s_rows
         l_misad, (de_w, de_r, de_s) = _misad_with_grads(
             e[n : n + k], e[n + k :], e[sub], misad_weight
         )
         d_e = np.zeros_like(e)
         d_e[sub], d_e[n : n + k], d_e[n + k :] = de_s, de_w, de_r
-        for (rows, _), d_h, (_, pool_cache) in zip(groups, group_views(d_hidden, groups), pooled):
-            d_h += pool_backward(d_e[rows], pool_cache, params, grads)
+        d_groups = np.split(d_e[order], np.cumsum([b for b, _ in shapes])[:-1])
+        for d_p, d_h, (_, pool_cache) in zip(d_groups, group_views(d_hidden, shapes), pooled):
+            d_h += pool_backward(d_p, pool_cache, params, grads)
         del pooled
     del hidden
     backward(cache, params, config, d_hidden, grads)

@@ -56,7 +56,7 @@ def table_of(entries, n_max) -> NgramTable:
         row[: len(gram)] = gram
     counts = np.array([count for count, _ in entries.values()], dtype=np.int64)
     pmi = np.array([pmi for _, pmi in entries.values()], dtype=np.float64)
-    return NgramTable(grams, counts, pmi, n_max)
+    return NgramTable(grams, counts, pmi)
 
 
 def table_entries(table) -> dict:

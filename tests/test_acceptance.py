@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import analogy_question, forward_batch, misad_loss, table_entries, table_of
+from helpers import analogy_question, misad_loss, table_entries, table_of
 from oracles import (
     oracle_answer,
     oracle_mark,
@@ -40,9 +40,11 @@ from ulrlab.corpus import build_vocabulary, encode, frame, tokenize
 from ulrlab.encoder import (
     EncoderConfig,
     Model,
-    by_length,
+    forward,
+    group_views,
     init_params,
     load_checkpoint,
+    pack,
     pool,
     save_checkpoint,
 )
@@ -503,9 +505,12 @@ def test_criterion_compositional_experiment(capsys):
         assert len(s_seqs) >= 450  # nearly every held-out sentence splits
 
         def embed(seqs):
+            ids, shapes, starts = pack(seqs)
+            hidden = forward(model.params, model.config, ids, shapes=shapes)
             pooled = np.empty((len(seqs), model.config.d_model), dtype=np.float32)
-            for rows, ids in by_length(seqs):
-                pooled[rows] = pool(forward_batch(model.params, model.config, ids), "mean")
+            pooled[np.argsort(starts)] = np.concatenate(
+                [pool(h, "mean") for h in group_views(hidden, shapes)]
+            )
             return pooled
 
         return float(misad_loss(embed(w_seqs), embed(r_seqs), embed(s_seqs)))

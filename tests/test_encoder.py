@@ -30,7 +30,6 @@ from ulrlab.encoder import (
     layer_norm,
     load_checkpoint,
     mlm_head_rows,
-    by_length,
     pack,
     pool,
     pool_backward,
@@ -409,30 +408,6 @@ class TestMlmLogProbs:
         np.testing.assert_allclose(log_probs, math.log(1.0 / 50), atol=1e-6)
 
 
-class TestByLength:
-    def test_shortest_first_rows_in_input_order(self):
-        groups = by_length([[3, 5, 6, 4], [3, 4], [3, 7, 8, 4], (3, 9, 4)])
-        assert [rows.tolist() for rows, _ in groups] == [[1], [3], [0, 2]]
-        assert [ids.tolist() for _, ids in groups] == [
-            [[3, 4]], [[3, 9, 4]], [[3, 5, 6, 4], [3, 7, 8, 4]],
-        ]
-        assert all(ids.dtype == np.int64 for _, ids in groups)
-
-    def test_empty_input_has_no_groups(self):
-        assert by_length([]) == []
-
-    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), max_size=12))
-    def test_every_row_once_in_one_group_of_its_length(self, seqs):
-        groups = by_length(seqs)
-        rows = np.concatenate([r for r, _ in groups]) if groups else np.array([])
-        assert sorted(rows.tolist()) == list(range(len(seqs)))
-        lengths = [ids.shape[1] for _, ids in groups]
-        assert lengths == sorted(set(lengths))
-        for group_rows, ids in groups:
-            assert group_rows.tolist() == sorted(group_rows.tolist())
-            assert [seqs[i] for i in group_rows] == ids.tolist()
-
-
 @functools.cache
 def packing_params(dtype=np.float32) -> dict[str, np.ndarray]:
     """TINY's parameters moved off their init, so that attention is far
@@ -512,13 +487,34 @@ class TestPackedPass:
         with pytest.raises(ValueError, match="1-d packed ids"):
             forward(init_params(TINY), TINY, ids, shapes=[ids.shape])
 
-    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), min_size=1,
-                    max_size=12))
+    def test_pack_groups_shortest_first_in_input_order(self):
+        ids, shapes, starts = pack([[3, 5, 6, 4], [3, 4], [3, 7, 8, 4], (3, 9, 4)])
+        assert ids.tolist() == [3, 4, 3, 9, 4, 3, 5, 6, 4, 3, 7, 8, 4]
+        assert shapes == [(1, 2), (1, 3), (2, 4)]
+        assert starts.tolist() == [5, 0, 9, 2]
+        assert ids.dtype == starts.dtype == np.int64
+
+    def test_pack_of_no_sequences_is_empty(self):
+        ids, shapes, starts = pack([])
+        assert (ids.size, shapes, starts.size) == (0, [], 0)
+
+    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), max_size=12))
     def test_pack_starts_each_sequence_at_its_row(self, seqs):
-        groups, ids, starts = pack(seqs)
-        assert [g.shape for _, g in groups] == [g.shape for _, g in by_length(seqs)]
+        ids, shapes, starts = pack(seqs)
         for seq, start in zip(seqs, starts):
             assert ids[start : start + len(seq)].tolist() == list(seq)
+
+    @given(st.lists(st.lists(st.integers(0, 49), min_size=1, max_size=6), max_size=12))
+    def test_pack_holds_every_sequence_once_in_one_group_of_its_length(self, seqs):
+        ids, shapes, starts = pack(seqs)
+        # The pass holds the sequences shortest first, in input order within a
+        # length, each once and back to back, and the shapes cover it exactly.
+        order = sorted(range(len(seqs)), key=lambda i: (len(seqs[i]), i))
+        assert np.argsort(starts).tolist() == order
+        lengths = [len(seqs[i]) for i in order]
+        assert starts[order].tolist() == np.cumsum([0, *lengths])[:-1].tolist()
+        assert shapes == [(len(list(g)), n) for n, g in itertools.groupby(lengths)]
+        assert sum(b * n for b, n in shapes) == ids.size == sum(lengths)
 
 
 class TestBackwardSpotCheck:
@@ -622,6 +618,19 @@ class TestCheckpoint:
             mutated = blob[:pos] + value + blob[pos + len(value) :]
         path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
         self.mutations_fail_closed([mutated], path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_names_the_first_tensor_holding_one(self, tmp_path, value):
+        # The payload's last float is tok_emb's and its first emb_ln_b's.
+        blob, header = checkpoint_bytes()
+        bad = struct.pack("<f", value)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob[:-4] + bad)
+        with pytest.raises(CheckpointError, match="non-finite weight in tensor tok_emb"):
+            load_checkpoint(path)
+        path.write_bytes(blob[:header] + bad + blob[header + 4 : -4] + bad)
+        with pytest.raises(CheckpointError, match="non-finite weight in tensor emb_ln_b"):
+            load_checkpoint(path)
 
     def test_appended_byte_rejected(self, tmp_path):
         blob, _ = checkpoint_bytes()

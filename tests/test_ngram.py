@@ -60,7 +60,7 @@ def raw_counts(ngrams, unigrams, n_max):
     table = table_of({w: (c, 0.0) for w, c in ngrams.items()}, n_max)
     uni = np.zeros(max(unigrams) + 1, dtype=np.int64)
     uni[list(unigrams)] = list(unigrams.values())
-    return RawNgramCounts(table.grams, table.counts, uni, n_max)
+    return RawNgramCounts(table.grams, table.counts, uni)
 
 
 IDS.update({t: i + NUM_SPECIALS + 10 for i, t in enumerate(["the", "cat", "sat", "ran"])})
@@ -534,7 +534,7 @@ class TestTableIO:
         entries = {
             (ids[0], ids[1]): (5, 1.25),
             (ids[1], ids[2], ids[3]): (2, 0.333333333),
-            (ids[2], ids[3]): (2, float("nan")),
+            (ids[2], ids[3]): (2, -1.5),
         }
         table = toy_table(entries, n_max=3)
         path = tmp_path / "table.tsv"
@@ -561,7 +561,7 @@ class TestTableIO:
     @given(st.dictionaries(
         st.lists(st.integers(NUM_SPECIALS, NUM_SPECIALS + MAX_ALPHABET - 1), min_size=2,
                  max_size=4).map(tuple),
-        st.tuples(st.integers(1, 5), st.sampled_from([-2.0, 0.5, 1.0, math.nan]),
+        st.tuples(st.integers(1, 5), st.sampled_from([-2.0, -0.0, 0.5, 1.0]),
                   st.integers(0, 50)),
         max_size=12,
     ))
@@ -598,7 +598,7 @@ class TestTableIO:
 
     @pytest.mark.parametrize("count", [2**53 + 1, 2**62, 2**63 - 1])
     def test_huge_count_round_trips(self, vocab, count):
-        text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t1\tnan\n"
+        text = f"tokens\tcount\tpmi\na b\t{count}\t1.5\nb c\t2\t0.5\nc d\t1\t-0.25\n"
         assert reloaded_text(text, vocab) == text
 
     @pytest.mark.parametrize("count", ["0", "-3", "100000000000000000000", "1.5"])
@@ -606,6 +606,14 @@ class TestTableIO:
         path = tmp_path / "table.tsv"
         path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\na b\t{count}\t1.5\n")
         with pytest.raises(NgramError, match=r"table\.tsv:3: (count|bad count)"):
+            load_table(path, vocab)
+
+    @pytest.mark.parametrize("pmi", ["nan", "inf", "-inf", "1e999"])
+    def test_load_rejects_a_non_finite_pmi(self, tmp_path, vocab, pmi):
+        # Mining computes finite scores only, so such a row is not a saved table's.
+        path = tmp_path / "table.tsv"
+        path.write_text(f"tokens\tcount\tpmi\nb c\t2\t0.5\na b\t3\t{pmi}\n")
+        with pytest.raises(NgramError, match=rf"table\.tsv:3: pmi '{pmi}' is not finite"):
             load_table(path, vocab)
 
     @pytest.mark.parametrize(
@@ -705,7 +713,7 @@ def edge_table(n_rows, n_max, seed):
     edge = rng.random(n_rows) < 0.2
     pmi[edge] = rng.choice(EDGE_SCORES, size=int(edge.sum()))
     counts = np.where(np.isnan(pmi), 0, rng.integers(1, 2**40, size=n_rows))
-    return NgramTable(grams, counts, pmi, n_max)
+    return NgramTable(grams, counts, pmi)
 
 
 class TestTableWriter:
@@ -732,7 +740,10 @@ class TestTableWriter:
             "東京 %(x)s a a\t2\t-1e-05",
         ]
         assert text == oracle_table_text(table, ODD_VOCAB)
-        assert reloaded_text(text, ODD_VOCAB) == text
+        with pytest.raises(NgramError, match=r"table\.tsv:2: pmi 'nan' is not finite"):
+            reloaded_text(text, ODD_VOCAB)
+        finite = text.replace("100% %s\t1\tnan\n", "")
+        assert reloaded_text(finite, ODD_VOCAB) == finite
 
     @pytest.mark.parametrize("token", ["nul\x00byte", "%" + "x" * 100_000])
     def test_unusual_token_round_trips(self, token):
