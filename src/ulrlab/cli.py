@@ -293,6 +293,7 @@ def cmd_train(cfg: dict[str, Any]) -> int:
     table = load_table(cfg["table"], vocab)
     model = Model.init(enc_config)
     trainer = Trainer(model, table, sequences, train_config)
+    del sequences  # the trainer holds its own flat copy
     rows = trainer.run(metrics_path=metrics_path)
     save_checkpoint(model.params, enc_config, cfg["out"])
     first, last = rows[0], rows[-1]

@@ -654,12 +654,18 @@ def save_checkpoint(
     params: dict[str, np.ndarray], config: EncoderConfig, path: str | Path
 ) -> None:
     """Write a versioned binary checkpoint (tensors as little-endian f32);
-    params that are not the config's raise before the file is opened."""
+    params that are not the config's, or that hold a non-finite f32 value
+    (which :func:`load_checkpoint` would reject), raise before the file is
+    opened."""
     shapes = {name: p.shape for name, p in params.items()}
     if shapes != expected_shapes(config):
         raise CheckpointError("params do not match the config's tensor names and shapes")
     names = sorted(params)
-    payload = b"".join(np.ascontiguousarray(params[n], dtype="<f4").tobytes() for n in names)
+    tensors = [np.ascontiguousarray(params[n], dtype="<f4") for n in names]
+    bad = next((n for n, t in zip(names, tensors) if not np.isfinite(t).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"non-finite weight in tensor {bad}")
+    payload = b"".join(t.tobytes() for t in tensors)
     config_blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

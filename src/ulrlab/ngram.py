@@ -90,17 +90,12 @@ class RawNgramCounts:
     One row of ``grams`` per distinct n-gram, ``counts`` its count, and the
     (document, row) pairs of all its ``occurrences`` for pruning.
     ``unigrams[i]`` counts token id ``i``; their sum is the token count T.
-    ``n_max`` is the width of ``grams``.
     """
 
     grams: np.ndarray
     counts: np.ndarray
     unigrams: np.ndarray
     occurrences: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def n_max(self) -> int:
-        return self.grams.shape[1]
 
 
 def count_ngrams(
@@ -319,7 +314,9 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
     """Write TSV ``token .. token<TAB>count<TAB>pmi``, rows in the table's order.
 
     Scores are written with 9 significant digits.  A token id outside
-    ``vocab`` raises IndexError.
+    ``vocab`` raises IndexError, and a score that is not finite, which
+    :func:`load_table` would reject, raises :class:`NgramError`; either
+    leaves ``path`` as it was.
     """
     tokens = vocab.tokens()
     with atomic_open(path) as fh:
@@ -329,7 +326,10 @@ def save_table(table: NgramTable, vocab: Vocabulary, path: str | Path) -> None:
         rows = zip(table.grams.tolist(), _lengths(table.grams).tolist(),
                    table.counts.tolist(), table.pmi.tolist())
         for gram, n, count, pmi in rows:
-            fh.write(f"{' '.join([tokens[i] for i in gram[:n]])}\t{count}\t{pmi:.9g}\n")
+            text = " ".join([tokens[i] for i in gram[:n]])
+            if not math.isfinite(pmi):
+                raise NgramError(f"pmi {pmi} of n-gram {text!r} is not finite")
+            fh.write(f"{text}\t{count}\t{pmi:.9g}\n")
 
 
 def load_table(path: str | Path, vocab: Vocabulary) -> NgramTable:

@@ -22,10 +22,11 @@ holds the Adam moments and the step, and :meth:`Trainer.run` the batch order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -492,11 +493,15 @@ def train_step(
 class Trainer:
     """Epoch loop over a marked corpus with metric logging.
 
-    Spans are annotated once (the table is static); span *selection* is
-    re-scored each time an example is visited, since the model's
-    judgment of which span it explains worst changes as it learns.
-    Empty sequences are dropped, and those longer than ``max_len - 2`` are
-    cut to that length, with one warning that counts them.
+    Spans are annotated once (the table is static) and kept, with the
+    corpus, in flat int32 arrays: sentence i is
+    ``tokens[offsets[i]:offsets[i + 1]]`` and its span marks are the
+    ``(start, end)`` rows ``spans[span_offsets[i]:span_offsets[i + 1]]``.
+    :meth:`pairs_at` rebuilds the pairs of one batch.  Span *selection* is
+    re-scored each time an example is visited, since the model's judgment
+    of which span it explains worst changes as it learns.  Empty sequences
+    are dropped, and those longer than ``max_len - 2`` are cut to that
+    length, with one warning that counts them.
     """
 
     def __init__(
@@ -511,9 +516,30 @@ class Trainer:
             raise ValueError("empty corpus")
         self.model = model
         self.config = config
-        self.pairs = [(s, mark_sequence(s, table)) for s in sequences]
+        n_spans = []
+
+        def bounds(seq):
+            spans = mark_sequence(seq, table).spans
+            n_spans.append(len(spans))
+            return itertools.chain.from_iterable(spans)
+
+        marks = itertools.chain.from_iterable(map(bounds, sequences))
+        self.spans = np.fromiter(marks, np.int32).reshape(-1, 2)
+        self.span_offsets = np.cumsum([0, *n_spans])
+        self.offsets = np.cumsum([0, *map(len, sequences)])
+        ids = itertools.chain.from_iterable(sequences)
+        self.tokens = np.fromiter(ids, np.int32, self.offsets[-1])
         self.state = OptimizerState.zeros(model.params)
         self.metrics: list[tuple[int, float, float, float, float]] = []
+
+    def pairs_at(self, idx: Iterable[int]) -> list[tuple[tuple[int, ...], SpanAnnotation]]:
+        """The ``(tokens, span marks)`` pair of each sentence in ``idx``, in order."""
+        pairs = []
+        for i in idx:
+            tokens = self.tokens[self.offsets[i] : self.offsets[i + 1]].tolist()
+            spans = self.spans[self.span_offsets[i] : self.span_offsets[i + 1]].tolist()
+            pairs.append((tuple(tokens), SpanAnnotation(tuple(Span(*sp) for sp in spans))))
+        return pairs
 
     def run(self, metrics_path: str | Path | None = None) -> list[tuple]:
         cfg = self.config
@@ -521,9 +547,9 @@ class Trainer:
         order = np.empty(0, dtype=np.int64)  # the rest of the current epoch
         while self.state.step < cfg.total_steps:
             if not order.size:
-                order = order_rng.permutation(len(self.pairs))
+                order = order_rng.permutation(self.offsets.size - 1)
             idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
-            examples = make_examples([self.pairs[i] for i in idx], self.model)
+            examples = make_examples(self.pairs_at(idx), self.model)
             report, lr = train_step(examples, self.model, self.state, cfg)
             self.metrics.append(
                 (self.state.step, report.l_misad, report.l_mlm, report.l_total, lr)

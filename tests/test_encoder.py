@@ -689,6 +689,20 @@ class TestCheckpoint:
             save_checkpoint(params, TINY, tmp_path / "model.ckpt")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e39])
+    def test_save_rejects_a_non_finite_weight_naming_the_first_tensor(self, tmp_path, value):
+        # 1e39 is finite as a float64 but not as the f32 the file holds; the
+        # file orders tensors by name, so emb_ln_b comes before tok_emb.
+        params = {name: p.astype(np.float64) for name, p in init_params(TINY).items()}
+        params["tok_emb"][-1, -1] = value
+        for first in ("tok_emb", "emb_ln_b"):
+            params[first].flat[0] = value
+            with np.errstate(over="ignore"), pytest.raises(
+                CheckpointError, match=f"non-finite weight in tensor {first}$"
+            ):
+                save_checkpoint(params, TINY, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_bundle_helpers(self, tmp_path):
         model = Model.init(TINY)
         rng = np.random.default_rng(12)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from ulrlab.encoder import (
     save_checkpoint,
 )
 from ulrlab import training
-from ulrlab.ngram import NgramTable, Span, SpanAnnotation
+from ulrlab.ngram import NgramTable, Span, SpanAnnotation, mark_sequence
 from ulrlab.training import (
     METRICS_HEADER,
     LossReport,
@@ -879,7 +880,7 @@ class TestTrainer:
             Model.init(CFG), toy_table(), seqs,
             TrainingConfig(total_steps=7, batch_size=4, seed=4),
         )
-        position = {seq: i for i, (seq, _) in enumerate(trainer.pairs)}
+        position = {seq: i for i, (seq, _) in enumerate(trainer.pairs_at(range(10)))}
         batches = []
         real = training.make_examples
 
@@ -905,7 +906,48 @@ class TestTrainer:
                 Model.init(CFG), toy_table(), [long_seq, long_seq[:limit], long_seq[1:]],
                 TrainingConfig(total_steps=1, batch_size=4),
             )
-        assert [len(seq) for seq, _ann in trainer.pairs] == [limit] * 3
+        assert [len(seq) for seq, _ann in trainer.pairs_at(range(3))] == [limit] * 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pairs_at_gives_each_sentence_and_its_span_marks(self, data):
+        limit = CFG.max_len - 2
+        grams = data.draw(st.lists(st.lists(st.integers(10, 14), min_size=2, max_size=4).map(tuple),
+                                   unique=True, max_size=6))
+        table = table_of({gram: (1, 0.0) for gram in grams}, n_max=4)
+        seqs = data.draw(st.lists(st.lists(st.integers(NUM_SPECIALS, 20), max_size=limit + 6)
+                                  .map(tuple), max_size=10))
+        # One sentence that no table can mark, one cut to max_len - 2.
+        seqs += [(15, 16, 17), (10, 11, 12) * limit]
+        kept = [seq[:limit] for seq in seqs if seq]
+        with pytest.warns(UserWarning, match="truncating"):
+            trainer = Trainer(Model.init(CFG), table, seqs, TrainingConfig(total_steps=1))
+        for i, seq in enumerate(kept):
+            assert trainer.pairs_at([i]) == [(seq, mark_sequence(seq, table))]
+        order = data.draw(st.permutations(range(len(kept))))
+        assert trainer.pairs_at(np.array(order)) == [(kept[i], mark_sequence(kept[i], table))
+                                                     for i in order]
+
+    def test_holds_the_corpus_in_a_few_bytes_per_sentence(self):
+        # Unit-language sentences: 2-4 distinct two-token units, each unit a
+        # table entry.  A tuple and span objects per sentence take about 400 bytes.
+        units = [(u, u + 1) for u in range(10, 50, 2)]
+        rng = np.random.default_rng(7)
+        n = 20_000
+        counts = rng.integers(2, 5, size=n)
+        picks = np.argsort(rng.random((n, len(units))), axis=1)
+        seqs = [sum((units[u] for u in picks[i, : counts[i]].tolist()), ()) for i in range(n)]
+        table = table_of({unit: (5, 1.0) for unit in units}, n_max=2)
+        model = Model.init(CFG)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer = Trainer(model, table, seqs, TrainingConfig(total_steps=1))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        retained -= trainer.state.m.nbytes + trainer.state.v.nbytes
+        assert retained / n <= 128
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
