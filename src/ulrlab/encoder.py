@@ -73,6 +73,12 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} ({value!r}) must be an int")
+        if self.seed < 0:
+            raise ConfigError(f"seed ({self.seed}) must be >= 0")
         if self.vocab_size < 6:
             raise ConfigError(f"vocab_size ({self.vocab_size}) must be >= 6")
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:

@@ -12,6 +12,9 @@ Counting keeps only the n-grams that occur at least ``min_count`` times
 and hold no ``[UNK]``.  Pruning runs in two stages: a global score
 threshold, then a per-document top-K cut; the union over documents is the
 final table.
+
+A span is a pair of ints ``(start, end)``, 1-based and inclusive; a
+sequence's marks are one ``(k, 2)`` int32 array of them, in a :class:`SpanAnnotation`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,31 +38,27 @@ class NgramError(ValueError):
     """Raised for invalid n-gram statistics input."""
 
 
-class Span(NamedTuple):
-    """Inclusive token span, 1-based: positions ``start..end`` of a sequence."""
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanAnnotation:
-    """Non-overlapping spans of one sequence, sorted by start position."""
+    """A sequence's marks: read-only ``(start, end)`` rows, sorted and non-overlapping."""
 
-    spans: tuple[Span, ...]
+    spans: np.ndarray
 
     def __post_init__(self) -> None:
+        spans = np.asarray(self.spans, dtype=np.int32)
+        spans = spans.reshape(0, 2) if spans.shape == (0,) else spans  # ``()``: no pairs
+        if spans.ndim != 2 or spans.shape[1] != 2:
+            raise NgramError(f"spans of shape {spans.shape} are not (start, end) pairs")
         prev_end = 0
-        for sp in self.spans:
-            if not (1 <= sp.start < sp.end):
-                raise NgramError(f"invalid span {sp}: need 1 <= start < end")
-            if sp.start <= prev_end:
-                raise NgramError(f"span {sp} overlaps or is out of order")
-            prev_end = sp.end
+        for start, end in spans.tolist():
+            if not 1 <= start < end:
+                raise NgramError(f"invalid span {(start, end)}: need 1 <= start < end")
+            if start <= prev_end:
+                raise NgramError(f"span {(start, end)} overlaps or is out of order")
+            prev_end = end
+        spans = spans.view()
+        spans.flags.writeable = False
+        object.__setattr__(self, "spans", spans)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -289,22 +288,21 @@ def prune_table(
 def mark_sequence(ids: Sequence[int], table: NgramTable) -> SpanAnnotation:
     """Greedy left-to-right, longest-match-first span annotation.
 
-    Span positions are 1-based inclusive.  Matched spans never overlap;
-    every matched tuple is a table entry.
+    Matched spans never overlap; every matched tuple is a table entry.
     """
     toks = tuple(ids)
     m = len(toks)
-    spans: list[Span] = []
+    spans: list[tuple[int, int]] = []
     i = 0
     while i < m - 1:
         for n in range(min(table.n_max, m - i), 1, -1):
             if toks[i : i + n] in table.gram_set:
-                spans.append(Span(start=i + 1, end=i + n))
+                spans.append((i + 1, i + n))
                 i += n
                 break
         else:
             i += 1
-    return SpanAnnotation(spans=tuple(spans))
+    return SpanAnnotation(spans)
 
 
 _TABLE_HEADER = "tokens\tcount\tpmi"

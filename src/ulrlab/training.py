@@ -50,7 +50,7 @@ from .encoder import (
     truncate,
     zero_grads,
 )
-from .ngram import NgramTable, Span, SpanAnnotation, mark_sequence
+from .ngram import NgramTable, SpanAnnotation, mark_sequence
 
 DEGENERATE_NORM_EPS = 1e-12
 ADAM_BETA1 = 0.9
@@ -60,7 +60,7 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One sequence's unframed ids and its selected span.
+    """One sequence's unframed ids and its selected ``(start, end)`` span.
 
     ``span`` is None for an MLM-only example: standard masked-token
     prediction with nothing protected and no compositional term.  A span
@@ -68,14 +68,14 @@ class TrainingExample:
     """
 
     tokens: tuple[int, ...]
-    span: Span | None
+    span: tuple[int, int] | None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         span, n = self.span, len(self.tokens)
-        if span is not None and not 1 <= span.start <= span.end <= n:
+        if span is not None and not 1 <= span[0] <= span[1] <= n:
             raise ValueError(f"span {span} outside sequence of length {n}")
-        if span is not None and span.length == n:
+        if span is not None and span[1] - span[0] + 1 == n:
             raise ValueError(f"span {span} covers the whole sequence, leaving no remainder")
 
 
@@ -99,18 +99,17 @@ def score_spans(
     scores mark spans the model does not yet treat as units.  Returns one
     list per pair, in span order.
     """
-    copies, spans = [], []
+    copies = []
     for seq, ann in pairs:
-        for span in ann.spans:
-            if not (1 <= span.start <= span.end <= len(seq)):
-                raise ValueError(f"span {span} outside sequence of length {len(seq)}")
-        copies.extend([frame(seq)] * len(ann.spans))
-        spans.extend(ann.spans)
-    if not spans:
+        if len(ann) and ann.spans[-1, 1] > len(seq):  # the spans are sorted
+            raise ValueError(f"span {ann.spans[-1].tolist()} outside sequence of length {len(seq)}")
+        copies.extend([frame(seq)] * len(ann))
+    if not copies:
         return [[] for _ in pairs]
     ids, shapes, starts = pack(copies)
-    first = np.array([span.start for span in spans])
-    n = np.array([span.length for span in spans])
+    spans = np.concatenate([ann.spans for _, ann in pairs])
+    first = spans[:, 0]
+    n = spans[:, 1] - first + 1
     # Copy v's masked rows of the pass: starts[v] + first[v], and the n[v] - 1 after it.
     at = np.repeat(starts + first - (np.cumsum(n) - n), n) + np.arange(n.sum())
     targets = ids[at]
@@ -120,7 +119,7 @@ def score_spans(
     token_probs = np.exp(log_probs[np.arange(targets.size), targets])
     sums = np.bincount(np.repeat(np.arange(len(spans)), n), weights=token_probs)
     means = iter((sums / n).tolist())
-    return [[next(means) for _ in ann.spans] for _, ann in pairs]
+    return [list(itertools.islice(means, len(ann))) for _, ann in pairs]
 
 
 def make_examples(
@@ -131,8 +130,8 @@ def make_examples(
     all of it and so leaves no remainder R, becomes MLM-only."""
     examples = []
     for (seq, ann), scores in zip(pairs, score_spans(pairs, model)):
-        span = ann.spans[scores.index(min(scores))] if scores else None
-        if span is not None and span.length == len(seq):
+        span = tuple(ann.spans[scores.index(min(scores))].tolist()) if scores else None
+        if span is not None and span[1] - span[0] + 1 == len(seq):
             span = None
         examples.append(TrainingExample(seq, span))
     return examples
@@ -179,7 +178,7 @@ def mlm_loss(log_probs: np.ndarray, targets) -> float:
 
 def mask_for_mlm(
     ids: Sequence[int],
-    span: Span | None,
+    span: tuple[int, int] | None,
     vocab_size: int,
     rng: np.random.Generator,
     mask_rate: float,
@@ -197,7 +196,7 @@ def mask_for_mlm(
     masked = list(ids)
     protected = set()
     if span is not None:
-        protected = set(range(span.start, span.end + 1))
+        protected = set(range(span[0], span[1] + 1))
     positions: list[int] = []
     targets: list[int] = []
     for pos, tok in enumerate(masked):
@@ -274,7 +273,7 @@ def prepare_batch(
         mlm_targets.extend(targets)
         if ex.span is not None:
             misad_s_rows.append(row)
-            first, last = ex.span.start - 1, ex.span.end
+            first, last = ex.span[0] - 1, ex.span[1]
             w_seqs.append(frame(ex.tokens[first:last]))
             r_seqs.append(frame(ex.tokens[:first] + ex.tokens[last:]))
     return PreparedBatch(
@@ -377,6 +376,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.total_steps < 1:
             raise ConfigError(f"total_steps ({self.total_steps}) must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed ({self.seed}) must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError(f"warmup_fraction ({self.warmup_fraction}) must be in [0, 1)")
         if self.batch_size < 1:
@@ -494,14 +495,14 @@ class Trainer:
     """Epoch loop over a marked corpus with metric logging.
 
     Spans are annotated once (the table is static) and kept, with the
-    corpus, in flat int32 arrays: sentence i is
+    corpus, in flat read-only int32 arrays: sentence i is
     ``tokens[offsets[i]:offsets[i + 1]]`` and its span marks are the
     ``(start, end)`` rows ``spans[span_offsets[i]:span_offsets[i + 1]]``.
-    :meth:`pairs_at` rebuilds the pairs of one batch.  Span *selection* is
-    re-scored each time an example is visited, since the model's judgment
-    of which span it explains worst changes as it learns.  Empty sequences
-    are dropped, and those longer than ``max_len - 2`` are cut to that
-    length, with one warning that counts them.
+    :meth:`pairs_at` hands out one batch's pairs, marks as slices of ``spans``.
+    Span *selection* is re-scored each time an example is visited, since
+    the model's judgment of which span it explains worst changes as it
+    learns.  Empty sequences are dropped, and those longer than
+    ``max_len - 2`` are cut to that length, with one warning that counts them.
     """
 
     def __init__(
@@ -521,7 +522,7 @@ class Trainer:
         def bounds(seq):
             spans = mark_sequence(seq, table).spans
             n_spans.append(len(spans))
-            return itertools.chain.from_iterable(spans)
+            return spans.ravel().tolist()
 
         marks = itertools.chain.from_iterable(map(bounds, sequences))
         self.spans = np.fromiter(marks, np.int32).reshape(-1, 2)
@@ -529,6 +530,7 @@ class Trainer:
         self.offsets = np.cumsum([0, *map(len, sequences)])
         ids = itertools.chain.from_iterable(sequences)
         self.tokens = np.fromiter(ids, np.int32, self.offsets[-1])
+        self.tokens.flags.writeable = self.spans.flags.writeable = False
         self.state = OptimizerState.zeros(model.params)
         self.metrics: list[tuple[int, float, float, float, float]] = []
 
@@ -537,8 +539,8 @@ class Trainer:
         pairs = []
         for i in idx:
             tokens = self.tokens[self.offsets[i] : self.offsets[i + 1]].tolist()
-            spans = self.spans[self.span_offsets[i] : self.span_offsets[i + 1]].tolist()
-            pairs.append((tuple(tokens), SpanAnnotation(tuple(Span(*sp) for sp in spans))))
+            spans = self.spans[self.span_offsets[i] : self.span_offsets[i + 1]]
+            pairs.append((tuple(tokens), SpanAnnotation(spans)))
         return pairs
 
     def run(self, metrics_path: str | Path | None = None) -> list[tuple]:

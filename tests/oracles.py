@@ -11,13 +11,12 @@ import numpy as np
 
 from ulrlab.corpus import CLS_ID, MASK_ID, SEP_ID, UNK_ID
 from ulrlab.encoder import forward, mlm_head_rows
-from ulrlab.ngram import Span
 
 
 def oracle_mark(ids, table):
     """Independent greedy marker: enumerate all matching intervals first,
     then repeatedly take the longest interval at the leftmost available
-    start position."""
+    start position.  Returns the spans as ``[start, end]`` lists."""
     grams = set()
     for row in table.grams.tolist():
         gram = []
@@ -40,11 +39,11 @@ def oracle_mark(ids, table):
         at_cursor = [iv for iv in intervals if iv[0] == cursor]
         if at_cursor:
             best = max(at_cursor, key=lambda iv: iv[1])
-            spans.append(Span(best[0], best[1]))
+            spans.append([best[0], best[1]])
             cursor = best[1] + 1
         else:
             cursor += 1
-    return tuple(spans)
+    return spans
 
 
 def oracle_ngram_counts(sequences, n_max, min_count=1):
@@ -201,12 +200,13 @@ def oracle_bm25(query_tokens, corpus_tokens, k1=1.2, b=0.75):
 
 
 def oracle_split(tokens, span):
-    """Framed (w, R, S) of a sequence around a 1-based inclusive span, by a
-    walk over the positions: w takes the span's tokens, R every other
-    token in order, and S all of them."""
+    """Framed (w, R, S) of a sequence around a 1-based inclusive
+    ``(start, end)`` span, by a walk over the positions: w takes the span's
+    tokens, R every other token in order, and S all of them."""
+    start, end = span
     w, r = [], []
     for pos, tok in enumerate(tokens, start=1):
-        if span.start <= pos <= span.end:
+        if start <= pos <= end:
             w.append(tok)
         else:
             r.append(tok)
@@ -224,12 +224,12 @@ def oracle_score_spans(pairs, model):
     """
     variants, picks = [], []
     for seq, ann in pairs:
-        for span in ann.spans:
+        for start, end in ann.spans.tolist():
             ids = [CLS_ID, *seq, SEP_ID]
-            for pos in range(span.start, span.end + 1):
+            for pos in range(start, end + 1):
                 ids[pos] = MASK_ID
             variants.append(ids)
-            picks.append([(pos, seq[pos - 1]) for pos in range(span.start, span.end + 1)])
+            picks.append([(pos, seq[pos - 1]) for pos in range(start, end + 1)])
     if not variants:
         return [[] for _ in pairs]
     rows = []

@@ -58,7 +58,6 @@ from ulrlab.evaluation import (
     topk_accuracy,
 )
 from ulrlab.ngram import (
-    Span,
     build_table,
     count_ngrams,
     length_histogram,
@@ -144,7 +143,7 @@ def test_criterion_marking_oracle(capsys):
         table = table_of({g: (1, 1.0) for g in grams}, n_max=4)
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 15, size=50))
-            assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
+            assert mark_sequence(ids, table).spans.tolist() == oracle_mark(ids, table)
             checked += 1
     assert checked == 1000
     report(capsys, "PASS marking oracle: greedy annotation == interval-scan oracle "
@@ -178,7 +177,7 @@ def test_criterion_misad_mechanics(capsys):
         else:
             start = int(rng.integers(1, m + 1))
             end = int(rng.integers(start, m + 1))
-            span = Span(start, end)
+            span = (start, end)
             protected = set(range(start, end + 1))
         rate = float(rng.uniform(0.05, 0.95))
         masked, positions, targets = mask_for_mlm(framed, span, 50, rng, rate)
@@ -202,7 +201,7 @@ def test_criterion_misad_mechanics(capsys):
         end = int(rng.integers(start, m + 1))
         if start == 1 and end == m:
             continue  # whole-sequence spans have no remainder to test
-        examples.append(TrainingExample(ids, Span(start, end)))
+        examples.append(TrainingExample(ids, (start, end)))
     batch = prepare_batch(examples, 50, rng, mask_rate=0.0)
     assert batch.misad_s_rows.tolist() == list(range(1000))
     conserved = 0
@@ -238,7 +237,7 @@ def test_criterion_gradient_suite(capsys):
         for k in range(3):
             m = int(rng.integers(8, 14))
             ids = tuple(int(x) for x in rng.integers(5, 50, size=m))
-            examples.append(TrainingExample(ids, Span(2, 3 + k)))
+            examples.append(TrainingExample(ids, (2, 3 + k)))
         ids = tuple(int(x) for x in rng.integers(5, 50, size=9))
         examples.append(TrainingExample(ids, None))
         batch = prepare_batch(examples, config.vocab_size, rng, mask_rate=0.3)
@@ -495,10 +494,10 @@ def test_criterion_compositional_experiment(capsys):
         held = [encode(tuple(t.split()), vocab) for t in held_texts]
         w_seqs, r_seqs, s_seqs = [], [], []
         for seq in held:
-            annotation = mark_sequence(seq, table)
-            if not annotation.spans or annotation.spans[0].length == len(seq):
+            spans = mark_sequence(seq, table).spans.tolist()
+            if not spans or spans[0][1] - spans[0][0] + 1 == len(seq):
                 continue  # no span, or no remainder
-            w_f, r_f, s_f = oracle_split(seq, annotation.spans[0])
+            w_f, r_f, s_f = oracle_split(seq, spans[0])
             w_seqs.append(w_f)
             r_seqs.append(r_f)
             s_seqs.append(s_f)

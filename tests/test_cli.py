@@ -351,6 +351,18 @@ class TestConfigResolution:
         assert error.startswith(f"error: {flag[2:].replace('-', '_')} ({float(value)})")
         assert not out.exists()
 
+    def test_negative_seed_rejected_before_reading_input(self, capsys, tmp_path):
+        missing = tmp_path / "absent"
+        out = tmp_path / "m.ckpt"
+        code, _, stderr = run(capsys, [
+            "train", "--corpus", str(missing), "--table", str(missing),
+            "--vocab", str(missing), "--total-steps", "2", "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        [error] = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert error == "error: seed (-1) must be >= 0"
+        assert not out.exists()
+
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import json
 import math
+import re
 import struct
 import tempfile
 import warnings
@@ -81,6 +83,14 @@ class TestConfig:
     def test_rejects_tiny_max_len(self):
         with pytest.raises(ConfigError, match="max_len"):
             EncoderConfig(vocab_size=50, max_len=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 64.0), ("vocab_size", 50.0), ("max_len", 32.0), ("n_layers", True),
+        ("seed", 0.5), ("seed", "x"), ("seed", -1),
+    ])
+    def test_rejects_an_integer_field_that_is_not_a_non_negative_int(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} \({re.escape(repr(value))}\)"):
+            EncoderConfig(**{"vocab_size": 50, field: value})
 
     def test_defaults(self):
         cfg = EncoderConfig(vocab_size=100)
@@ -630,6 +640,22 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_bytes(blob[:header] + bad + blob[header + 4 : -4] + bad)
         with pytest.raises(CheckpointError, match="non-finite weight in tensor emb_ln_b"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 4.0), ("vocab_size", 50.0), ("max_len", 32.0), ("n_layers", True),
+        ("seed", 0.5), ("seed", "x"), ("seed", -1),
+    ])
+    def test_config_block_with_a_bad_integer_field_rejected(self, tmp_path, field, value):
+        # The header is the magic, the version, the config length and the config.
+        blob, _ = checkpoint_bytes()
+        (length,) = struct.unpack_from("<I", blob, 8)
+        config = json.loads(blob[12 : 12 + length])
+        config[field] = value
+        block = json.dumps(config, sort_keys=True).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + length :])
+        with pytest.raises(CheckpointError, match=f"bad checkpoint config block: {field} "):
             load_checkpoint(path)
 
     def test_appended_byte_rejected(self, tmp_path):

@@ -21,7 +21,6 @@ from ulrlab.ngram import (
     NgramError,
     NgramTable,
     RawNgramCounts,
-    Span,
     SpanAnnotation,
     build_table,
     count_ngrams,
@@ -237,8 +236,8 @@ class TestCountNgrams:
         assert table.pmi.view(np.int64).tolist() == full_table.pmi[at_floor].view(np.int64).tolist()
         assert not (cut.grams == UNK_ID).any()
         for seq in docs:
-            for span in mark_sequence(seq, table).spans:
-                assert UNK_ID not in seq[span.start - 1 : span.end]
+            for start, end in mark_sequence(seq, table).spans.tolist():
+                assert UNK_ID not in seq[start - 1 : end]
 
     @pytest.mark.parametrize("docs, floor", [
         ([(UNK_ID,) * 4, (UNK_ID,)], 1),  # every token unknown
@@ -469,18 +468,19 @@ class TestMarkSequence:
         table = toy_table({(IDS["a"], IDS["b"], IDS["c"]): (2, 1.0),
                            (IDS["a"], IDS["b"]): (3, 2.0)})
         ann = mark_sequence(ids, table)
-        assert ann.spans == (Span(1, 3),)
+        assert ann.spans.tolist() == [[1, 3]]
 
     def test_non_overlap(self):
         a, b, c = IDS["a"], IDS["b"], IDS["c"]
         table = toy_table({(a, b): (2, 1.0), (b, c): (2, 1.0)})
         ann = mark_sequence((a, b, b, c), table)
-        assert ann.spans == (Span(1, 2), Span(3, 4))
+        assert ann.spans.tolist() == [[1, 2], [3, 4]]
 
     def test_no_match_yields_empty_annotation(self):
         table = toy_table({})
         ann = mark_sequence((5, 6, 7), table)
-        assert ann.spans == ()
+        assert ann.spans.tolist() == []
+        assert ann.spans.shape == (0, 2) and ann.spans.dtype == np.int32
 
     def test_matches_interval_scan_oracle(self):
         """Greedy annotation equals an oracle built from the full interval set."""
@@ -492,7 +492,7 @@ class TestMarkSequence:
         table = toy_table({g: (1, 1.0) for g in grams}, n_max=4)
         for _ in range(200):
             ids = tuple(int(x) for x in rng.integers(5, 13, size=50))
-            assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
+            assert mark_sequence(ids, table).spans.tolist() == oracle_mark(ids, table)
 
     @given(marking_inputs())
     @example(({(5, 6, 7, 8, 5, 6): (1, 1.0), (6, 7): (1, 1.0)}, 6, (5, 6, 7, 8, 5, 6, 7)))
@@ -500,24 +500,49 @@ class TestMarkSequence:
     def test_matches_the_oracle_on_any_table(self, inputs):
         entries, n_max, ids = inputs
         table = table_of(entries, n_max)
-        assert mark_sequence(ids, table).spans == oracle_mark(ids, table)
+        assert mark_sequence(ids, table).spans.tolist() == oracle_mark(ids, table)
 
 
 class TestSpanTypes:
-    def test_span_length(self):
-        assert Span(2, 4).length == 3
+    def test_annotation_holds_read_only_int32_rows(self):
+        ann = SpanAnnotation(spans=[(1, 2), (4, 6)])
+        assert ann.spans.dtype == np.int32 and ann.spans.tolist() == [[1, 2], [4, 6]]
+        assert len(ann) == 2 and len(SpanAnnotation(spans=())) == 0
+        with pytest.raises(ValueError, match="read-only"):
+            ann.spans[0, 0] = 2
+
+    def test_annotation_leaves_the_callers_array_writeable(self):
+        rows = np.array([[1, 2]], dtype=np.int32)
+        SpanAnnotation(spans=rows)
+        rows[0, 0] = 0
+        assert rows.tolist() == [[0, 2]]
 
     def test_annotation_rejects_overlap(self):
         with pytest.raises(NgramError):
-            SpanAnnotation(spans=(Span(1, 3), Span(3, 5)))
+            SpanAnnotation(spans=((1, 3), (3, 5)))
 
     def test_annotation_rejects_unsorted(self):
         with pytest.raises(NgramError):
-            SpanAnnotation(spans=(Span(4, 5), Span(1, 2)))
+            SpanAnnotation(spans=((4, 5), (1, 2)))
 
     def test_annotation_rejects_singleton_span(self):
         with pytest.raises(NgramError):
-            SpanAnnotation(spans=(Span(2, 2),))
+            SpanAnnotation(spans=((2, 2),))
+
+    @pytest.mark.parametrize("spans", [
+        [1, 2, 3, 4],  # a reshape to (-1, 2) would read two spans
+        [(1, 2, 3)],
+        np.ones((1, 1, 2), dtype=np.int32),
+        np.zeros((0, 3), dtype=np.int32),
+    ])
+    def test_annotation_rejects_what_is_not_start_end_pairs(self, spans):
+        with pytest.raises(NgramError, match=r"not \(start, end\) pairs"):
+            SpanAnnotation(spans=spans)
+
+    @pytest.mark.parametrize("spans", [((0, 2),), ((-3, 2),), ((2, 4), (0, 1))])
+    def test_annotation_rejects_a_start_below_1(self, spans):
+        with pytest.raises(NgramError):
+            SpanAnnotation(spans=spans)
 
 
 class TestTableIO:
@@ -644,7 +669,7 @@ class TestTableIO:
             assert loaded.n_max == max(map(len, table_entries(loaded))) == n_max
             for _ in range(50):
                 ids = tuple(int(x) for x in rng.integers(5, 9, size=20))
-                assert mark_sequence(ids, loaded).spans == oracle_mark(ids, loaded)
+                assert mark_sequence(ids, loaded).spans.tolist() == oracle_mark(ids, loaded)
 
     def test_load_rejects_a_repeated_ngram(self, tmp_path, vocab):
         seqs = [tuple(vocab.id_of(t) for t in "the cat sat a b the cat sat c d".split())]

@@ -25,7 +25,7 @@ from ulrlab.encoder import (
     save_checkpoint,
 )
 from ulrlab import training
-from ulrlab.ngram import NgramTable, Span, SpanAnnotation, mark_sequence
+from ulrlab.ngram import NgramTable, SpanAnnotation, mark_sequence
 from ulrlab.training import (
     METRICS_HEADER,
     LossReport,
@@ -89,7 +89,7 @@ def selected(scores):
     """Index of the span :func:`make_examples` selects when the spans of a
     sequence score ``scores`` (one two-token span per score, None if it
     selects none)."""
-    spans = tuple(Span(i, i + 1) for i in range(1, 2 * len(scores), 2))
+    spans = tuple((i, i + 1) for i in range(1, 2 * len(scores), 2))
     pair = (tuple(range(10, 11 + 2 * len(scores))), SpanAnnotation(spans=spans))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "score_spans", lambda pairs, model: [list(scores)])
@@ -130,7 +130,7 @@ def split_examples(draw):
     start = draw(st.integers(1, len(tokens)))
     end = draw(st.integers(start, len(tokens)))
     whole = end - start + 1 == len(tokens)
-    return TrainingExample(tokens, None if whole or draw(st.booleans()) else Span(start, end))
+    return TrainingExample(tokens, None if whole or draw(st.booleans()) else (start, end))
 
 
 class TestSplitSequence:
@@ -138,25 +138,25 @@ class TestSplitSequence:
     :func:`prepare_batch` frames the three inputs."""
 
     def test_middle_span(self):
-        batch = unmasked(TrainingExample((10, 11, 12, 13, 14), Span(2, 3)))
+        batch = unmasked(TrainingExample((10, 11, 12, 13, 14), (2, 3)))
         assert batch.w_ids == [frame((11, 12))]
         assert batch.r_ids == [frame((10, 13, 14))]
         assert batch.s_ids == [list(frame((10, 11, 12, 13, 14)))]
 
     def test_prefix_span(self):
-        batch = unmasked(TrainingExample((10, 11, 12), Span(1, 2)))
+        batch = unmasked(TrainingExample((10, 11, 12), (1, 2)))
         assert batch.w_ids == [frame((10, 11))]
         assert batch.r_ids == [frame((12,))]
 
     def test_whole_sequence_span_returns_none(self):
         # make_examples demotes the span; an example cannot hold it.
-        [ex] = make_examples([one_pair((10, 11), Span(1, 2))], Model.init(CFG))
+        [ex] = make_examples([one_pair((10, 11), (1, 2))], Model.init(CFG))
         assert ex == TrainingExample((10, 11), None)
-        with pytest.raises(ValueError, match=r"span Span\(start=1, end=2\) covers the whole"):
-            TrainingExample((10, 11), Span(1, 2))
+        with pytest.raises(ValueError, match=r"span \(1, 2\) covers the whole"):
+            TrainingExample((10, 11), (1, 2))
 
     def test_out_of_range_rejected(self):
-        for span in (Span(2, 3), Span(0, 1), Span(3, 3)):
+        for span in ((2, 3), (0, 1), (3, 3)):
             with pytest.raises(ValueError, match=rf"span {re.escape(str(span))} outside"):
                 TrainingExample((10, 11), span)
 
@@ -170,9 +170,9 @@ class TestSplitSequence:
         end = data.draw(st.integers(start + 1, len(ids)))
         if end - start + 1 == len(ids):
             with pytest.raises(ValueError, match="whole"):
-                TrainingExample(ids, Span(start, end))
+                TrainingExample(ids, (start, end))
             return
-        batch = unmasked(TrainingExample(ids, Span(start, end)))
+        batch = unmasked(TrainingExample(ids, (start, end)))
         [w], [r], [full] = batch.w_ids, batch.r_ids, batch.s_ids
         # Strip frames; w tokens followed by r tokens is a permutation
         # (in fact a rotation-free reordering) of the original sequence.
@@ -250,29 +250,29 @@ def one_pair(ids, *spans):
 class TestScoreSpans:
     def test_uniform_head_scores_uniform(self):
         model = uniform_model()
-        [scores] = score_spans([one_pair((10, 11, 12, 13), Span(1, 2), Span(3, 4))], model)
+        [scores] = score_spans([one_pair((10, 11, 12, 13), (1, 2), (3, 4))], model)
         np.testing.assert_allclose(scores, 1.0 / 50, rtol=1e-6)
 
     def test_matches_single_span_recount(self):
         model = Model.init(CFG)
-        s, ann = one_pair((10, 11, 12, 13, 14), Span(2, 4))
+        s, ann = one_pair((10, 11, 12, 13, 14), (2, 4))
         [[score]] = score_spans([(s, ann)], model)
-        span = ann.spans[0]
+        start, end = ann.spans[0].tolist()
         # Independent recount through the public forward surface.
         ids = list(frame(s))
-        for pos in range(span.start, span.end + 1):
+        for pos in range(start, end + 1):
             ids[pos] = MASK_ID
         hidden = forward(model.params, model.config, np.array(ids), shapes=[(1, len(ids))])
         log_probs = mlm_head_rows(model.params, hidden)[0][None]
         probs = [
             math.exp(log_probs[0, pos, s[pos - 1]])
-            for pos in range(span.start, span.end + 1)
+            for pos in range(start, end + 1)
         ]
         assert score == pytest.approx(np.mean(probs), rel=1e-6)
 
     def test_scores_are_probabilities(self):
         model = Model.init(CFG)
-        pair = one_pair(tuple(range(10, 22)), Span(1, 2), Span(4, 6), Span(8, 12))
+        pair = one_pair(tuple(range(10, 22)), (1, 2), (4, 6), (8, 12))
         [scores] = score_spans([pair], model)
         assert len(scores) == 3
         for v in scores:
@@ -281,9 +281,9 @@ class TestScoreSpans:
     def test_batch_matches_singletons(self):
         model = Model.init(CFG)
         pairs = [
-            one_pair((10, 11, 12, 13, 14), Span(1, 2), Span(3, 5)),
+            one_pair((10, 11, 12, 13, 14), (1, 2), (3, 5)),
             one_pair((20, 21)),
-            one_pair((30, 31, 32), Span(2, 3)),
+            one_pair((30, 31, 32), (2, 3)),
         ]
         singles = [score_spans([p], model)[0] for p in pairs]
         assert score_spans(pairs, model) == singles
@@ -294,7 +294,7 @@ class TestScoreSpans:
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            score_spans([one_pair((10, 11), Span(2, 3))], Model.init(CFG))
+            score_spans([one_pair((10, 11), (2, 3))], Model.init(CFG))
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
@@ -310,7 +310,7 @@ class TestScoreSpans:
         pairs = []
         for n in (3, 5, 8, 12, 14):
             ids = tuple(rng.integers(NUM_SPECIALS, 50, size=n).tolist())
-            pairs.append(one_pair(ids, Span(1, 2), *([Span(4, min(n, 6))] if n >= 4 else [])))
+            pairs.append(one_pair(ids, (1, 2), *([(4, min(n, 6))] if n >= 4 else [])))
         state = OptimizerState.zeros(model.params)
         config = TrainingConfig(total_steps=2, peak_lr=1e-2, pooling_for_misad=pooling, seed=5)
         for _ in range(2):
@@ -321,22 +321,22 @@ class TestScoreSpans:
 class TestMakeExamples:
     def test_uniform_scores_select_leftmost(self):
         model = uniform_model()
-        [ex] = make_examples([one_pair((10, 11, 12, 13, 14), Span(1, 2), Span(4, 5))], model)
-        assert ex == TrainingExample((10, 11, 12, 13, 14), Span(1, 2))
+        [ex] = make_examples([one_pair((10, 11, 12, 13, 14), (1, 2), (4, 5))], model)
+        assert ex == TrainingExample((10, 11, 12, 13, 14), (1, 2))
 
     def test_no_spans_gives_mlm_only(self):
         [ex] = make_examples([one_pair((10, 11))], Model.init(CFG))
         assert ex == TrainingExample((10, 11), None)
 
     def test_whole_sequence_span_demoted_to_mlm_only(self):
-        [ex] = make_examples([one_pair((10, 11), Span(1, 2))], Model.init(CFG))
+        [ex] = make_examples([one_pair((10, 11), (1, 2))], Model.init(CFG))
         assert ex == TrainingExample((10, 11), None)
 
     def test_batch_matches_singletons(self):
         model = Model.init(CFG)
         pairs = [
-            ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
-            ((20, 21, 22), SpanAnnotation(spans=(Span(2, 3),))),
+            ((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),))),
+            ((20, 21, 22), SpanAnnotation(spans=((2, 3),))),
             ((30, 31), SpanAnnotation(spans=())),
         ]
         batch = make_examples(pairs, model)
@@ -369,7 +369,7 @@ def annotated_pairs(draw):
         end = start + draw(st.integers(1, 3))
         if end > len(ids) or not draw(st.booleans()):
             return ids, SpanAnnotation(spans=tuple(spans))
-        spans.append(Span(start, end))
+        spans.append((start, end))
         start = end + 1
 
 
@@ -394,12 +394,12 @@ class TestBatchInvariance:
 class TestMaskForMlm:
     def test_span_and_specials_never_touched(self):
         ids = frame(tuple(range(10, 30)))
-        span = Span(3, 6)
+        span = (3, 6)
         for trial in range(50):
             rng = np.random.default_rng(trial)
             masked, positions, targets = mask_for_mlm(ids, span, 50, rng, 0.9)
             assert masked[0] == CLS_ID and masked[-1] == SEP_ID
-            for pos in range(span.start, span.end + 1):
+            for pos in range(span[0], span[1] + 1):
                 assert masked[pos] == ids[pos]
                 assert pos not in positions
             for pos, tgt in zip(positions, targets):
@@ -444,7 +444,7 @@ class TestPrepareBatch:
     def make_batch(self, mask_rate=0.5):
         model = uniform_model()
         pairs = [
-            ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
+            ((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),))),
             ((20, 21, 22), SpanAnnotation(spans=())),
         ]
         examples = make_examples(pairs, model)
@@ -464,7 +464,7 @@ class TestPrepareBatch:
         batch, examples = self.make_batch(mask_rate=1.0)
         span = examples[0].span
         masked_cols = batch.mlm_cols[batch.mlm_rows == 0]
-        for pos in range(span.start, span.end + 1):
+        for pos in range(span[0], span[1] + 1):
             assert pos not in masked_cols
 
     def test_mlm_only_batch_has_no_composition_inputs(self):
@@ -530,9 +530,9 @@ class TestLossAndGradients:
         # S spans lengths 6 and 7, w lengths 4 and 5, R lengths 4 and 5: one
         # packed pass, whose every site draws one mask over all its rows.
         pairs = [
-            one_pair((10, 11, 12, 13), Span(1, 2)),
-            one_pair((20, 21, 22, 23, 24), Span(2, 4)),
-            one_pair((30, 31, 32, 33, 34), Span(1, 2)),
+            one_pair((10, 11, 12, 13), (1, 2)),
+            one_pair((20, 21, 22, 23, 24), (2, 4)),
+            one_pair((30, 31, 32, 33, 34), (1, 2)),
         ]
         batch = prepare_batch(make_examples(pairs, Model.init(CFG)), 50,
                               np.random.default_rng(0), 0.3)
@@ -571,9 +571,9 @@ class TestLossAndGradients:
         params = {k: v.astype(np.float64) for k, v in Model.init(CFG).params.items()}
         rng = np.random.default_rng(21)
         pairs = [
-            one_pair((10, 11, 12, 13, 14), Span(1, 2)),
-            one_pair((20, 21, 22, 23, 24, 25), Span(3, 5)),
-            one_pair((30, 31, 32, 33, 34, 35, 36), Span(4, 6)),
+            one_pair((10, 11, 12, 13, 14), (1, 2)),
+            one_pair((20, 21, 22, 23, 24, 25), (3, 5)),
+            one_pair((30, 31, 32, 33, 34, 35, 36), (4, 6)),
             one_pair((40, 41, 42)),
         ]
         examples = make_examples(pairs, Model(params, CFG))
@@ -636,6 +636,7 @@ class TestTrainingConfig:
         ("pooling_for_misad", "foo"), ("peak_lr", 0.0), ("peak_lr", -1.0),
         ("peak_lr", math.nan), ("peak_lr", math.inf), ("misad_weight", -0.5),
         ("misad_weight", math.nan), ("mlm_weight", -1.0), ("mlm_weight", math.inf),
+        ("seed", -1),
     ])
     def test_rejects_bad_loop_values(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -766,7 +767,7 @@ class TestTrainStep:
         state = OptimizerState.zeros(model.params)
         examples = make_examples(
             [
-                ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
+                ((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),))),
             ],
             model,
         )
@@ -783,7 +784,7 @@ class TestTrainStep:
         # the lr, and within 1% of it for any gradient above 100 * eps.
         model = Model.init(CFG)
         examples = make_examples(
-            [((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),)))], model
+            [((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),)))], model
         )
         before = {k: v.copy() for k, v in model.params.items()}
         config = schedule(10, 0.0, peak=peak)
@@ -806,8 +807,8 @@ class TestTrainStep:
             model = Model.init(CFG)
             state = OptimizerState.zeros(model.params)
             pairs = [
-                ((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),))),
-                ((14, 15, 16), SpanAnnotation(spans=(Span(2, 3),))),
+                ((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),))),
+                ((14, 15, 16), SpanAnnotation(spans=((2, 3),))),
             ]
             reports = []
             for _ in range(5):
@@ -830,7 +831,7 @@ class TestPassesPerStep:
     def test_a_step_makes_two_forwards_and_one_backward(self, pairs):
         # Whatever the mix of lengths: one packed pass scores every span,
         # and one pass with one backward serves S, w and R.
-        pairs = [((10, 11, 12, 13), SpanAnnotation(spans=(Span(1, 2),)))] + pairs
+        pairs = [((10, 11, 12, 13), SpanAnnotation(spans=((1, 2),)))] + pairs
         model = Model.init(CFG)
         calls = []
 
@@ -922,11 +923,26 @@ class TestTrainer:
         kept = [seq[:limit] for seq in seqs if seq]
         with pytest.warns(UserWarning, match="truncating"):
             trainer = Trainer(Model.init(CFG), table, seqs, TrainingConfig(total_steps=1))
+        def marked(pairs):
+            return [(seq, ann.spans.tolist()) for seq, ann in pairs]
+
         for i, seq in enumerate(kept):
-            assert trainer.pairs_at([i]) == [(seq, mark_sequence(seq, table))]
+            want = mark_sequence(seq, table).spans.tolist()
+            assert marked(trainer.pairs_at([i])) == [(seq, want)]
         order = data.draw(st.permutations(range(len(kept))))
-        assert trainer.pairs_at(np.array(order)) == [(kept[i], mark_sequence(kept[i], table))
-                                                     for i in order]
+        assert marked(trainer.pairs_at(np.array(order))) == [
+            (kept[i], mark_sequence(kept[i], table).spans.tolist()) for i in order
+        ]
+
+    def test_corpus_and_span_marks_are_read_only(self):
+        trainer = Trainer(Model.init(CFG), toy_table(), self.make_corpus(4),
+                          TrainingConfig(total_steps=1))
+        [(_, ann)] = trainer.pairs_at([0])
+        for array in (trainer.tokens, trainer.spans, ann.spans):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9
+        assert [seq for seq, _ in trainer.pairs_at(range(4))] == self.make_corpus(4)
+        assert trainer.spans[:, 0].tolist() == [1] * 4  # each sentence opens with (10, 11)
 
     def test_holds_the_corpus_in_a_few_bytes_per_sentence(self):
         # Unit-language sentences: 2-4 distinct two-token units, each unit a
