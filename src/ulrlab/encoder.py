@@ -28,11 +28,12 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import struct
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -52,7 +53,34 @@ _GELU_CLAMP = 10.0
 
 
 class ConfigError(ValueError):
-    """Raised when an encoder configuration violates a constraint."""
+    """Raised when a configuration violates a constraint."""
+
+
+# What a numeric field holds, by its type; and each bound, by its metadata key.
+_NUMBERS = {int: "an int", float: "a finite number"}
+_BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # keyed by ``operator`` name
+
+
+def check_fields(config) -> None:
+    """Check a config dataclass's fields, in order, against their declarations:
+    an ``int`` field holds an int and a ``float`` field a finite int or float
+    (neither a bool), a field with ``choices`` metadata one of them, and each
+    value its bounds (metadata ``ge``, ``gt``, ``le``, ``lt``).  A violation
+    raises :class:`ConfigError` naming the field and its value."""
+    types = get_type_hints(type(config))
+    for f in fields(config):
+        name, value, kind = f.name, getattr(config, f.name), types[f.name]
+        if kind in _NUMBERS and (
+            isinstance(value, bool) or not isinstance(value, (kind, int))
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise ConfigError(f"{name} ({value!r}) must be {_NUMBERS[kind]}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{name} ({value!r}) must be in {choices}")
+        for key, sign in _BOUNDS.items():
+            if key in f.metadata and not getattr(operator, key)(value, f.metadata[key]):
+                raise ConfigError(f"{name} ({value!r}) must be {sign} {f.metadata[key]}")
 
 
 class CheckpointError(RuntimeError):
@@ -61,39 +89,24 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Architecture hyperparameters."""
+    """Architecture hyperparameters, checked when built (:func:`check_fields`)."""
 
-    vocab_size: int
-    d_model: int = 64
+    vocab_size: int = field(metadata={"ge": 6})
+    d_model: int = 64  # d_model and n_heads: one rule, in __post_init__
     n_heads: int = 2
-    n_layers: int = 2
-    d_ff: int = 128
-    max_len: int = 128
-    dropout: float = 0.1
-    seed: int = 0
+    n_layers: int = field(default=2, metadata={"ge": 1})
+    d_ff: int = field(default=128, metadata={"ge": 1})
+    max_len: int = field(default=128, metadata={"ge": 3})
+    dropout: float = field(default=0.1, metadata={"ge": 0, "lt": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} ({value!r}) must be an int")
-        if self.seed < 0:
-            raise ConfigError(f"seed ({self.seed}) must be >= 0")
-        if self.vocab_size < 6:
-            raise ConfigError(f"vocab_size ({self.vocab_size}) must be >= 6")
+        check_fields(self)
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads}), "
                 "both >= 1"
             )
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers ({self.n_layers}) must be >= 1")
-        if self.d_ff < 1:
-            raise ConfigError(f"d_ff ({self.d_ff}) must be >= 1")
-        if self.max_len < 3:
-            raise ConfigError(f"max_len ({self.max_len}) must be >= 3")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout ({self.dropout}) must be in [0, 1)")
 
     @property
     def d_head(self) -> int:

@@ -29,11 +29,10 @@ from .encoder import (
 
 _EPS = 1e-12
 
-#: Most texts per packed forward pass in :meth:`ModelEmbedder.embed_many`, so
-#: a pass holds at most 16 x ``max_len`` rows.  The ``eval`` benchmark's four
-#: stage processes peak (``VmHWM``) at 35.9-39.4 MB with it, and at 64-67 MB
-#: with one pass over all their texts.
-EMBED_BATCH = 16
+#: Most rows (token positions) per packed forward pass in :meth:`ModelEmbedder.embed_many`;
+#: a longer text has a pass to itself.  The ``eval`` benchmark's four stage processes
+#: peak (``VmHWM``) at 36.5-39.5 MB with it, and at 64-67 MB with one pass over all texts.
+EMBED_ROWS = 512
 
 #: Categories scored on the syntactic side of the report; everything
 #: else (and any ``gram*`` prefix, for externally formatted files)
@@ -125,12 +124,11 @@ class ModelEmbedder:
 
     Token tuples are encoded with the supplied vocabulary, cut to fit the
     model's maximum length (:func:`truncate`) and framed.  Each distinct
-    framed sequence is encoded and pooled once: sorted by length,
-    :data:`EMBED_BATCH` at a time go through one packed pass (:func:`pack`)
-    of unpadded groups of one length each, so attention, layer norm and
-    pooling reduce over its own tokens alone and its vector does not depend
-    on the rest of the call.
-    """
+    framed sequence is encoded and pooled once: sorted by length, as many as
+    fit in :data:`EMBED_ROWS` rows (at least one) go through one packed pass
+    (:func:`pack`) of unpadded groups of one length each, so attention, layer
+    norm and pooling reduce over its own tokens alone and its vector does not
+    depend on the rest of the call."""
 
     def __init__(self, model: Model, vocab: Vocabulary, pooling: str):
         if pooling not in POOLING_STRATEGIES:
@@ -157,11 +155,13 @@ class ModelEmbedder:
         distinct = sorted(dict.fromkeys(framed), key=len)
         row_of = {seq: i for i, seq in enumerate(distinct)}
         params, config = self.model.params, self.model.config
-        pooled = []
-        for i in range(0, len(distinct), EMBED_BATCH):
-            ids, shapes, _ = pack(distinct[i : i + EMBED_BATCH])
+        pooled, start, ends = [], 0, np.cumsum([0, *map(len, distinct)])
+        while start < len(distinct):  # a pass takes the next texts that fit in EMBED_ROWS
+            stop = max(start + 1, np.searchsorted(ends, ends[start] + EMBED_ROWS, "right") - 1)
+            ids, shapes, _ = pack(distinct[start:stop])
             hidden = forward(params, config, ids, shapes=shapes)
             pooled += [pool(h, self.pooling, params) for h in group_views(hidden, shapes)]
+            start = stop
         return np.concatenate(pooled)[[row_of[seq] for seq in framed]]
 
 

@@ -45,8 +45,14 @@ class SpanAnnotation:
     spans: np.ndarray
 
     def __post_init__(self) -> None:
-        spans = np.asarray(self.spans, dtype=np.int32)
-        spans = spans.reshape(0, 2) if spans.shape == (0,) else spans  # ``()``: no pairs
+        try:
+            spans = np.asarray(self.spans)
+        except ValueError:  # ragged
+            raise NgramError(f"spans {self.spans!r} are not (start, end) pairs") from None
+        if spans.size and spans.dtype != np.int32:
+            if spans.dtype.kind not in "iu" or (spans.astype(np.int32) != spans).any():
+                raise NgramError(f"span values must be int32 integers, got {spans.tolist()}")
+        spans = np.asarray(spans.reshape(0, 2) if spans.shape == (0,) else spans, np.int32)
         if spans.ndim != 2 or spans.shape[1] != 2:
             raise NgramError(f"spans of shape {spans.shape} are not (start, end) pairs")
         prev_end = 0

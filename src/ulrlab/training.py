@@ -23,7 +23,6 @@ holds the Adam moments and the step, and :meth:`Trainer.run` the batch order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,10 +34,10 @@ from .corpus import (
 )
 from .encoder import (
     POOLING_STRATEGIES,
-    ConfigError,
     EncoderConfig,
     Model,
     backward,
+    check_fields,
     forward,
     group_views,
     mlm_head_rows,
@@ -361,39 +360,20 @@ def loss_and_gradients(
 @dataclass
 class TrainingConfig:
     """Loop hyperparameters and the learning-rate schedule, checked when
-    built (architecture lives in EncoderConfig)."""
+    built (:func:`check_fields`; architecture lives in EncoderConfig)."""
 
-    total_steps: int
-    batch_size: int = 64
-    peak_lr: float = 5e-5
-    warmup_fraction: float = 0.1
-    mask_rate: float = 0.15
+    total_steps: int = field(metadata={"ge": 1})
+    batch_size: int = field(default=64, metadata={"ge": 1})
+    peak_lr: float = field(default=5e-5, metadata={"gt": 0})
+    warmup_fraction: float = field(default=0.1, metadata={"ge": 0, "lt": 1})
+    mask_rate: float = field(default=0.15, metadata={"ge": 0, "le": 1})
     pooling_for_misad: str = field(default="cls", metadata={"choices": POOLING_STRATEGIES})
-    misad_weight: float = 1.0
-    mlm_weight: float = 1.0
-    seed: int = 0
+    misad_weight: float = field(default=1.0, metadata={"ge": 0})
+    mlm_weight: float = field(default=1.0, metadata={"ge": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps ({self.total_steps}) must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed ({self.seed}) must be >= 0")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction ({self.warmup_fraction}) must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size ({self.batch_size}) must be >= 1")
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ConfigError(f"mask_rate ({self.mask_rate}) must be in [0, 1]")
-        if self.pooling_for_misad not in POOLING_STRATEGIES:
-            raise ConfigError(
-                f"pooling_for_misad ({self.pooling_for_misad!r}) must be in {POOLING_STRATEGIES}"
-            )
-        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0.0):
-            raise ConfigError(f"peak_lr ({self.peak_lr}) must be finite and > 0")
-        for name in ("misad_weight", "mlm_weight"):
-            weight = getattr(self, name)
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ConfigError(f"{name} ({weight}) must be finite and >= 0")
+        check_fields(self)
 
 
 @dataclass

@@ -8,8 +8,9 @@ import re
 import struct
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from ulrlab.encoder import (
     _ln_backward,
     _pool_with_cache,
 )
+from ulrlab.training import TrainingConfig
 
 TINY = EncoderConfig(
     vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=32,
@@ -97,6 +99,76 @@ class TestConfig:
         assert cfg.max_len == 128
         assert cfg.dropout == 0.1
         assert cfg.d_head * cfg.n_heads == cfg.d_model
+
+
+# Each config with the required field a test must give it.
+CONFIGS = {EncoderConfig: {"vocab_size": 50}, TrainingConfig: {"total_steps": 10}}
+BOUND_KEYS = ("ge", "gt", "le", "lt")
+# Checked together by one rule instead: d_model divisible by n_heads, both >= 1.
+UNBOUNDED = {"EncoderConfig.d_model", "EncoderConfig.n_heads"}
+
+
+def fields_of_type(*kinds):
+    """(config, field) for each field of either config whose type is in ``kinds``."""
+    return [(config, f) for config in CONFIGS for f in fields(config)
+            if get_type_hints(config)[f.name] in kinds]
+
+
+def build(config, name, value):
+    return config(**{**CONFIGS[config], name: value})
+
+
+def rejected(config, name, value, rule=""):
+    """Assert that building ``config`` with ``name = value`` raises ConfigError
+    starting with the field and the value's repr, then ``rule``."""
+    prefix = rf"^{name} \({re.escape(repr(value))}\) must be {re.escape(rule)}"
+    with pytest.raises(ConfigError, match=prefix):
+        build(config, name, value)
+
+
+class TestCheckFields:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from([(c, f.name) for c, f in fields_of_type(int)]),
+        value=st.one_of(st.booleans(), st.floats(), st.text(max_size=4)),
+    )
+    @example(case=(TrainingConfig, "total_steps"), value=True)
+    @example(case=(TrainingConfig, "batch_size"), value=2.5)
+    @example(case=(TrainingConfig, "seed"), value=1.5)
+    def test_an_int_field_takes_only_an_int(self, case, value):
+        rejected(*case, value, "an int")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from([(c, f.name) for c, f in fields_of_type(float)]),
+        value=st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                        st.sampled_from([math.nan, math.inf, -math.inf])),
+    )
+    def test_a_float_field_takes_only_a_finite_number(self, case, value):
+        rejected(*case, value, "a finite number")
+
+    @pytest.mark.parametrize("config, field, key", [
+        (config, f, key) for config, f in fields_of_type(int, float)
+        for key in BOUND_KEYS if key in f.metadata
+    ], ids=lambda x: getattr(x, "__name__", getattr(x, "name", x)))
+    def test_each_bound_holds_to_its_edge(self, config, field, key):
+        bound, is_int = field.metadata[key], get_type_hints(config)[field.name] is int
+        outward = -math.inf if key in ("ge", "gt") else math.inf
+
+        def step(value, toward):
+            return value + (1 if toward > 0 else -1) if is_int else math.nextafter(value, toward)
+
+        if key in ("ge", "le"):  # the edge is in, the next value out
+            inside, outside = bound, step(bound, outward)
+        else:  # the edge is out, the next value in
+            inside, outside = step(bound, -outward), bound
+        build(config, field.name, inside)
+        rejected(config, field.name, outside)
+
+    def test_every_numeric_field_declares_a_bound(self):
+        unbounded = {f"{config.__name__}.{f.name}" for config, f in fields_of_type(int, float)
+                     if not set(BOUND_KEYS) & set(f.metadata)}
+        assert unbounded == UNBOUNDED
 
 
 class TestInitParams:

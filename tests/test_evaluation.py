@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import analogy_question, write_analogy_file, write_word_vectors
@@ -14,7 +14,7 @@ from ulrlab import evaluation
 from ulrlab.corpus import PAD_ID, build_vocabulary, encode, frame
 from ulrlab.encoder import POOLING_STRATEGIES, EncoderConfig, Model, save_checkpoint
 from ulrlab.evaluation import (
-    EMBED_BATCH,
+    EMBED_ROWS,
     AnalogyQuestion,
     CategoryResult,
     ModelEmbedder,
@@ -346,19 +346,21 @@ class TestModelEmbedder:
     @settings(max_examples=30, deadline=None)
     @given(
         pooling=st.sampled_from(["cls", "mean", "max"]),
-        lengths=st.lists(
-            st.integers(1, 20), min_size=EMBED_BATCH + 1, max_size=2 * EMBED_BATCH + 3
-        ),
+        lengths=st.lists(st.integers(1, 20), min_size=17, max_size=35),
+        budget=st.integers(1, 64),
         seed=st.integers(0, 2**16),
     )
-    def test_padding_and_chunks_do_not_change_rows(self, model_embedder, pooling, lengths, seed):
+    def test_padding_and_chunks_do_not_change_rows(
+        self, model_embedder, pooling, lengths, budget, seed
+    ):
         base, tokens = model_embedder
         emb = ModelEmbedder(base.model, base.vocab, pooling=pooling)
         rng = np.random.default_rng(seed)
         texts = [tuple(rng.choice(tokens, size=n).tolist()) for n in lengths]
         limit = emb.model.config.max_len - 2
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("always")
+            mp.setattr(evaluation, "EMBED_ROWS", budget)  # many passes, some of one text
             batch = embed_corpus(texts, emb)
             singles = np.stack([embed_corpus([t], emb)[0] for t in texts])
         truncated = any("truncating" in str(w.message) for w in caught)
@@ -371,20 +373,23 @@ class TestModelEmbedder:
         texts=st.lists(
             st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), min_size=1, max_size=40)
             .map(tuple),
-            min_size=1, max_size=2 * EMBED_BATCH + 3,
+            min_size=1, max_size=35,
         ),
+        budget=st.sampled_from([1, 50, 200, EMBED_ROWS]),
         data=st.data(),
     )
-    def test_rows_do_not_depend_on_the_batch(self, wide_model, pooling, texts, data):
+    def test_rows_do_not_depend_on_the_batch(self, wide_model, pooling, texts, budget, data):
         # Four tokens make repeated texts and many texts of one length likely.
         emb = ModelEmbedder(*wide_model, pooling=pooling)
         texts = data.draw(st.permutations(texts + texts[: data.draw(st.integers(0, 4))]))
         cuts = sorted(data.draw(st.sets(st.integers(1, len(texts)), max_size=4)) - {len(texts)})
         alone = {t: emb.embed_many([t])[0].tobytes() for t in texts}
-        for lo, hi in zip([0, *cuts], [*cuts, len(texts)]):
-            part = texts[lo:hi]
-            rows = emb.embed_many(part)
-            assert [row.tobytes() for row in rows] == [alone[t] for t in part]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "EMBED_ROWS", budget)
+            for lo, hi in zip([0, *cuts], [*cuts, len(texts)]):
+                part = texts[lo:hi]
+                rows = emb.embed_many(part)
+                assert [row.tobytes() for row in rows] == [alone[t] for t in part]
 
     def test_cls_rows_do_not_depend_on_the_batch_at_d_model_50(self):
         # The pooler multiplies a group's rows together and one alone; at
@@ -397,14 +402,15 @@ class TestModelEmbedder:
         emb = ModelEmbedder(Model.init(cfg), vocab, pooling="cls")
         rng = np.random.default_rng(0)
         texts = [tuple(rng.choice(tokens, size=n).tolist())
-                 for n in rng.integers(2, 15, size=2 * EMBED_BATCH + 5)]
-        assert len(set(texts)) > EMBED_BATCH and len(set(map(len, texts))) > 1
+                 for n in rng.integers(2, 15, size=EMBED_ROWS // 8 + 5)]
+        assert sum(len(t) + 2 for t in set(texts)) > EMBED_ROWS and len(set(map(len, texts))) > 1
         together = emb.embed_many(texts)
         for i, text in enumerate(texts):
             assert np.array_equal(emb.embed_many([text])[0], together[i]), i
 
-    def test_one_packed_forward_per_embed_batch_distinct_texts(self, model_embedder, monkeypatch):
-        emb, tokens = model_embedder
+    @staticmethod
+    def spied_passes(monkeypatch):
+        """Record the ids and shapes of every packed pass of ``evaluation.forward``."""
         passes = []
         real_forward = evaluation.forward
 
@@ -413,7 +419,12 @@ class TestModelEmbedder:
             return real_forward(params, config, ids, **kwargs)
 
         monkeypatch.setattr(evaluation, "forward", counting_forward)
-        n_distinct = {2: 3, 5: EMBED_BATCH + 1, 9: 2 * EMBED_BATCH}  # tokens: texts
+        return passes
+
+    def test_one_packed_forward_per_embed_batch_distinct_texts(self, model_embedder, monkeypatch):
+        emb, tokens = model_embedder
+        passes = self.spied_passes(monkeypatch)
+        n_distinct = {2: 3, 5: EMBED_ROWS // 8, 9: EMBED_ROWS // 4}  # tokens: texts
         texts = [
             tuple(tokens[i // len(tokens) ** j % len(tokens)] for j in range(n))
             for n, count in n_distinct.items() for i in range(count)
@@ -421,16 +432,53 @@ class TestModelEmbedder:
         texts += texts[::3]
         rows = emb.embed_many(texts)
         assert rows.shape[0] == len(texts)
-        assert len(passes) == math.ceil(sum(n_distinct.values()) / EMBED_BATCH)
+        # Filled in length order: each pass takes every text that still fits.
+        expected, used = [], EMBED_ROWS
+        for n, count in n_distinct.items():
+            for _ in range(count):
+                if used + n + 2 > EMBED_ROWS:
+                    expected.append(0)
+                    used = 0
+                expected[-1] += n + 2
+                used += n + 2
+        assert len(expected) > 2
+        assert [ids.size for ids, _ in passes] == expected
         embedded = []
         for ids, shapes in passes:
-            assert sum(b for b, _ in shapes) <= EMBED_BATCH
             assert not (ids == PAD_ID).any()
             cuts = np.cumsum([b * length for b, length in shapes])
             assert cuts[-1] == ids.size
             for part, shape in zip(np.split(ids, cuts[:-1]), shapes):
                 embedded += map(tuple, part.reshape(shape).tolist())
         assert sorted(embedded) == sorted({frame(encode(t, emb.vocab)) for t in texts})
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+        budget=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1, 2, 2], budget=7, seed=0)  # framed 3 + 4 rows fill the budget exactly
+    def test_no_pass_exceeds_the_row_budget_but_a_lone_text(
+        self, model_embedder, lengths, budget, seed
+    ):
+        emb, tokens = model_embedder
+        rng = np.random.default_rng(seed)
+        texts = [tuple(rng.choice(tokens, size=n).tolist()) for n in lengths]
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # texts past max_len are cut
+            mp.setattr(evaluation, "EMBED_ROWS", budget)
+            passes = self.spied_passes(mp)
+            emb.embed_many(texts)
+        sizes = [ids.size for ids, _ in passes]
+        texts_per_pass = [sum(b for b, _ in shapes) for _, shapes in passes]
+        for size, n_texts in zip(sizes, texts_per_pass):
+            assert size <= budget or n_texts == 1
+        # No pass stops short: the next pass's first (shortest) text would not fit.
+        for size, (_, shapes) in zip(sizes, passes[1:]):
+            assert size + shapes[0][1] > budget
+        framed = {frame(encode(t, emb.vocab)[: emb.model.config.max_len - 2]) for t in texts}
+        assert sum(texts_per_pass) == len(framed) and sum(sizes) == sum(map(len, framed))
 
 
 class TestEmbedCorpus:

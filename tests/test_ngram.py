@@ -534,6 +534,9 @@ class TestSpanTypes:
         [(1, 2, 3)],
         np.ones((1, 1, 2), dtype=np.int32),
         np.zeros((0, 3), dtype=np.int32),
+        [(1, 2), (3,)],  # ragged
+        [(1, 2), (3, 4, 5)],
+        [(1, 2), 3],
     ])
     def test_annotation_rejects_what_is_not_start_end_pairs(self, spans):
         with pytest.raises(NgramError, match=r"not \(start, end\) pairs"):
@@ -543,6 +546,32 @@ class TestSpanTypes:
     def test_annotation_rejects_a_start_below_1(self, spans):
         with pytest.raises(NgramError):
             SpanAnnotation(spans=spans)
+
+    @pytest.mark.parametrize("spans", [
+        [(1.7, 3.2)],  # a cast would read (1, 3)
+        [(1, 2.0)],
+        np.array([[1.0, 2.0]]),
+        [("1", "2")],
+        [(True, False)],
+        [(1, 2**31)],  # a cast would wrap it
+        np.array([[1, 2**40]], dtype=np.int64),
+        [(1, 2**64)],
+    ])
+    def test_annotation_rejects_what_is_not_int32_integers(self, spans):
+        with pytest.raises(NgramError, match="int32 integers"):
+            SpanAnnotation(spans=spans)
+
+    @pytest.mark.parametrize("spans, rows", [
+        ((), []),  # no marks
+        ([], []),
+        (np.zeros((0, 2), dtype=np.int64), []),
+        (np.array([[1, 2], [4, 7]], dtype=np.int64), [[1, 2], [4, 7]]),
+        (np.array([[1, 2**31 - 1]], dtype=np.uint64), [[1, 2**31 - 1]]),
+    ])
+    def test_annotation_takes_integer_rows_of_any_dtype(self, spans, rows):
+        ann = SpanAnnotation(spans=spans)
+        assert ann.spans.dtype == np.int32 and ann.spans.shape == (len(rows), 2)
+        assert ann.spans.tolist() == rows
 
 
 class TestTableIO:
